@@ -16,8 +16,9 @@ def test_disc_open_page_and_ddr5(benchmark, figure_store):
         rounds=1,
         iterations=1,
     )
-    results = data.extras["results"]
-    ddr5 = data.extras["ddr5"]
+    values = data.model("open-page")
+    results = values["results"]
+    ddr5 = values["ddr5"]
 
     closed = results["closed-page TRH=4800 rate 6 (days)"]
     opened = results["open-page TRH=4800 rate 6 (days)"]

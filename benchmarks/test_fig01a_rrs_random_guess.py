@@ -14,7 +14,7 @@ def test_fig01a_random_guess_attack(benchmark, figure_store):
     data, _ = benchmark.pedantic(
         lambda: reproduce("fig01a", figure_store), rounds=1, iterations=1
     )
-    series = data.extras["series"]
+    series = data.model("random-guess")["series"]
     rates = list(FIG01A_SWAP_RATES)
 
     # Paper anchor: years at TRH 4800 / swap rate 6 (the intro's "~3

@@ -14,9 +14,10 @@ def test_fig13_outlier_time_to_appear(benchmark, figure_store):
     data, _ = benchmark.pedantic(
         lambda: reproduce("fig13", figure_store), rounds=1, iterations=1
     )
-    sweep_3rows = data.extras["sweep_3rows"]
-    sweep_4rows = data.extras["sweep_4rows"]
-    anchors = data.extras["anchors"]
+    values = data.model("outliers")
+    sweep_3rows = values["sweep_3rows"]
+    sweep_4rows = values["sweep_4rows"]
+    anchors = values["anchors"]
 
     # Paper anchors: ~31 days for 3 outliers, ~64 years for 4 (order).
     assert 5 < anchors["3 rows @ rate 3 (days)"] < 120

@@ -17,15 +17,15 @@ def test_motivation_half_double(benchmark, figure_store):
         rounds=1,
         iterations=1,
     )
-    rows = data.extras["rows"]
+    cells = data.results.by("mitigation", "pattern", "radius")
 
     # Double-sided is stopped by everything.
     for defense in ("trr", "para", "scale-srs"):
-        assert not rows[defense][0].any_flip, defense
+        assert not cells[(defense, "double-sided", 1)].any_flip, defense
     # Half-double defeats both VFM designs at distance 2...
-    assert {98, 102} & set(rows["trr"][1].flipped_rows)
-    assert rows["para"][1].any_flip
+    assert {98, 102} & set(cells[("trr", "half-double", 1)].flipped_rows)
+    assert cells[("para", "half-double", 1)].any_flip
     # ...moves to distance 3 when VFM widens its radius (arms race)...
-    assert {97, 103} & set(rows["trr-radius2"][1].flipped_rows)
+    assert {97, 103} & set(cells[("trr", "half-double", 2)].flipped_rows)
     # ...and bounces off the aggressor-focused design.
-    assert not rows["scale-srs"][1].any_flip
+    assert not cells[("scale-srs", "half-double", 1)].any_flip

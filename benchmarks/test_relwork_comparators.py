@@ -21,7 +21,7 @@ def test_relwork_comparators(benchmark, figure_store):
         rounds=1,
         iterations=1,
     )
-    out = data.extras
+    out = data.model("comparators")
 
     # Paper anchors / qualitative claims.
     assert 15 <= out["throttle_delay_us"] <= 35

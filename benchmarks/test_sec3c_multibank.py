@@ -15,7 +15,7 @@ def test_sec3c_multibank(benchmark, figure_store):
         rounds=1,
         iterations=1,
     )
-    days = data.extras["days"]
+    days = data.model("multi-bank")["days"]
 
     # Single bank: the ~4 hour Juggernaut result.
     assert days[1] < 1.0

@@ -40,8 +40,9 @@ a parameter dataclass for grid expansion, serialization hooks for
 JSON/CSV and the content-addressed result store, and a schema version
 for store keying. The built-in kinds are ``perf`` (the performance
 simulator), ``security`` (Juggernaut time-to-break, analytical plus
-Monte-Carlo), ``storage`` (Table IV), and ``power`` (Table V); see
-:mod:`repro.sim.evaluations`.
+Monte-Carlo), ``storage`` (Table IV), ``power`` (Table V), ``hammer``
+(Section II-E's hammer-pattern rig), and ``model`` (the paper's
+one-off numbers); see :mod:`repro.sim.evaluations`.
 
 *Figures* close the loop from evaluations back to the paper: every
 figure/table of the paper's evaluation is a registered builder
@@ -670,11 +671,6 @@ def register_figure(
 def figure_names() -> Tuple[str, ...]:
     """Registered figure/table names, registration order."""
     return FIGURES.names()
-
-
-def evaluation_names() -> Tuple[str, ...]:
-    """Registered evaluation-kind names, registration order."""
-    return EVALUATIONS.names()
 
 
 def mitigation_names() -> Tuple[str, ...]:

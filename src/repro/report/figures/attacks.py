@@ -4,23 +4,16 @@ the Section III-C / Section VIII discussions).
 The store-backed figures here grid the ``security`` evaluation kind —
 time-to-break and required-guess curves are engine cells like any perf
 point, so a report resumes and shards them identically. The multi-bank
-and open-page/DDR5 discussions stay analytic: they evaluate one-off
-attack variants (channel ACT dilution, page-policy throttling) that the
-``security`` kind does not parameterize.
+and open-page/DDR5 discussions evaluate one-off attack variants
+(channel ACT dilution, page-policy throttling) that the ``security``
+kind does not parameterize, so each reads one ``model`` cell.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
-from repro.attacks.analytical import AttackParameters, JuggernautModel
-from repro.attacks.juggernaut import (
-    multi_bank_time_to_break_days,
-    open_page_time_to_break_days,
-)
 from repro.registry import register_figure
 from repro.report.render import Artifact, Table
-from repro.report.spec import FigureData, FigureSpec, ReportConfig
+from repro.report.spec import FigureData, FigureSpec, ReportConfig, model_spec
 from repro.sim.evaluations import SecurityParams
 from repro.sim.experiment import ExperimentSpec
 
@@ -198,28 +191,21 @@ def fig10(config: ReportConfig) -> FigureSpec:
 def sec3c_multibank(config: ReportConfig) -> FigureSpec:
     """Time-to-break vs banks hammered at TRH=4800 / rate 6."""
 
-    def analytic() -> Dict[str, Any]:
-        return {
-            "days": {
-                banks: multi_bank_time_to_break_days(4800, 6, banks)
-                for banks in (1, 2, 4, 8, 16)
-            }
-        }
-
     def render(data: FigureData) -> Artifact:
+        series = data.model("multi-bank")["days"]
         return Artifact(
             tables=[
                 Table(
                     columns=["banks", "days", "years"],
                     rows=[
                         [banks, days, days / 365.0]
-                        for banks, days in data.extras["days"].items()
+                        for banks, days in series.items()
                     ],
                 )
             ],
         )
 
-    return FigureSpec(render=render, analytic=analytic)
+    return FigureSpec(specs=[model_spec("multi-bank")], render=render)
 
 
 @register_figure(
@@ -230,36 +216,8 @@ def sec3c_multibank(config: ReportConfig) -> FigureSpec:
 def disc_open_page(config: ReportConfig) -> FigureSpec:
     """The page-policy and refresh-window discussion numbers."""
 
-    def analytic() -> Dict[str, Any]:
-        closed = JuggernautModel(AttackParameters(trh=4800, ts=800)).best(
-            step=10
-        )
-        results = {
-            "closed-page TRH=4800 rate 6 (days)": closed.time_to_break_days,
-            "open-page TRH=4800 rate 6 (days)": open_page_time_to_break_days(
-                4800, 6
-            ),
-            "open-page TRH=3300 rate 10 (days)": open_page_time_to_break_days(
-                3300, 10
-            ),
-            "open-page TRH=1200 rate 6 (days)": open_page_time_to_break_days(
-                1200, 6
-            ),
-        }
-        ddr5 = {}
-        for rate in (6, 8, 10):
-            model = JuggernautModel(
-                AttackParameters(
-                    trh=3100,
-                    ts=max(2, 3100 // rate),
-                    refresh_window=32_000_000.0,
-                    refreshes_per_window=4096,
-                )
-            )
-            ddr5[rate] = model.best(step=10).time_to_break_days
-        return {"results": results, "ddr5": ddr5}
-
     def render(data: FigureData) -> Artifact:
+        values = data.model("open-page")
         return Artifact(
             tables=[
                 Table(
@@ -267,19 +225,18 @@ def disc_open_page(config: ReportConfig) -> FigureSpec:
                     columns=["scenario", "days"],
                     rows=[
                         [label, days]
-                        for label, days in data.extras["results"].items()
+                        for label, days in values["results"].items()
                     ],
                 ),
                 Table(
                     name="ddr5",
                     columns=["swap_rate", "days"],
                     rows=[
-                        [rate, days]
-                        for rate, days in data.extras["ddr5"].items()
+                        [rate, days] for rate, days in values["ddr5"].items()
                     ],
                 ),
             ],
             notes=["DDR5 rows: 32 ms refresh window, TRH=3100"],
         )
 
-    return FigureSpec(render=render, analytic=analytic)
+    return FigureSpec(specs=[model_spec("open-page")], render=render)

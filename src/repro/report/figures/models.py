@@ -1,30 +1,23 @@
 """Model figures: outliers, storage, power, and the design-space studies
 (Figure 13, Tables IV-V, Sections V-C, VIII-4, IX).
 
-Tables IV and V grid the ``storage``/``power`` evaluation kinds — cheap,
-but store-backed so their cells export and shard like everything else.
-The outlier sweep, the LLC provisioning rig, and the related-work
-comparators are analytic: deterministic one-off models with no grid
-worth persisting.
+Tables IV and V grid the ``storage``/``power`` evaluation kinds, and
+Table IV adds the ``dram-counters`` model cell for its DRAM-overhead
+note. The outlier sweep, the LLC provisioning rig, and the related-work
+comparators are one ``model`` cell each: one-off computations, stored
+like every other cell so a resumed report reads them back.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Any, Dict
-
-from repro.attacks.outliers import OutlierModel
 from repro.registry import register_figure
 from repro.report.render import Artifact, Table
-from repro.report.spec import FigureData, FigureSpec, ReportConfig
-from repro.sim.evaluations import PowerParams, StorageParams
+from repro.report.spec import FigureData, FigureSpec, ReportConfig, model_spec
+from repro.sim.evaluations import FIG13_SWAP_RATES, PowerParams, StorageParams
 from repro.sim.experiment import ExperimentSpec
 
 #: The Table IV/V threshold series.
 TABLE_TRH_VALUES = (4800, 2400, 1200)
-
-#: Figure 13's swap-rate axis (TRH=4800).
-FIG13_SWAP_RATES = (3, 4, 5, 6)
 
 
 @register_figure(
@@ -35,23 +28,8 @@ FIG13_SWAP_RATES = (3, 4, 5, 6)
 def fig13(config: ReportConfig) -> FigureSpec:
     """Outlier-row rarity sweeps plus the paper's two anchors."""
 
-    def analytic() -> Dict[str, Any]:
-        base = OutlierModel(trh=4800)
-        rate3 = OutlierModel(trh=4800, swap_rate=3)
-        return {
-            "sweep_3rows": base.sweep_swap_rates(
-                list(FIG13_SWAP_RATES), num_rows=3
-            ),
-            "sweep_4rows": base.sweep_swap_rates(
-                list(FIG13_SWAP_RATES), num_rows=4
-            ),
-            "anchors": {
-                "3 rows @ rate 3 (days)": rate3.time_to_appear_days(3),
-                "4 rows @ rate 3 (years)": rate3.time_to_appear_days(4) / 365,
-            },
-        }
-
     def render(data: FigureData) -> Artifact:
+        values = data.model("outliers")
         return Artifact(
             tables=[
                 Table(
@@ -59,8 +37,8 @@ def fig13(config: ReportConfig) -> FigureSpec:
                     rows=[
                         [
                             rate,
-                            data.extras["sweep_3rows"][i],
-                            data.extras["sweep_4rows"][i],
+                            values["sweep_3rows"][i],
+                            values["sweep_4rows"][i],
                         ]
                         for i, rate in enumerate(FIG13_SWAP_RATES)
                     ],
@@ -68,11 +46,11 @@ def fig13(config: ReportConfig) -> FigureSpec:
             ],
             notes=[
                 f"{label}: {value:.1f}"
-                for label, value in data.extras["anchors"].items()
+                for label, value in values["anchors"].items()
             ],
         )
 
-    return FigureSpec(render=render, analytic=analytic)
+    return FigureSpec(specs=[model_spec("outliers")], render=render)
 
 
 @register_figure(
@@ -90,15 +68,8 @@ def table4(config: ReportConfig) -> FigureSpec:
         grid={"trh": list(TABLE_TRH_VALUES)},
     )
 
-    def analytic() -> Dict[str, Any]:
-        return {
-            "dram_counter_overhead_fraction": (
-                StorageParams().model().dram_counter_overhead_fraction()
-            )
-        }
-
     def render(data: FigureData) -> Artifact:
-        cells = data.results.by("mitigation", "trh")
+        cells = data.results.of_kind("storage").by("mitigation", "trh")
         rows = []
         for trh in TABLE_TRH_VALUES:
             rrs = cells[("rrs", trh)]
@@ -113,7 +84,7 @@ def table4(config: ReportConfig) -> FigureSpec:
                     rrs.total_bytes / scale.total_bytes,
                 ]
             )
-        overhead = data.extras["dram_counter_overhead_fraction"]
+        overhead = data.model("dram-counters")["fraction"]
         return Artifact(
             tables=[
                 Table(
@@ -134,7 +105,9 @@ def table4(config: ReportConfig) -> FigureSpec:
             ],
         )
 
-    return FigureSpec(specs=[spec], render=render, analytic=analytic)
+    return FigureSpec(
+        specs=[spec, model_spec("dram-counters")], render=render
+    )
 
 
 @register_figure(
@@ -196,67 +169,35 @@ def table5(config: ReportConfig) -> FigureSpec:
 def sec5c_llc(config: ReportConfig) -> FigureSpec:
     """The pin-buffer/LLC worst-case installation rig."""
 
-    def analytic() -> Dict[str, Any]:
-        from repro.core.pin_buffer import PinBuffer
-        from repro.cpu.cache import SetAssociativeCache
-        from repro.dram.config import SystemConfig
-
-        system = SystemConfig()
-        buffer = PinBuffer(num_entries=66, llc_ways=system.llc_ways)
-        cache = SetAssociativeCache.from_config(system, pin_buffer=buffer)
-        installed = 0
-        for channel in range(2):
-            for bank in range(11):
-                for row in range(3):
-                    buffer.pin((channel, 0, bank), row)
-                    installed += cache.pin_row(
-                        (channel, 0, bank),
-                        row,
-                        row_base_address=(channel * 11 + bank) * (1 << 20)
-                        + row * 8192,
-                    )
-        return {
-            "config": system,
-            "buffer": buffer,
-            "cache": cache,
-            "installed": installed,
-            "single_bank_bytes": 3 * 8 * 1024 * 2,
-            "multi_bank_bytes": buffer.llc_bytes_reserved(),
-            "rarity_days": OutlierModel(
-                trh=4800, swap_rate=3
-            ).time_to_appear_days(3),
-        }
-
     def render(data: FigureData) -> Artifact:
-        extras = data.extras
-        system = extras["config"]
-        buffer = extras["buffer"]
+        values = data.model("llc-pinning")
+        llc_bytes = values["llc_size_bytes"]
         rows = [
             [
                 "pin buffer (bytes)",
-                buffer.storage_bits / 8,
-                f"{buffer.num_entries} x {buffer.entry_bits} bits",
+                values["pin_buffer_bytes"],
+                f"{values['pin_entries']} x {values['pin_entry_bits']} bits",
             ],
             [
                 "single-bank worst case (KB)",
-                extras["single_bank_bytes"] / 1024,
-                f"{100 * extras['single_bank_bytes'] / system.llc_size_bytes:.2f}% of LLC",
+                values["single_bank_bytes"] / 1024,
+                f"{100 * values['single_bank_bytes'] / llc_bytes:.2f}% of LLC",
             ],
             [
                 "multi-bank worst case (KB)",
-                extras["multi_bank_bytes"] / 1024,
-                f"{100 * extras['multi_bank_bytes'] / system.llc_size_bytes:.2f}% of LLC",
+                values["multi_bank_bytes"] / 1024,
+                f"{100 * values['multi_bank_bytes'] / llc_bytes:.2f}% of LLC",
             ],
         ]
         return Artifact(
             tables=[Table(columns=["quantity", "value", "detail"], rows=rows)],
             notes=[
                 "single-bank event rarity: once per "
-                f"{extras['rarity_days']:.0f} days"
+                f"{values['rarity_days']:.0f} days"
             ],
         )
 
-    return FigureSpec(render=render, analytic=analytic)
+    return FigureSpec(specs=[model_spec("llc-pinning")], render=render)
 
 
 @register_figure(
@@ -267,64 +208,8 @@ def sec5c_llc(config: ReportConfig) -> FigureSpec:
 def relwork_comparators(config: ReportConfig) -> FigureSpec:
     """BlockHammer/AQUA/direction-bit comparisons, measured."""
 
-    def analytic() -> Dict[str, Any]:
-        from repro.analysis.storage import StorageModel
-        from repro.core.aqua import AquaQuarantine
-        from repro.core.blockhammer import (
-            BlockHammerThrottle,
-            BloomParameters,
-            dos_false_positive_delay,
-        )
-        from repro.core.scale_srs import ScaleSecureRowSwap
-        from repro.dram.bank import Bank
-        from repro.dram.config import DRAMTiming
-        from repro.trackers.base import ExactTracker
-
-        out: Dict[str, Any] = {}
-        bank = Bank(128 * 1024, DRAMTiming())
-        throttle = BlockHammerThrottle(bank, trh=4800)
-        out["throttle_delay_us"] = throttle.throttle_delay_ns() / 1000.0
-        dos_bank = Bank(1 << 16, DRAMTiming())
-        blacklisted, dos_delay = dos_false_positive_delay(
-            dos_bank,
-            trh=4800,
-            attacker_rows=64,
-            victim_row=12345,
-            bloom=BloomParameters(num_counters=32, num_hashes=2),
-        )
-        out["dos_blacklisted"] = blacklisted
-        out["dos_delay_us"] = dos_delay / 1000.0
-
-        timing = DRAMTiming(refresh_window=1_000_000.0)
-        ts = 50
-        aqua_bank = Bank(4096, timing)
-        aqua = AquaQuarantine(aqua_bank, ExactTracker(ts))
-        scale_bank = Bank(4096, timing)
-        scale = ScaleSecureRowSwap(
-            scale_bank, ExactTracker(ts * 2), random.Random(3)
-        )
-        for engine in (aqua, scale):
-            time = 0.0
-            for _ in range(500):
-                result = engine.bank.access(time, engine.resolve(7))
-                time = max(result.finish, engine.on_activation(result.finish, 7))
-        out["aqua_reserved_fraction"] = aqua.reserved_fraction()
-        out["aqua_migrations"] = aqua.migrations
-        out["aqua_home_acts"] = aqua_bank.stats.count(7)
-        out["scale_swaps"] = scale.stats.swaps
-        out["scale_home_acts"] = scale_bank.stats.count(7)
-
-        base = StorageModel()
-        optimised = StorageModel(direction_bit_optimization=True)
-        out["scale_rit_kb_1200"] = base.rit_bytes(1200, "scale-srs") / 1024
-        out["scale_rit_kb_1200_opt"] = (
-            optimised.rit_bytes(1200, "scale-srs") / 1024
-        )
-        out["ratio_1200_opt"] = optimised.storage_ratio(1200)
-        return out
-
     def render(data: FigureData) -> Artifact:
-        out = data.extras
+        out = data.model("comparators")
         rows = [
             [label, out[key]]
             for label, key in (
@@ -343,4 +228,4 @@ def relwork_comparators(config: ReportConfig) -> FigureSpec:
         ]
         return Artifact(tables=[Table(columns=["quantity", "value"], rows=rows)])
 
-    return FigureSpec(render=render, analytic=analytic)
+    return FigureSpec(specs=[model_spec("comparators")], render=render)

@@ -4,36 +4,29 @@ The paper's opening case: thresholds have collapsed ~29x in eight years
 (Table I), the random-guess attack RRS was designed against is
 intractable (Figure 1a), and victim-focused mitigation loses the
 half-double arms race while aggressor-focused row swaps do not
-(Section II-E). All three are closed-form or deterministic micro-rigs,
-so they live in analytic hooks — no store cells.
+(Section II-E). Table I and Figure 1a each read one ``model`` cell; the
+half-double study grids the ``hammer`` kind, one cell per defense,
+pattern, and protected radius.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Any, Dict
-
-from repro.attacks.birthday import random_guess_time_to_break_days
-from repro.attacks.harness import hammer_pattern
-from repro.attacks.patterns import double_sided, half_double
-from repro.core.scale_srs import ScaleSecureRowSwap
-from repro.core.vfm import PARA, TargetedRowRefresh
-from repro.dram.bank import Bank
-from repro.dram.config import DRAMTiming
-from repro.dram.disturbance import DisturbanceModel
+# perfbench/test_perfbench.py checks that tracing rebinds this alias.
+from repro.attacks.harness import hammer_pattern  # noqa: F401
 from repro.registry import register_figure
 from repro.report.render import Artifact, Table
-from repro.report.spec import FigureData, FigureSpec, ReportConfig
-from repro.trackers.base import ExactTracker
+from repro.report.spec import FigureData, FigureSpec, ReportConfig, model_spec
+from repro.sim.evaluations import (
+    FIG01A_SWAP_RATES,
+    FIG01A_TRH_VALUES,
+    HammerParams,
+)
+from repro.sim.experiment import ExperimentSpec
 
-#: Figure 1a's swap-rate axis.
-FIG01A_SWAP_RATES = (3, 4, 5, 6, 7, 8)
-#: Figure 1a's threshold series.
-FIG01A_TRH_VALUES = (1200, 2400, 4800)
-
-#: Half-double rig constants (Section II-E).
-HALF_DOUBLE_TRH = 2000
-HALF_DOUBLE_FACTORS = (1.0, 0.002)
+#: Section II-E's defenses, in table order.
+HALF_DOUBLE_DEFENSES = ("trr", "para", "scale-srs")
+#: Pattern lengths (activations) of Section II-E's rig.
+DOUBLE_SIDED_HAMMERS = 2400
 HALF_DOUBLE_HAMMERS = 300_000
 
 
@@ -46,29 +39,25 @@ HALF_DOUBLE_HAMMERS = 300_000
 def table1(config: ReportConfig) -> FigureSpec:
     """Threshold history plus the DDR3-to-LPDDR4 scaling factor."""
 
-    def analytic() -> Dict[str, Any]:
-        from repro.analysis.thresholds import TRH_HISTORY, scaling_factor
-
-        return {"history": dict(TRH_HISTORY), "scaling": scaling_factor()}
-
     def render(data: FigureData) -> Artifact:
+        values = data.model("trh-history")
         return Artifact(
             tables=[
                 Table(
                     columns=["generation", "trh"],
                     rows=[
                         [generation, trh]
-                        for generation, trh in data.extras["history"].items()
+                        for generation, trh in values["history"].items()
                     ],
                 )
             ],
             notes=[
                 "DDR3(old) -> LPDDR4(new) scaling: "
-                f"{data.extras['scaling']:.1f}x"
+                f"{values['scaling']:.1f}x"
             ],
         )
 
-    return FigureSpec(render=render, analytic=analytic)
+    return FigureSpec(specs=[model_spec("trh-history")], render=render)
 
 
 @register_figure(
@@ -79,18 +68,8 @@ def table1(config: ReportConfig) -> FigureSpec:
 def fig01a(config: ReportConfig) -> FigureSpec:
     """Random-guess (birthday) attack days across swap rates and TRH."""
 
-    def analytic() -> Dict[str, Any]:
-        series = {
-            trh: [
-                random_guess_time_to_break_days(trh, rate)
-                for rate in FIG01A_SWAP_RATES
-            ]
-            for trh in FIG01A_TRH_VALUES
-        }
-        return {"series": series}
-
     def render(data: FigureData) -> Artifact:
-        series = data.extras["series"]
+        series = data.model("random-guess")["series"]
         return Artifact(
             tables=[
                 Table(
@@ -109,36 +88,7 @@ def fig01a(config: ReportConfig) -> FigureSpec:
             ],
         )
 
-    return FigureSpec(render=render, analytic=analytic)
-
-
-def _half_double_rig(name: str, radius: int = 1):
-    """One defense instance wired to a fresh bank and disturbance model."""
-    timing = DRAMTiming(refresh_window=1e12)
-    bank = Bank(4096, timing)
-    disturbance = DisturbanceModel(
-        4096,
-        HALF_DOUBLE_TRH,
-        refresh_window=1e12,
-        distance_factors=HALF_DOUBLE_FACTORS,
-    )
-    if name == "trr":
-        engine = TargetedRowRefresh(
-            bank, disturbance, ExactTracker(100), protected_radius=radius
-        )
-    elif name == "para":
-        engine = PARA(
-            bank,
-            disturbance,
-            trh=HALF_DOUBLE_TRH,
-            rng=random.Random(5),
-            protected_radius=radius,
-        )
-    else:
-        engine = ScaleSecureRowSwap(
-            bank, ExactTracker(HALF_DOUBLE_TRH // 3), random.Random(7)
-        )
-    return engine, disturbance
+    return FigureSpec(specs=[model_spec("random-guess")], render=render)
 
 
 @register_figure(
@@ -147,47 +97,63 @@ def _half_double_rig(name: str, radius: int = 1):
     description="VFM loses the radius arms race; aggressor swaps do not",
 )
 def motiv_half_double(config: ReportConfig) -> FigureSpec:
-    """Double-sided and half-double patterns against TRR/PARA/Scale-SRS."""
+    """Double-sided and half-double patterns against TRR/PARA/Scale-SRS.
 
-    def analytic() -> Dict[str, Any]:
-        rows = {}
-        for defense in ("trr", "para", "scale-srs"):
-            engine, disturbance = _half_double_rig(defense)
-            ds = hammer_pattern(engine, disturbance, double_sided(100, 2400))
-            engine, disturbance = _half_double_rig(defense)
-            hd = hammer_pattern(
-                engine, disturbance, half_double(100, HALF_DOUBLE_HAMMERS)
-            )
-            rows[defense] = (ds, hd)
-        engine, disturbance = _half_double_rig("trr", radius=2)
-        rows["trr-radius2"] = (
-            None,
-            hammer_pattern(
-                engine, disturbance, half_double(100, HALF_DOUBLE_HAMMERS)
+    The four 300k-activation half-double cells form two two-cell grids
+    (TRR at radius 1 and 2, then PARA and Scale-SRS), so on two CPUs
+    each pair runs in parallel.
+    """
+    half_double = HammerParams(
+        pattern="half-double", hammers=HALF_DOUBLE_HAMMERS
+    )
+    specs = [
+        ExperimentSpec(
+            kind="hammer",
+            mitigations=list(HALF_DOUBLE_DEFENSES),
+            base_params=HammerParams(
+                pattern="double-sided", hammers=DOUBLE_SIDED_HAMMERS
             ),
-        )
-        return {"rows": rows}
+        ),
+        ExperimentSpec(
+            kind="hammer",
+            mitigations=["trr"],
+            base_params=half_double,
+            grid={"radius": [1, 2]},
+        ),
+        ExperimentSpec(
+            kind="hammer",
+            mitigations=["para", "scale-srs"],
+            base_params=half_double,
+        ),
+    ]
 
     def render(data: FigureData) -> Artifact:
-        def cell(outcome) -> str:
-            if outcome is None:
-                return "-"
-            if outcome.any_flip:
+        cells = data.results.by("mitigation", "pattern", "radius")
+
+        def outcome(defense: str, pattern: str, radius: int = 1) -> str:
+            cell = cells[(defense, pattern, radius)]
+            if cell.any_flip:
                 return "FLIP " + ",".join(
-                    str(row) for row in outcome.flipped_rows
+                    str(row) for row in cell.flipped_rows
                 )
             return "held"
 
+        rows = [
+            [
+                defense,
+                outcome(defense, "double-sided"),
+                outcome(defense, "half-double"),
+            ]
+            for defense in HALF_DOUBLE_DEFENSES
+        ]
+        rows.append(["trr-radius2", "-", outcome("trr", "half-double", 2)])
         return Artifact(
             tables=[
                 Table(
                     columns=["defense", "double_sided", "half_double"],
-                    rows=[
-                        [defense, cell(ds), cell(hd)]
-                        for defense, (ds, hd) in data.extras["rows"].items()
-                    ],
+                    rows=rows,
                 )
             ],
         )
 
-    return FigureSpec(render=render, analytic=analytic)
+    return FigureSpec(specs=specs, render=render)

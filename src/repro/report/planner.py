@@ -15,9 +15,10 @@ Resolution composes with everything the engine already does:
   run of ``repro report --all`` executes zero cells);
 - ``shard=(i, n)`` restricts execution to one digest-stable slice of
   every figure's grid, so N hosts sharing a store split a full-paper
-  reproduction with no coordination (rendering needs the full grid,
-  so shard runs skip the analytic hook and artifacts — a final
-  unsharded pass reads everything back and emits them);
+  reproduction with no coordination — every figure's data are cells,
+  so the shards cover all of it (rendering needs the full grid, so
+  shard runs skip artifacts — a final unsharded pass reads everything
+  back and emits them);
 - ``jobs`` fans cells out over the engine's process pool, and
   ``pool`` swaps in any other execution backend — e.g. an
   :class:`~repro.sim.pool.SshPool` spanning machines
@@ -65,15 +66,13 @@ def resolve_figure(
     Every experiment spec runs through the engine with the shared
     ``store``: cells already present are reused bit-identically, newly
     computed ones are persisted the moment they complete. The returned
-    :class:`FigureData` carries the merged result set, the analytic
-    extras, and a summed :class:`~repro.sim.experiment.RunStats`
-    (``stats.executed == 0`` means the store served everything; the
-    per-host breakdown of a multi-host ``pool`` is not summed across
-    grids — read each grid's own stats for that).
+    :class:`FigureData` carries the merged result set and a summed
+    :class:`~repro.sim.experiment.RunStats` (``stats.executed == 0``
+    means the store served everything; the per-host breakdown of a
+    multi-host ``pool`` is not summed across grids — read each grid's
+    own stats for that).
 
-    With ``shard`` the run covers one slice of each grid and skips the
-    analytic hook (extras are cheap but per-process; the final
-    unsharded pass recomputes them with the full grid in hand).
+    With ``shard`` the run covers one slice of each grid.
     ``pool`` passes an explicit execution backend
     (:class:`~repro.sim.pool.Pool`) to every grid.
     """
@@ -106,12 +105,8 @@ def resolve_figure(
             chunks = stats.chunks if chunks is None else chunks + stats.chunks
         sets.append(results)
     merged = sets[0].merge(*sets[1:]) if sets else ResultSet([])
-    extras = {}
-    if spec.analytic is not None and shard is None:
-        extras = dict(spec.analytic())
     return FigureData(
         results=merged,
-        extras=extras,
         config=spec.config or ReportConfig(),
         stats=RunStats(
             planned=planned, executed=executed, reused=reused, shard=shard,

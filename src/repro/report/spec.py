@@ -4,10 +4,9 @@ A :class:`FigureSpec` is the declarative description of one paper
 figure or table: the :class:`~repro.sim.experiment.ExperimentSpec`
 list whose cells hold the artifact's data (possibly of mixed
 evaluation kinds — a figure may pair ``perf`` bars with ``security``
-curves), an optional *analytic* hook for closed-form series that no
-evaluation kind computes (the birthday-attack model, the outlier
-model, ...), and a render hook turning the resolved data into a
-tabular :class:`~repro.report.render.Artifact`.
+curves, or read its closed-form numbers from a ``model`` cell), and a
+render hook turning the resolved data into a tabular
+:class:`~repro.report.render.Artifact`.
 
 Specs are built, not written: every figure registers a
 ``builder(config) -> FigureSpec`` hook with
@@ -131,14 +130,11 @@ class ReportConfig:
 @dataclass
 class FigureData:
     """Everything a figure's render hook (and the benchmark tier's
-    assertions) consume: the store-resolved results plus the analytic
-    extras.
+    assertions) consume: the store-resolved results of its cells.
 
     Attributes:
-        results: Engine results of every cell behind the figure, all
-            specs merged (duplicates across specs deduplicated).
-        extras: The analytic hook's output (``{}`` when the spec has
-            none, or when a shard run skipped it).
+        results: Results of every cell behind the figure, all specs
+            merged (duplicates across specs deduplicated).
         config: The :class:`ReportConfig` the spec was built under.
         stats: Execution accounting summed over the spec's grids —
             ``executed`` is the number of cells actually computed (0
@@ -146,9 +142,13 @@ class FigureData:
     """
 
     results: ResultSet
-    extras: Mapping[str, Any]
     config: ReportConfig
     stats: RunStats
+
+    def model(self, name: str) -> Mapping[str, Any]:
+        """The values of the figure's ``model`` cell ``name`` (see
+        :data:`repro.sim.evaluations.MODELS`)."""
+        return self.results.of_kind("model").by("mitigation")[name].values
 
 
 @dataclass
@@ -157,19 +157,24 @@ class FigureSpec:
 
     Attributes:
         specs: The experiment grids whose cells hold the figure's
-            engine-computed data; may be empty (purely analytic
-            artifacts) and may mix evaluation kinds.
+            data; may mix evaluation kinds.
         render: ``FigureData -> Artifact`` hook laying the resolved
             data out as tables (see :mod:`repro.report.render`).
-        analytic: Optional zero-argument hook computing closed-form
-            series no evaluation kind covers; must be deterministic
-            and cheap (it is re-run on every resolve, never stored).
     """
 
     specs: Sequence[ExperimentSpec] = field(default_factory=list)
     render: Callable[[FigureData], Any] = lambda data: None
-    analytic: Optional[Callable[[], Mapping[str, Any]]] = None
     #: The config the spec was built under; filled by
     #: :func:`repro.report.planner.build_figure` when the builder
     #: leaves it unset.
     config: Optional[ReportConfig] = None
+
+    #: Always ``None`` (not a field: a figure's data are all cells).
+    #: It exists only because ``perfbench/layers.py`` reads it.
+    analytic = None
+
+
+def model_spec(name: str) -> ExperimentSpec:
+    """The one-cell grid of the ``model`` kind computing ``name`` (a
+    :data:`repro.sim.evaluations.MODELS` key)."""
+    return ExperimentSpec(kind="model", mitigations=[name])

@@ -62,6 +62,10 @@ from repro.sim.store import (
     shard_of,
 )
 from repro.sim.evaluations import (
+    HammerParams,
+    HammerResult,
+    ModelParams,
+    ModelResult,
     PowerParams,
     PowerResult,
     SecurityParams,
@@ -120,6 +124,10 @@ __all__ = [
     "StorageResult",
     "PowerParams",
     "PowerResult",
+    "HammerParams",
+    "HammerResult",
+    "ModelParams",
+    "ModelResult",
     "make_mitigation_factory",
     "make_tracker",
     "MITIGATION_NAMES",

@@ -20,9 +20,10 @@ and the engine takes care of the rest:
 - **Evaluation kinds**: every cell carries a ``kind`` naming a
   registered evaluation (:data:`repro.registry.EVALUATIONS`): ``perf``
   is the performance simulator above; ``security`` (Juggernaut
-  time-to-break), ``storage`` (Table IV), and ``power`` (Table V) run
-  the paper's other evaluation legs through the same grids, pools,
-  stores, and exports (see :mod:`repro.sim.evaluations`)::
+  time-to-break), ``storage`` (Table IV), ``power`` (Table V),
+  ``hammer`` (Section II-E's pattern rig), and ``model`` (the paper's
+  one-off numbers) run the rest of the paper through the same grids,
+  pools, stores, and exports (see :mod:`repro.sim.evaluations`)::
 
       from repro.sim.evaluations import SecurityParams
 

@@ -56,22 +56,6 @@ from repro.sim.store import (
 from repro.workloads import plane
 
 
-def _run_cell_with_plane(
-    run_cell: Callable[[Any], Any], cell: Any, ref: Any
-) -> Any:
-    """Worker-side cell runner: register a published workload, then run.
-
-    The coordinator submits this wrapper (instead of ``run_cell``
-    directly) for cells whose workload it published to shared memory;
-    :func:`repro.workloads.plane.offer` makes the segment visible to the
-    worker's plane, so its ``traces_for`` attaches instead of
-    regenerating. Runs in the pool worker process.
-    """
-    if ref is not None:
-        plane.offer(ref)
-    return run_cell(cell)
-
-
 #: Environment switch for chunked dispatch (``off``/``0``/``false``/``no``
 #: disables it; anything else, including unset, leaves it on).
 ENV_CHUNKING = "REPRO_GRID_CHUNKING"

@@ -412,13 +412,13 @@ class TestReportCommand:
         with pytest.raises(SystemExit, match="--resume needs --store"):
             main(["report", "--figure", "table1", "--resume"])
 
-    def test_analytic_figure_prints_markdown(self, capsys):
+    def test_model_figure_prints_markdown(self, capsys):
         assert main(["report", "--figure", "table1"]) == 0
         out = capsys.readouterr().out
-        assert "table1: executed 0, reused 0 of 0 cells" in out
+        assert "table1: executed 1, reused 0 of 1 cells" in out
         assert "## Table I" in out
         assert "| LPDDR4 (new) | 4800 |" in out
-        assert "report: executed 0, reused 0 of 0 cells" in out
+        assert "report: executed 1, reused 0 of 1 cells" in out
 
     def test_store_makes_second_run_execute_zero(self, capsys, tmp_path):
         store = str(tmp_path / "store")
@@ -427,18 +427,18 @@ class TestReportCommand:
                 "--store", store, "--out", out_dir]
         assert main(argv) == 0
         first = capsys.readouterr().out
-        assert "report: executed 12, reused 0 of 12 cells" in first
+        assert "report: executed 13, reused 0 of 13 cells" in first
         assert os.path.exists(os.path.join(out_dir, "table4.md"))
         assert os.path.exists(os.path.join(out_dir, "table4.csv"))
         assert os.path.exists(os.path.join(out_dir, "table5.csv"))
         # The store makes the rerun free — no --resume flag needed.
         assert main(argv) == 0
         second = capsys.readouterr().out
-        assert "report: executed 0, reused 12 of 12 cells" in second
+        assert "report: executed 0, reused 13 of 13 cells" in second
         # --no-resume forces recomputation against the same store.
         assert main(argv + ["--no-resume"]) == 0
         third = capsys.readouterr().out
-        assert "report: executed 12, reused 0 of 12 cells" in third
+        assert "report: executed 13, reused 0 of 13 cells" in third
 
     def test_shard_runs_skip_artifacts(self, capsys, tmp_path):
         store = str(tmp_path / "store")
@@ -453,7 +453,7 @@ class TestReportCommand:
         # Final unsharded pass: everything reused, artifact written.
         assert main(argv) == 0
         final = capsys.readouterr().out
-        assert "report: executed 0, reused 6 of 6 cells" in final
+        assert "report: executed 0, reused 7 of 7 cells" in final
         assert os.path.exists(os.path.join(out_dir, "table4.md"))
 
 
@@ -465,7 +465,7 @@ class TestStoreCommand:
         assert main(["store", "ls", store]) == 0
         out = capsys.readouterr().out
         assert "storage" in out and "v1" in out
-        assert "total 6 entries: 6 live, 0 stale, 0 corrupt" in out
+        assert "total 7 entries: 7 live, 0 stale, 0 corrupt" in out
         assert "prune" not in out  # nothing to clean, no hint
         # Corrupt one entry; ls flags it, prune --dry-run keeps it.
         victim = os.path.join(
@@ -475,7 +475,7 @@ class TestStoreCommand:
             handle.write("{ nope")
         assert main(["store", "ls", store, "--verbose"]) == 0
         out = capsys.readouterr().out
-        assert "5 live, 0 stale, 1 corrupt" in out
+        assert "6 live, 0 stale, 1 corrupt" in out
         assert "unreadable or truncated payload" in out
         assert "repro store prune" in out
         assert main(["store", "prune", store, "--dry-run"]) == 0
@@ -487,4 +487,4 @@ class TestStoreCommand:
         assert "removed 1 entries" in out
         assert not os.path.exists(victim)
         assert main(["store", "ls", store]) == 0
-        assert "5 live, 0 stale, 0 corrupt" in capsys.readouterr().out
+        assert "6 live, 0 stale, 0 corrupt" in capsys.readouterr().out

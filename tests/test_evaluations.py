@@ -1,6 +1,8 @@
 """Tests for the evaluation-kind registry and the non-perf kinds."""
 
 import dataclasses
+import json
+import math
 
 import pytest
 
@@ -11,13 +13,19 @@ from repro.attacks.montecarlo import MonteCarloJuggernaut, derive_seed
 from repro.registry import EVALUATIONS, register_evaluation
 from repro.sim import (
     ExperimentSpec,
+    HammerParams,
+    ModelParams,
+    ModelResult,
     PowerParams,
     ResultSet,
+    ResultStore,
     SecurityParams,
     StorageParams,
     plan_cells,
     run_grid,
 )
+from repro.sim.evaluations import MODELS
+from repro.sim.pool import cell_cost
 
 SECURITY = ExperimentSpec(
     kind="security",
@@ -287,6 +295,79 @@ class TestPowerKind:
             expected = model.breakdown(result.trh, result.mitigation)
             assert result.sram_power_mw == expected.sram_power_mw
             assert result.dram_overhead_percent == expected.dram_overhead_percent
+
+
+HAMMER = ExperimentSpec(
+    kind="hammer",
+    mitigations=["trr", "para", "scale-srs"],
+    base_params=HammerParams(hammers=3000),
+    grid={"pattern": ["double-sided", "half-double"], "radius": [1, 2]},
+)
+MODEL = ExperimentSpec(kind="model", mitigations=list(MODELS))
+
+
+def strict_round_trip(result):
+    """``result`` through its kind's serializers and strict JSON text."""
+    info = EVALUATIONS.get(result.kind)
+    text = json.dumps(info.result_to_dict(result), allow_nan=False)
+    return info.result_from_dict(json.loads(text))
+
+
+class TestHammerAndModelKinds:
+    @pytest.fixture(scope="class")
+    def results(self):
+        return run_grid(HAMMER, max_workers=1).extend(
+            run_grid(MODEL, max_workers=1)
+        )
+
+    def test_every_record_round_trips(self, results):
+        assert results.kinds == ["hammer", "model"]
+        assert len(results) == 12 + len(MODELS)
+        for result in results:
+            assert strict_round_trip(result) == result
+
+    def test_non_finite_floats_and_int_keys_round_trip(self):
+        result = ModelResult(
+            "paper",
+            "synthetic",
+            {
+                "days": math.inf,
+                "bounds": [-math.inf, 1.5],
+                "series": {1200: [0.1], 4800: {"never": math.inf}},
+            },
+            ModelParams(),
+        )
+        back = strict_round_trip(result)
+        assert back == result
+        assert list(back.values["series"]) == [1200, 4800]
+
+    def test_loose_and_packed_tiers_serve_identical_records(
+        self, results, tmp_path
+    ):
+        path = str(tmp_path / "store")
+
+        def resolve():
+            sets = [
+                run_grid(spec, max_workers=1, store=path)
+                for spec in (HAMMER, MODEL)
+            ]
+            executed = sum(s.run_stats.executed for s in sets)
+            return sets[0].extend(sets[1]).results, executed
+
+        assert resolve() == (results.results, len(results))
+        assert resolve() == (results.results, 0)  # loose tier
+        ResultStore(path).pack()
+        assert resolve() == (results.results, 0)  # packed tier
+
+    def test_hammer_cost_is_the_activation_count(self):
+        assert {cell_cost(cell) for cell in plan_cells(HAMMER)} == {3000.0}
+
+    def test_unknown_pattern_rejected(self):
+        spec = dataclasses.replace(
+            HAMMER, base_params=HammerParams(pattern="many-sided"), grid={}
+        )
+        with pytest.raises(RuntimeError, match="unknown hammer pattern"):
+            run_grid(spec, max_workers=1)
 
 
 class TestHeterogeneousResultSets:

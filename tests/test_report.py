@@ -1,9 +1,14 @@
 """Tests for the declarative report pipeline (``repro.report``)."""
 
+import contextlib
+import io
 import os
+import re
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.registry import FIGURES, figure_names, register_figure
 from repro.report import (
     Artifact,
@@ -18,7 +23,7 @@ from repro.report import (
     write_artifact,
 )
 from repro.report.spec import DETAILED_WORKLOADS, FigureSpec
-from repro.sim import ExperimentSpec, ResultStore
+from repro.sim import ExperimentSpec, ProcessPool, ResultStore
 
 EXPECTED_FIGURES = (
     "table1",
@@ -86,8 +91,7 @@ class TestRegistry:
 
     def test_every_builder_round_trips(self):
         """Every registered builder is cheap and yields a well-formed
-        spec: experiment specs or an analytic hook, plus a render
-        hook."""
+        spec: experiment specs plus a render hook."""
         config = ReportConfig()
         for name in figure_names():
             info, spec = build_figure(name, config)
@@ -95,7 +99,7 @@ class TestRegistry:
             assert info.artifact in ("figure", "table")
             assert info.title
             assert isinstance(spec, FigureSpec)
-            assert spec.specs or spec.analytic is not None
+            assert spec.specs
             assert callable(spec.render)
             assert spec.config is config
             for experiment in spec.specs:
@@ -158,36 +162,35 @@ class TestResolve:
         store = str(tmp_path / "store")
         info, spec = build_figure("table4")
         fresh = resolve_figure(spec, store=store)
-        assert fresh.stats.planned == 6
-        assert fresh.stats.executed == 6
+        assert fresh.stats.planned == 7  # 6 storage cells + 1 model cell
+        assert fresh.stats.executed == 7
         assert fresh.stats.reused == 0
         again = resolve_figure(spec, store=store)
         assert again.stats.executed == 0
-        assert again.stats.reused == 6
+        assert again.stats.reused == 7
         assert again.results.to_json() == fresh.results.to_json()
 
     def test_store_backed_artifact_matches_storeless(self, tmp_path):
         data, storeless = reproduce_figure("table4")
         _, stored = reproduce_figure("table4", store=str(tmp_path / "s"))
         assert stored.to_markdown() == storeless.to_markdown()
-        assert data.extras  # analytic hook ran
+        assert data.model("dram-counters")["fraction"] > 0
 
     def test_shards_merge_to_full_artifact(self, tmp_path):
-        """Two shard runs against one store cover every cell; the final
-        unsharded pass executes nothing and renders the exact artifact
-        a storeless run would."""
+        """Two shard runs against one store cover every cell, the model
+        cell included; the final unsharded pass executes nothing and
+        renders the exact artifact a storeless run would."""
         store = str(tmp_path / "store")
         info, spec = build_figure("table4")
         executed = 0
         for index in range(2):
             part = resolve_figure(spec, store=store, shard=(index, 2))
             assert part.stats.shard == (index, 2)
-            assert not part.extras  # analytic hook skipped under shard
             executed += part.stats.executed
-        assert executed == 6
+        assert executed == 7
         final = resolve_figure(spec, store=store)
         assert final.stats.executed == 0
-        assert final.stats.reused == 6
+        assert final.stats.reused == 7
         _, reference = reproduce_figure("table4")
         artifact = render_figure(info, spec, final)
         assert artifact.to_markdown() == reference.to_markdown()
@@ -262,13 +265,93 @@ class TestRender:
 
 class TestBenchmarkStoreSharing:
     def test_overlapping_figures_share_cells(self, tmp_path):
-        """table4 and table5 draw disjoint kinds; fig13/table1 are
-        analytic — one store serves a mixed report incrementally."""
+        """table4 (storage cells plus a model cell) and table5 (power
+        cells) draw disjoint kinds — one store serves a mixed report
+        incrementally."""
         store = ResultStore(str(tmp_path / "store"))
         first, _ = reproduce_figure("table4", store=store)
         second, _ = reproduce_figure("table5", store=store)
-        assert first.stats.executed == 6
+        assert first.stats.executed == 7
         assert second.stats.executed == 6
         third, _ = reproduce_figure("table4", store=store)
         assert third.stats.executed == 0
-        assert len(store) == 12
+        assert len(store) == 13
+
+
+TINY_REPORT = ("report", "--all", "--requests", "300", "--cores", "1")
+REPORT_LINE = re.compile(
+    r"^report: executed (\d+), reused (\d+) of (\d+) cells", re.M
+)
+
+
+def run_report(*argv):
+    """``repro report --all`` at tiny scale: (executed, reused, planned)."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main([*TINY_REPORT, *argv]) == 0
+    return tuple(int(n) for n in REPORT_LINE.search(buffer.getvalue()).groups())
+
+
+def artifact_tree(path):
+    """``{file name: bytes}`` of an artifact directory."""
+    return {entry.name: entry.read_bytes() for entry in Path(path).iterdir()}
+
+
+@pytest.mark.slow
+class TestReportResume:
+    """Every figure's data are store cells — the hammer rig and the
+    one-off models included — so a resumed report does no work and
+    shard runs cover the whole report."""
+
+    @pytest.fixture(scope="class")
+    def cold(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("report")
+        store, out = str(root / "store"), str(root / "cold")
+        executed, reused, planned = run_report("--store", store, "--out", out)
+        assert executed > 0 and executed + reused == planned
+        return store, out, executed, planned
+
+    def test_resume_executes_nothing(self, cold, tmp_path, monkeypatch):
+        store, out, _, planned = cold
+
+        def recomputed(*args, **kwargs):
+            raise AssertionError("a resumed report recomputed a rig")
+
+        monkeypatch.setattr("repro.attacks.harness.hammer_pattern", recomputed)
+        monkeypatch.setattr(
+            "repro.core.blockhammer.dos_false_positive_delay", recomputed
+        )
+        again = str(tmp_path / "again")
+        assert run_report("--store", store, "--out", again) == (
+            0, planned, planned
+        )
+        assert artifact_tree(again) == artifact_tree(out)
+
+    def test_shards_cover_every_figure(self, cold, tmp_path):
+        _, out, cold_executed, planned = cold
+        store = str(tmp_path / "store")
+        shards = [
+            run_report("--store", store, "--shard", f"{index}/2")
+            for index in range(2)
+        ]
+        assert sum(part[2] for part in shards) == planned
+        # Figures share cells, so the shards together execute exactly
+        # the cold pass's distinct cells.
+        assert sum(part[0] for part in shards) == cold_executed
+        final = str(tmp_path / "final")
+        assert run_report("--store", store, "--out", final) == (
+            0, planned, planned
+        )
+        assert artifact_tree(final) == artifact_tree(out)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["motiv-half-double", "relwork-comparators"])
+def test_serial_and_pooled_artifacts_are_byte_identical(name, tmp_path):
+    _, serial = reproduce_figure(name, jobs=1)
+    _, pooled = reproduce_figure(name, pool=ProcessPool(2))
+    write_artifact(serial, str(tmp_path / "serial"))
+    write_artifact(pooled, str(tmp_path / "pooled"))
+    assert artifact_tree(tmp_path / "serial") == artifact_tree(
+        tmp_path / "pooled"
+    )
