@@ -73,8 +73,18 @@ class MemorySystem:
                     self._banks.append(bank)
                     key = (ch_index, rk_index, bk_index)
                     self.mitigations.append(factory(bank, key))
+        # Each bank's rank refresh scheduler, by flat bank index.
+        self._refreshers = [
+            rank.refresh
+            for channel in self.channels
+            for rank in channel.ranks
+            for _ in rank.banks
+        ]
         self.write_queues: List[WriteQueue] = [WriteQueue() for _ in range(org.channels)]
         self._bus_free: List[float] = [0.0] * org.channels
+        self._t_bl = timing.t_bl
+        self._t_refi = timing.t_refi
+        self._t_rfc = timing.t_rfc
         self._window = timing.refresh_window
         self._next_window_end = self._window
         self.llc_hits_from_pins = 0
@@ -121,11 +131,11 @@ class MemorySystem:
     #
     # Every demand request flows through the same staged pipeline:
     #
-    #   route    -- window roll, bank/mitigation lookup (`_locate`), and
-    #               the pin filter (`_absorb_in_llc`)
-    #   service  -- refresh alignment + RIT resolve + the bank state
-    #               machine (`_service`)
-    #   transfer -- channel data-bus serialization (`_bus_transfer`)
+    #   route    -- window roll, bank/mitigation lookup, and the pin
+    #               filter (inline at the top of `read`/`write`)
+    #   service  -- refresh alignment (inline in `read`) + RIT resolve
+    #               + the bank state machine (`_service`)
+    #   transfer -- channel data-bus serialization (inline in `_service`)
     #   observe  -- tracker notification, which may trigger swaps
     #               (the tail of `_service`)
     #
@@ -135,25 +145,6 @@ class MemorySystem:
     # engines (`repro.sim.engine`) drive these stages; the batched
     # engine additionally fuses the stages for spans the mitigation
     # declares quiescent via `Mitigation.batch_horizon`.
-
-    def _locate(self, channel: int, rank: int, bank: int):
-        """Route stage: flat bank index plus its mitigation engine."""
-        index = self.bank_index(channel, rank, bank)
-        return index, self.mitigations[index]
-
-    def _absorb_in_llc(self, mitigation: Mitigation, row: int) -> bool:
-        """Route stage, pin filter: Scale-SRS-pinned rows are LLC hits."""
-        if mitigation.is_pinned(row):
-            self.llc_hits_from_pins += 1
-            return True
-        return False
-
-    def _bus_transfer(self, channel: int, ready: float) -> float:
-        """Transfer stage: serialize a burst on the channel data bus."""
-        t_bl = self.config.timing.t_bl
-        start = max(ready, self._bus_free[channel])
-        self._bus_free[channel] = start + t_bl
-        return start + t_bl
 
     def _service(
         self,
@@ -165,30 +156,42 @@ class MemorySystem:
         is_write: bool = False,
     ):
         """Service/transfer/observe stages for one access to one bank."""
-        physical = mitigation.resolve(row)
-        result = self._banks[index].access(start, physical, is_write=is_write)
-        completion = self._bus_transfer(channel, result.finish)
+        result = self._banks[index].access(
+            start, mitigation.resolve(row), is_write
+        )
+        finish = result.finish
+        bus = self._bus_free[channel]
+        completion = (finish if finish > bus else bus) + self._t_bl
+        self._bus_free[channel] = completion
         if result.activated:
-            mitigation.on_activation(result.finish, row)
+            mitigation.on_activation(finish, row)
         return result, completion
 
     def read(
         self, time: float, channel: int, rank: int, bank: int, row: int, column: int = 0
     ) -> MemoryRequestOutcome:
         """Service a demand read; returns its completion time."""
-        self._roll_windows(time)
+        if time >= self._next_window_end:
+            self._roll_windows(time)
         self.reads += 1
-        index, mitigation = self._locate(channel, rank, bank)
+        index = (channel * self._ranks_per_channel + rank) * self._banks_per_rank + bank
+        mitigation = self.mitigations[index]
         mitigation.tick(time)
-        if self._absorb_in_llc(mitigation, row):
+        if mitigation.is_pinned(row):
+            self.llc_hits_from_pins += 1
             return MemoryRequestOutcome(
                 completion=time + self.config.llc_latency_ns,
                 row_hit=False,
                 served_by_llc=True,
             )
-        if self.write_queues[channel].needs_drain:
+        queue = self.write_queues[channel]
+        if len(queue._queue) >= queue.high_watermark:
             self._drain_writes(channel, time)
-        start = self.channels[channel].ranks[rank].adjusted_start(time)
+        # Rank refresh alignment (RefreshScheduler.delay_through).
+        start = time
+        if time % self._t_refi < self._t_rfc:
+            self._refreshers[index].refreshes_applied += 1
+            start = int(time // self._t_refi) * self._t_refi + self._t_rfc
         result, completion = self._service(channel, index, mitigation, start, row)
         return MemoryRequestOutcome(
             completion=completion, row_hit=result.row_hit, served_by_llc=False
@@ -198,13 +201,15 @@ class MemorySystem:
         self, time: float, channel: int, rank: int, bank: int, row: int, column: int = 0
     ) -> None:
         """Post a write into the channel's write queue."""
-        self._roll_windows(time)
+        if time >= self._next_window_end:
+            self._roll_windows(time)
         self.writes += 1
-        index, mitigation = self._locate(channel, rank, bank)
-        if self._absorb_in_llc(mitigation, row):
+        index = (channel * self._ranks_per_channel + rank) * self._banks_per_rank + bank
+        if self.mitigations[index].is_pinned(row):
+            self.llc_hits_from_pins += 1
             return
         queue = self.write_queues[channel]
-        if queue.is_full:
+        if len(queue._queue) >= queue.capacity:
             self._drain_writes(channel, time)
         queue.enqueue(PendingWrite(arrival=time, bank_index=index, row=row, column=column))
 

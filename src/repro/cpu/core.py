@@ -66,16 +66,25 @@ class TraceCore:
         """Consume ``gap`` non-memory instructions plus the memory
         instruction itself; returns the core time the access issues at.
 
-        Mirrored (with :meth:`_respect_rob_window`) by the batched
-        engine's fused loop; keep the arithmetic in sync with
-        :meth:`gap_deltas`.
+        Once the ROB (or the MSHRs) would overflow, the core stalls on
+        its oldest loads. Mirrored by the batched engine's fused loop;
+        keep the arithmetic in sync with :meth:`gap_deltas`.
         """
         if gap < 0:
             raise ValueError("gap must be non-negative")
         self.instructions += gap + 1
-        self.clock_ns += (gap / self.config.fetch_width + 1.0) * self.cycle_ns
-        self._respect_rob_window()
-        return self.clock_ns
+        clock = self.clock_ns + (gap / self.config.fetch_width + 1.0) * self.cycle_ns
+        pending = self._pending
+        if pending:
+            rob_floor = self.instructions - self.config.rob_size
+            while pending and (
+                pending[0][0] <= rob_floor or len(pending) >= self.max_outstanding
+            ):
+                completion = pending.popleft()[1]
+                if completion > clock:
+                    clock = completion
+        self.clock_ns = clock
+        return clock
 
     def gap_deltas(self, gaps: np.ndarray) -> np.ndarray:
         """Per-access clock advances for an array of instruction gaps.
@@ -114,19 +123,6 @@ class TraceCore:
         self.instructions += int(gaps.sum()) + len(gaps)
         self.clock_ns = float(issues[-1])
         return issues
-
-    def _respect_rob_window(self) -> None:
-        """Stall on the oldest load once the ROB (or MSHRs) would overflow."""
-        rob = self.config.rob_size
-        pending = self._pending
-        while pending and (
-            pending[0][0] <= self.instructions - rob
-            or len(pending) >= self.max_outstanding
-        ):
-            instr, completion = pending.popleft()
-            del instr
-            if completion > self.clock_ns:
-                self.clock_ns = completion
 
     def issue_read(self, completion_time: float) -> None:
         """Register an issued load and its (memory-provided) completion."""

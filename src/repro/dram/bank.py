@@ -96,11 +96,12 @@ class ActivationStats:
     def record(self, row: int, time: float) -> int:
         """Record one ACT on ``row`` at ``time``; returns the new count."""
         window = int(time // self.refresh_window)
-        if window < self._window_index:
-            raise ValueError(
-                f"activation at t={time} precedes current window {self._window_index}"
-            )
-        self._roll_to(window)
+        if window != self._window_index:
+            if window < self._window_index:
+                raise ValueError(
+                    f"activation at t={time} precedes current window {self._window_index}"
+                )
+            self._roll_to(window)
         self._counts[row] += 1
         self.lifetime_activations += 1
         return self._counts[row]
@@ -165,6 +166,7 @@ class Bank:
         self.num_rows = num_rows
         self.timing = timing or DRAMTiming()
         self.policy = policy
+        self._open_page = policy is PagePolicy.OPEN
         self.open_row: Optional[int] = None
         self.busy_until: float = 0.0
         self.last_act_time: float = float("-inf")
@@ -219,18 +221,25 @@ class Bank:
         timing changes here must be mirrored there (the engine
         equivalence tests catch any divergence bit-exactly).
         """
-        self._check_row(row)
+        if not 0 <= row < self.num_rows:
+            raise ValueError(f"row {row} out of range [0, {self.num_rows})")
         t = self.timing
         self.total_accesses += 1
-        if self.policy is PagePolicy.OPEN and self.open_row == row:
+        open_row = self.open_row
+        busy = self.busy_until
+        if self._open_page and open_row == row:
             self.row_hits += 1
-            start = max(time, self.busy_until)
+            start = time if time >= busy else busy
             finish = start + t.t_cas + t.t_bl
             self.busy_until = finish
             return AccessResult(start=start, finish=finish, row_hit=True, activated=False)
 
-        start = self._earliest_act(time)
-        if self.open_row is not None:
+        # Earliest ACT: after the bank frees up and tRC past the last ACT.
+        start = time if time >= busy else busy
+        earliest = self.last_act_time + t.t_rc
+        if earliest > start:
+            start = earliest
+        if open_row is not None:
             # Conflict (open policy) or normal close (closed policy with a
             # lingering open row from a swap): precharge first.
             start += t.t_rp
@@ -238,13 +247,14 @@ class Bank:
         self.last_act_time = start
         self.stats.record(row, start)
         finish = start + t.t_rcd + t.t_cas + t.t_bl
-        if self.policy is PagePolicy.CLOSED:
+        if self._open_page:
+            self.busy_until = finish
+        else:
             # Auto-precharge: the bank is busy until the row is closed, but
             # the data is available at `finish`.
             self.open_row = None
-            self.busy_until = max(finish, start + t.t_rc)
-        else:
-            self.busy_until = finish
+            closed = start + t.t_rc
+            self.busy_until = finish if finish >= closed else closed
         return AccessResult(start=start, finish=finish, row_hit=False, activated=True)
 
     def occupy(self, time: float, duration: float) -> float:

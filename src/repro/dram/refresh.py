@@ -47,8 +47,8 @@ class RefreshScheduler:
     def delay_through(self, time: float) -> float:
         """Earliest instant at or after ``time`` not inside a refresh.
 
-        Mirrored expression-for-expression by the batched engine's fused
-        loop (``repro.sim.engine.batched``).
+        Inlined expression-for-expression in ``MemorySystem.read`` and
+        the batched engine's fused loop (``repro.sim.engine.batched``).
         """
         if self.in_refresh(time):
             k = int(time // self.timing.t_refi)

@@ -1,12 +1,12 @@
 """Staged simulation engines: one interface, two schedules.
 
 The performance simulator delegates its hot loop to an *engine*
-(:class:`~repro.sim.engine.base.Engine`). The ``scalar`` engine is the
-reference implementation; the ``batched`` engine pre-decodes traces,
-partitions them into non-interacting spans, and services eligible spans
-on a fused fast path. Both are bit-identical by contract — choosing an
-engine is a speed decision, never a model decision (see DESIGN.md,
-"Engine").
+(:class:`~repro.sim.engine.base.Engine`). Both engines run over traces
+pre-decoded once per workload. The ``scalar`` engine is the reference
+schedule; the ``batched`` engine partitions traces into non-interacting
+spans and services eligible spans on a fused fast path. Both are
+bit-identical by contract — choosing an engine is a speed decision,
+never a model decision (see DESIGN.md, "Engine").
 
 Select an engine per run via ``SimulationParams(engine=...)`` or
 ``--engine {scalar,batched,auto}`` on the CLI; ``auto`` consults the
@@ -20,7 +20,7 @@ CI runs the whole fast test tier under the batched engine.
 from __future__ import annotations
 
 from repro.registry import MITIGATIONS, TRACKERS
-from repro.sim.engine.base import Engine, service_access
+from repro.sim.engine.base import Engine
 from repro.sim.engine.batched import BatchedEngine
 from repro.sim.engine.scalar import ScalarEngine
 
@@ -63,5 +63,4 @@ __all__ = [
     "ScalarEngine",
     "make_engine",
     "resolve_engine_name",
-    "service_access",
 ]

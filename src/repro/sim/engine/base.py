@@ -1,55 +1,143 @@
-"""The engine interface and the shared per-access service step.
+"""The engine interface, the decoded trace, and the shared scalar loop.
 
 An *engine* is the component that interleaves every core's trace through
 the memory system in global time order. Two implementations exist behind
 this interface:
 
 - :class:`~repro.sim.engine.scalar.ScalarEngine` — the reference
-  implementation: one heap pop, one access, one heap push.
-- :class:`~repro.sim.engine.batched.BatchedEngine` — pre-decodes each
-  trace into arrays, partitions it into provably non-interacting *spans*,
-  and services eligible spans on a fused fast path.
+  schedule: one heap pop, one access, one heap push.
+- :class:`~repro.sim.engine.batched.BatchedEngine` — partitions each
+  trace into provably non-interacting *spans* and services eligible
+  spans on a fused loop over hoisted state.
 
-Both produce bit-identical :class:`~repro.sim.results.SimulationResult`
-values — the batched engine is a faster schedule of the same arithmetic,
-never a different model (enforced by ``tests/test_engine_equivalence.py``).
+Both drive pre-decoded traces (:class:`_DecodedTrace`, shared across
+the cells of a grid through the workload plane's decode cache) and both
+produce bit-identical :class:`~repro.sim.results.SimulationResult`
+values — the batched engine is a faster schedule of the same
+arithmetic, never a different model (enforced by
+``tests/test_engine_equivalence.py``).
 
-The :func:`service_access` step below is the single source of truth for
-what servicing one trace record means; the scalar engine calls it for
-every access and the batched engine calls it for every access that falls
-off the fast path.
+:func:`scalar_stretch` below is the single source of truth for what
+servicing one trace record means; the scalar engine runs it for every
+access and the batched engine for every access that falls off the
+fused loop.
 """
 
 from __future__ import annotations
 
 import abc
+import heapq
 from typing import List
+
+import numpy as np
 
 from repro.controller.memory_system import MemorySystem
 from repro.cpu.core import TraceCore
 from repro.workloads.columnar import ColumnarTrace
 
 
-def service_access(
-    memory: MemorySystem, core: TraceCore, trace: ColumnarTrace, position: int
-) -> None:
-    """Service one trace record: advance the core, dispatch to memory.
+class _DecodedTrace:
+    """One core's trace pre-decoded to plain Python lists.
 
-    This is the scalar per-access step both engines share. Reads block
-    the core's ROB window on their completion time; writes are posted.
+    Indexing a numpy array returns a numpy scalar whose conversion to a
+    Python number dominates a per-access loop; one vectorized
+    ``tolist`` per column turns every subsequent access into a plain
+    list index. ``deltas`` carries the per-access core-clock advance
+    (see :meth:`~repro.cpu.core.TraceCore.gap_deltas`) and
+    ``bank_index`` the flat bank number of every access.
     """
-    issue = core.advance_gap(int(trace.gaps[position]))
-    channel = int(trace.channel[position])
-    rank = int(trace.rank[position])
-    bank = int(trace.bank[position])
-    row = int(trace.row[position])
-    column = int(trace.column[position])
-    if trace.is_write[position]:
-        memory.write(issue, channel, rank, bank, row, column)
-        core.issue_write()
-    else:
-        outcome = memory.read(issue, channel, rank, bank, row, column)
-        core.issue_read(outcome.completion)
+
+    __slots__ = (
+        "length", "gaps", "is_write", "channel", "rank", "bank", "row",
+        "column", "bank_index", "deltas",
+    )
+
+    def __init__(self, trace: ColumnarTrace, core: TraceCore, memory: MemorySystem):
+        org = memory.config.organization
+        self.length = len(trace)
+        self.gaps = trace.gaps.tolist()
+        self.is_write = trace.is_write.tolist()
+        self.channel = trace.channel.tolist()
+        self.rank = trace.rank.tolist()
+        self.bank = trace.bank.tolist()
+        self.row = trace.row.tolist()
+        self.column = trace.column.tolist()
+        bank_index = (
+            trace.channel.astype(np.int64) * org.ranks_per_channel
+            + trace.rank
+        ) * org.banks_per_rank + trace.bank
+        self.bank_index = bank_index.tolist()
+        self.deltas = core.gap_deltas(trace.gaps).tolist()
+
+
+def decode_traces(
+    cores: List[TraceCore], traces: List[ColumnarTrace], memory: MemorySystem
+) -> List[_DecodedTrace]:
+    """Decode every core's trace, through the workload plane's cache.
+
+    Decoded traces are immutable to the engines (they only read them),
+    so plane-materialized traces share one decode across the cells of a
+    grid.
+    """
+    from repro.workloads import plane
+
+    return [
+        plane.cached_decode(
+            plane.decode_token(trace, core, memory),
+            lambda trace=trace, core=core: _DecodedTrace(trace, core, memory),
+        )
+        for trace, core in zip(traces, cores)
+    ]
+
+
+def scalar_stretch(
+    cores: List[TraceCore],
+    decoded: List[_DecodedTrace],
+    memory: MemorySystem,
+    heap: list,
+    positions: List[int],
+) -> int:
+    """Service accesses one heap pop at a time; returns how many.
+
+    A min-heap of ``(core clock, core id)`` picks the earliest core;
+    its next record advances the core and goes to the memory system
+    (reads block the core's ROB window on their completion time, writes
+    are posted), then the core is re-inserted. Returns at the first
+    refresh-window roll — so the batched engine can re-check fused
+    eligibility there — or once every trace is consumed; ``heap`` and
+    ``positions`` say where to resume.
+    """
+    boundary = memory._next_window_end
+    read = memory.read
+    write = memory.write
+    serviced = 0
+    while heap:
+        _, core_id = heapq.heappop(heap)
+        pos = positions[core_id]
+        dec = decoded[core_id]
+        if pos >= dec.length:
+            continue
+        core = cores[core_id]
+        issue = core.advance_gap(dec.gaps[pos])
+        if dec.is_write[pos]:
+            write(
+                issue, dec.channel[pos], dec.rank[pos], dec.bank[pos],
+                dec.row[pos], dec.column[pos],
+            )
+            core.issue_write()
+        else:
+            outcome = read(
+                issue, dec.channel[pos], dec.rank[pos], dec.bank[pos],
+                dec.row[pos], dec.column[pos],
+            )
+            core.issue_read(outcome.completion)
+        serviced += 1
+        positions[core_id] = pos + 1
+        if pos + 1 < dec.length:
+            heapq.heappush(heap, (core.clock_ns, core_id))
+        if memory._next_window_end != boundary:
+            break
+    return serviced
 
 
 class Engine(abc.ABC):

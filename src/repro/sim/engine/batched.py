@@ -1,18 +1,17 @@
-"""The batched engine: pre-decoded traces plus a fused scheduling loop.
+"""The batched engine: a fused scheduling loop over hoisted state.
 
-The scalar engine pays interpreter overhead per access: seven numpy
-scalar conversions and roughly a dozen method calls (window roll, tick,
-pin check, resolve, refresh alignment, bank state machine, bus transfer,
-tracker observe). This engine removes that overhead by pre-decoding
-every trace to plain Python lists once (vectorized ``tolist`` /
-``gap_deltas``) and running a *fused* loop that keeps all bank, bus, and
-core state in hoisted parallel arrays — servicing *spans* of consecutive
-accesses without touching a single simulated object. Every expression in
-the fused loop replicates the scalar path's IEEE-754 operations in the
-same order, so results are bit-identical: this is a faster schedule of
-the same arithmetic, never a different model (enforced by
-``tests/test_engine_equivalence.py`` and the differential fuzzing
-harness in ``tests/test_engine_fuzz.py``).
+Both engines run over the same pre-decoded traces
+(:func:`~repro.sim.engine.base.decode_traces`), but the scalar loop
+still pays roughly a dozen method calls per access (tick, pin check,
+resolve, bank state machine, tracker observe, core bookkeeping). This
+engine removes that overhead with a *fused* loop that keeps all bank,
+bus, and core state in hoisted parallel arrays — servicing *spans* of
+consecutive accesses without touching a single simulated object. Every
+expression in the fused loop replicates the scalar path's IEEE-754
+operations in the same order, so results are bit-identical: this is a
+faster schedule of the same arithmetic, never a different model
+(enforced by ``tests/test_engine_equivalence.py`` and the differential
+fuzzing harness in ``tests/test_engine_fuzz.py``).
 
 A *span* is the maximal run of accesses one bank's mitigation tolerates
 before its objects have to be consulted. The quiescence contract is
@@ -72,48 +71,17 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.controller.memory_system import MemorySystem
 from repro.controller.queues import PendingWrite
 from repro.cpu.core import TraceCore
 from repro.dram.commands import PagePolicy
-from repro.sim.engine.base import Engine
+from repro.sim.engine.base import (
+    Engine,
+    _DecodedTrace,
+    decode_traces,
+    scalar_stretch,
+)
 from repro.workloads.columnar import ColumnarTrace
-
-
-class _DecodedTrace:
-    """One core's trace pre-decoded to plain Python lists.
-
-    Indexing a numpy array returns a numpy scalar whose conversion to a
-    Python number dominates the scalar hot loop; one vectorized
-    ``tolist`` per column turns every subsequent access into a plain
-    list index. ``deltas`` carries the per-access core-clock advance
-    (see :meth:`~repro.cpu.core.TraceCore.gap_deltas`) and
-    ``bank_index`` the flat bank number of every access.
-    """
-
-    __slots__ = (
-        "length", "gaps", "is_write", "channel", "rank", "bank", "row",
-        "column", "bank_index", "deltas",
-    )
-
-    def __init__(self, trace: ColumnarTrace, core: TraceCore, memory: MemorySystem):
-        org = memory.config.organization
-        self.length = len(trace)
-        self.gaps = trace.gaps.tolist()
-        self.is_write = trace.is_write.tolist()
-        self.channel = trace.channel.tolist()
-        self.rank = trace.rank.tolist()
-        self.bank = trace.bank.tolist()
-        self.row = trace.row.tolist()
-        self.column = trace.column.tolist()
-        bank_index = (
-            trace.channel.astype(np.int64) * org.ranks_per_channel
-            + trace.rank
-        ) * org.banks_per_rank + trace.bank
-        self.bank_index = bank_index.tolist()
-        self.deltas = core.gap_deltas(trace.gaps).tolist()
 
 
 class BatchedEngine(Engine):
@@ -171,21 +139,8 @@ class BatchedEngine(Engine):
         eligibility is re-evaluated there instead of being forfeited
         for the rest of the run.
         """
-        from repro.workloads import plane
-
         self.counters = {key: 0 for key in self.counters}
-        # The decoded-list product is immutable to the engine (the fused
-        # loop and scalar stretch only read it), so plane-materialized
-        # traces share one decode across the cells of a grid.
-        decoded = [
-            plane.cached_decode(
-                plane.decode_token(trace, core, memory),
-                lambda trace=trace, core=core: _DecodedTrace(
-                    trace, core, memory
-                ),
-            )
-            for trace, core in zip(traces, cores)
-        ]
+        decoded = decode_traces(cores, traces, memory)
         heap = [(0.0, core_id) for core_id in range(len(cores))]
         heapq.heapify(heap)
         positions = [0] * len(cores)
@@ -198,55 +153,9 @@ class BatchedEngine(Engine):
                 self.counters["fused_entries"] += 1
                 self._fused_loop(cores, decoded, memory, heap, positions)
             else:
-                self._scalar_stretch(cores, decoded, memory, heap, positions)
-
-    # ------------------------------------------------------------------
-
-    def _scalar_stretch(
-        self,
-        cores: List[TraceCore],
-        decoded: List[_DecodedTrace],
-        memory: MemorySystem,
-        heap: list,
-        positions: List[int],
-    ) -> None:
-        """The scalar engine's loop over pre-decoded lists.
-
-        Same calls, same values, same heap protocol as
-        :class:`~repro.sim.engine.scalar.ScalarEngine` (only the numpy
-        scalar conversions are gone), so it is bit-identical by
-        construction. Returns at the first refresh-window roll (so the
-        driver can re-check fused eligibility) or when every trace is
-        consumed.
-        """
-        counters = self.counters
-        boundary = memory._next_window_end
-        while heap:
-            _, core_id = heapq.heappop(heap)
-            pos = positions[core_id]
-            dec = decoded[core_id]
-            if pos >= dec.length:
-                continue
-            core = cores[core_id]
-            issue = core.advance_gap(dec.gaps[pos])
-            if dec.is_write[pos]:
-                memory.write(
-                    issue, dec.channel[pos], dec.rank[pos], dec.bank[pos],
-                    dec.row[pos], dec.column[pos],
+                self.counters["scalar_accesses"] += scalar_stretch(
+                    cores, decoded, memory, heap, positions
                 )
-                core.issue_write()
-            else:
-                outcome = memory.read(
-                    issue, dec.channel[pos], dec.rank[pos], dec.bank[pos],
-                    dec.row[pos], dec.column[pos],
-                )
-                core.issue_read(outcome.completion)
-            counters["scalar_accesses"] += 1
-            positions[core_id] = pos + 1
-            if pos + 1 < dec.length:
-                heapq.heappush(heap, (core.clock_ns, core_id))
-            if memory._next_window_end != boundary:
-                return
 
     # ------------------------------------------------------------------
 

@@ -1,12 +1,11 @@
 """The scalar reference engine: one heap pop per access.
 
-This is the original :class:`PerformanceSimulation` loop, extracted
-verbatim. A min-heap keyed by each core's local clock picks the earliest
-core, services exactly one of its accesses through
-:func:`~repro.sim.engine.base.service_access`, and re-inserts the core.
+A min-heap keyed by each core's local clock picks the earliest core,
+services exactly one of its accesses, and re-inserts the core — the
+shared loop :func:`~repro.sim.engine.base.scalar_stretch`, run over
+traces pre-decoded once through the workload plane's decode cache.
 Every other engine is measured against this one: the differential test
-harness requires bit-identical results, and the perf baseline
-(``tools/bench_hotpath.py``) reports speedups relative to it.
+harness requires bit-identical results.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import List
 
 from repro.controller.memory_system import MemorySystem
 from repro.cpu.core import TraceCore
-from repro.sim.engine.base import Engine, service_access
+from repro.sim.engine.base import Engine, decode_traces, scalar_stretch
 from repro.workloads.columnar import ColumnarTrace
 
 
@@ -33,18 +32,9 @@ class ScalarEngine(Engine):
     ) -> None:
         """Global-time-ordered interleaving of cores: a heap keyed by
         each core's local clock processes the earliest core next."""
-        num_cores = len(cores)
-        heap = [(0.0, core_id) for core_id in range(num_cores)]
+        decoded = decode_traces(cores, traces, memory)
+        heap = [(0.0, core_id) for core_id in range(len(cores))]
         heapq.heapify(heap)
-        positions = [0] * num_cores
+        positions = [0] * len(cores)
         while heap:
-            _, core_id = heapq.heappop(heap)
-            position = positions[core_id]
-            trace = traces[core_id]
-            if position >= len(trace):
-                continue
-            core = cores[core_id]
-            service_access(memory, core, trace, position)
-            positions[core_id] = position + 1
-            if position + 1 < len(trace):
-                heapq.heappush(heap, (core.clock_ns, core_id))
+            scalar_stretch(cores, decoded, memory, heap, positions)

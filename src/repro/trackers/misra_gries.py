@@ -108,27 +108,22 @@ class MisraGriesTracker(Tracker):
 
     def observe(self, row: int) -> TrackerObservation:
         counts = self._counts
-        if row in counts:
-            old = counts[row]
-            self._bucket_remove(row, old)
-            count = old + 1
-            counts[row] = count
-            self._bucket_add(row, count)
-        elif len(counts) < self.num_entries:
-            count = self.spillover + 1
-            counts[row] = count
-            self._bucket_add(row, count)
-        elif self._floor_pool:
-            victim = self._floor_pool.pop()
-            del counts[victim]
-            count = self.spillover + 1
-            counts[row] = count
-            self._bucket_add(row, count)
-        else:
+        old = counts.get(row)
+        if old is None and len(counts) >= self.num_entries and not self._floor_pool:
             # No entry at the floor: absorb the arrival into the spillover
             # counter (Misra-Gries decrement-all).
             self._raise_spillover()
             count = self.spillover
+        else:
+            if old is not None:
+                self._bucket_remove(row, old)
+                count = old + 1
+            else:
+                if len(counts) >= self.num_entries:
+                    del counts[self._floor_pool.pop()]
+                count = self.spillover + 1
+            counts[row] = count
+            self._bucket_add(row, count)
         triggered = count >= self.threshold
         if triggered and row in counts:
             self._bucket_remove(row, counts[row])

@@ -2,8 +2,8 @@
 
 Every grid cell used to pay a private fixed cost before its first
 simulated access: resolve the workload, regenerate (or re-read and
-re-decode) the per-core columnar traces, and — under the batched
-engine — re-``tolist`` the columns into Python lists. A
+re-decode) the per-core columnar traces, and re-``tolist`` the columns
+into the engines' Python lists. A
 ``mitigations x trackers x trh`` grid shares one workload across all
 of those cells, so the work is pure redundancy. This module makes the
 workload bytes a plane-wide resource instead, in three layers:
@@ -14,8 +14,8 @@ workload bytes a plane-wide resource instead, in three layers:
    ingredients the result store digests (workload identity +
    generation-relevant parameters + DRAM organization), plus the PR-5
    ``store_fingerprint()`` for file-backed workloads so re-recording a
-   trace invalidates the cache. :func:`cached_decode` gives the batched
-   engine the same treatment for its decoded-list product, and
+   trace invalidates the cache. :func:`cached_decode` gives both
+   engines the same treatment for their decoded-list product, and
    :func:`file_columns` memoizes parsed trace files in-process (a
    rate-mode directory with one file is loaded once, not once per core).
 
@@ -96,8 +96,8 @@ class PlaneStats:
         attached: Materializations served by attaching a published
             shared-memory segment instead of regenerating.
         trace_hits: Materializations served by the in-process trace LRU.
-        decode_hits: Batched-engine decoded-list products served from
-            the in-process decode LRU instead of re-``tolist``-ing.
+        decode_hits: Decoded-list products (either engine) served
+            from the in-process decode LRU instead of re-``tolist``-ing.
     """
 
     generated: int = 0
@@ -515,7 +515,7 @@ def traces_for(workload: Any, params: Any, organization: Any) -> List[ColumnarTr
 
 
 # ----------------------------------------------------------------------
-# decoded-list product (batched engine)
+# decoded-list product (both engines)
 
 
 def decode_token(trace: Any, core: Any, memory: Any) -> Optional[Tuple]:
@@ -524,7 +524,7 @@ def decode_token(trace: Any, core: Any, memory: Any) -> Optional[Tuple]:
     Only plane-materialized traces carry a content token; the decoded
     product additionally depends on the core's gap arithmetic
     (``fetch_width``, cycle time) and the organization's bank geometry
-    — everything :class:`~repro.sim.engine.batched._DecodedTrace`
+    — everything :class:`~repro.sim.engine.base._DecodedTrace`
     reads. Deliberately *not* per-core: rate-mode cores sharing one
     stream share one decode.
     """
@@ -548,7 +548,7 @@ def cached_decode(token: Optional[Tuple], build: Any) -> Any:
 
     ``build`` is a zero-argument callable; a ``None`` token always
     builds (uncacheable trace or plane off). Decoded products are
-    immutable by engine contract — the fused loop only reads them.
+    immutable by engine contract — both engines only read them.
     """
     if token is None:
         return build()
