@@ -42,8 +42,7 @@ and the engine takes care of the rest:
   length, time scale, seed, policy, bank geometry — not the simulation
   engine, which is bit-identical by contract), so the engine runs
   exactly one baseline per unique combination instead of one per grid
-  cell — a pure waste multiplier in the old
-  ``compare_mitigations``-per-cell pattern.
+  cell.
 - **Pluggable execution** delegates the pending cells to an execution
   backend (:mod:`repro.sim.pool`): serial in-process, a local process
   pool, or an ``ssh`` fan-out across machines — every cell carries its
@@ -416,7 +415,7 @@ class RunStats:
             attached / cache hits) when a single-machine backend ran
             with the plane enabled; ``None`` otherwise.
         chunks: Dispatch chunks the backend submitted (see
-            :func:`~repro.sim.pool.chunk_plan`) when a chunking backend
+            :func:`~repro.sim.pool.chunk_plan`) when a process pool
             ran the grid; ``None`` for serial and multi-host runs.
     """
 
@@ -523,22 +522,10 @@ def run_grid(
                 progress(reported + 1, len(jobs), by_position[reported])
                 reported += 1
 
-    def record(position: int, result: Any) -> None:
-        """Persist and file one computed result the moment it exists —
+    def record(batch: Sequence[Tuple[int, Any]]) -> None:
+        """Persist and file completed results the moment they exist —
         out-of-order completions reach the store immediately, so a
         killed parallel run keeps everything that actually finished."""
-        if store is not None:
-            store.put(
-                jobs[position],
-                result,
-                digest=digests[position],
-                key=keys[position],
-            )
-        _absorb(position, result)
-
-    def record_batch(batch: Sequence[Tuple[int, Any]]) -> None:
-        """Persist and file one chunk's results in a single store
-        transaction (chunked backends call this once per chunk)."""
         if store is not None:
             store.put_many([
                 (jobs[position], result, digests[position], keys[position])
@@ -561,7 +548,6 @@ def run_grid(
             pending=pending,
             run_cell=_run_cell,
             record=record,
-            record_batch=record_batch,
             store=store,
         ))
 

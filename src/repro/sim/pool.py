@@ -56,10 +56,6 @@ from repro.sim.store import (
 from repro.workloads import plane
 
 
-#: Environment switch for chunked dispatch (``off``/``0``/``false``/``no``
-#: disables it; anything else, including unset, leaves it on).
-ENV_CHUNKING = "REPRO_GRID_CHUNKING"
-
 #: Per-chunk cost budget, in :func:`cell_cost` units (one unit is
 #: roughly one simulated memory request, i.e. microseconds of work).
 #: A real ``perf`` cell costs thousands of units and therefore fills a
@@ -67,16 +63,6 @@ ENV_CHUNKING = "REPRO_GRID_CHUNKING"
 #: hundreds, which is what amortizes the per-dispatch pickle + IPC +
 #: store round-trip on high-cardinality grids.
 CHUNK_BUDGET = 4000.0
-
-
-def chunking_enabled() -> bool:
-    """Whether chunked dispatch is on (default yes; env escape hatch)."""
-    return os.environ.get(ENV_CHUNKING, "").lower() not in (
-        "off",
-        "0",
-        "false",
-        "no",
-    )
 
 
 def cell_cost(cell: Any) -> float:
@@ -100,7 +86,6 @@ def cell_cost(cell: Any) -> float:
 def chunk_plan(
     ordered: Sequence[Tuple[int, Any, Optional[str]]],
     max_workers: int,
-    budget_cap: float = CHUNK_BUDGET,
 ) -> List[List[Tuple[int, Any, Optional[str]]]]:
     """Partition affinity-ordered cells into dispatch chunks.
 
@@ -108,7 +93,7 @@ def chunk_plan(
     output: a chunk closes when the workload key changes (each chunk
     shares one plane attach — the workload grouping *is* the partition
     key) or when its accumulated :func:`cell_cost` reaches the budget.
-    The budget is ``min(budget_cap, total_cost / max_workers)`` — never
+    The budget is ``min(CHUNK_BUDGET, total_cost / max_workers)`` — never
     wider than an even split across the workers, so a small grid still
     fans out instead of collapsing into one chunk.
 
@@ -119,7 +104,7 @@ def chunk_plan(
     """
     costs = [cell_cost(cell) for _, cell, _ in ordered]
     total = sum(costs)
-    budget = max(1.0, min(budget_cap, total / max(1, max_workers)))
+    budget = max(1.0, min(CHUNK_BUDGET, total / max(1, max_workers)))
     chunks: List[List[Tuple[int, Any, Optional[str]]]] = []
     current: List[Tuple[int, Any, Optional[str]]] = []
     current_cost = 0.0
@@ -249,15 +234,11 @@ class PoolTask:
             not included).
         run_cell: Runs one cell in-process and returns its result
             (:func:`repro.sim.experiment._run_cell`).
-        record: ``record(position, result)`` files one completed
-            result — it persists to the store immediately and reports
+        record: ``record(batch)`` files completed ``(position,
+            result)`` pairs — it persists them to the store at once (one
+            independently atomic write per cell, in order) and reports
             progress for the contiguous completed prefix. Backends must
             call it from the thread that called :meth:`Pool.run`.
-        record_batch: ``record_batch(batch)`` files a chunk's completed
-            ``(position, result)`` pairs in one call — one store
-            transaction per chunk instead of per cell. Optional (the
-            engine provides it; hand-built tasks may omit it) — use
-            :meth:`record_all`, which falls back to per-cell ``record``.
         store: The coordinator's :class:`~repro.sim.store.ResultStore`
             when the run has one; required by :class:`SshPool` (remote
             results travel through stores).
@@ -265,26 +246,15 @@ class PoolTask:
 
     pending: List[Tuple[int, Any]]
     run_cell: Callable[[Any], Any]
-    record: Callable[[int, Any], None]
-    record_batch: Optional[Callable[[Sequence[Tuple[int, Any]]], None]] = None
+    record: Callable[[Sequence[Tuple[int, Any]]], None]
     store: Optional[ResultStore] = None
-
-    def record_all(self, batch: Sequence[Tuple[int, Any]]) -> None:
-        """File a batch through ``record_batch`` (or per-cell fallback)."""
-        if not batch:
-            return
-        if self.record_batch is not None:
-            self.record_batch(batch)
-        else:
-            for position, result in batch:
-                self.record(position, result)
 
 
 class Pool:
     """Execution-backend interface for :func:`~repro.sim.experiment.run_grid`.
 
-    A pool executes the pending cells of one grid run and files each
-    completed result through ``task.record``. Implementations may run
+    A pool executes the pending cells of one grid run and files the
+    completed results through ``task.record``. Implementations may run
     cells in-process, across local processes, or on other machines —
     the engine neither knows nor cares, which is what makes every
     store/shard/resume feature composable across backends.
@@ -324,10 +294,12 @@ class SerialPool(Pool):
     def run(self, task: PoolTask) -> None:
         """Run cells in plan order; stop at the first failure.
 
-        Cells share this process's workload plane, so consecutive cells
-        over one workload hit its trace/decode caches; the run's plane
-        delta lands in :attr:`Pool.plane_stats` (even on failure — the
-        completed prefix did the caching).
+        Each result is recorded as a batch of one the moment it exists,
+        so a serial run persists every finished cell. Cells share this
+        process's workload plane, so consecutive cells over one workload
+        hit its trace/decode caches; the run's plane delta lands in
+        :attr:`Pool.plane_stats` (even on failure — the completed prefix
+        did the caching).
         """
         enabled = plane.plane_enabled()
         before = plane.local_stats()
@@ -337,7 +309,7 @@ class SerialPool(Pool):
                     result = task.run_cell(cell)
                 except Exception as error:
                     raise wrap_cell_error(cell, error) from error
-                task.record(position, result)
+                task.record([(position, result)])
         finally:
             if enabled:
                 self.plane_stats = plane.local_stats() - before
@@ -363,17 +335,9 @@ class ProcessPool(Pool):
 
     name = "process"
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        chunking: Optional[bool] = None,
-    ):
-        """``max_workers`` defaults to :func:`available_cpu_count`;
-        ``chunking`` defaults to the :func:`chunking_enabled` switch
-        (pass ``False`` to force one cell per dispatch — the bench
-        harness compares the two)."""
+    def __init__(self, max_workers: Optional[int] = None):
+        """``max_workers`` defaults to :func:`available_cpu_count`."""
         self.max_workers = max_workers or available_cpu_count()
-        self.chunking = chunking_enabled() if chunking is None else bool(chunking)
         #: Dispatched chunk count of the last :meth:`run` (rolled into
         #: :class:`~repro.sim.experiment.RunStats`).
         self.chunk_count: Optional[int] = None
@@ -386,7 +350,8 @@ class ProcessPool(Pool):
         up to a cost budget, so cheap analytical cells share one
         dispatch (and one plane attach) while a heavy ``perf`` cell
         fills a chunk alone. Each completed chunk's batch is recorded
-        in one call (one store transaction per chunk); recording stays
+        in one call — one independently atomic store write per cell, so
+        a crash mid-batch keeps a prefix; recording stays
         plan-positional, so progress and the store are unaffected by
         the partition.
 
@@ -415,10 +380,7 @@ class ProcessPool(Pool):
             )
         else:
             executor = ProcessPoolExecutor(max_workers=self.max_workers)
-        if self.chunking:
-            groups = chunk_plan(ordered, self.max_workers)
-        else:
-            groups = [[item] for item in ordered]
+        groups = chunk_plan(ordered, self.max_workers)
         self.chunk_count = len(groups)
         refs = publisher.refs if publisher is not None else {}
         futures: Dict[Any, List[Tuple[int, Any]]] = {}
@@ -445,7 +407,7 @@ class ProcessPool(Pool):
                         if failed is None:
                             failed = (cells[0][1], error)
                         continue
-                    task.record_all(outcome.completed)
+                    task.record(outcome.completed)
                     if outcome.error is not None:
                         if isinstance(outcome.error, Exception):
                             if failed is None:
@@ -493,7 +455,7 @@ class ProcessPool(Pool):
                 outcome = future.result()
             except BaseException:
                 continue
-            task.record_all(outcome.completed)
+            task.record(outcome.completed)
 
 
 def parse_hosts(text: str) -> List[str]:
@@ -884,7 +846,7 @@ class SshPool(Pool):
                 except Exception as error:
                     raise wrap_cell_error(cell, error) from error
                 local_executed += 1
-            task.record(position, result)
+            task.record([(position, result)])
         if not local_executed:
             return None
         return HostStats(

@@ -791,11 +791,11 @@ class ResultStore:
     ) -> List[str]:
         """Persist a batch of ``(cell, result, digest, key)`` records.
 
-        The per-chunk store transaction: the grid coordinator calls
-        this once per completed chunk instead of once per cell, so a
-        chunk's results commit together (each entry individually
-        atomic, in order — a crash mid-batch persists a prefix, which
-        resume semantics already tolerate).
+        Not a transaction: a loop of independently atomic :meth:`put`
+        calls, in order, so a crash mid-batch persists a prefix (which
+        resume semantics already tolerate). The grid coordinator files
+        every completed batch through it — a chunk under the process
+        pool, a single cell under the serial pool.
         """
         return [
             self.put(cell, result, digest=digest, key=key)

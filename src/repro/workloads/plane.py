@@ -57,16 +57,13 @@ from repro.workloads.suites import WorkloadSpec
 #: per-cell workload generation everywhere (debugging, benchmarking).
 ENV_PLANE = "REPRO_WORKLOAD_PLANE"
 
-#: LRU capacity overrides (entries, not bytes).
-ENV_TRACE_CAPACITY = "REPRO_WORKLOAD_PLANE_TRACES"
-ENV_DECODED_CAPACITY = "REPRO_WORKLOAD_PLANE_DECODED"
-
 #: Cap on bytes the coordinator publishes to shared memory per run;
 #: workloads beyond the cap fall back to per-worker generation.
 ENV_SHM_MB = "REPRO_WORKLOAD_PLANE_SHM_MB"
 
-_DEFAULT_TRACE_CAPACITY = 8
-_DEFAULT_DECODED_CAPACITY = 6
+#: LRU capacities (entries, not bytes).
+_TRACE_CAPACITY = 8
+_DECODED_CAPACITY = 6
 _DEFAULT_SHM_MB = 512
 
 _STAT_FIELDS = ("generated", "attached", "trace_hits", "decode_hits")
@@ -79,7 +76,7 @@ def plane_enabled() -> bool:
 
 
 def _capacity(env: str, default: int) -> int:
-    """Entry capacity of one LRU, with a floor of 1."""
+    """Integer setting from the environment, with a floor of 1."""
     try:
         return max(1, int(os.environ.get(env, default)))
     except ValueError:
@@ -374,7 +371,7 @@ def file_columns(file_path: str) -> Tuple:
         return hit
     columns = load_trace_columns(file_path, name=file_path)
     _file_cache[stamp] = columns
-    _evict(_file_cache, _capacity(ENV_TRACE_CAPACITY, _DEFAULT_TRACE_CAPACITY))
+    _evict(_file_cache, _TRACE_CAPACITY)
     return columns
 
 
@@ -500,16 +497,13 @@ def traces_for(workload: Any, params: Any, organization: Any) -> List[ColumnarTr
         if entry is not None:
             _tag(entry.traces, key, ref.stream_ids)
             _trace_cache[key] = entry
-            _evict(
-                _trace_cache,
-                _capacity(ENV_TRACE_CAPACITY, _DEFAULT_TRACE_CAPACITY),
-            )
+            _evict(_trace_cache, _TRACE_CAPACITY)
             _bump("attached")
             return entry.traces
     traces, stream_ids = _materialize(workload, params, organization)
     _tag(traces, key, stream_ids)
     _trace_cache[key] = _TraceEntry(traces=traces, shms=[])
-    _evict(_trace_cache, _capacity(ENV_TRACE_CAPACITY, _DEFAULT_TRACE_CAPACITY))
+    _evict(_trace_cache, _TRACE_CAPACITY)
     _bump("generated")
     return traces
 
@@ -559,10 +553,7 @@ def cached_decode(token: Optional[Tuple], build: Any) -> Any:
         return hit
     value = build()
     _decoded_cache[token] = value
-    _evict(
-        _decoded_cache,
-        _capacity(ENV_DECODED_CAPACITY, _DEFAULT_DECODED_CAPACITY),
-    )
+    _evict(_decoded_cache, _DECODED_CAPACITY)
     return value
 
 

@@ -18,6 +18,15 @@ def run_checker():
     )
 
 
+def load_checker():
+    sys.path.insert(0, str(CHECKER.parent))
+    try:
+        import check_docs
+    finally:
+        sys.path.pop(0)
+    return check_docs
+
+
 class TestDocsCheck:
     def test_repository_passes(self):
         result = run_checker()
@@ -34,11 +43,7 @@ class TestDocsCheck:
         assert "DESIGN.md" in readme
 
     def test_code_block_extraction(self):
-        sys.path.insert(0, str(CHECKER.parent))
-        try:
-            import check_docs
-        finally:
-            sys.path.pop(0)
+        check_docs = load_checker()
         text = "intro\n```python\nimport os\n```\n```bash\nls\n```\n"
         blocks = list(check_docs.python_blocks(text))
         assert len(blocks) == 1
@@ -46,11 +51,19 @@ class TestDocsCheck:
         assert line == 3 and code == "import os\n"
 
     def test_readme_and_design_have_python_blocks(self):
-        sys.path.insert(0, str(CHECKER.parent))
-        try:
-            import check_docs
-        finally:
-            sys.path.pop(0)
+        check_docs = load_checker()
         for name in ("README.md", "DESIGN.md"):
             text = (REPO_ROOT / name).read_text()
             assert list(check_docs.python_blocks(text)), f"{name} has no python blocks"
+
+    def test_undocumented_env_knob_fails(self, tmp_path):
+        check_docs = load_checker()
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "knobs.py").write_text(
+            'A = "REPRO_PLANTED"\nB = "REPRO_BENCH_SCALE"\n'
+        )
+        (tmp_path / "README.md").write_text("`REPRO_BENCH_*`, `REPRO_STALE`\n")
+        assert check_docs.check_env_knobs(tmp_path) == [
+            "REPRO_PLANTED: read in code but not in README.md or DESIGN.md",
+            "REPRO_STALE: documented but read nowhere",
+        ]

@@ -8,24 +8,27 @@ assembled (tracker + RIT + engine + bank + memory system).
 
 import pytest
 
-pytestmark = [
-    pytest.mark.slow,  # full-stack simulations, seconds per test
-    # Legacy-path coverage rides on the deprecated shims on purpose.
-    pytest.mark.filterwarnings(r"ignore:repro\.sim\.runner:DeprecationWarning"),
-]
+pytestmark = pytest.mark.slow  # full-stack simulations, seconds per test
 
+from repro.sim.experiment import resolve_workload
 from repro.sim.results import normalized_performance
-from repro.sim.runner import compare_mitigations, run_workload
 from repro.sim.simulator import PerformanceSimulation, SimulationParams
-from repro.workloads.suites import ALL_WORKLOADS
 
 PARAMS = SimulationParams(
     trh=1200, num_cores=2, requests_per_core=12_000, time_scale=32, seed=3
 )
 
 
-def spec(name):
-    return next(w for w in ALL_WORKLOADS if w.name == name)
+def run_workload(name, mitigation, params):
+    return PerformanceSimulation(resolve_workload(name), mitigation, params).run()
+
+
+def compare_mitigations(name, mitigations, params):
+    """The baseline plus each mitigation, keyed by name."""
+    return {
+        mitigation: run_workload(name, mitigation, params)
+        for mitigation in ("baseline", *mitigations)
+    }
 
 
 class TestPerformanceOrdering:
@@ -134,7 +137,7 @@ class TestWindowAccounting:
         assert result.place_backs > 0
 
     def test_activation_stats_cover_run(self):
-        sim = PerformanceSimulation(spec("gcc"), "baseline", PARAMS)
+        sim = PerformanceSimulation(resolve_workload("gcc"), "baseline", PARAMS)
         result = sim.run()
         recorded = sum(
             bank.stats.lifetime_activations for bank in sim.memory._banks

@@ -196,31 +196,37 @@ class TestFailurePaths:
             assert "pool boom" in messages[label]
         assert messages["serial"] == messages["parallel"]
 
-    def test_progress_prefix_stops_at_failure(self, flaky_kind, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pooled"])
+    def test_progress_prefix_stops_at_failure(
+        self, flaky_kind, tmp_path, workers
+    ):
         """Mid-plan failure: progress reports the contiguous prefix up
-        to the failed cell only, while completed later cells still
-        reach the store."""
+        to the failed cell only. Pooled, completed later cells still
+        reach the store; serial stops at the failure, so the store
+        holds exactly the prefix."""
         seen = []
         store_dir = tmp_path / "store"
         with pytest.raises(RuntimeError, match="pool boom"):
             run_grid(
                 flaky_kind,
-                max_workers=2,
+                max_workers=workers,
                 store=str(store_dir),
                 progress=lambda done, total, result: seen.append(
                     (done, total)
                 ),
             )
         # Plan order is [ok, boom, also-ok]: only the first cell forms
-        # a completed prefix; also-ok completed but is never reported.
+        # a completed prefix. Pooled, also-ok completed but is never
+        # reported; serial never runs it.
         assert seen == [(1, 3)]
-        assert len(entry_files(store_dir)) == 2
-        # The resume recomputes exactly the failed cell.
+        pooled = workers > 1
+        assert len(entry_files(store_dir)) == (2 if pooled else 1)
+        # The resume recomputes exactly what never finished.
         ok_only = dataclasses.replace(
             flaky_kind, mitigations=["ok", "also-ok"]
         )
         resumed = run_grid(ok_only, max_workers=1, store=str(store_dir))
-        assert resumed.run_stats.executed == 0
+        assert resumed.run_stats.executed == (0 if pooled else 1)
 
     def test_interrupt_drains_completed_cells(self, interrupt_kind, tmp_path):
         """Ctrl-C mid-grid: the pool cancels queued cells, keeps every
@@ -463,7 +469,7 @@ class TestWorkloadPlane:
         pool = ProcessPool(2)
         task = PoolTask(
             pending=pending, run_cell=run_kb_cell,
-            record=lambda position, result: None,
+            record=lambda batch: None,
         )
         with pytest.raises(KeyboardInterrupt):
             pool.run(task)
@@ -540,22 +546,10 @@ class TestChunking:
 
         assert cell_cost(self.items(1)[0][1]) == 1.0
 
-    def test_env_escape_hatch(self, monkeypatch):
-        from repro.sim.pool import chunking_enabled
-
-        monkeypatch.delenv("REPRO_GRID_CHUNKING", raising=False)
-        assert chunking_enabled()
-        assert ProcessPool(2).chunking
-        monkeypatch.setenv("REPRO_GRID_CHUNKING", "off")
-        assert not chunking_enabled()
-        assert not ProcessPool(2).chunking
-        # An explicit constructor argument beats the environment.
-        assert ProcessPool(2, chunking=True).chunking
-
     @pytest.mark.parametrize("engine", ["scalar", "batched"])
     def test_chunked_runs_are_bit_identical(self, engine, tmp_path):
-        """Serial, per-cell pooled, and chunked pooled runs produce the
-        same result JSON and the same store entries, on both engines."""
+        """Serial and chunked pooled runs produce the same result JSON
+        and the same store entries, on both engines."""
         spec = dataclasses.replace(
             SPEC,
             mitigations=["rrs", "srs"],
@@ -565,8 +559,7 @@ class TestChunking:
         stores = {}
         for label, pool in (
             ("serial", SerialPool()),
-            ("per-cell", ProcessPool(2, chunking=False)),
-            ("chunked", ProcessPool(2, chunking=True)),
+            ("chunked", ProcessPool(2)),
         ):
             store_dir = tmp_path / label
             runs[label] = run_grid(
@@ -576,9 +569,7 @@ class TestChunking:
                 name: (store_dir / name).read_text()
                 for name in entry_files(store_dir)
             }
-        assert runs["per-cell"] == runs["serial"]
         assert runs["chunked"] == runs["serial"]
-        assert stores["per-cell"] == stores["serial"]
         assert stores["chunked"] == stores["serial"]
 
     def test_run_stats_report_chunks(self, flaky_kind, tmp_path):

@@ -20,14 +20,8 @@ from repro.sim.results import (
     normalized_performance,
     slowdown_percent,
 )
-from repro.sim.runner import compare_mitigations, run_workload, sweep_trh
+from repro.sim.experiment import ExperimentSpec, resolve_workload, run_grid
 from repro.sim.simulator import PerformanceSimulation, SimulationParams
-
-# This module deliberately exercises the deprecated runner shims to pin
-# their numbers to the engine path; silence their DeprecationWarning.
-pytestmark = pytest.mark.filterwarnings(
-    r"ignore:repro\.sim\.runner:DeprecationWarning"
-)
 from repro.trackers.hydra import HydraTracker
 from repro.trackers.misra_gries import MisraGriesTracker
 from repro.workloads.suites import ALL_WORKLOADS
@@ -36,30 +30,17 @@ FAST = SimulationParams(
     trh=1200, num_cores=2, requests_per_core=4000, time_scale=32, seed=11
 )
 
-TINY = SimulationParams(
-    trh=1200, num_cores=1, requests_per_core=500, time_scale=32, seed=11
-)
+
+def run_workload(name, mitigation, params):
+    return PerformanceSimulation(resolve_workload(name), mitigation, params).run()
 
 
-class TestDeprecationSignals:
-    """The legacy shims must actually warn their callers (once each)."""
-
-    def test_run_workload_warns(self):
-        with pytest.warns(DeprecationWarning, match="run_workload"):
-            run_workload("povray", "baseline", TINY)
-
-    def test_compare_mitigations_warns_once_for_itself(self):
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            compare_mitigations("povray", [], TINY)
-        deprecations = [
-            record for record in caught
-            if issubclass(record.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "compare_mitigations" in str(deprecations[0].message)
+def compare_mitigations(name, mitigations, params):
+    """The baseline plus each mitigation, keyed by name."""
+    return {
+        mitigation: run_workload(name, mitigation, params)
+        for mitigation in ("baseline", *mitigations)
+    }
 
 
 class TestFactory:
@@ -218,16 +199,26 @@ class TestSimulator:
 
     def test_unknown_workload(self):
         with pytest.raises(KeyError):
-            run_workload("not-a-benchmark", "baseline", FAST)
+            resolve_workload("not-a-benchmark")
 
 
 class TestRunner:
     def test_sweep_trh_shape(self):
-        sweep = sweep_trh("hmmer", "rrs", [4800, 1200], FAST)
+        spec = ExperimentSpec(
+            workloads=["hmmer"],
+            mitigations=["rrs"],
+            base_params=FAST,
+            grid={"trh": [4800, 1200]},
+        )
+        sweep = run_grid(spec, max_workers=1).sweep("hmmer", "rrs")
         assert set(sweep) == {4800, 1200}
         # Lower threshold -> more swaps -> worse (or equal) performance.
         assert sweep[1200] <= sweep[4800] + 0.02
 
     def test_compare_includes_baseline_once(self):
-        results = compare_mitigations("povray", ["baseline", "rrs"], FAST)
-        assert set(results) == {"baseline", "rrs"}
+        spec = ExperimentSpec(
+            workloads=["povray"], mitigations=["baseline", "rrs"],
+            base_params=FAST,
+        )
+        results = run_grid(spec, max_workers=1)
+        assert sorted(r.mitigation for r in results) == ["baseline", "rrs"]

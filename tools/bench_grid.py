@@ -27,10 +27,11 @@ modes produced bit-identical result sets before reporting any number,
 and that no ``repro-`` shared-memory segment survived.
 
 A second, *analytical* section times a high-cardinality security grid
-(hundreds of microsecond-scale closed-form cells) under per-cell vs
-chunked pool dispatch — the chunk scheduler's target case — printing
-the greppable ``chunked cells/sec:`` line and asserting all dispatch
-modes match the serial reference bit-identically.
+(hundreds of microsecond-scale closed-form cells) in-process serially
+and under chunked pool dispatch — the chunk scheduler's target case —
+printing the greppable ``chunked cells/sec:`` and ``analytical chunked
+vs serial:`` lines and asserting the pooled run matches the serial
+reference bit-identically.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ def build_analytical_spec(quick: bool) -> ExperimentSpec:
     """A high-cardinality security grid of microsecond-scale cells.
 
     The chunk scheduler's target case: each cell is one closed-form
-    Juggernaut evaluation (fixed round budget, no Monte-Carlo), so the
-    per-cell pool dispatch used to dwarf the cell itself. 2000 cells
+    Juggernaut evaluation (fixed round budget, no Monte-Carlo), so pool
+    dispatch costs as much as the cell itself. 2000 cells
     full (2 designs x 20 TRH x 50 swap rates), 200 quick.
     """
     if quick:
@@ -124,18 +125,14 @@ def run_analytical_mode(
 ) -> Dict[str, Any]:
     """Time the analytical grid in one dispatch mode, best of ``repeats``.
 
-    Modes: ``serial`` (the unchunked in-process reference every other
-    mode must match bit-identically), ``per-cell`` (pooled, one cell
-    per dispatch — the pre-chunking behavior), ``chunked`` (pooled,
-    cost-budgeted chunks).
+    Modes: ``serial`` (the in-process reference the pooled run must
+    match bit-identically) and ``chunked`` (pooled, cost-budgeted
+    chunks).
     """
     best = float("inf")
     results = None
     for _ in range(repeats):
-        if mode == "serial":
-            pool = SerialPool()
-        else:
-            pool = ProcessPool(workers, chunking=(mode == "chunked"))
+        pool = SerialPool() if mode == "serial" else ProcessPool(workers)
         started = time.perf_counter()
         results = run_grid(spec, pool=pool)
         best = min(best, time.perf_counter() - started)
@@ -151,24 +148,22 @@ def run_analytical_mode(
 
 
 def run_analytical_benchmark(quick: bool, repeats: int) -> Dict[str, Any]:
-    """The analytical section: serial vs per-cell vs chunked dispatch."""
+    """The analytical section: serial vs chunked pooled dispatch."""
     spec = build_analytical_spec(quick)
     spec.validate()
     workers = min(4, available_cpu_count())
     modes = [
         run_analytical_mode(spec, mode, workers, repeats)
-        for mode in ("serial", "per-cell", "chunked")
+        for mode in ("serial", "chunked")
     ]
-    reference = modes[0].pop("_json")
-    for mode in modes[1:]:
-        if mode.pop("_json") != reference:
-            raise AssertionError(
-                f"analytical mode {mode['mode']} changed results — "
-                f"bit-identity violated"
-            )
-    serial, per_cell, chunked = modes
-    speedup = round(
-        chunked["cells_per_second"] / per_cell["cells_per_second"], 3
+    serial, chunked = modes
+    if chunked.pop("_json") != serial.pop("_json"):
+        raise AssertionError(
+            "analytical chunked mode changed results — bit-identity violated"
+        )
+    # Below 1.0 the pool loses to in-process serial on this grid.
+    vs_serial = round(
+        chunked["cells_per_second"] / serial["cells_per_second"], 3
     )
     for mode in modes:
         chunk_note = (
@@ -181,12 +176,12 @@ def run_analytical_benchmark(quick: bool, repeats: int) -> Dict[str, Any]:
         )
     # Greppable by the CI grid-throughput-smoke job.
     print(f"chunked cells/sec: {chunked['cells_per_second']:.2f}")
-    print(f"analytical chunked speedup: {speedup:.2f}x")
+    print(f"analytical chunked vs serial: {vs_serial:.2f}x")
     return {
         "cells": serial["cells"],
         "workers": workers,
         "modes": modes,
-        "chunked_speedup": speedup,
+        "chunked_vs_serial": vs_serial,
     }
 
 
@@ -342,7 +337,7 @@ def main(argv: List[str] = None) -> int:
         "summary": {
             "serial_speedup": serial_speedup,
             "pooled_speedup": pooled_speedup,
-            "analytical_chunked_speedup": analytical["chunked_speedup"],
+            "analytical_chunked_vs_serial": analytical["chunked_vs_serial"],
         },
     }
     payload: Dict[str, Any] = report

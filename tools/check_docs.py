@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checks for CI (no third-party dependencies).
 
-Two checks, both fast:
+Three checks, all fast:
 
 1. **Docstring coverage** (interrogate-style, via ``ast``): every public
    module, class, function, and method under the enforced packages
@@ -13,6 +13,13 @@ Two checks, both fast:
 2. **Doc code blocks import cleanly**: every fenced ``python`` block in
    README.md and DESIGN.md is parsed, and its import statements are
    executed, so renamed or removed APIs break CI instead of readers.
+
+3. **Environment knobs are documented, and only live ones**: every
+   ``REPRO_*`` name the code under ``src/``, ``benchmarks/`` or
+   ``tools/`` mentions must appear in README.md or DESIGN.md, and those
+   documents must name no ``REPRO_*`` variable that nothing reads. A
+   documented name ending in ``_`` (``REPRO_BENCH_*``) covers every
+   name with that prefix.
 
 Run from the repository root::
 
@@ -27,7 +34,7 @@ import ast
 import re
 import sys
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,6 +50,11 @@ ENFORCED_PACKAGES = (
 
 #: Documents whose ``python`` code blocks must import cleanly.
 DOCUMENTS = ("README.md", "DESIGN.md")
+
+#: Trees whose ``REPRO_*`` environment knobs must be documented.
+KNOB_SOURCES = ("src", "benchmarks", "tools")
+
+_KNOB = re.compile(r"\bREPRO_[A-Z_]+")
 
 
 def iter_python_files() -> Iterator[Path]:
@@ -125,8 +137,45 @@ def check_documents() -> List[str]:
     return findings
 
 
+def _knob_names(texts: Iterable[str]) -> Set[str]:
+    return {name for text in texts for name in _KNOB.findall(text)}
+
+
+def _covered(name: str, names: Set[str]) -> bool:
+    """``name`` is in ``names`` directly or under a ``..._`` prefix."""
+    return any(
+        name == other or (other.endswith("_") and name.startswith(other))
+        for other in names
+    )
+
+
+def check_env_knobs(root: Path = REPO_ROOT) -> List[str]:
+    """Findings for undocumented knobs and documented knobs nobody reads."""
+    read = _knob_names(
+        path.read_text(encoding="utf-8")
+        for tree in KNOB_SOURCES
+        for path in sorted((root / tree).rglob("*.py"))
+    )
+    documented = _knob_names(
+        (root / name).read_text(encoding="utf-8")
+        for name in DOCUMENTS
+        if (root / name).exists()
+    )
+    findings = [
+        f"{name}: read in code but not in {' or '.join(DOCUMENTS)}"
+        for name in sorted(read)
+        if not _covered(name, documented)
+    ]
+    findings += [
+        f"{name}: documented but read nowhere"
+        for name in sorted(documented)
+        if not any(_covered(other, {name}) for other in read)
+    ]
+    return findings
+
+
 def main() -> int:
-    """Run both checks; print findings and return a process exit code."""
+    """Run the checks; print findings and return a process exit code."""
     failures = 0
     docstring_findings = check_docstrings()
     if docstring_findings:
@@ -140,12 +189,19 @@ def main() -> int:
         print(f"broken doc code blocks ({len(document_findings)}):")
         for finding in document_findings:
             print(f"  {finding}")
+    knob_findings = check_env_knobs()
+    if knob_findings:
+        failures += len(knob_findings)
+        print(f"environment knob inventory ({len(knob_findings)}):")
+        for finding in knob_findings:
+            print(f"  {finding}")
     if failures:
         print(f"FAILED: {failures} documentation finding(s)")
         return 1
     modules = sum(1 for _ in iter_python_files())
     print(f"docs OK: {modules} modules fully documented, "
-          f"{len(DOCUMENTS)} documents import cleanly")
+          f"{len(DOCUMENTS)} documents import cleanly, "
+          f"every REPRO_* knob documented")
     return 0
 
 
