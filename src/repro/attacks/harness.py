@@ -44,21 +44,50 @@ def hammer_pattern(
     indirection (identity for VFM, the RIT for row-swap designs), issues
     the bank access, disturbs the physical neighbours, and notifies the
     mitigation. Stops at ``deadline`` if given.
+
+    Indirection and pinning are read through the mitigation's live
+    :meth:`~Mitigation.resolve_map` and
+    :meth:`~Mitigation.batch_pinned_view`, which see every remap and pin
+    the mitigation commits; a design that overrides ``resolve`` or
+    ``is_pinned`` without offering the view is called per access.
     """
+    design = type(mitigation)
+    remap = mitigation.resolve_map()
+    resolve = None
+    if remap is None and design.resolve is not Mitigation.resolve:
+        resolve = mitigation.resolve
+    pinned = mitigation.batch_pinned_view()
+    is_pinned = None
+    if pinned is None and design.is_pinned is not Mitigation.is_pinned:
+        is_pinned = mitigation.is_pinned
     bank = mitigation.bank
+    t_rc = bank.timing.t_rc
+    access = bank.access
+    disturb = disturbance.on_activation
+    notify = mitigation.on_activation
+    limit = float("inf") if deadline is None else deadline
     time = start
     issued = 0
     for row in pattern:
-        if deadline is not None and time >= deadline:
+        if time >= limit:
             break
-        if mitigation.is_pinned(row):
-            time += bank.timing.t_rc
+        if (pinned is not None and row in pinned) or (
+            is_pinned is not None and is_pinned(row)
+        ):
+            time += t_rc
             continue
-        physical = mitigation.resolve(row)
-        result = bank.access(time, physical)
-        disturbance.on_activation(physical, result.start)
+        if remap is not None:
+            physical = remap.get(row, row)
+        elif resolve is not None:
+            physical = resolve(row)
+        else:
+            physical = row
+        result = access(time, physical)
+        disturb(physical, result.start)
         issued += 1
-        time = max(result.finish, mitigation.on_activation(result.finish, row))
+        finish = result.finish
+        end = notify(finish, row)
+        time = end if end > finish else finish
     hottest_row, hottest = disturbance.hottest()
     victim_refreshes = getattr(mitigation, "victim_refreshes", 0)
     return HammerOutcome(

@@ -88,30 +88,34 @@ class MonteCarloJuggernaut:
         self.rng = np.random.default_rng(seed)
 
     def _simulate_windows(self, rounds: int, num_windows: int) -> np.ndarray:
-        """Play ``num_windows`` independent windows; returns success flags."""
+        """Play ``num_windows`` independent windows; returns success flags.
+
+        Two binomial draws per window are the whole cost: the latent
+        draw (only when the per-round latent count has a fractional
+        part) and the correct-guess draw, in that order. Eq. 1 then
+        accumulates in place into the drawn int64 arrays — exact integer
+        arithmetic, so the order of the additions cannot change a flag.
+        """
         p = self.params
         ts = p.ts
         # Latent activations per round: RRS draws 1 or 2 per unswap-swap
-        # (mean 1.5); SRS contributes none.
+        # (mean 1.5); SRS contributes none. Sum of `rounds` independent
+        # (low + Bernoulli(frac)) draws: one binomial per window.
+        extra = None
+        low = 0
         if p.latent_per_round > 0 and rounds > 0:
             low = int(np.floor(p.latent_per_round))
             frac = p.latent_per_round - low
-            # Sum of `rounds` independent (low + Bernoulli(frac)) draws:
-            # a single binomial per window keeps memory flat.
-            extra = (
-                self.rng.binomial(rounds, frac, size=num_windows)
-                if frac > 0
-                else np.zeros(num_windows, dtype=np.int64)
-            )
-            latents = low * rounds + extra
-        else:
-            latents = np.zeros(num_windows, dtype=np.int64)
-        base = 2 * ts + latents  # Eq. 1 with stochastic L
-        guesses = self.model.guesses(rounds)
-        whole_guesses = int(guesses)
+            if frac > 0:
+                extra = self.rng.binomial(rounds, frac, size=num_windows)
+        whole_guesses = int(self.model.guesses(rounds))
         hits = self.rng.binomial(whole_guesses, 1.0 / p.rows_per_bank, size=num_windows)
-        total = base + hits * ts
-        return total >= p.trh
+        # Eq. 1 with stochastic L, plus the correct guesses' activations.
+        hits *= ts
+        hits += low * rounds + 2 * ts
+        if extra is not None:
+            hits += extra
+        return hits >= p.trh
 
     def run(
         self,
@@ -150,7 +154,7 @@ class MonteCarloJuggernaut:
             batch = min(needed, 1_000_000)
             while simulated < needed:
                 n = min(batch, needed - simulated)
-                successes += int(self._simulate_windows(rounds, n).sum())
+                successes += int(np.count_nonzero(self._simulate_windows(rounds, n)))
                 simulated += n
             p_hat = successes / simulated if simulated else 0.0
 

@@ -65,11 +65,17 @@ class CountingBloomFilter:
             _splitmix64(row ^ seed) % mask for seed in self._seeds
         ]
 
-    def insert(self, row: int) -> int:
-        """Count one activation; returns the new estimate."""
+    def insert(self, row: int, count: int = 1) -> int:
+        """Count ``count`` activations of ``row``; returns the new estimate.
+
+        Each of the row's hash slots gains ``count`` (twice when two
+        hashes share a slot). The counters are integers, so one call
+        with ``count=n`` leaves exactly the state of ``n`` single
+        inserts and returns the estimate the last of them would.
+        """
         slots = self._slots(row)
         for slot in slots:
-            self._counters[slot] += 1
+            self._counters[slot] += count
         return min(self._counters[slot] for slot in slots)
 
     def estimate(self, row: int) -> int:
@@ -95,8 +101,10 @@ class DualBloomFilter:
         )
         self.active = 0
 
-    def insert(self, row: int) -> int:
-        self.filters[self.active].insert(row)
+    def insert(self, row: int, count: int = 1) -> int:
+        """Count ``count`` activations in the active filter; returns the
+        rolling estimate over both filters."""
+        self.filters[self.active].insert(row, count)
         return self.estimate(row)
 
     def estimate(self, row: int) -> int:
@@ -210,7 +218,6 @@ def dos_false_positive_delay(
     per_row = engine.blacklist_threshold - 1
     for attacker in range(1, attacker_rows + 1):
         row = (victim_row + attacker * 7919) % bank.num_rows
-        for _ in range(per_row):
-            engine.filters.insert(row)
+        engine.filters.insert(row, count=per_row)
     blacklisted = engine.is_blacklisted(victim_row)
     return blacklisted, engine.throttle_delay_ns() if blacklisted else 0.0

@@ -22,8 +22,8 @@ work: swaps keep every count far below the flip point).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
 
 @dataclass
@@ -38,6 +38,13 @@ class FlipEvent:
 
 class DisturbanceModel:
     """Accumulates per-row disturbance within refresh windows.
+
+    A row flips when its accumulated disturbance reaches ``trh`` within
+    a window. :attr:`flips` records one :class:`FlipEvent` per row per
+    window, at the row's first crossing (its time and level); further
+    disturbance of an already-flipped row in the same window adds no
+    event, even after a targeted refresh restored it. A later window
+    records the row again.
 
     Args:
         num_rows: Rows in the bank.
@@ -70,8 +77,13 @@ class DisturbanceModel:
         self.trh = trh
         self.refresh_window = refresh_window
         self.distance_factors = distance_factors
+        self._reach = tuple(
+            (index + 1, factor) for index, factor in enumerate(distance_factors)
+        )
         self._disturbance: Dict[int, float] = defaultdict(float)
         self._window_index = 0
+        self._next_window = refresh_window
+        self._flipped: Set[int] = set()  # rows flipped in this window
         self.flips: List[FlipEvent] = []
         self.total_activations = 0
         self.refreshes = 0
@@ -85,31 +97,38 @@ class DisturbanceModel:
         if window > self._window_index:
             # Regular refresh restored every row at the window boundary.
             self._disturbance.clear()
+            self._flipped.clear()
             self._window_index = window
-
-    def _disturb(self, victim: int, amount: float, time: float) -> None:
-        if not 0 <= victim < self.num_rows:
-            return
-        level = self._disturbance[victim] + amount
-        self._disturbance[victim] = level
-        if level >= self.trh:
-            self.flips.append(
-                FlipEvent(
-                    row=victim,
-                    time=time,
-                    disturbance=level,
-                    window_index=self._window_index,
-                )
-            )
+            self._next_window = (window + 1) * self.refresh_window
 
     def on_activation(self, row: int, time: float) -> None:
-        """An ACT on ``row`` disturbs its neighbours out to the radius."""
-        self._roll(time)
+        """An ACT on ``row`` disturbs its neighbours out to the radius
+        (below, then above, at each distance)."""
+        if time >= self._next_window:
+            self._roll(time)
         self.total_activations += 1
-        for index, factor in enumerate(self.distance_factors):
-            distance = index + 1
-            self._disturb(row - distance, factor, time)
-            self._disturb(row + distance, factor, time)
+        levels = self._disturbance
+        flipped = self._flipped
+        num_rows = self.num_rows
+        trh = self.trh
+        for distance, factor in self._reach:
+            for victim in (row - distance, row + distance):
+                if 0 <= victim < num_rows:
+                    level = levels[victim] + factor
+                    levels[victim] = level
+                    if level >= trh and victim not in flipped:
+                        self._flip(victim, time, level)
+
+    def _flip(self, row: int, time: float, level: float) -> None:
+        self._flipped.add(row)
+        self.flips.append(
+            FlipEvent(
+                row=row,
+                time=time,
+                disturbance=level,
+                window_index=self._window_index,
+            )
+        )
 
     def on_refresh(self, row: int, time: float) -> None:
         """A targeted refresh restores ``row`` — but, being an activation,

@@ -48,11 +48,27 @@ class TestMonteCarlo:
         assert result.p05_days <= result.median_time_to_break_days <= result.p95_days
 
     def test_stochastic_latents_average_out(self):
-        """The 1-or-2 latent draw should behave like L=1.5 on average."""
-        params = AttackParameters(trh=4800, ts=800, latent_per_round=1.5)
+        """The 1-or-2 latent draw should behave like L=1.5 on average:
+        each round adds 1 + Bernoulli(0.5) latent activations."""
+        rounds, ts = 1000, 800
+        # Success needs B >= k extra latents, B ~ Binomial(rounds, 0.5):
+        # 2 * TS + rounds + k == TRH. A huge bank makes a correct random
+        # guess (another TS activations) vanishingly unlikely, so the
+        # latent draw alone decides each window.
+        k = 510
+        params = AttackParameters(
+            trh=2 * ts + rounds + k,
+            ts=ts,
+            latent_per_round=1.5,
+            rows_per_bank=1 << 40,
+        )
         mc = MonteCarloJuggernaut(params, seed=5)
-        flags = mc._simulate_windows(rounds=1000, num_windows=20_000)
-        assert flags.dtype == bool
+        windows = 20_000
+        flags = mc._simulate_windows(rounds=rounds, num_windows=windows)
+        expected = sum(math.comb(rounds, b) for b in range(k, rounds + 1)) / 2**rounds
+        sigma = math.sqrt(expected * (1.0 - expected) / windows)
+        assert 0.1 < expected < 0.5
+        assert abs(flags.mean() - expected) < 4 * sigma
 
 
 class TestOutlierModel:

@@ -9,7 +9,7 @@ from repro.attacks.patterns import (
     pattern_rows,
     single_sided,
 )
-from repro.dram.disturbance import DisturbanceModel
+from repro.dram.disturbance import DisturbanceModel, FlipEvent
 
 
 class TestDisturbanceModel:
@@ -31,6 +31,34 @@ class TestDisturbanceModel:
             model.on_activation(10, 0.0)
         assert model.any_flip()
         assert set(model.flipped_rows()) == {9, 11}
+
+    def test_flip_recorded_once_per_row_per_window(self):
+        """One event per row per window, carrying the first crossing's
+        time and level; a later window records the row again."""
+        model = DisturbanceModel(
+            1024, trh=5, refresh_window=1000.0, distance_factors=(1.0,)
+        )
+        for step in range(8):
+            model.on_activation(10, float(step))
+        first = [
+            FlipEvent(row=9, time=4.0, disturbance=5.0, window_index=0),
+            FlipEvent(row=11, time=4.0, disturbance=5.0, window_index=0),
+        ]
+        assert model.flips == first
+        # Restored by a refresh and crossing again: still one event.
+        model.on_refresh(11, 10.0)
+        for step in range(6):
+            model.on_activation(10, 20.0 + step)
+        assert model.disturbance(11) == 6.0
+        assert model.flips == first
+        for step in range(5):
+            model.on_activation(10, 1500.0 + step)
+        assert model.flips == first + [
+            FlipEvent(row=9, time=1504.0, disturbance=5.0, window_index=1),
+            FlipEvent(row=11, time=1504.0, disturbance=5.0, window_index=1),
+        ]
+        assert model.flipped_rows() == [9, 11]
+        assert model.any_flip()
 
     def test_refresh_restores_victim(self):
         model = DisturbanceModel(1024, trh=10)

@@ -14,7 +14,10 @@ plain arithmetic it replaced:
 - ``dos_false_positive_delay`` and its final Bloom counters against a
   one-activation-per-insert loop, over five filter geometries;
 - the full JSON of every ``hammer`` cell shape at a reduced scale at
-  which TRR and PARA still flip rows;
+  which TRR and PARA still flip rows, and the rig's flip events: one
+  per flipped row in the single window, and the harness against its
+  per-access loop for a design (AQUA) that remaps rows without
+  offering a ``resolve_map`` view;
 - (slow tier) Figure 6's three Monte-Carlo cells and the four
   300k-activation half-double cells at full report scale.
 
@@ -32,6 +35,7 @@ from repro.attacks.analytical import (
     JuggernautModel,
     srs_parameters,
 )
+from repro.attacks.harness import hammer_pattern
 from repro.attacks.montecarlo import MonteCarloJuggernaut, MonteCarloResult
 from repro.core import blockhammer
 from repro.core.blockhammer import (
@@ -41,7 +45,7 @@ from repro.core.blockhammer import (
 )
 from repro.dram.bank import Bank
 from repro.dram.config import DRAMTiming
-from repro.sim.evaluations import HammerParams, SecurityParams
+from repro.sim.evaluations import HammerParams, SecurityParams, _half_double_rig
 from repro.sim.experiment import ExperimentSpec, run_grid
 
 INF = float("inf")
@@ -328,6 +332,74 @@ def test_hammer_cell_record(defense, pattern, hammers, radius, outcome):
     assert run_hammer(defense, pattern, hammers, radius, 200) == expected
 
 
+def check_flip_events(defense, radius, hammers, trh, outcome):
+    """The rig's disturbance model keeps one flip event per flipped row
+    (one window), and its row summaries match the pinned record."""
+    _, flipped, hottest_row, hottest, _, _ = outcome
+    params = HammerParams(
+        pattern="half-double", hammers=hammers, radius=radius, trh=trh
+    )
+    engine, disturbance = _half_double_rig(defense, params)
+    hammer_pattern(engine, disturbance, params.hammer_rows())
+    assert disturbance.flipped_rows() == flipped
+    assert disturbance.any_flip() == bool(flipped)
+    assert disturbance.hottest() == (hottest_row, hottest)
+    assert sorted(flip.row for flip in disturbance.flips) == flipped
+    for flip in disturbance.flips:
+        assert flip.window_index == 0
+        assert trh <= flip.disturbance < trh + 1
+
+
+@pytest.mark.parametrize(
+    "defense, radius, outcome",
+    [
+        (defense, radius, outcome)
+        for defense, pattern, _, radius, outcome in REDUCED_HAMMER_CELLS
+        if pattern == "half-double"
+    ],
+    ids=["trr-r1", "trr-r2", "para", "scale-srs"],
+)
+def test_half_double_flip_events(defense, radius, outcome):
+    check_flip_events(defense, radius, 20_000, 200, outcome)
+
+
+def reference_hammer(mitigation, disturbance, pattern):
+    """The harness loop calling ``is_pinned``/``resolve`` per access."""
+    bank = mitigation.bank
+    time = 0.0
+    for row in pattern:
+        if mitigation.is_pinned(row):
+            time += bank.timing.t_rc
+            continue
+        physical = mitigation.resolve(row)
+        result = bank.access(time, physical)
+        disturbance.on_activation(physical, result.start)
+        time = max(result.finish, mitigation.on_activation(result.finish, row))
+    return time, disturbance.hottest(), disturbance.flipped_rows()
+
+
+def test_resolve_without_view_is_called_per_access():
+    """AQUA overrides ``resolve`` but offers no ``resolve_map``: the
+    harness must still follow its quarantine migrations."""
+    from repro.core.aqua import AquaQuarantine
+    from repro.dram.disturbance import DisturbanceModel
+    from repro.trackers.base import ExactTracker
+
+    def rig():
+        timing = DRAMTiming(refresh_window=1_000_000.0)
+        engine = AquaQuarantine(Bank(4096, timing), ExactTracker(50))
+        return engine, DisturbanceModel(4096, 300, refresh_window=1_000_000.0)
+
+    pattern = [99, 101] * 600
+    engine, disturbance = rig()
+    outcome = hammer_pattern(engine, disturbance, pattern)
+    assert engine.migrations > 0
+    time, hottest, flipped = reference_hammer(*rig(), pattern)
+    assert outcome.duration_ns == time
+    assert (outcome.hottest_row, outcome.hottest_disturbance) == hottest
+    assert outcome.flipped_rows == flipped
+
+
 # ----------------------------------------------------------------------
 # full report scale (slow tier)
 
@@ -389,3 +461,13 @@ def test_report_half_double_cell(defense, radius, outcome):
         defense, "half-double", 300_000, radius, 2000, outcome
     )
     assert run_hammer(defense, "half-double", 300_000, radius, 2000) == expected
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "defense, radius, outcome",
+    HALF_DOUBLE_CELLS,
+    ids=["trr-r1", "trr-r2", "para", "scale-srs"],
+)
+def test_report_half_double_flip_events(defense, radius, outcome):
+    check_flip_events(defense, radius, 300_000, 2000, outcome)
