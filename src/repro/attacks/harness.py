@@ -48,18 +48,10 @@ def hammer_pattern(
     Indirection and pinning are read through the mitigation's live
     :meth:`~Mitigation.resolve_map` and
     :meth:`~Mitigation.batch_pinned_view`, which see every remap and pin
-    the mitigation commits; a design that overrides ``resolve`` or
-    ``is_pinned`` without offering the view is called per access.
+    the mitigation commits.
     """
-    design = type(mitigation)
     remap = mitigation.resolve_map()
-    resolve = None
-    if remap is None and design.resolve is not Mitigation.resolve:
-        resolve = mitigation.resolve
     pinned = mitigation.batch_pinned_view()
-    is_pinned = None
-    if pinned is None and design.is_pinned is not Mitigation.is_pinned:
-        is_pinned = mitigation.is_pinned
     bank = mitigation.bank
     t_rc = bank.timing.t_rc
     access = bank.access
@@ -71,17 +63,10 @@ def hammer_pattern(
     for row in pattern:
         if time >= limit:
             break
-        if (pinned is not None and row in pinned) or (
-            is_pinned is not None and is_pinned(row)
-        ):
+        if pinned is not None and row in pinned:
             time += t_rc
             continue
-        if remap is not None:
-            physical = remap.get(row, row)
-        elif resolve is not None:
-            physical = resolve(row)
-        else:
-            physical = row
+        physical = remap.get(row, row) if remap is not None else row
         result = access(time, physical)
         disturb(physical, result.start)
         issued += 1

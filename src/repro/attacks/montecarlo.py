@@ -79,8 +79,16 @@ class MonteCarloJuggernaut:
         points are automatically independent and each point is
         reproducible on its own — the old fixed-global-seed default made
         parallel sweep cells share one stream. Pass an explicit seed for
-        replicate draws of the same point."""
+        replicate draws of the same point.
+
+        ``params.ts`` must be a whole number of activations (an integral
+        float such as ``800.0`` is accepted): the probe evaluates Eq. 1
+        in exact integer arithmetic."""
         self.params = params or AttackParameters()
+        ts = self.params.ts
+        if ts != int(ts):
+            raise ValueError(f"swap threshold ts must be a whole number, got {ts!r}")
+        self._ts = int(ts)
         self.model = JuggernautModel(self.params)
         if seed is None:
             seed = derive_seed(self.params)
@@ -97,7 +105,7 @@ class MonteCarloJuggernaut:
         arithmetic, so the order of the additions cannot change a flag.
         """
         p = self.params
-        ts = p.ts
+        ts = self._ts
         # Latent activations per round: RRS draws 1 or 2 per unswap-swap
         # (mean 1.5); SRS contributes none. Sum of `rounds` independent
         # (low + Bernoulli(frac)) draws: one binomial per window.

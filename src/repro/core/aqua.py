@@ -82,6 +82,9 @@ class AquaQuarantine(Mitigation):
     def resolve(self, row: int) -> int:
         return self._forward.get(row, row)
 
+    def resolve_map(self) -> Dict[int, int]:
+        return self._forward
+
     def is_quarantined(self, row: int) -> bool:
         return row in self._forward
 

@@ -101,11 +101,18 @@ class Mitigation(abc.ABC):
         self.epoch_blocking_until: float = 0.0
 
     def resolve(self, row: int) -> int:
-        """Physical location currently holding ``row``'s data."""
+        """Physical location currently holding ``row``'s data.
+
+        A design that overrides this must also override
+        :meth:`resolve_map`: the batched engine and the hammer harness
+        read indirection only through that view."""
         return row
 
     def is_pinned(self, row: int) -> bool:
-        """True if accesses to ``row`` are served from the LLC (Scale-SRS)."""
+        """True if accesses to ``row`` are served from the LLC (Scale-SRS).
+
+        Overriding designs must also override :meth:`batch_pinned_view`,
+        for the same reason as :meth:`resolve`."""
         return False
 
     @abc.abstractmethod

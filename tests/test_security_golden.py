@@ -180,6 +180,20 @@ def test_simulate_windows_matches_reference(params, rounds, seed):
         np.testing.assert_array_equal(flags, expected)
 
 
+def test_integral_float_ts_matches_int_ts():
+    """An integral float ``ts`` runs the in-place probe like its int."""
+    params = AttackParameters(trh=2400, ts=400)
+    as_float = AttackParameters(trh=2400, ts=400.0)
+    flags = MonteCarloJuggernaut(params, seed=23)._simulate_windows(600, 10_000)
+    same = MonteCarloJuggernaut(as_float, seed=23)._simulate_windows(600, 10_000)
+    np.testing.assert_array_equal(flags, same)
+
+
+def test_fractional_ts_is_rejected():
+    with pytest.raises(ValueError, match="whole number"):
+        MonteCarloJuggernaut(AttackParameters(trh=2400, ts=400.5), seed=23)
+
+
 # ----------------------------------------------------------------------
 # BlockHammer DoS
 
@@ -378,9 +392,9 @@ def reference_hammer(mitigation, disturbance, pattern):
     return time, disturbance.hottest(), disturbance.flipped_rows()
 
 
-def test_resolve_without_view_is_called_per_access():
-    """AQUA overrides ``resolve`` but offers no ``resolve_map``: the
-    harness must still follow its quarantine migrations."""
+def test_harness_follows_aqua_quarantine_view():
+    """AQUA's ``resolve_map`` is its live forward table: the harness
+    must follow every quarantine migration through it."""
     from repro.core.aqua import AquaQuarantine
     from repro.dram.disturbance import DisturbanceModel
     from repro.trackers.base import ExactTracker
