@@ -75,7 +75,6 @@ from repro.sim import (
 )
 from repro.sim.engine import ENGINE_NAMES
 from repro.sim.experiment import resolve_workload
-from repro.sim.simulator import default_engine
 from repro.workloads.columnar import ColumnarTrace
 from repro.workloads.sources import TraceWorkload
 from repro.workloads.suites import ALL_WORKLOADS, PROFILES
@@ -129,13 +128,10 @@ def _run_eval(
 ) -> ResultSet:
     """Run a spec through the engine with the shared store/shard flags.
 
-    Every command defaults to the CPU-count worker pool (``--jobs 1``
-    forces serial): chunked dispatch packs microsecond-scale analytical
-    cells by the dozens per work unit, so high-cardinality storage /
-    power / security grids parallelize instead of drowning in per-cell
-    process dispatch (which is why these commands used to pin
-    ``--jobs 1``). ``pool`` overrides the execution backend
-    (``--hosts``).
+    Every command defaults to a worker pool sized to the available CPUs
+    and capped at the pending cell count (``--jobs N`` sets the worker
+    count, ``--jobs 1`` runs serially in-process). ``pool`` overrides
+    the execution backend (``--hosts``).
     """
     if getattr(args, "resume", False) and not getattr(args, "store", None):
         raise SystemExit("--resume needs --store")
@@ -157,7 +153,7 @@ def _report_store(results: ResultSet, args: argparse.Namespace) -> None:
     Also prints the workload plane's greppable accounting line
     (``workloads: generated N, attached M, decode hits K``) whenever
     the plane served a single-machine run — store or not. Runs the
-    plane never touched (analytical kinds, plane off) stay silent.
+    plane never touched (analytical kinds) stay silent.
     """
     stats = results.run_stats
     if stats is None:
@@ -686,7 +682,7 @@ def _add_sim_options(
     )
     parser.add_argument(
         "--engine",
-        default=default_engine(),
+        default=SimulationParams.engine,
         choices=list(ENGINE_NAMES),
         help="simulation engine; engines are bit-identical, 'auto' "
              "batches where the mitigation supports it",

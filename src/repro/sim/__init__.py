@@ -71,12 +71,7 @@ from repro.sim.evaluations import (
     StorageParams,
     StorageResult,
 )
-from repro.sim.factory import (
-    MITIGATION_NAMES,
-    TRACKER_NAMES,
-    make_mitigation_factory,
-    make_tracker,
-)
+from repro.sim.factory import make_mitigation_factory, make_tracker
 from repro.sim.recorder import record_workload, write_columnar_trace
 from repro.sim.results import SimulationResult, normalized_performance
 from repro.sim.simulator import PerformanceSimulation, SimulationParams
@@ -121,8 +116,6 @@ __all__ = [
     "ModelResult",
     "make_mitigation_factory",
     "make_tracker",
-    "MITIGATION_NAMES",
-    "TRACKER_NAMES",
     "record_workload",
     "write_columnar_trace",
     "SimulationResult",

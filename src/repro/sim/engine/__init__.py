@@ -12,9 +12,8 @@ Select an engine per run via ``SimulationParams(engine=...)`` or
 ``--engine {scalar,batched,auto}`` on the CLI; ``auto`` consults the
 registry's ``supports_batching`` metadata and picks ``batched`` exactly
 when the mitigation (and, if one is used, the tracker) declares a useful
-batch horizon. The ``REPRO_ENGINE`` environment variable overrides the
-default for parameter sets that do not set one explicitly — this is how
-CI runs the whole fast test tier under the batched engine.
+batch horizon. Parameter sets that name no engine run ``scalar``, the
+reference schedule.
 """
 
 from __future__ import annotations

@@ -88,9 +88,7 @@ from repro.sim.simulator import SimulationParams
     params_from_dict=_params_from_dict,
     # Identity ignores the engine: engines are bit-identical by contract
     # (like baseline dedup), so a store filled under one engine serves
-    # resumes under the other, and merge() dedups across engines. The
-    # normalization constant is fixed ("scalar"), never the
-    # REPRO_ENGINE-dependent default, so digests are env-independent.
+    # resumes under the other, and merge() dedups across engines.
     key_params_to_dict=lambda params: _params_to_dict(
         replace(params, engine="scalar")
     ),

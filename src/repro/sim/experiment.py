@@ -413,7 +413,7 @@ class RunStats:
         workloads: Workload-plane accounting
             (:class:`~repro.workloads.plane.PlaneStats`: generated /
             attached / cache hits) when a single-machine backend ran
-            with the plane enabled; ``None`` otherwise.
+            the grid; ``None`` otherwise.
         chunks: Dispatch chunks the backend submitted (see
             :func:`~repro.sim.pool.chunk_plan`) when a process pool
             ran the grid; ``None`` for serial and multi-host runs.

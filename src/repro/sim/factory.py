@@ -4,9 +4,7 @@ Both builders are registry-driven: mitigation designs and trackers
 declare themselves with :func:`repro.registry.register_mitigation` /
 :func:`repro.registry.register_tracker`, and this module only resolves
 names and assembles the per-bank plumbing (RNG streams, tracker sizing,
-the shared pin-buffer). ``MITIGATION_NAMES`` / ``TRACKER_NAMES`` /
-``DEFAULT_SWAP_RATES`` remain as import-time snapshots for legacy
-callers; new code should consult the registry directly.
+the shared pin-buffer).
 """
 
 from __future__ import annotations
@@ -18,18 +16,8 @@ from repro.core.mitigation import Mitigation
 from repro.core.pin_buffer import PinBuffer
 from repro.dram.bank import Bank
 from repro.dram.config import DRAMTiming
-from repro.registry import (
-    MITIGATIONS,
-    TRACKERS,
-    MitigationBuildContext,
-    default_swap_rates,
-)
+from repro.registry import MITIGATIONS, TRACKERS, MitigationBuildContext
 from repro.trackers.base import Tracker
-
-MITIGATION_NAMES = MITIGATIONS.names()
-TRACKER_NAMES = TRACKERS.names()
-
-DEFAULT_SWAP_RATES = default_swap_rates()
 
 
 def swap_threshold(trh: int, swap_rate: float) -> int:

@@ -269,9 +269,9 @@ class Pool:
     host_stats: Optional[Tuple[HostStats, ...]] = None
 
     #: Workload-plane accounting of the run, populated by the
-    #: single-machine backends after :meth:`run` (``None`` with the
-    #: plane disabled, and for multi-host backends — each remote run
-    #: reports its own plane line); rolled into
+    #: single-machine backends after :meth:`run` (``None`` for
+    #: multi-host backends — each remote run reports its own plane
+    #: line); rolled into
     #: :class:`~repro.sim.experiment.RunStats`.
     plane_stats: Optional[plane.PlaneStats] = None
 
@@ -301,7 +301,6 @@ class SerialPool(Pool):
         :attr:`Pool.plane_stats` (even on failure — the completed prefix
         did the caching).
         """
-        enabled = plane.plane_enabled()
         before = plane.local_stats()
         try:
             for position, cell in task.pending:
@@ -311,8 +310,7 @@ class SerialPool(Pool):
                     raise wrap_cell_error(cell, error) from error
                 task.record([(position, result)])
         finally:
-            if enabled:
-                self.plane_stats = plane.local_stats() - before
+            self.plane_stats = plane.local_stats() - before
 
 
 class ProcessPool(Pool):
@@ -355,41 +353,33 @@ class ProcessPool(Pool):
         plan-positional, so progress and the store are unaffected by
         the partition.
 
-        With the workload plane enabled the coordinator additionally
-        (1) publishes each distinct multi-cell workload to shared
-        memory so workers attach instead of regenerating, and
-        (2) collects worker-side plane counters into
-        :attr:`Pool.plane_stats`. Shared-memory segments are unlinked
-        on *every* exit path — success, cell failure, and the interrupt
-        drain — in the ``finally`` below.
+        The coordinator additionally (1) publishes each distinct
+        multi-cell workload to shared memory so workers attach instead
+        of regenerating, and (2) collects worker-side plane counters
+        into :attr:`Pool.plane_stats`. Shared-memory segments are
+        unlinked on *every* exit path — success, cell failure, and the
+        interrupt drain — in the ``finally`` below.
         """
-        enabled = plane.plane_enabled()
-        publisher = None
-        counters = None
         before = plane.local_stats()
         keyed = plane.keyed_pending(task.pending)
         ordered = plane.affinity_order(keyed)
-        if enabled:
-            publisher = plane.PlanePublisher()
-            publisher.publish(keyed)
-            counters = plane.make_shared_counters()
-            executor = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                initializer=plane.init_worker,
-                initargs=(counters,),
-            )
-        else:
-            executor = ProcessPoolExecutor(max_workers=self.max_workers)
+        publisher = plane.PlanePublisher()
+        publisher.publish(keyed)
+        counters = plane.make_shared_counters()
+        executor = ProcessPoolExecutor(
+            max_workers=self.max_workers,
+            initializer=plane.init_worker,
+            initargs=(counters,),
+        )
         groups = chunk_plan(ordered, self.max_workers)
         self.chunk_count = len(groups)
-        refs = publisher.refs if publisher is not None else {}
         futures: Dict[Any, List[Tuple[int, Any]]] = {}
         failed: Optional[Tuple[Any, Exception]] = None
         try:
             try:
                 for group in groups:
                     cells = [(position, cell) for position, cell, _ in group]
-                    ref = refs.get(group[0][2]) if refs else None
+                    ref = publisher.refs.get(group[0][2])
                     future = executor.submit(
                         _run_chunk, task.run_cell, cells, ref
                     )
@@ -428,12 +418,10 @@ class ProcessPool(Pool):
                 raise
             executor.shutdown()
         finally:
-            if publisher is not None:
-                publisher.close()
-            if enabled and counters is not None:
-                self.plane_stats = (
-                    plane.local_stats() - before
-                ) + plane.snapshot_shared(counters)
+            publisher.close()
+            self.plane_stats = (
+                plane.local_stats() - before
+            ) + plane.snapshot_shared(counters)
         if failed is not None:
             cell, error = failed
             raise wrap_cell_error(cell, error) from error

@@ -15,8 +15,7 @@ same factor (see DESIGN.md's substitution table).
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, List, Optional
 
 from repro.controller.memory_system import MemorySystem
@@ -25,28 +24,9 @@ from repro.cpu.core import TraceCore
 from repro.dram.commands import PagePolicy
 from repro.dram.config import DRAMOrganization, DRAMTiming, SystemConfig
 from repro.registry import MITIGATIONS
-from repro.sim.engine import ENGINE_NAMES, make_engine
+from repro.sim.engine import make_engine
 from repro.sim.factory import make_mitigation_factory
 from repro.sim.results import SimulationResult
-
-
-def default_engine() -> str:
-    """The engine used when parameters do not name one.
-
-    ``REPRO_ENGINE`` overrides the built-in ``scalar`` default so an
-    entire test tier or grid can be re-run under another engine without
-    touching call sites (CI's batched-equivalence smoke uses this).
-    A mistyped value fails here, at the first parameter construction,
-    instead of as a deep traceback mid-run (argparse never validates
-    string defaults against ``choices``).
-    """
-    engine = os.environ.get("REPRO_ENGINE", "scalar")
-    if engine not in ENGINE_NAMES:
-        raise ValueError(
-            f"REPRO_ENGINE={engine!r} is not a valid engine; "
-            f"options: {ENGINE_NAMES}"
-        )
-    return engine
 
 
 @dataclass(frozen=True)
@@ -70,7 +50,7 @@ class SimulationParams:
         engine: Simulation engine (``scalar``, ``batched``, or ``auto``;
             see :mod:`repro.sim.engine`). Engines are bit-identical —
             this knob trades wall-clock, never numbers. Defaults to
-            ``scalar`` unless ``REPRO_ENGINE`` is set.
+            ``scalar``, the reference engine.
     """
 
     trh: int = 1200
@@ -82,7 +62,7 @@ class SimulationParams:
     seed: int = 2024
     policy: PagePolicy = PagePolicy.CLOSED
     rows_per_bank: Optional[int] = None
-    engine: str = field(default_factory=default_engine)
+    engine: str = "scalar"
 
     def scaled_timing(self, base: Optional[DRAMTiming] = None) -> DRAMTiming:
         """Timing with the window *and* the mitigation latencies divided by

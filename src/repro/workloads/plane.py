@@ -35,11 +35,10 @@ workload bytes a plane-wide resource instead, in three layers:
 
 Accounting flows through :class:`PlaneStats` (surfaced as the greppable
 ``workloads: generated N, attached M, decode hits K`` line); workers
-aggregate into shared counters installed by :func:`init_worker`. The
-``REPRO_WORKLOAD_PLANE=off`` escape hatch restores the pre-plane
-behavior bit-for-bit — results are identical either way (the plane
-caches exactly what generation would have produced), pinned by the
-equivalence and fuzz suites run under both modes.
+aggregate into shared counters installed by :func:`init_worker`.
+Results are identical to generating every cell from scratch (the plane
+caches exactly what generation would have produced), pinned by
+``tests/test_plane.py`` against the direct ``arrays_for_core`` loop.
 """
 
 from __future__ import annotations
@@ -53,34 +52,15 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.workloads.columnar import ColumnarTrace, ShmTraceLayout
 from repro.workloads.suites import WorkloadSpec
 
-#: Escape hatch: set to ``off`` (or ``0``/``no``/``false``) to restore
-#: per-cell workload generation everywhere (debugging, benchmarking).
-ENV_PLANE = "REPRO_WORKLOAD_PLANE"
-
-#: Cap on bytes the coordinator publishes to shared memory per run;
-#: workloads beyond the cap fall back to per-worker generation.
-ENV_SHM_MB = "REPRO_WORKLOAD_PLANE_SHM_MB"
-
 #: LRU capacities (entries, not bytes).
 _TRACE_CAPACITY = 8
 _DECODED_CAPACITY = 6
-_DEFAULT_SHM_MB = 512
+
+#: Cap on bytes the coordinator publishes to shared memory per run;
+#: workloads beyond the cap fall back to per-worker generation.
+_SHM_BUDGET_BYTES = 512 * 1024 * 1024
 
 _STAT_FIELDS = ("generated", "attached", "trace_hits", "decode_hits")
-
-
-def plane_enabled() -> bool:
-    """Whether the plane is active (default yes; see :data:`ENV_PLANE`)."""
-    value = os.environ.get(ENV_PLANE, "on").strip().lower()
-    return value not in ("off", "0", "no", "false")
-
-
-def _capacity(env: str, default: int) -> int:
-    """Integer setting from the environment, with a floor of 1."""
-    try:
-        return max(1, int(os.environ.get(env, default)))
-    except ValueError:
-        return default
 
 
 @dataclass(frozen=True)
@@ -353,13 +333,10 @@ def file_columns(file_path: str) -> Tuple:
     per call — and a rate-mode trace directory asks for the same file
     once *per core*. This memo keys on ``(realpath, mtime_ns, size)``
     (the same invalidation stamp the disk cache uses) and holds the
-    decoded columns for the life of the process. Disabled with the
-    plane.
+    decoded columns for the life of the process.
     """
     from repro.workloads.cache import load_trace_columns
 
-    if not plane_enabled():
-        return load_trace_columns(file_path, name=file_path)
     try:
         stat = os.stat(file_path)
         stamp = (os.path.realpath(file_path), stat.st_mtime_ns, stat.st_size)
@@ -464,19 +441,13 @@ def _attach(ref: "ShmWorkloadRef") -> _TraceEntry:
 def traces_for(workload: Any, params: Any, organization: Any) -> List[ColumnarTrace]:
     """Per-core columnar traces for one cell, through the plane.
 
-    The single materialization path of the simulator: with the plane
-    off (or an uncacheable workload) this is exactly the historical
-    per-cell ``arrays_for_core`` loop; with it on, the result is served
-    from the in-process LRU, an offered shared-memory segment, or a
-    fresh (cached) generation — in that order. Returned arrays are
-    shared across cells and must be treated as read-only, which every
-    engine already honors.
+    The single materialization path of the simulator: an uncacheable
+    workload runs the plain per-core ``arrays_for_core`` loop; any
+    other is served from the in-process LRU, an offered shared-memory
+    segment, or a fresh (cached) generation — in that order. Returned
+    arrays are shared across cells and must be treated as read-only,
+    which every engine already honors.
     """
-    if not plane_enabled():
-        return [
-            workload.arrays_for_core(core_id, params, organization)
-            for core_id in range(params.num_cores)
-        ]
     key = workload_key(workload, params, organization)
     if key is None:
         return [
@@ -522,8 +493,6 @@ def decode_token(trace: Any, core: Any, memory: Any) -> Optional[Tuple]:
     reads. Deliberately *not* per-core: rate-mode cores sharing one
     stream share one decode.
     """
-    if not plane_enabled():
-        return None
     token = getattr(trace, "plane_token", None)
     if token is None:
         return None
@@ -540,9 +509,9 @@ def decode_token(trace: Any, core: Any, memory: Any) -> Optional[Tuple]:
 def cached_decode(token: Optional[Tuple], build: Any) -> Any:
     """Return the cached decoded product for ``token``, else build it.
 
-    ``build`` is a zero-argument callable; a ``None`` token always
-    builds (uncacheable trace or plane off). Decoded products are
-    immutable by engine contract — both engines only read them.
+    ``build`` is a zero-argument callable; a ``None`` token (an
+    uncacheable trace) always builds. Decoded products are immutable by
+    engine contract — both engines only read them.
     """
     if token is None:
         return build()
@@ -610,10 +579,10 @@ class PlanePublisher:
         ``keyed_cells`` is the run's ``(position, cell, key)`` list (see
         :func:`keyed_pending`). Single-cell workloads are not published:
         the coordinator would pay the generation a worker pays anyway,
-        plus a copy. A budget (:data:`ENV_SHM_MB`) bounds total published
-        bytes; beyond it workloads fall back to worker-side generation.
+        plus a copy. A budget (:data:`_SHM_BUDGET_BYTES`) bounds total
+        published bytes; beyond it workloads fall back to worker-side
+        generation.
         """
-        budget = _capacity(ENV_SHM_MB, _DEFAULT_SHM_MB) * 1024 * 1024
         published_bytes = 0
         counts: Dict[str, int] = {}
         sample: Dict[str, Any] = {}
@@ -633,7 +602,7 @@ class PlanePublisher:
                 continue
             published_bytes += size
             self.refs[key] = ref
-            if published_bytes >= budget:
+            if published_bytes >= _SHM_BUDGET_BYTES:
                 break
 
     def _publish_one(

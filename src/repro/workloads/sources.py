@@ -134,9 +134,7 @@ class TraceWorkload:
         Goes through the workload plane's in-process memo (itself backed
         by the on-disk parsed-trace cache), so a rate-mode directory
         whose single file every core replays is loaded once per process
-        rather than once per core. With ``REPRO_WORKLOAD_PLANE=off``
-        this is a plain :func:`~repro.workloads.cache.load_trace_columns`
-        call.
+        rather than once per core.
         """
         from repro.workloads import plane
 

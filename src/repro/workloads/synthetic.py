@@ -77,12 +77,6 @@ class BenchmarkProfile:
         return self.hot_access_fraction >= 0.05 and self.hot_row_count > 0
 
 
-# Synthetic generation historically returned its own `GeneratedArrays`
-# struct; the columnar representation is now shared with the trace
-# loader so both workload sources feed the identical simulator hot path.
-GeneratedArrays = ColumnarTrace
-
-
 class SyntheticTraceGenerator:
     """Generates traces (or columnar arrays) from a profile.
 

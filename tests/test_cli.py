@@ -6,7 +6,6 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.registry import MITIGATIONS, TRACKERS
-from repro.sim.simulator import default_engine
 
 
 class TestParser:
@@ -44,18 +43,11 @@ class TestParser:
     def test_engine_flag(self):
         for command in (["run", "gcc"], ["sweep", "gcc"], ["grid"]):
             args = build_parser().parse_args(command)
-            # The parser default follows REPRO_ENGINE (the CI batched
-            # pass runs this very test under it).
-            assert args.engine == default_engine()
+            assert args.engine == "scalar"
             args = build_parser().parse_args(command + ["--engine", "auto"])
             assert args.engine == "auto"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "gcc", "--engine", "warp"])
-
-    def test_engine_flag_honors_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "batched")
-        args = build_parser().parse_args(["run", "gcc"])
-        assert args.engine == "batched"
 
     def test_mitigation_choices_derived_from_registry(self):
         parser = build_parser()

@@ -343,17 +343,6 @@ class TestEngineSelection:
         assert isinstance(make_engine("auto", "rrs", "hydra"), ScalarEngine)
         assert "scalar" in ENGINE_NAMES and "batched" in ENGINE_NAMES
 
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "batched")
-        assert SimulationParams().engine == "batched"
-        monkeypatch.delenv("REPRO_ENGINE")
-        assert SimulationParams().engine == "scalar"
-
-    def test_invalid_env_var_fails_at_construction(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "bathced")
-        with pytest.raises(ValueError, match="REPRO_ENGINE"):
-            SimulationParams()
-
     def test_counters_reset_between_drives(self):
         engine = BatchedEngine()
         spec = resolve_workload("povray")

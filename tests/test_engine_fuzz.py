@@ -19,8 +19,7 @@ minimal repro command:
 
 Tiers:
 
-- fast (default): a small fixed seed set, runs in CI on every push
-  under both ``REPRO_ENGINE`` values;
+- fast (default): a small fixed seed set, runs in CI on every push;
 - ``-m slow``: a wide sweep whose width scales with the ``FUZZ_CASES``
   environment knob (default 100 seeds);
 - ``FUZZ_SEEDS=3,17``: replay exactly those seeds (the repro channel).

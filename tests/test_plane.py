@@ -6,8 +6,10 @@ The plane's contract has three legs, each pinned here:
   ingredients, folds ``store_fingerprint()`` in for file-backed
   workloads (re-recording invalidates), and refuses to key ad-hoc
   workload objects (they can never alias a cached entry);
-- **bit-identity** — a grid run produces byte-identical results with
-  the plane on or off, on both engines, serial and pooled;
+- **bit-identity** — the plane serves exactly what the direct
+  per-core ``arrays_for_core`` loop generates, and a grid run produces
+  byte-identical results from cold caches, warm caches and a process
+  pool, on both engines;
 - **lifecycle** — shared-memory round-trips are exact, published
   segments are read-only to workers, and the publisher unlinks
   everything it created.
@@ -35,14 +37,6 @@ from repro.workloads.columnar import ColumnarTrace
 PARAMS = SimulationParams(
     trh=1200, num_cores=2, requests_per_core=600, time_scale=32
 )
-
-
-@pytest.fixture(autouse=True)
-def plane_on(monkeypatch):
-    """Force the plane on: these tests assert plane behavior even when
-    the suite runs under CI's ``REPRO_WORKLOAD_PLANE=off`` pass (tests
-    that assert the *off* behavior re-set the variable themselves)."""
-    monkeypatch.setenv(plane.ENV_PLANE, "on")
 
 
 def small_spec(workload="povray", **overrides):
@@ -136,6 +130,25 @@ class TestWorkloadKey:
 
 
 class TestTracesFor:
+    @pytest.mark.parametrize("source", ["synthetic", "trace"])
+    def test_matches_direct_generation(self, source, tmp_path):
+        """The plane returns exactly the reference generator's arrays."""
+        name = "povray" if source == "synthetic" else (
+            f"trace:{record_rate_trace(tmp_path)}"
+        )
+        workload = resolve_workload(name)
+        org = PARAMS.make_organization()
+        direct = [
+            workload.arrays_for_core(core_id, PARAMS, org)
+            for core_id in range(PARAMS.num_cores)
+        ]
+        for _ in range(2):  # generated, then served from the cache
+            served = plane.traces_for(workload, PARAMS, org)
+            assert len(served) == len(direct)
+            assert all(a.equals(b) for a, b in zip(served, direct))
+        stats = plane.local_stats()
+        assert (stats.generated, stats.trace_hits) == (1, 1)
+
     def test_memoizes_within_a_process(self):
         spec = resolve_workload("povray")
         org = PARAMS.make_organization()
@@ -166,16 +179,6 @@ class TestTracesFor:
         assert len(traces) == 4
         assert all(t is traces[0] for t in traces)
         assert len(loads) == 1
-
-    def test_plane_off_regenerates_every_call(self, monkeypatch):
-        monkeypatch.setenv(plane.ENV_PLANE, "off")
-        spec = resolve_workload("povray")
-        org = PARAMS.make_organization()
-        first = plane.traces_for(spec, PARAMS, org)
-        second = plane.traces_for(spec, PARAMS, org)
-        assert first[0] is not second[0]
-        assert first[0].equals(second[0])
-        assert not plane.local_stats()
 
 
 class TestSharedMemory:
@@ -235,30 +238,27 @@ class TestSharedMemory:
 
 
 class TestBitIdentity:
+    @pytest.mark.parametrize("source", ["synthetic", "trace"])
     @pytest.mark.parametrize("engine", ["scalar", "batched"])
-    def test_serial_grid_identical_plane_on_off(self, engine, monkeypatch):
-        spec = small_spec(engine=engine)
-        monkeypatch.setenv(plane.ENV_PLANE, "off")
-        off = run_grid(spec, pool=SerialPool())
-        plane.reset()
-        monkeypatch.setenv(plane.ENV_PLANE, "on")
-        on = run_grid(spec, pool=SerialPool())
-        assert off.to_json() == on.to_json()
-        assert off.run_stats.workloads is None
-        assert on.run_stats.workloads.generated == 1
-
-    @pytest.mark.parametrize("engine", ["scalar", "batched"])
-    def test_pooled_trace_grid_identical_plane_on_off(
-        self, engine, tmp_path, monkeypatch
-    ):
-        trace_dir = record_rate_trace(tmp_path, requests=1500)
-        spec = small_spec(workload=f"trace:{trace_dir}", engine=engine)
-        monkeypatch.setenv(plane.ENV_PLANE, "off")
-        off = run_grid(spec, pool=SerialPool())
-        plane.reset()
-        monkeypatch.setenv(plane.ENV_PLANE, "on")
+    def test_grid_identical_cold_warm_pooled(self, engine, source, tmp_path):
+        """Cold caches, warm caches, a process pool (workers attach the
+        published workload) and a run after ``reset()`` all agree."""
+        workload = "povray" if source == "synthetic" else (
+            f"trace:{record_rate_trace(tmp_path, requests=1500)}"
+        )
+        spec = small_spec(workload=workload, engine=engine)
+        cold = run_grid(spec, pool=SerialPool())
+        warm = run_grid(spec, pool=SerialPool())
+        assert cold.run_stats.workloads.generated == 1
+        assert warm.run_stats.workloads.generated == 0
         pooled = run_grid(spec, pool=ProcessPool(2))
-        assert off.to_json() == pooled.to_json()
+        assert pooled.run_stats.workloads.attached >= 1
+        plane.reset()
+        again = run_grid(spec, pool=SerialPool())
+        reference = cold.to_json()
+        assert warm.to_json() == reference
+        assert pooled.to_json() == reference
+        assert again.to_json() == reference
 
     def test_decode_cache_hits_under_batched_engine(self):
         """Back-to-back batched cells over one workload share a decode."""
@@ -272,12 +272,12 @@ class TestBitIdentity:
 
 
 class TestFuzzUnderPlane:
-    def test_fuzz_seeds_pass_with_plane_enabled(self, monkeypatch):
-        """The differential fuzzer's scenarios stay scalar/batched
-        bit-identical with the plane forced on."""
+    def test_fuzz_seeds_share_plane_caches(self):
+        """Extra differential-fuzzer seeds stay scalar/batched
+        bit-identical when the batched run reads the traces and decodes
+        the scalar run cached (each seed starts from a cold plane)."""
         from test_engine_fuzz import check_seed
 
-        monkeypatch.setenv(plane.ENV_PLANE, "on")
         for seed in (11, 12, 13):
             plane.reset()
             check_seed(seed)

@@ -402,11 +402,6 @@ def shm_names():
 class TestWorkloadPlane:
     """Plane accounting and shared-memory lifecycle through the pools."""
 
-    @pytest.fixture(autouse=True)
-    def plane_on(self, monkeypatch):
-        """Force the plane on even under CI's plane-off suite pass."""
-        monkeypatch.setenv("REPRO_WORKLOAD_PLANE", "on")
-
     SPEC = ExperimentSpec(
         workloads=["povray"],
         mitigations=["rrs", "srs"],
@@ -416,13 +411,19 @@ class TestWorkloadPlane:
     )
 
     def test_pooled_run_attaches_published_workload(self):
-        """The coordinator generates (publish), workers attach."""
+        """A pooled swap-design x TRH grid: the coordinator generates
+        (publish), workers attach and hit the decode cache, and no
+        segment survives."""
         before = shm_names()
-        results = run_grid(self.SPEC, pool=ProcessPool(2))
-        stats = results.run_stats.workloads
-        assert stats is not None
+        spec = dataclasses.replace(
+            self.SPEC,
+            mitigations=["rrs", "srs", "scale-srs"],
+            grid={"trh": [2400, 1200]},
+        )
+        stats = run_grid(spec, pool=ProcessPool(2)).run_stats.workloads
         assert stats.generated >= 1
         assert stats.attached >= 1
+        assert stats.decode_hits >= 1
         assert shm_names() == before
 
     def test_serial_run_hits_caches(self):
@@ -441,12 +442,6 @@ class TestWorkloadPlane:
         assert stats.generated == 1
         assert stats.trace_hits >= 1
         assert stats.decode_hits >= 1
-
-    def test_plane_off_means_no_stats(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKLOAD_PLANE", "off")
-        for pool in (SerialPool(), ProcessPool(2)):
-            results = run_grid(self.SPEC, pool=pool)
-            assert results.run_stats.workloads is None
 
     def test_no_shm_leak_after_cell_failure(self, tmp_path):
         """A failing cell still tears every published segment down."""

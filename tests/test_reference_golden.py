@@ -5,8 +5,10 @@ that share the per-access path (``Bank.access``,
 ``MemorySystem._service``, the trackers), so an edit to that shared
 code shifts both engines together and passes them. These tests pin the
 absolute output instead: the sha256 of ``ResultSet.to_json()`` for a
-small perf grid run on the scalar engine in-process, plus the full
-record of one ``hammer`` cell (the rig drives ``Bank.access`` directly).
+small perf grid run in-process, plus the full record of one ``hammer``
+cell (the rig drives ``Bank.access`` directly). The perf digests are
+checked under every engine, so a change that moves one engine's numbers
+fails here even if the default engine never runs it.
 
 A mismatch means the simulated numbers moved. Update a digest only for
 an intended model change, and record the reason in the commit.
@@ -14,10 +16,12 @@ an intended model change, and record the reason in the commit.
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 
 from repro.dram.commands import PagePolicy
+from repro.sim.engine import ENGINE_NAMES
 from repro.sim.evaluations import HammerParams
 from repro.sim.experiment import ExperimentSpec, ResultSet, run_grid
 from repro.sim.simulator import PerformanceSimulation, SimulationParams
@@ -98,27 +102,44 @@ def sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def reference_digest(results):
+    """sha256 of the results' JSON as the scalar engine writes it.
+
+    ``to_json()`` records ``params.engine``, the one field engines may
+    differ in; it is reset to the recorded value before hashing."""
+    return sha256(ResultSet([
+        replace(result, params=replace(result.params, engine="scalar"))
+        for result in results
+    ]).to_json())
+
+
 def test_perf_grid_digest():
-    results = run_grid(PERF_GRID, max_workers=1)
-    assert len(results) == 14
-    assert sum(r.swaps for r in results) > 0
-    assert sum(r.place_backs for r in results) > 0
-    assert sha256(results.to_json()) == PERF_GRID_SHA256
+    for engine in ENGINE_NAMES:
+        spec = replace(
+            PERF_GRID,
+            base_params=replace(PERF_GRID.base_params, engine=engine),
+        )
+        results = run_grid(spec, max_workers=1)
+        assert len(results) == 14
+        assert sum(r.swaps for r in results) > 0
+        assert sum(r.place_backs for r in results) > 0
+        assert reference_digest(results) == PERF_GRID_SHA256, engine
 
 
 def test_pinning_digest():
-    params = SimulationParams(
-        num_cores=1,
-        requests_per_core=6000,
-        time_scale=64,
-        rows_per_bank=16_384,
-        trh=100,
-        engine="scalar",
-    )
-    result = PerformanceSimulation(TwoRowHammer(), "scale-srs", params).run()
-    assert result.pins > 0
-    assert result.llc_pin_hits > 0
-    assert sha256(ResultSet([result]).to_json()) == PIN_SHA256
+    for engine in ENGINE_NAMES:
+        params = SimulationParams(
+            num_cores=1,
+            requests_per_core=6000,
+            time_scale=64,
+            rows_per_bank=16_384,
+            trh=100,
+            engine=engine,
+        )
+        result = PerformanceSimulation(TwoRowHammer(), "scale-srs", params).run()
+        assert result.pins > 0
+        assert result.llc_pin_hits > 0
+        assert reference_digest([result]) == PIN_SHA256, engine
 
 
 def test_hammer_cell_record():
