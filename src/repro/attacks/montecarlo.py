@@ -27,7 +27,18 @@ from typing import Optional
 
 import numpy as np
 
-from repro.attacks.analytical import AttackParameters, JuggernautModel, NS_PER_DAY
+from repro.attacks.analytical import (
+    AttackParameters,
+    JuggernautModel,
+    NS_PER_DAY,
+    RoundOutcome,
+)
+
+#: Beyond this many expected windows per break, :meth:`MonteCarloJuggernaut.run`
+#: uses the analytical probability instead of probing for it.
+MAX_EXPECTED_ITERATIONS = 2e6
+#: The probe's ceiling, in windows.
+MAX_PROBE_WINDOWS = 5e7
 
 
 def derive_seed(params: AttackParameters, salt: str = "") -> int:
@@ -47,6 +58,29 @@ def derive_seed(params: AttackParameters, salt: str = "") -> int:
     )
     payload = repr((salt, record)).encode("utf-8")
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
+
+
+def probe_size(
+    analytic: RoundOutcome,
+    probe_windows: int,
+    max_expected_iterations: float = MAX_EXPECTED_ITERATIONS,
+) -> int:
+    """Windows :meth:`MonteCarloJuggernaut.run` simulates for ``analytic``.
+
+    Zero when the run probes nothing: an infeasible or zero-probability
+    outcome, or one whose expected window count exceeds
+    ``max_expected_iterations`` (the run then uses the analytical
+    probability). Otherwise at least ``probe_windows``, raised so the
+    probe expects >= 200 successes (7% relative error), capped at
+    :data:`MAX_PROBE_WINDOWS`. The probe's cost is linear in this
+    count, which is what prices a Monte-Carlo cell.
+    """
+    if not analytic.feasible or analytic.success_probability == 0.0:
+        return 0
+    if analytic.expected_iterations > max_expected_iterations:
+        return 0
+    wanted = max(probe_windows, 200 * analytic.expected_iterations)
+    return int(min(MAX_PROBE_WINDOWS, wanted))
 
 
 @dataclass
@@ -130,7 +164,7 @@ class MonteCarloJuggernaut:
         rounds: int,
         iterations: int = 100_000,
         probe_windows: int = 200_000,
-        max_expected_iterations: float = 2e6,
+        max_expected_iterations: float = MAX_EXPECTED_ITERATIONS,
     ) -> MonteCarloResult:
         """Estimate the attack-time distribution for ``N = rounds``.
 
@@ -148,15 +182,9 @@ class MonteCarloJuggernaut:
                 whose per-window success odds are below ~1e-7).
         """
         analytic = self.model.evaluate(rounds)
+        needed = probe_size(analytic, probe_windows, max_expected_iterations)
         p_hat: float
-        if not analytic.feasible or analytic.success_probability == 0.0:
-            p_hat = 0.0
-        elif analytic.expected_iterations > max_expected_iterations:
-            p_hat = analytic.success_probability
-        else:
-            # Aim for >= 200 expected successes in the probe (7% relative
-            # error), capped at 5e7 windows.
-            needed = int(min(5e7, max(probe_windows, 200 * analytic.expected_iterations)))
+        if needed:
             successes = 0
             simulated = 0
             batch = min(needed, 1_000_000)
@@ -164,7 +192,10 @@ class MonteCarloJuggernaut:
                 n = min(batch, needed - simulated)
                 successes += int(np.count_nonzero(self._simulate_windows(rounds, n)))
                 simulated += n
-            p_hat = successes / simulated if simulated else 0.0
+            p_hat = successes / simulated
+        else:
+            # No probe: zero when infeasible, else the analytical odds.
+            p_hat = analytic.success_probability if analytic.feasible else 0.0
 
         if p_hat <= 0.0:
             inf = float("inf")

@@ -128,10 +128,12 @@ def _run_eval(
 ) -> ResultSet:
     """Run a spec through the engine with the shared store/shard flags.
 
-    Every command defaults to a worker pool sized to the available CPUs
-    and capped at the pending cell count (``--jobs N`` sets the worker
-    count, ``--jobs 1`` runs serially in-process). ``pool`` overrides
-    the execution backend (``--hosts``).
+    Without ``--jobs`` every command sizes its worker pool from the
+    pending cells' costs — serial when the pool would not pay for its
+    start-up (:func:`~repro.sim.pool.sized_pool`); ``--jobs N`` sets
+    the worker count (capped at the pending cell count), ``--jobs 1``
+    runs serially in-process. ``pool`` overrides the execution backend
+    (``--hosts``).
     """
     if getattr(args, "resume", False) and not getattr(args, "store", None):
         raise SystemExit("--resume needs --store")
@@ -226,8 +228,8 @@ def _add_eval_options(
     """Engine-backed command knobs: parallelism, export, persistence."""
     if jobs:
         parser.add_argument("--jobs", type=_positive_int, default=None,
-                            help="worker processes "
-                                 "(default: available CPU count)")
+                            help="worker processes (default: sized "
+                                 "from the cells' costs)")
     if export:
         parser.add_argument("--csv", help="export the result set as CSV")
         parser.add_argument(
@@ -688,7 +690,8 @@ def _add_sim_options(
              "batches where the mitigation supports it",
     )
     parser.add_argument("--jobs", type=_positive_int, default=None,
-                        help="worker processes (default: available CPU count)")
+                        help="worker processes "
+                             "(default: sized from the cells' costs)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -840,7 +843,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true",
                    help="per-workload figures over all 78 workloads")
     p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="worker processes (default: available CPU count)")
+                   help="worker processes "
+                        "(default: sized from the cells' costs)")
     p.add_argument("--store", metavar="DIR",
                    help="resolve figures against this result store "
                         "(only missing cells execute)")

@@ -239,13 +239,16 @@ class EvaluationInfo:
             kind implements export elsewhere (``perf`` lives in
             :class:`~repro.sim.experiment.ResultSet`).
         csv_row: ``result record -> row values`` matching ``csv_header``.
-        cell_cost: Optional ``params -> relative cost`` estimate used by
-            the chunk scheduler (:func:`~repro.sim.pool.chunk_plan`) to
-            size dispatch units: roughly one unit per simulated memory
-            request, so microsecond analytical cells report tens of
-            units (and pack by the hundreds per chunk) while heavy
-            simulation cells report thousands (and dispatch alone).
-            Only relative magnitude matters; ``None`` means one unit.
+        cell_cost: Optional ``cell -> cost`` estimate of one
+            :class:`~repro.sim.experiment.ExperimentCell`, in
+            microseconds of single-CPU work (one unit is roughly one
+            simulated memory request). The dispatcher
+            (:mod:`repro.sim.pool`) orders cells longest first, packs
+            cheap cells into shared chunks, sizes the pool from the
+            chunk costs and stays serial below the pool's break-even,
+            so microsecond analytical cells report tens of units while
+            heavy simulation cells report thousands to millions.
+            ``None`` means one unit.
     """
 
     name: str

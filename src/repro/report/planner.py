@@ -68,9 +68,9 @@ def resolve_figure(
     computed ones are persisted the moment they complete. The returned
     :class:`FigureData` carries the merged result set and a summed
     :class:`~repro.sim.experiment.RunStats` (``stats.executed == 0``
-    means the store served everything; the per-host breakdown of a
-    multi-host ``pool`` is not summed across grids — read each grid's
-    own stats for that).
+    means the store served everything; ``stats.workers`` is the widest
+    grid's pool; the per-host breakdown of a multi-host ``pool`` is not
+    summed across grids — read each grid's own stats for that).
 
     With ``shard`` the run covers one slice of each grid.
     ``pool`` passes an explicit execution backend
@@ -81,7 +81,7 @@ def resolve_figure(
     sets: List[ResultSet] = []
     planned = executed = reused = 0
     workloads = None
-    chunks = None
+    chunks = workers = None
     for experiment in spec.specs:
         results = run_grid(
             experiment,
@@ -103,6 +103,8 @@ def resolve_figure(
             )
         if stats.chunks is not None:
             chunks = stats.chunks if chunks is None else chunks + stats.chunks
+        if stats.workers is not None:
+            workers = max(workers or 0, stats.workers)
         sets.append(results)
     merged = sets[0].merge(*sets[1:]) if sets else ResultSet([])
     return FigureData(
@@ -110,7 +112,7 @@ def resolve_figure(
         config=spec.config or ReportConfig(),
         stats=RunStats(
             planned=planned, executed=executed, reused=reused, shard=shard,
-            workloads=workloads, chunks=chunks,
+            workloads=workloads, chunks=chunks, workers=workers,
         ),
     )
 

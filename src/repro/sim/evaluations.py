@@ -57,9 +57,14 @@ from repro.analysis.storage import StorageModel
 from repro.attacks.analytical import (
     AttackParameters,
     JuggernautModel,
+    RoundOutcome,
     srs_parameters,
 )
-from repro.attacks.montecarlo import MonteCarloJuggernaut, derive_seed
+from repro.attacks.montecarlo import (
+    MonteCarloJuggernaut,
+    derive_seed,
+    probe_size,
+)
 from repro.registry import register_evaluation
 from repro.sim.experiment import (
     ExperimentCell,
@@ -74,6 +79,21 @@ from repro.sim.simulator import SimulationParams
 
 # ----------------------------------------------------------------------
 # perf — the performance simulator (the engine's original kind)
+
+
+def _perf_cell_cost(cell: ExperimentCell) -> float:
+    """Cost of one perf cell: one unit per simulated memory request,
+    x3 where the batched engine cannot fuse (the scalar engine, or a
+    Hydra-tracked cell) and x1.5 for mitigation cells (swaps add work
+    over the baseline). A real cell costs thousands of units, so it
+    always exceeds the chunk budget and dispatches alone."""
+    params = cell.params
+    cost = float((params.requests_per_core or 0) * (params.num_cores or 1))
+    if params.engine == "scalar" or params.tracker == "hydra":
+        cost *= 3.0
+    if cell.mitigation != "baseline":
+        cost *= 1.5
+    return cost
 
 
 @register_evaluation(
@@ -94,12 +114,7 @@ from repro.sim.simulator import SimulationParams
     ),
     result_to_dict=result_to_dict,
     result_from_dict=result_from_dict,
-    # One unit per simulated memory request: a real perf cell costs
-    # thousands of units and therefore always exceeds the chunk budget,
-    # keeping heavy simulation at ~1 cell per dispatch.
-    cell_cost=lambda params: float(
-        (params.requests_per_core or 0) * (params.num_cores or 1)
-    ),
+    cell_cost=_perf_cell_cost,
 )
 def run_perf_cell(cell: ExperimentCell) -> SimulationResult:
     """Run one performance cell (delegates to the simulator driver)."""
@@ -210,19 +225,47 @@ def _security_csv_row(result: SecurityResult) -> List[object]:
     ]
 
 
-def _security_cell_cost(params: "SecurityParams") -> float:
-    """Relative cost of one security cell (chunk-scheduling hint).
+#: Cost units (microseconds) of one Monte-Carlo probe window — its
+#: two binomial draws — and of one sampled attack time.
+PROBE_WINDOW_COST = 0.06
+ATTACK_SAMPLE_COST = 0.04
+
+
+def _security_outcome(
+    params: "SecurityParams", design: str, model: JuggernautModel
+) -> RoundOutcome:
+    """The analytical outcome a security cell evaluates: ``params.rounds``
+    as given, else the optimal-``N`` scan at the design's granularity."""
+    if params.rounds is not None:
+        return model.evaluate(params.rounds)
+    if design == "rrs":
+        step = params.step
+    elif params.srs_step is not None:
+        step = params.srs_step
+    else:
+        step = params.step * 10
+    return model.best(step=max(1, step))
+
+
+def _security_cell_cost(cell: ExperimentCell) -> float:
+    """Cost of one security cell (scheduling hint).
 
     Analytical evaluation is tens of microseconds at a fixed round
-    budget and a few hundred units when the optimal-``N`` scan runs;
-    Monte-Carlo sampling dominates everything else, so its cells are
-    priced past the chunk budget and dispatch individually.
+    budget and a few hundred units when the optimal-``N`` scan runs.
+    A Monte-Carlo cell adds its probe — the windows
+    :func:`~repro.attacks.montecarlo.probe_size` picks for the cell's
+    outcome, up to 5e7 of them (seconds) — and its attack-time samples.
     """
+    params: SecurityParams = cell.params
     cost = 50.0
     if params.rounds is None:
         cost += 200.0
     if params.iterations > 0:
-        cost += 10.0 * float(params.iterations)
+        model = JuggernautModel(params.attack_parameters(cell.mitigation))
+        outcome = _security_outcome(params, cell.mitigation, model)
+        windows = probe_size(outcome, params.probe_windows)
+        cost += PROBE_WINDOW_COST * windows
+        cost += ATTACK_SAMPLE_COST * params.iterations
     return cost
 
 
@@ -256,17 +299,7 @@ def run_security_cell(cell: ExperimentCell) -> SecurityResult:
     design = cell.mitigation
     attack = params.attack_parameters(design)
     model = JuggernautModel(attack)
-    if design == "rrs":
-        step = params.step
-    elif params.srs_step is not None:
-        step = params.srs_step
-    else:
-        step = params.step * 10
-    outcome = (
-        model.best(step=max(1, step))
-        if params.rounds is None
-        else model.evaluate(params.rounds)
-    )
+    outcome = _security_outcome(params, design, model)
     result = SecurityResult(
         workload=cell.workload,
         mitigation=design,
@@ -359,7 +392,7 @@ class StorageResult:
     scenario="table-iv",
     description="per-bank SRAM storage inventory (Table IV)",
     schema_version=1,
-    cell_cost=lambda params: 20.0,  # closed-form model: microseconds
+    cell_cost=lambda cell: 20.0,  # closed-form model: microseconds
     csv_header=(
         "workload", "mitigation", "trh", "rit_kb", "swap_buffer_kb",
         "place_back_kb", "epoch_register_kb", "pin_buffer_kb", "total_kb",
@@ -438,7 +471,7 @@ class PowerResult:
     scenario="table-v",
     description="DRAM/SRAM power overheads (Table V)",
     schema_version=1,
-    cell_cost=lambda params: 20.0,  # closed-form model: microseconds
+    cell_cost=lambda cell: 20.0,  # closed-form model: microseconds
     csv_header=(
         "workload", "mitigation", "trh", "dram_overhead_percent",
         "sram_power_mw",
@@ -589,7 +622,7 @@ def _half_double_rig(defense: str, params: HammerParams):
     schema_version=1,
     # One unit per pattern activation: a 300k-activation half-double
     # cell exceeds any chunk budget and dispatches alone.
-    cell_cost=lambda params: float(params.hammers),
+    cell_cost=lambda cell: float(cell.params.hammers),
 )
 def run_hammer_cell(cell: ExperimentCell) -> HammerResult:
     """Play one pattern through one defense on a fresh rig.
@@ -914,7 +947,7 @@ def _model_result_from_dict(data: Mapping[str, Any]) -> ModelResult:
     result_from_dict=_model_result_from_dict,
     # Figures resolve one-cell model grids, which run in-process
     # whatever their cost; the hint only shapes ad-hoc grids.
-    cell_cost=lambda params: 20.0,
+    cell_cost=lambda cell: 20.0,
 )
 def run_model_cell(cell: ExperimentCell) -> ModelResult:
     """Compute one paper model."""

@@ -94,7 +94,7 @@ from repro.sim.pool import (
     PoolTask,
     ProcessPool,
     SerialPool,
-    available_cpu_count,
+    sized_pool,
 )
 from repro.sim.store import (
     ResultStore,
@@ -417,6 +417,10 @@ class RunStats:
         chunks: Dispatch chunks the backend submitted (see
             :func:`~repro.sim.pool.chunk_plan`) when a process pool
             ran the grid; ``None`` for serial and multi-host runs.
+        workers: The pool width the run used — ``1`` for serial, the
+            process count for a process pool (see
+            :func:`~repro.sim.pool.pool_width`); ``None`` for
+            multi-host runs, whose ``hosts`` carry the breakdown.
     """
 
     planned: int
@@ -426,6 +430,7 @@ class RunStats:
     hosts: Optional[Tuple[HostStats, ...]] = None
     workloads: Optional[PlaneStats] = None
     chunks: Optional[int] = None
+    workers: Optional[int] = None
 
 
 def run_grid(
@@ -441,10 +446,14 @@ def run_grid(
 
     Args:
         spec: The experiment to run.
-        max_workers: Process count; ``None`` uses the CPUs actually
-            available to this process
-            (:func:`~repro.sim.pool.available_cpu_count`, capped at
-            the job count), ``1`` forces serial in-process execution.
+        max_workers: Process count, capped at the pending cell count;
+            ``1`` forces serial in-process execution. ``None`` sizes
+            the pool from the pending cells' costs
+            (:func:`~repro.sim.pool.sized_pool`): serial when their
+            summed cost is below the pool's break-even, else one worker
+            per dispatch chunk up to the CPUs actually available — and
+            up to twice that, above the CPU count, only when every
+            chunk is long (:func:`~repro.sim.pool.pool_width`).
             Values below 1 raise :class:`ValueError`.
         progress: Optional ``(done, total, result)`` callback, invoked
             in plan order as results arrive (including reused ones).
@@ -467,7 +476,8 @@ def run_grid(
             (:class:`~repro.sim.pool.Pool`) — e.g. an
             :class:`~repro.sim.pool.SshPool` spanning several machines.
             ``None`` picks :class:`~repro.sim.pool.SerialPool` or
-            :class:`~repro.sim.pool.ProcessPool` from ``max_workers``.
+            :class:`~repro.sim.pool.ProcessPool` from ``max_workers``
+            (or, without it, from the cell costs).
 
     Results are deterministic: each cell derives every RNG stream from
     its own parameters, so scheduling order cannot leak into numbers.
@@ -539,17 +549,16 @@ def run_grid(
         while reported in by_position:
             progress(reported + 1, len(jobs), by_position[reported])
             reported += 1
-    if pool is None:
-        workers = available_cpu_count() if max_workers is None else max_workers
-        workers = max(1, min(workers, max(1, len(pending))))
+    task = PoolTask(
+        pending=pending, run_cell=_run_cell, record=record, store=store
+    )
+    if pool is None and max_workers is None:
+        pool = sized_pool(task)
+    elif pool is None:
+        workers = max(1, min(max_workers, len(pending)))
         pool = SerialPool() if workers == 1 else ProcessPool(workers)
     if pending:
-        pool.run(PoolTask(
-            pending=pending,
-            run_cell=_run_cell,
-            record=record,
-            store=store,
-        ))
+        pool.run(task)
 
     result_set = ResultSet([by_position[i] for i in range(len(jobs))])
     result_set.run_stats = RunStats(
@@ -560,6 +569,7 @@ def run_grid(
         hosts=getattr(pool, "host_stats", None),
         workloads=getattr(pool, "plane_stats", None),
         chunks=getattr(pool, "chunk_count", None),
+        workers=getattr(pool, "max_workers", None),
     )
     return result_set
 

@@ -44,6 +44,7 @@ import re
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.registry import EVALUATIONS
@@ -64,28 +65,102 @@ from repro.workloads import plane
 #: store round-trip on high-cardinality grids.
 CHUNK_BUDGET = 4000.0
 
+#: Summed :func:`cell_cost` below which the default dispatch stays
+#: in-process: about the ~15 ms a process pool spends starting its
+#: workers and shipping cells (DESIGN.md, "Default dispatch").
+SERIAL_BREAK_EVEN = 15_000.0
+
+#: A chunk at least this costly (~100 ms) dwarfs a worker's start-up,
+#: so a few such chunks are worth one worker each (see :func:`pool_width`).
+LONG_CHUNK = 100_000.0
+
 
 def cell_cost(cell: Any) -> float:
-    """Expected relative cost of one cell, in chunk-budget units.
+    """Expected cost of one cell, in microseconds of single-CPU work.
 
     Delegates to the evaluation kind's registered ``cell_cost`` hint
-    (see :class:`repro.registry.EvaluationInfo`); kinds without a hint,
-    unknown kinds, and hint failures all degrade to one unit — the
-    scheduler then simply packs such cells by count. Never returns less
-    than one unit, so a chunk's cell count is bounded by the budget.
+    (see :class:`repro.registry.EvaluationInfo`), which receives the
+    cell; kinds without a hint, unknown kinds, and hint failures all
+    degrade to one unit — the scheduler then simply packs such cells by
+    count. Never returns less than one unit, so a chunk's cell count is
+    bounded by the budget.
     """
     try:
         hook = EVALUATIONS.get(cell.kind).cell_cost
         if hook is None:
             return 1.0
-        return max(1.0, float(hook(cell.params)))
+        return max(1.0, float(hook(cell)))
     except Exception:
         return 1.0
+
+
+def pool_width(chunk_costs: Sequence[float], cpus: int) -> int:
+    """Worker count for a grid's dispatch chunks; ``1`` means serial.
+
+    The rule behind :func:`~repro.sim.experiment.run_grid`'s default
+    dispatch, with ``n`` chunks on ``cpus`` CPUs:
+
+    - serial on one CPU, for at most one chunk, or when the chunks'
+      summed cost is below :data:`SERIAL_BREAK_EVEN`;
+    - ``n`` workers when ``n <= cpus``;
+    - ``n`` workers when ``cpus < n <= 2 * cpus`` and every chunk costs
+      at least :data:`LONG_CHUNK` — the OS then shares the CPUs across
+      all chunks, where ``cpus`` workers would leave CPUs idle behind
+      the last chunks (three 3 s chunks on two CPUs run as 2 + 1);
+    - otherwise ``cpus`` workers.
+
+    So the width exceeds the CPU count only in the many-long-chunks case.
+    """
+    chunks = len(chunk_costs)
+    if cpus <= 1 or chunks <= 1 or sum(chunk_costs) < SERIAL_BREAK_EVEN:
+        return 1
+    if chunks <= cpus:
+        return chunks
+    if chunks <= 2 * cpus and min(chunk_costs) >= LONG_CHUNK:
+        return chunks
+    return cpus
+
+
+def price(pending: Sequence[Tuple[int, Any]]) -> Dict[int, float]:
+    """Each pending cell's :func:`cell_cost`, by plan position."""
+    return {position: cell_cost(cell) for position, cell in pending}
+
+
+def dispatch_order(
+    pending: Sequence[Tuple[int, Any]],
+    costs: Optional[Dict[int, float]] = None,
+) -> List[Tuple[int, Any, Optional[str]]]:
+    """Pending ``(position, cell)`` pairs keyed by workload and put in
+    submission order (:func:`repro.workloads.plane.affinity_order`,
+    longest :func:`cell_cost` first within each workload). ``costs``
+    (by position, see :func:`price`) is priced here when not given."""
+    if costs is None:
+        costs = price(pending)
+    return plane.affinity_order(plane.keyed_pending(pending), costs)
+
+
+def sized_pool(task: "PoolTask") -> "Pool":
+    """The backend :func:`~repro.sim.experiment.run_grid` picks when it
+    is given neither ``max_workers`` nor a pool: serial on one CPU
+    without pricing anything, else the pending cells are chunked for
+    the available CPUs and :func:`pool_width` sizes the pool from the
+    chunk costs (``task.costs``, which the pool then reuses)."""
+    cpus = available_cpu_count()
+    if cpus <= 1 or len(task.pending) <= 1:
+        return SerialPool()
+    costs = task.costs
+    chunks = chunk_plan(dispatch_order(task.pending, costs), cpus, costs)
+    width = pool_width(
+        [sum(costs[position] for position, _, _ in chunk) for chunk in chunks],
+        cpus,
+    )
+    return SerialPool() if width == 1 else ProcessPool(width)
 
 
 def chunk_plan(
     ordered: Sequence[Tuple[int, Any, Optional[str]]],
     max_workers: int,
+    costs: Optional[Dict[int, float]] = None,
 ) -> List[List[Tuple[int, Any, Optional[str]]]]:
     """Partition affinity-ordered cells into dispatch chunks.
 
@@ -100,23 +175,25 @@ def chunk_plan(
     Deterministic: the partition is a pure function of the ordered
     cells and worker count. Execution order inside a chunk is the
     affinity order, and recording stays plan-positional — chunking
-    changes dispatch granularity, never results.
+    changes dispatch granularity, never results. ``costs`` (by
+    position, see :func:`price`) is priced here when not given.
     """
-    costs = [cell_cost(cell) for _, cell, _ in ordered]
-    total = sum(costs)
+    if costs is None:
+        costs = price([(position, cell) for position, cell, _ in ordered])
+    total = sum(costs[position] for position, _, _ in ordered)
     budget = max(1.0, min(CHUNK_BUDGET, total / max(1, max_workers)))
     chunks: List[List[Tuple[int, Any, Optional[str]]]] = []
     current: List[Tuple[int, Any, Optional[str]]] = []
     current_cost = 0.0
     current_key: Any = None
-    for item, cost in zip(ordered, costs):
+    for item in ordered:
         key = item[2]
         if current and (key != current_key or current_cost >= budget):
             chunks.append(current)
             current = []
             current_cost = 0.0
         current.append(item)
-        current_cost += cost
+        current_cost += costs[item[0]]
         current_key = key
     if current:
         chunks.append(current)
@@ -249,6 +326,13 @@ class PoolTask:
     record: Callable[[Sequence[Tuple[int, Any]]], None]
     store: Optional[ResultStore] = None
 
+    @cached_property
+    def costs(self) -> Dict[int, float]:
+        """The pending cells' :func:`cell_cost` by plan position, priced
+        on first use and then shared by :func:`sized_pool` and
+        :meth:`ProcessPool.run`."""
+        return price(self.pending)
+
 
 class Pool:
     """Execution-backend interface for :func:`~repro.sim.experiment.run_grid`.
@@ -290,6 +374,9 @@ class SerialPool(Pool):
     """
 
     name = "serial"
+
+    #: One cell at a time (read by :class:`~repro.sim.experiment.RunStats`).
+    max_workers = 1
 
     def run(self, task: PoolTask) -> None:
         """Run cells in plan order; stop at the first failure.
@@ -334,7 +421,10 @@ class ProcessPool(Pool):
     name = "process"
 
     def __init__(self, max_workers: Optional[int] = None):
-        """``max_workers`` defaults to :func:`available_cpu_count`."""
+        """``max_workers`` defaults to :func:`available_cpu_count`; it is
+        honoured exactly, even above the CPU count. The default dispatch
+        (:func:`sized_pool`) asks for more workers than CPUs only for a
+        few long chunks (:func:`pool_width`)."""
         self.max_workers = max_workers or available_cpu_count()
         #: Dispatched chunk count of the last :meth:`run` (rolled into
         #: :class:`~repro.sim.experiment.RunStats`).
@@ -361,17 +451,16 @@ class ProcessPool(Pool):
         interrupt drain — in the ``finally`` below.
         """
         before = plane.local_stats()
-        keyed = plane.keyed_pending(task.pending)
-        ordered = plane.affinity_order(keyed)
+        ordered = dispatch_order(task.pending, task.costs)
         publisher = plane.PlanePublisher()
-        publisher.publish(keyed)
+        publisher.publish(ordered)
         counters = plane.make_shared_counters()
         executor = ProcessPoolExecutor(
             max_workers=self.max_workers,
             initializer=plane.init_worker,
             initargs=(counters,),
         )
-        groups = chunk_plan(ordered, self.max_workers)
+        groups = chunk_plan(ordered, self.max_workers, task.costs)
         self.chunk_count = len(groups)
         futures: Dict[Any, List[Tuple[int, Any]]] = {}
         failed: Optional[Tuple[Any, Exception]] = None

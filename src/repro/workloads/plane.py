@@ -29,8 +29,9 @@ workload bytes a plane-wide resource instead, in three layers:
    drain path, so ``/dev/shm`` never leaks.
 
 3. **Cache-affine scheduling** — :func:`affinity_order` groups a run's
-   pending cells by workload key (largest expected cost first within a
-   group) so per-worker caches actually hit; see
+   pending cells by workload key (largest
+   :func:`~repro.sim.pool.cell_cost` first within a group) so
+   per-worker caches actually hit; see
    :class:`~repro.sim.pool.ProcessPool`.
 
 Accounting flows through :class:`PlaneStats` (surfaced as the greppable
@@ -47,7 +48,7 @@ import itertools
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.workloads.columnar import ColumnarTrace, ShmTraceLayout
 from repro.workloads.suites import WorkloadSpec
@@ -681,48 +682,27 @@ def keyed_pending(
     ]
 
 
-def _expected_cost(cell: Any) -> float:
-    """Relative wall-clock estimate of one cell (scheduling heuristic).
-
-    Demand accesses dominate, scaled up for cells the batched engine
-    cannot fuse (explicit scalar engine, or a Hydra-tracked cell under
-    ``auto``) and for mitigation cells (swaps add work over baseline).
-    Only relative order matters: largest-first within a workload group
-    keeps the long pole off the tail of the schedule.
-    """
-    params = getattr(cell, "params", None)
-    requests = getattr(params, "requests_per_core", 0) or 0
-    cores = getattr(params, "num_cores", 1) or 1
-    cost = float(requests * cores)
-    engine = getattr(params, "engine", "")
-    tracker = getattr(params, "tracker", "")
-    if engine == "scalar" or tracker == "hydra":
-        cost *= 3.0
-    if getattr(cell, "mitigation", "baseline") != "baseline":
-        cost *= 1.5
-    return cost
-
-
 def affinity_order(
-    keyed_cells: Sequence[Tuple[int, Any, Optional[str]]]
+    keyed_cells: Sequence[Tuple[int, Any, Optional[str]]],
+    costs: Mapping[int, float],
 ) -> List[Tuple[int, Any, Optional[str]]]:
     """Submission order for a process pool: grouped, big-first.
 
     Cells sharing a workload key are submitted consecutively (groups in
     first-appearance plan order, so early plan cells still start early),
-    largest expected cost first within each group — workers pulling
+    largest ``costs[position]`` first within each group — workers pulling
     from the shared queue stay on one workload while it is in their
     caches, and a group's longest cell never starts last. Unkeyed cells
-    form singleton groups. Plan-order progress reporting is unaffected:
-    results are recorded by plan position regardless of completion
-    order.
+    (every non-``perf`` kind) form one group, so a grid of Monte-Carlo
+    or hammer cells also starts its longest cells first. Ties keep plan
+    order. Plan-order progress reporting is unaffected: results are
+    recorded by plan position regardless of completion order.
     """
     groups: "OrderedDict[Any, List[Tuple[int, Any, Optional[str]]]]" = OrderedDict()
     for position, cell, key in keyed_cells:
-        group = key if key is not None else ("__solo__", position)
-        groups.setdefault(group, []).append((position, cell, key))
+        groups.setdefault(key, []).append((position, cell, key))
     ordered: List[Tuple[int, Any, Optional[str]]] = []
     for members in groups.values():
-        members.sort(key=lambda item: (-_expected_cost(item[1]), item[0]))
+        members.sort(key=lambda item: (-costs[item[0]], item[0]))
         ordered.extend(members)
     return ordered

@@ -237,7 +237,7 @@ class TestCommands:
 
     def test_analytical_parallel_matches_serial(self, capsys):
         """A 200-cell analytical grid prints identical output whether
-        the (now default) worker pool or --jobs 1 ran it — chunked
+        a two-worker pool (--jobs 2) or --jobs 1 ran it — chunked
         dispatch is bit-identical and plan-ordered."""
         argv = [
             "security-sweep",
@@ -248,7 +248,7 @@ class TestCommands:
         assert main(argv + ["--jobs", "1"]) == 0
         serial = capsys.readouterr().out
         assert serial.count("\n") > 100  # 2 designs x 100 points
-        assert main(argv) == 0
+        assert main(argv + ["--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
 
     def test_store_pack_cli(self, capsys, tmp_path):

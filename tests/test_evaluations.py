@@ -253,6 +253,23 @@ class TestSecurityMonteCarlo:
         assert results[0].params.seed + 1 == results[1].params.seed
         assert results[0].mc_seed != results[1].mc_seed
 
+    def test_mc_cells_are_priced_by_their_probe(self):
+        """Figure 6's validation cells cost their probe windows: the
+        1100-round cell probes 42.6M windows, the others the 5e7 cap."""
+        from repro.report.planner import build_figure
+        from repro.sim.pool import LONG_CHUNK
+
+        _, figure = build_figure("fig06")
+        costs = {
+            cell.params.rounds: cell_cost(cell)
+            for cell in plan_cells(figure.specs[1])
+        }
+        assert costs[1100] < costs[1200] == costs[1300]
+        assert min(costs.values()) > 10 * LONG_CHUNK
+        # Without iterations the same point is a cheap analytical cell.
+        analytic = dataclasses.replace(figure.specs[1], base_params=SecurityParams())
+        assert max(cell_cost(cell) for cell in plan_cells(analytic)) == 50.0
+
     def test_default_seed_derived_from_params(self):
         params = AttackParameters(trh=4800, ts=800)
         assert MonteCarloJuggernaut(params).seed == derive_seed(params)

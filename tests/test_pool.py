@@ -25,9 +25,16 @@ from repro.sim import (
     SshPool,
     available_cpu_count,
     parse_hosts,
+    plan_cells,
     run_grid,
 )
-from repro.sim.pool import remote_command
+from repro.sim.pool import (
+    PoolTask,
+    dispatch_order,
+    pool_width,
+    remote_command,
+    sized_pool,
+)
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -39,6 +46,16 @@ SPEC = ExperimentSpec(
     mitigations=["rrs"],
     base_params=SimulationParams(
         trh=1200, num_cores=1, requests_per_core=800, time_scale=32
+    ),
+)
+
+# The perfbench ``grid-swap`` workload's grid (21 perf cells).
+GRID_SWAP = ExperimentSpec(
+    workloads=["gcc", "hmmer", "povray"],
+    mitigations=["rrs", "srs", "scale-srs"],
+    grid={"trh": [2400, 1200]},
+    base_params=SimulationParams(
+        num_cores=4, requests_per_core=12000, time_scale=32, seed=77
     ),
 )
 
@@ -177,6 +194,148 @@ class TestWorkerDefaults:
         for bad in (0, -1):
             with pytest.raises(ValueError, match="positive"):
                 run_grid(SPEC, max_workers=bad)
+
+
+class TestDefaultDispatch:
+    """run_grid's default dispatch sizes the pool from the cell costs."""
+
+    @pytest.mark.parametrize(
+        "costs, cpus, width",
+        [
+            ([48_000.0] * 21, 2, 2),
+            ([3e6] * 3, 2, 3),
+            ([3e6] * 3, 4, 3),
+            ([3e6] * 5, 2, 2),
+            ([3e6, 3e6, 2_000.0], 2, 2),
+            ([50.0] * 45, 2, 1),
+            ([3e6] * 3, 1, 1),
+            ([3e6], 2, 1),
+        ],
+        ids=[
+            "grid-swap-shape", "few-long-chunks", "fewer-chunks-than-cpus",
+            "past-twice-the-cpus", "one-short-chunk", "cheap-grid",
+            "one-cpu", "one-chunk",
+        ],
+    )
+    def test_pool_width(self, costs, cpus, width):
+        assert pool_width(costs, cpus) == width
+
+    def test_fig06_montecarlo_gets_one_worker_per_cell(self, monkeypatch):
+        """On 2 CPUs, fig06's three multi-second cells get 3 workers
+        (not 2 + 1); its 45 analytical curve cells stay in-process."""
+        from repro.report.planner import build_figure
+        from repro.sim import pool as pool_module
+
+        monkeypatch.setattr(pool_module, "available_cpu_count", lambda: 2)
+        _, figure = build_figure("fig06")
+        curves, montecarlo = (
+            sized_pool(PoolTask(list(enumerate(plan_cells(spec))), None, None))
+            for spec in figure.specs
+        )
+        assert isinstance(curves, SerialPool)
+        assert isinstance(montecarlo, ProcessPool)
+        assert montecarlo.max_workers == 3
+
+    def test_default_width_matches_serial_and_pooled_bits(
+        self, monkeypatch, tmp_path
+    ):
+        """fig06's Monte-Carlo grid, its probe cut to 2M windows per
+        cell (a small bank keeps 2M the floor): serial, two workers and
+        the default width (3 on 2 CPUs) write identical JSON and store
+        entries."""
+        from repro.report.planner import build_figure
+        from repro.sim import pool as pool_module
+
+        monkeypatch.setattr(pool_module, "available_cpu_count", lambda: 2)
+        _, figure = build_figure("fig06")
+        spec = figure.specs[1]
+        spec = dataclasses.replace(
+            spec,
+            base_params=dataclasses.replace(
+                spec.base_params,
+                rows_per_bank=8192,
+                probe_windows=2_000_000,
+                iterations=2_000,
+            ),
+        )
+        runs, stores, widths = {}, {}, {}
+        for label, pool in (
+            ("serial", SerialPool()),
+            ("pooled", ProcessPool(2)),
+            ("default", None),
+        ):
+            store_dir = tmp_path / label
+            results = run_grid(spec, store=str(store_dir), pool=pool)
+            runs[label] = results.to_json()
+            stores[label] = {
+                name: (store_dir / name).read_text()
+                for name in entry_files(store_dir)
+            }
+            widths[label] = results.run_stats.workers
+        assert runs["pooled"] == runs["serial"] == runs["default"]
+        assert stores["pooled"] == stores["serial"] == stores["default"]
+        assert len(stores["serial"]) == 3
+        assert widths == {"serial": 1, "pooled": 2, "default": 3}
+
+    def test_grid_swap_keeps_two_workers(self, monkeypatch):
+        """The benchmark grid's real cell costs size it at the CPU count."""
+        from repro.sim import pool as pool_module
+
+        monkeypatch.setattr(pool_module, "available_cpu_count", lambda: 2)
+        pool = sized_pool(
+            PoolTask(list(enumerate(plan_cells(GRID_SWAP))), None, None)
+        )
+        assert isinstance(pool, ProcessPool)
+        assert pool.max_workers == 2
+
+    def test_explicit_workers_are_honoured(self):
+        """max_workers bypasses the cost rule: a cheap grid still pools."""
+        assert run_grid(SPEC).run_stats.workers == 1
+        assert run_grid(SPEC, max_workers=2).run_stats.workers == 2
+
+    @pytest.mark.parametrize(
+        "cpus, max_workers, priced",
+        [(1, None, 0), (2, None, 1), (2, 2, 1)],
+        ids=["one-cpu-default", "default", "explicit-pool"],
+    )
+    def test_each_cell_priced_at_most_once(
+        self, monkeypatch, cpus, max_workers, priced
+    ):
+        """Sizing and dispatch share one pricing per run; on one CPU the
+        default dispatch is serial without pricing anything."""
+        from repro.sim import pool as pool_module
+
+        calls = []
+        real = pool_module.cell_cost
+        monkeypatch.setattr(pool_module, "available_cpu_count", lambda: cpus)
+        monkeypatch.setattr(
+            pool_module, "cell_cost", lambda cell: calls.append(cell) or real(cell)
+        )
+        run_grid(SPEC, max_workers=max_workers)
+        cells = plan_cells(SPEC)
+        assert len(calls) == priced * len(cells)
+        assert len({id(cell) for cell in calls}) == len(calls)
+
+    def test_grid_swap_affinity_order_is_pinned(self):
+        """The cost hint's engine and mitigation factors keep the
+        benchmark grid's submission order: per workload, the six swap
+        cells in plan order, then the baseline."""
+        pending = list(enumerate(plan_cells(GRID_SWAP)))
+        assert [position for position, _, _ in dispatch_order(pending)] == [
+            3, 4, 5, 6, 7, 8, 0,
+            9, 10, 11, 12, 13, 14, 1,
+            15, 16, 17, 18, 19, 20, 2,
+        ]
+
+    def test_unkeyed_cells_start_longest_first(self):
+        """Non-perf cells share one group, ordered by cost: fig06's
+        1100-round cell (the shortest probe) is submitted last."""
+        from repro.report.planner import build_figure
+
+        _, figure = build_figure("fig06")
+        pending = list(enumerate(plan_cells(figure.specs[1])))
+        rounds = [cell.params.rounds for _, cell, _ in dispatch_order(pending)]
+        assert rounds == [1200, 1300, 1100]
 
 
 class TestFailurePaths:
@@ -571,8 +730,10 @@ class TestChunking:
         ok_only = dataclasses.replace(flaky_kind, mitigations=["ok", "also-ok"])
         pooled = run_grid(ok_only, pool=ProcessPool(2))
         assert pooled.run_stats.chunks >= 1
+        assert pooled.run_stats.workers == 2
         serial = run_grid(ok_only, max_workers=1)
         assert serial.run_stats.chunks is None
+        assert serial.run_stats.workers == 1
 
     def test_partial_chunk_failure_records_prefix(self, flaky_kind, tmp_path):
         """When a cell mid-chunk raises, the chunk's completed prefix
