@@ -153,9 +153,10 @@ def _report_store(results: ResultSet, args: argparse.Namespace) -> None:
     """One-line store/shard accounting (greppable by CI's resume smoke).
 
     Also prints the workload plane's greppable accounting line
-    (``workloads: generated N, attached M, decode hits K``) whenever
-    the plane served a single-machine run — store or not. Runs the
-    plane never touched (analytical kinds) stay silent.
+    (``workloads: generated N, decode hits K``) whenever the plane
+    served a single-machine run — store or not; for a process pool it
+    sums what the workers reported. Runs the plane never touched
+    (analytical kinds) stay silent.
     """
     stats = results.run_stats
     if stats is None:

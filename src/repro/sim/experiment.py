@@ -412,8 +412,10 @@ class RunStats:
             for single-machine runs.
         workloads: Workload-plane accounting
             (:class:`~repro.workloads.plane.PlaneStats`: generated /
-            attached / cache hits) when a single-machine backend ran
-            the grid; ``None`` otherwise.
+            cache hits) when a single-machine backend ran the grid —
+            the coordinator's own for a serial run, the sum of the
+            workers' per-chunk deltas for a process pool; ``None``
+            otherwise.
         chunks: Dispatch chunks the backend submitted (see
             :func:`~repro.sim.pool.chunk_plan`) when a process pool
             ran the grid; ``None`` for serial and multi-host runs.

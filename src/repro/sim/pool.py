@@ -144,12 +144,13 @@ def sized_pool(task: "PoolTask") -> "Pool":
     is given neither ``max_workers`` nor a pool: serial on one CPU
     without pricing anything, else the pending cells are chunked for
     the available CPUs and :func:`pool_width` sizes the pool from the
-    chunk costs (``task.costs``, which the pool then reuses)."""
+    chunk costs (``task.costs`` and ``task.ordered``, which the pool
+    then reuses)."""
     cpus = available_cpu_count()
     if cpus <= 1 or len(task.pending) <= 1:
         return SerialPool()
     costs = task.costs
-    chunks = chunk_plan(dispatch_order(task.pending, costs), cpus, costs)
+    chunks = chunk_plan(task.ordered, cpus, costs)
     width = pool_width(
         [sum(costs[position] for position, _, _ in chunk) for chunk in chunks],
         cpus,
@@ -166,7 +167,7 @@ def chunk_plan(
 
     Greedy sweep over :func:`repro.workloads.plane.affinity_order`
     output: a chunk closes when the workload key changes (each chunk
-    shares one plane attach — the workload grouping *is* the partition
+    replays one workload — the workload grouping *is* the partition
     key) or when its accumulated :func:`cell_cost` reaches the budget.
     The budget is ``min(CHUNK_BUDGET, total_cost / max_workers)`` — never
     wider than an even split across the workers, so a small grid still
@@ -210,27 +211,28 @@ class ChunkOutcome:
     ``failed_position``/``error`` identify the first cell that raised
     (``error`` may be a :class:`BaseException` such as
     :class:`KeyboardInterrupt`; the coordinator re-routes those through
-    the interrupt drain path).
+    the interrupt drain path). ``plane_stats`` is the worker's
+    workload-plane delta over the chunk.
     """
 
     completed: List[Tuple[int, Any]] = field(default_factory=list)
     failed_position: Optional[int] = None
     error: Optional[BaseException] = None
+    plane_stats: plane.PlaneStats = field(default_factory=plane.PlaneStats)
 
 
 def _run_chunk(
     run_cell: Callable[[Any], Any],
     cells: Sequence[Tuple[int, Any]],
-    ref: Any,
 ) -> ChunkOutcome:
-    """Worker-side chunk runner: one plane attach, then run the cells.
+    """Worker-side chunk runner: run the cells, report the plane delta.
 
     Catches ``BaseException`` per cell — a ``KeyboardInterrupt``
-    delivered mid-chunk must still return the completed prefix to the
-    coordinator instead of discarding it with the future.
+    delivered mid-chunk must still return the completed prefix (and
+    its plane accounting) to the coordinator instead of discarding it
+    with the future.
     """
-    if ref is not None:
-        plane.offer(ref)
+    before = plane.local_stats()
     outcome = ChunkOutcome()
     for position, cell in cells:
         try:
@@ -240,6 +242,7 @@ def _run_chunk(
             outcome.error = error
             break
         outcome.completed.append((position, result))
+    outcome.plane_stats = plane.local_stats() - before
     return outcome
 
 
@@ -332,6 +335,12 @@ class PoolTask:
         on first use and then shared by :func:`sized_pool` and
         :meth:`ProcessPool.run`."""
         return price(self.pending)
+
+    @cached_property
+    def ordered(self) -> List[Tuple[int, Any, Optional[str]]]:
+        """The pending cells keyed and in :func:`dispatch_order`,
+        computed on first use and then shared like :attr:`costs`."""
+        return dispatch_order(self.pending, self.costs)
 
 
 class Pool:
@@ -436,95 +445,83 @@ class ProcessPool(Pool):
         Cells are partitioned by :func:`chunk_plan` over their
         cache-affinity order — a chunk holds cells of one workload key
         up to a cost budget, so cheap analytical cells share one
-        dispatch (and one plane attach) while a heavy ``perf`` cell
-        fills a chunk alone. Each completed chunk's batch is recorded
-        in one call — one independently atomic store write per cell, so
-        a crash mid-batch keeps a prefix; recording stays
-        plan-positional, so progress and the store are unaffected by
-        the partition.
+        dispatch while a heavy ``perf`` cell fills a chunk alone. Each
+        completed chunk's batch is recorded in one call — one
+        independently atomic store write per cell, so a crash mid-batch
+        keeps a prefix; recording stays plan-positional, so progress and
+        the store are unaffected by the partition.
 
-        The coordinator additionally (1) publishes each distinct
-        multi-cell workload to shared memory so workers attach instead
-        of regenerating, and (2) collects worker-side plane counters
-        into :attr:`Pool.plane_stats`. Shared-memory segments are
-        unlinked on *every* exit path — success, cell failure, and the
-        interrupt drain — in the ``finally`` below.
+        Workers start with cold plane caches (``plane.reset`` is the
+        initializer, so the accounting is the same under fork and
+        spawn) and build the workloads they replay themselves. Each
+        chunk returns its worker's plane delta, and
+        :attr:`Pool.plane_stats` sums those of every chunk the
+        coordinator files, on the interrupt drain path too.
         """
-        before = plane.local_stats()
-        ordered = dispatch_order(task.pending, task.costs)
-        publisher = plane.PlanePublisher()
-        publisher.publish(ordered)
-        counters = plane.make_shared_counters()
+        self.plane_stats = plane.PlaneStats()
         executor = ProcessPoolExecutor(
-            max_workers=self.max_workers,
-            initializer=plane.init_worker,
-            initargs=(counters,),
+            max_workers=self.max_workers, initializer=plane.reset
         )
-        groups = chunk_plan(ordered, self.max_workers, task.costs)
+        groups = chunk_plan(task.ordered, self.max_workers, task.costs)
         self.chunk_count = len(groups)
+        # Submitted chunks not yet filed, by future.
         futures: Dict[Any, List[Tuple[int, Any]]] = {}
         failed: Optional[Tuple[Any, Exception]] = None
         try:
-            try:
-                for group in groups:
-                    cells = [(position, cell) for position, cell, _ in group]
-                    ref = publisher.refs.get(group[0][2])
-                    future = executor.submit(
-                        _run_chunk, task.run_cell, cells, ref
-                    )
-                    futures[future] = cells
-                for future in as_completed(futures):
-                    cells = futures[future]
-                    try:
-                        outcome = future.result()
-                    except Exception as error:
-                        # The dispatch itself failed (broken pool,
-                        # unpicklable payload): blame the chunk's first
-                        # cell but keep draining — completed chunks
-                        # still reach the store, so a --resume after
-                        # the failure recomputes only what never ran.
+            for group in groups:
+                cells = [(position, cell) for position, cell, _ in group]
+                future = executor.submit(_run_chunk, task.run_cell, cells)
+                futures[future] = cells
+            for future in as_completed(futures):
+                cells = futures.pop(future)
+                try:
+                    outcome = future.result()
+                except Exception as error:
+                    # The dispatch itself failed (broken pool,
+                    # unpicklable payload): blame the chunk's first
+                    # cell but keep draining — completed chunks
+                    # still reach the store, so a --resume after
+                    # the failure recomputes only what never ran.
+                    if failed is None:
+                        failed = (cells[0][1], error)
+                    continue
+                self._file(outcome, task)
+                if outcome.error is not None:
+                    if isinstance(outcome.error, Exception):
                         if failed is None:
-                            failed = (cells[0][1], error)
-                        continue
-                    task.record(outcome.completed)
-                    if outcome.error is not None:
-                        if isinstance(outcome.error, Exception):
-                            if failed is None:
-                                cell = dict(cells)[outcome.failed_position]
-                                failed = (cell, outcome.error)
-                        else:
-                            # KeyboardInterrupt (or another
-                            # BaseException) inside a worker cell: the
-                            # chunk's completed prefix is already
-                            # recorded; route the rest through the
-                            # interrupt drain below.
-                            raise outcome.error
-            except BaseException:
-                # Interrupted (KeyboardInterrupt, or a worker re-raising
-                # it): stop launching queued chunks, keep what finished.
-                executor.shutdown(wait=False, cancel_futures=True)
-                self._drain_completed(futures, task)
-                raise
-            executor.shutdown()
-        finally:
-            publisher.close()
-            self.plane_stats = (
-                plane.local_stats() - before
-            ) + plane.snapshot_shared(counters)
+                            cell = dict(cells)[outcome.failed_position]
+                            failed = (cell, outcome.error)
+                    else:
+                        # KeyboardInterrupt (or another
+                        # BaseException) inside a worker cell: the
+                        # chunk's completed prefix is already
+                        # recorded; route the rest through the
+                        # interrupt drain below.
+                        raise outcome.error
+        except BaseException:
+            # Interrupted (KeyboardInterrupt, or a worker re-raising
+            # it): stop launching queued chunks, keep what finished.
+            executor.shutdown(wait=False, cancel_futures=True)
+            self._drain_completed(futures, task)
+            raise
+        executor.shutdown()
         if failed is not None:
             cell, error = failed
             raise wrap_cell_error(cell, error) from error
 
-    @staticmethod
+    def _file(self, outcome: ChunkOutcome, task: PoolTask) -> None:
+        """Record one chunk's completed batch and add its plane delta."""
+        self.plane_stats += outcome.plane_stats
+        task.record(outcome.completed)
+
     def _drain_completed(
-        futures: Dict[Any, List[Tuple[int, Any]]], task: PoolTask
+        self, futures: Dict[Any, List[Tuple[int, Any]]], task: PoolTask
     ) -> None:
-        """File every already-completed chunk's batch (interrupt path).
+        """File every completed, not yet filed chunk (interrupt path).
 
         Cancelled and still-running futures are skipped — only results
         that exist are recorded, including the completed prefix of a
-        chunk whose later cell raised; re-recording an already-filed
-        position is harmless (the store write is idempotent)."""
+        chunk whose later cell raised."""
         for future in futures:
             if not future.done() or future.cancelled():
                 continue
@@ -532,7 +529,7 @@ class ProcessPool(Pool):
                 outcome = future.result()
             except BaseException:
                 continue
-            task.record(outcome.completed)
+            self._file(outcome, task)
 
 
 def parse_hosts(text: str) -> List[str]:

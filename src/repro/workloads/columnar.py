@@ -20,29 +20,10 @@ from byte addresses are vectorized through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from repro.dram.address import AddressMapper
-
-
-@dataclass(frozen=True)
-class ShmTraceLayout:
-    """Picklable description of one trace inside a shared-memory segment.
-
-    A coordinator serializes a :class:`ColumnarTrace` into one
-    ``multiprocessing.shared_memory`` segment (columns concatenated in
-    field order) and ships this layout to workers, which rebuild
-    zero-copy views with :meth:`ColumnarTrace.from_shm`.
-
-    Attributes:
-        name: The shared-memory segment name to attach.
-        fields: Per-column ``(field, dtype, length)`` in segment order.
-    """
-
-    name: str
-    fields: Tuple[Tuple[str, str, int], ...]
 
 
 @dataclass
@@ -158,56 +139,6 @@ class ColumnarTrace:
             row=np.empty(0, dtype=np.int32),
             column=np.empty(0, dtype=np.int32),
         )
-
-    def to_shm(self, name: str):
-        """Copy this trace into a new shared-memory segment.
-
-        Returns ``(shm, layout)``: the created
-        ``multiprocessing.shared_memory.SharedMemory`` (the caller owns
-        its lifecycle — ``close()`` and ``unlink()``) and the
-        :class:`ShmTraceLayout` a worker needs to attach. Columns are
-        copied back-to-back in ``_FIELDS`` order.
-        """
-        from multiprocessing import shared_memory
-
-        columns = [
-            np.ascontiguousarray(getattr(self, field))
-            for field in self._FIELDS
-        ]
-        total = max(1, sum(column.nbytes for column in columns))
-        shm = shared_memory.SharedMemory(name=name, create=True, size=total)
-        offset = 0
-        fields = []
-        for field, column in zip(self._FIELDS, columns):
-            target = np.ndarray(
-                column.shape, dtype=column.dtype,
-                buffer=shm.buf, offset=offset,
-            )
-            target[...] = column
-            fields.append((field, column.dtype.str, len(column)))
-            offset += column.nbytes
-        return shm, ShmTraceLayout(name=shm.name, fields=tuple(fields))
-
-    @classmethod
-    def from_shm(cls, shm, layout: ShmTraceLayout) -> "ColumnarTrace":
-        """Rebuild a trace as zero-copy views over an attached segment.
-
-        ``shm`` is an already-attached ``SharedMemory`` whose buffer the
-        views borrow — the caller must keep it open for the life of the
-        returned trace. The views are marked read-only: plane-shared
-        traces are immutable by contract.
-        """
-        offset = 0
-        columns = {}
-        for field, dtype_str, length in layout.fields:
-            dtype = np.dtype(dtype_str)
-            view = np.ndarray(
-                (length,), dtype=dtype, buffer=shm.buf, offset=offset
-            )
-            view.flags.writeable = False
-            columns[field] = view
-            offset += dtype.itemsize * length
-        return cls(**columns)
 
     def equals(self, other: "ColumnarTrace") -> bool:
         """Exact per-column equality (the record→replay determinism check)."""

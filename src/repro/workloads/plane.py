@@ -19,14 +19,13 @@ workload bytes a plane-wide resource instead, in three layers:
    :func:`file_columns` memoizes parsed trace files in-process (a
    rate-mode directory with one file is loaded once, not once per core).
 
-2. **Zero-copy distribution** — a grid coordinator materializes each
-   distinct workload of the plan once and publishes its columns via
-   ``multiprocessing.shared_memory`` (:class:`PlanePublisher`);
-   :class:`~repro.sim.pool.ProcessPool` workers attach read-only
-   (:func:`offer` + :func:`traces_for`) instead of regenerating. The
-   publisher owns the segment lifecycle: :meth:`PlanePublisher.close`
-   unlinks every segment on success, cell failure, and the Ctrl-C
-   drain path, so ``/dev/shm`` never leaks.
+2. **Worker-side materialization** — a
+   :class:`~repro.sim.pool.ProcessPool` worker starts with cold caches
+   and builds each workload it replays itself, once; later cells over
+   the same workload in that worker hit its LRU. Generation costs a few
+   milliseconds per workload (4–13 ms for the benchmark grid's
+   workloads at 4 cores x 12 000 requests), so nothing is shipped
+   between processes but cells and results.
 
 3. **Cache-affine scheduling** — :func:`affinity_order` groups a run's
    pending cells by workload key (largest
@@ -35,8 +34,9 @@ workload bytes a plane-wide resource instead, in three layers:
    :class:`~repro.sim.pool.ProcessPool`.
 
 Accounting flows through :class:`PlaneStats` (surfaced as the greppable
-``workloads: generated N, attached M, decode hits K`` line); workers
-aggregate into shared counters installed by :func:`init_worker`.
+``workloads: generated N, decode hits K`` line); each pool worker
+returns its counters' delta with every chunk it ran, and the
+coordinator sums them.
 Results are identical to generating every cell from scratch (the plane
 caches exactly what generation would have produced), pinned by
 ``tests/test_plane.py`` against the direct ``arrays_for_core`` loop.
@@ -44,24 +44,19 @@ caches exactly what generation would have produced), pinned by
 
 from __future__ import annotations
 
-import itertools
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.workloads.columnar import ColumnarTrace, ShmTraceLayout
+from repro.workloads.columnar import ColumnarTrace
 from repro.workloads.suites import WorkloadSpec
 
 #: LRU capacities (entries, not bytes).
 _TRACE_CAPACITY = 8
 _DECODED_CAPACITY = 6
 
-#: Cap on bytes the coordinator publishes to shared memory per run;
-#: workloads beyond the cap fall back to per-worker generation.
-_SHM_BUDGET_BYTES = 512 * 1024 * 1024
-
-_STAT_FIELDS = ("generated", "attached", "trace_hits", "decode_hits")
+_STAT_FIELDS = ("generated", "trace_hits", "decode_hits")
 
 
 @dataclass(frozen=True)
@@ -71,15 +66,12 @@ class PlaneStats:
     Attributes:
         generated: Workload materializations computed from scratch
             (synthetic generation or trace parse+decode).
-        attached: Materializations served by attaching a published
-            shared-memory segment instead of regenerating.
         trace_hits: Materializations served by the in-process trace LRU.
         decode_hits: Decoded-list products (either engine) served
             from the in-process decode LRU instead of re-``tolist``-ing.
     """
 
     generated: int = 0
-    attached: int = 0
     trace_hits: int = 0
     decode_hits: int = 0
 
@@ -109,9 +101,8 @@ class PlaneStats:
     def line(self) -> str:
         """The greppable accounting line CLI runs and benchmarks print."""
         return (
-            f"workloads: generated {self.generated}, attached "
-            f"{self.attached}, decode hits {self.decode_hits} "
-            f"(trace hits {self.trace_hits})"
+            f"workloads: generated {self.generated}, decode hits "
+            f"{self.decode_hits} (trace hits {self.trace_hits})"
         )
 
 
@@ -122,117 +113,40 @@ class PlaneStats:
 # a ProcessPool worker's cache must survive across the cells it runs.
 # `reset()` (tests, worker initialization) clears everything.
 
-
-@dataclass
-class _TraceEntry:
-    """One cached workload materialization (plus its shm handles)."""
-
-    traces: List[ColumnarTrace]
-    shms: List[Any]
-
-
-_trace_cache: "OrderedDict[str, _TraceEntry]" = OrderedDict()
+_trace_cache: "OrderedDict[str, List[ColumnarTrace]]" = OrderedDict()
 _decoded_cache: "OrderedDict[Tuple, Any]" = OrderedDict()
 _file_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
-_offers: Dict[str, "ShmWorkloadRef"] = {}
 _local_stats: Dict[str, int] = {name: 0 for name in _STAT_FIELDS}
-_shared_counters: Optional[Dict[str, Any]] = None
-#: Shared-memory objects whose close() hit exported buffers; retried on
-#: later evictions so their __del__ never warns mid-run.
-_retired_shms: List[Any] = []
-_segment_seq = itertools.count()
 
 
 def _bump(name: str, count: int = 1) -> None:
-    """Increment one counter (shared when installed, else local)."""
-    if _shared_counters is not None:
-        value = _shared_counters[name]
-        with value.get_lock():
-            value.value += count
-    else:
-        _local_stats[name] += count
+    """Increment one of this process's plane counters."""
+    _local_stats[name] += count
 
 
 def local_stats() -> PlaneStats:
-    """Snapshot of this process's local plane counters."""
+    """Snapshot of this process's plane counters."""
     return PlaneStats(**dict(_local_stats))
 
 
-def make_shared_counters() -> Dict[str, Any]:
-    """Cross-process counters a coordinator hands to pool workers."""
-    import multiprocessing
-
-    return {name: multiprocessing.Value("q", 0) for name in _STAT_FIELDS}
-
-
-def snapshot_shared(counters: Dict[str, Any]) -> PlaneStats:
-    """Read shared counters back into a :class:`PlaneStats`."""
-    return PlaneStats(**{name: int(counters[name].value) for name in _STAT_FIELDS})
-
-
-def init_worker(counters: Optional[Dict[str, Any]]) -> None:
-    """Pool-worker initializer: cold caches plus shared counters.
-
-    Clearing the caches here makes worker behavior independent of the
-    multiprocessing start method — a forked worker drops state inherited
-    from the coordinator and visibly *attaches* published workloads, so
-    the accounting means the same thing under fork and spawn.
-    """
-    global _shared_counters
-    reset()
-    _shared_counters = counters
-
-
 def reset() -> None:
-    """Drop every cache, offer, and local counter (tests, worker init)."""
+    """Drop every cache and counter (tests, pool-worker initializer).
+
+    As a :class:`~repro.sim.pool.ProcessPool` initializer it makes a
+    worker's accounting independent of the multiprocessing start
+    method: a forked worker drops the caches it inherited from the
+    coordinator and builds what it replays, as a spawned one would.
+    """
     global _local_stats
     for cache in (_trace_cache, _decoded_cache, _file_cache):
-        while cache:
-            _, entry = cache.popitem(last=False)
-            if isinstance(entry, _TraceEntry):
-                _release_entry(entry)
-    _offers.clear()
+        cache.clear()
     _local_stats = {name: 0 for name in _STAT_FIELDS}
-    _sweep_retired()
-
-
-def _try_close(shm: Any) -> bool:
-    """Close one shared-memory handle; ``False`` while views persist."""
-    try:
-        shm.close()
-        return True
-    except BufferError:
-        return False
-
-
-def _sweep_retired() -> None:
-    """Retry closing handles whose views were still alive earlier."""
-    global _retired_shms
-    _retired_shms = [shm for shm in _retired_shms if not _try_close(shm)]
-
-
-def _release_entry(entry: _TraceEntry) -> None:
-    """Drop an entry's arrays, then close its segments (or retire them).
-
-    An evicted entry's traces may still be referenced by a running
-    simulation; closing their backing segment would raise
-    :class:`BufferError` from ``__del__`` later, so handles that cannot
-    close yet are parked and retried on subsequent evictions.
-    """
-    entry.traces = []
-    _sweep_retired()
-    for shm in entry.shms:
-        if not _try_close(shm):
-            _retired_shms.append(shm)
-    entry.shms = []
 
 
 def _evict(cache: OrderedDict, capacity: int) -> None:
     """Shrink a cache to ``capacity`` entries, oldest first."""
     while len(cache) > capacity:
-        _, entry = cache.popitem(last=False)
-        if isinstance(entry, _TraceEntry):
-            _release_entry(entry)
+        cache.popitem(last=False)
 
 
 # ----------------------------------------------------------------------
@@ -259,10 +173,10 @@ def workload_key(
     identity plus the generation-relevant parameters plus the decode
     organization — and, for file-backed workloads, folds in the PR-5
     ``store_fingerprint()`` (per-file mtime_ns/size) so re-recording a
-    trace under the same path invalidates in-process and shared-memory
-    caches alike. Returns ``None`` for workload objects the plane does
-    not understand (ad-hoc test workloads): those are never cached, so
-    unknown generation inputs can never alias.
+    trace under the same path invalidates the cached materialization.
+    Returns ``None`` for workload objects the plane does not understand
+    (ad-hoc test workloads): those are never cached, so unknown
+    generation inputs can never alias.
     """
     import hashlib
     import json
@@ -389,54 +303,16 @@ def _materialize(
     return traces, list(range(cores))
 
 
-def _tag(traces: Sequence[ColumnarTrace], key: str, stream_ids: Sequence[int]) -> None:
-    """Stamp each trace with its content identity for the decode cache."""
+def _seal(
+    traces: Sequence[ColumnarTrace], key: str, stream_ids: Sequence[int]
+) -> None:
+    """Stamp each trace with its content identity for the decode cache
+    and mark its columns read-only (cached traces are shared by every
+    later cell of the process)."""
     for trace, stream in zip(traces, stream_ids):
         trace.plane_token = (key, stream)
-
-
-def _attach_untracked(name: str) -> Any:
-    """Attach one segment without registering it with the resource tracker.
-
-    Attaching normally registers the name with the resource tracker
-    (until Python 3.13's ``track=False``); the publishing coordinator
-    owns the unlink, and on a forked start method every process shares
-    one tracker, so a worker registering (and later unregistering) the
-    same name corrupts the shared cache and spews spurious ``KeyError``
-    tracebacks at cleanup. Registration is suppressed for the duration
-    of the attach instead.
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    original = resource_tracker.register
-
-    def _skip_shared_memory(name: str, rtype: str) -> None:
-        """Drop shared-memory registrations; pass everything else through."""
-        if rtype != "shared_memory":
-            original(name, rtype)
-
-    resource_tracker.register = _skip_shared_memory
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-def _attach(ref: "ShmWorkloadRef") -> _TraceEntry:
-    """Map a published workload read-only; raises when already unlinked."""
-    shms = []
-    uniques = []
-    try:
-        for layout in ref.layouts:
-            shm = _attach_untracked(layout.name)
-            shms.append(shm)
-            uniques.append(ColumnarTrace.from_shm(shm, layout))
-    except BaseException:
-        for shm in shms:
-            _try_close(shm) or _retired_shms.append(shm)
-        raise
-    traces = [uniques[index] for index in ref.stream_ids]
-    return _TraceEntry(traces=traces, shms=shms)
+        for name in trace._FIELDS:
+            getattr(trace, name).flags.writeable = False
 
 
 def traces_for(workload: Any, params: Any, organization: Any) -> List[ColumnarTrace]:
@@ -444,10 +320,9 @@ def traces_for(workload: Any, params: Any, organization: Any) -> List[ColumnarTr
 
     The single materialization path of the simulator: an uncacheable
     workload runs the plain per-core ``arrays_for_core`` loop; any
-    other is served from the in-process LRU, an offered shared-memory
-    segment, or a fresh (cached) generation — in that order. Returned
-    arrays are shared across cells and must be treated as read-only,
-    which every engine already honors.
+    other is served from the in-process LRU, else generated once and
+    cached. Cached traces are shared across cells, so their columns are
+    read-only (writing raises :class:`ValueError`).
     """
     key = workload_key(workload, params, organization)
     if key is None:
@@ -455,26 +330,14 @@ def traces_for(workload: Any, params: Any, organization: Any) -> List[ColumnarTr
             workload.arrays_for_core(core_id, params, organization)
             for core_id in range(params.num_cores)
         ]
-    entry = _trace_cache.get(key)
-    if entry is not None:
+    traces = _trace_cache.get(key)
+    if traces is not None:
         _trace_cache.move_to_end(key)
         _bump("trace_hits")
-        return entry.traces
-    ref = _offers.get(key)
-    if ref is not None:
-        try:
-            entry = _attach(ref)
-        except (FileNotFoundError, OSError, ValueError):
-            entry = None
-        if entry is not None:
-            _tag(entry.traces, key, ref.stream_ids)
-            _trace_cache[key] = entry
-            _evict(_trace_cache, _TRACE_CAPACITY)
-            _bump("attached")
-            return entry.traces
+        return traces
     traces, stream_ids = _materialize(workload, params, organization)
-    _tag(traces, key, stream_ids)
-    _trace_cache[key] = _TraceEntry(traces=traces, shms=[])
+    _seal(traces, key, stream_ids)
+    _trace_cache[key] = traces
     _evict(_trace_cache, _TRACE_CAPACITY)
     _bump("generated")
     return traces
@@ -525,148 +388,6 @@ def cached_decode(token: Optional[Tuple], build: Any) -> Any:
     _decoded_cache[token] = value
     _evict(_decoded_cache, _DECODED_CAPACITY)
     return value
-
-
-# ----------------------------------------------------------------------
-# zero-copy distribution
-
-
-@dataclass(frozen=True)
-class ShmWorkloadRef:
-    """Picklable handle to one published workload.
-
-    Attributes:
-        key: The :func:`workload_key` the segments were published under.
-        layouts: One shared-memory layout per distinct trace stream.
-        stream_ids: Core → index into ``layouts`` (rate-mode cores map
-            to the same stream).
-    """
-
-    key: str
-    layouts: Tuple[ShmTraceLayout, ...]
-    stream_ids: Tuple[int, ...]
-
-
-def offer(ref: ShmWorkloadRef) -> None:
-    """Register a published workload for this process's :func:`traces_for`."""
-    _offers[ref.key] = ref
-
-
-def _segment_name() -> str:
-    """A fresh ``repro-`` prefixed segment name, unique per process."""
-    return f"repro-{os.getpid():x}-{next(_segment_seq):x}"
-
-
-class PlanePublisher:
-    """Coordinator-side materialization and shared-memory lifecycle.
-
-    A :class:`~repro.sim.pool.ProcessPool` run creates one publisher,
-    :meth:`publish`\\ es the distinct workloads of its pending cells,
-    hands each submitted cell its :class:`ShmWorkloadRef` (workers
-    attach instead of regenerating), and — on every exit path — calls
-    :meth:`close`, which unlinks all segments. Publishing is strictly
-    best-effort: a workload that cannot be keyed, materialized, or fit
-    under the byte budget is skipped and its cells regenerate in the
-    workers, exactly as before the plane existed.
-    """
-
-    def __init__(self) -> None:
-        self._segments: List[Any] = []
-        self.refs: Dict[str, ShmWorkloadRef] = {}
-
-    def publish(self, keyed_cells: Sequence[Tuple[int, Any, Optional[str]]]) -> None:
-        """Publish every distinct workload with at least two pending cells.
-
-        ``keyed_cells`` is the run's ``(position, cell, key)`` list (see
-        :func:`keyed_pending`). Single-cell workloads are not published:
-        the coordinator would pay the generation a worker pays anyway,
-        plus a copy. A budget (:data:`_SHM_BUDGET_BYTES`) bounds total
-        published bytes; beyond it workloads fall back to worker-side
-        generation.
-        """
-        published_bytes = 0
-        counts: Dict[str, int] = {}
-        sample: Dict[str, Any] = {}
-        for _position, cell, key in keyed_cells:
-            if key is None:
-                continue
-            counts[key] = counts.get(key, 0) + 1
-            sample.setdefault(key, cell)
-        for key, count in counts.items():
-            if count < 2 or key in self.refs:
-                continue
-            try:
-                ref, size = self._publish_one(key, sample[key])
-            except Exception:
-                continue
-            if ref is None:
-                continue
-            published_bytes += size
-            self.refs[key] = ref
-            if published_bytes >= _SHM_BUDGET_BYTES:
-                break
-
-    def _publish_one(
-        self, key: str, cell: Any
-    ) -> Tuple[Optional[ShmWorkloadRef], int]:
-        """Materialize one cell's workload and copy it into segments."""
-        workload = getattr(cell, "workload_spec", None)
-        if workload is None:
-            from repro.workloads.sources import resolve_workload_string
-
-            workload = resolve_workload_string(str(cell.workload))
-        params = cell.params
-        organization = params.make_organization()
-        traces = traces_for(workload, params, organization)
-        uniques: Dict[int, int] = {}
-        layouts: List[ShmTraceLayout] = []
-        stream_ids: List[int] = []
-        size = 0
-        created: List[Any] = []
-        try:
-            for trace in traces:
-                marker = id(trace)
-                if marker not in uniques:
-                    shm, layout = trace.to_shm(name=_segment_name())
-                    created.append(shm)
-                    size += shm.size
-                    uniques[marker] = len(layouts)
-                    layouts.append(layout)
-                stream_ids.append(uniques[marker])
-        except BaseException:
-            for shm in created:
-                _try_close(shm)
-                try:
-                    shm.unlink()
-                except (FileNotFoundError, OSError):
-                    pass
-            raise
-        self._segments.extend(created)
-        return (
-            ShmWorkloadRef(
-                key=key, layouts=tuple(layouts), stream_ids=tuple(stream_ids)
-            ),
-            size,
-        )
-
-    def close(self) -> None:
-        """Unlink every published segment (idempotent, never raises).
-
-        Runs on success, cell failure, and the interrupt drain path
-        alike. Unlinking removes the ``/dev/shm`` name immediately;
-        workers that already attached keep their mappings alive until
-        their own references die, and a worker that races an attach
-        after the unlink falls back to generating.
-        """
-        for shm in self._segments:
-            if not _try_close(shm):
-                _retired_shms.append(shm)
-            try:
-                shm.unlink()
-            except (FileNotFoundError, OSError):
-                pass
-        self._segments = []
-        self.refs = {}
 
 
 # ----------------------------------------------------------------------

@@ -10,13 +10,11 @@ The plane's contract has three legs, each pinned here:
   per-core ``arrays_for_core`` loop generates, and a grid run produces
   byte-identical results from cold caches, warm caches and a process
   pool, on both engines;
-- **lifecycle** — shared-memory round-trips are exact, published
-  segments are read-only to workers, and the publisher unlinks
-  everything it created.
+- **accounting** — every executed ``perf`` cell is one generation or
+  one trace hit, serial or pooled, and cached traces are read-only.
 """
 
 import dataclasses
-import os
 import time
 
 import numpy as np
@@ -24,7 +22,6 @@ import pytest
 
 from repro.sim.experiment import (
     ExperimentSpec,
-    plan_cells,
     resolve_workload,
     run_grid,
 )
@@ -181,68 +178,40 @@ class TestTracesFor:
         assert len(loads) == 1
 
 
-class TestSharedMemory:
-    def test_roundtrip_is_exact_and_readonly(self):
-        spec = resolve_workload("povray")
-        trace = spec.arrays_for_core(0, PARAMS, PARAMS.make_organization())
-        shm, layout = trace.to_shm(name=f"repro-test-{os.getpid():x}")
-        try:
-            rebuilt = ColumnarTrace.from_shm(shm, layout)
-            assert rebuilt.equals(trace)
-            with pytest.raises(ValueError):
-                rebuilt.gaps[0] = 99
-        finally:
-            del rebuilt
-            shm.close()
-            shm.unlink()
-
-    @pytest.mark.skipif(
-        not os.path.isdir("/dev/shm"), reason="no /dev/shm on this platform"
-    )
-    def test_publisher_close_unlinks_segments(self):
-        keyed = plane.keyed_pending(
-            list(enumerate(plan_cells(small_spec())))
+class TestReadOnly:
+    @pytest.mark.parametrize("source", ["synthetic", "trace"])
+    def test_plane_served_columns_are_readonly(self, source, tmp_path):
+        """Cached traces are shared by later cells: writing raises."""
+        name = "povray" if source == "synthetic" else (
+            f"trace:{record_rate_trace(tmp_path)}"
         )
-        publisher = plane.PlanePublisher()
-        publisher.publish(keyed)
-        assert publisher.refs  # the shared workload was published
-        names = [
-            layout.name
-            for ref in publisher.refs.values()
-            for layout in ref.layouts
-        ]
-        assert names
-        for name in names:
-            assert os.path.exists(f"/dev/shm/{name}")
-        publisher.close()
-        for name in names:
-            assert not os.path.exists(f"/dev/shm/{name}")
+        workload = resolve_workload(name)
+        org = PARAMS.make_organization()
+        for _ in range(2):  # generated, then served from the cache
+            trace = plane.traces_for(workload, PARAMS, org)[0]
+            for field in ColumnarTrace._FIELDS:
+                with pytest.raises(ValueError):
+                    getattr(trace, field)[0] = 1
 
-    def test_attach_falls_back_after_unlink(self):
-        """A worker racing the coordinator's unlink regenerates."""
-        keyed = plane.keyed_pending(
-            list(enumerate(plan_cells(small_spec())))
-        )
-        publisher = plane.PlanePublisher()
-        publisher.publish(keyed)
-        (ref,) = publisher.refs.values()
-        publisher.close()
-        plane.reset()
-        plane.offer(ref)
-        spec = resolve_workload("povray")
-        traces = plane.traces_for(spec, PARAMS, PARAMS.make_organization())
-        assert len(traces) == PARAMS.num_cores
-        stats = plane.local_stats()
-        assert stats.attached == 0
-        assert stats.generated == 1
+    def test_uncacheable_traces_stay_writable(self):
+        class AdHoc:
+            def arrays_for_core(self, core_id, params, organization):
+                return resolve_workload("povray").arrays_for_core(
+                    core_id, params, organization
+                )
+
+        org = PARAMS.make_organization()
+        trace = plane.traces_for(AdHoc(), PARAMS, org)[0]
+        trace.gaps[0] = 1
+        assert trace.gaps[0] == 1
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("source", ["synthetic", "trace"])
     @pytest.mark.parametrize("engine", ["scalar", "batched"])
     def test_grid_identical_cold_warm_pooled(self, engine, source, tmp_path):
-        """Cold caches, warm caches, a process pool (workers attach the
-        published workload) and a run after ``reset()`` all agree."""
+        """Cold caches, warm caches, a process pool (workers build the
+        workload themselves) and a run after ``reset()`` all agree."""
         workload = "povray" if source == "synthetic" else (
             f"trace:{record_rate_trace(tmp_path, requests=1500)}"
         )
@@ -252,7 +221,8 @@ class TestBitIdentity:
         assert cold.run_stats.workloads.generated == 1
         assert warm.run_stats.workloads.generated == 0
         pooled = run_grid(spec, pool=ProcessPool(2))
-        assert pooled.run_stats.workloads.attached >= 1
+        stats = pooled.run_stats.workloads
+        assert stats.generated + stats.trace_hits == pooled.run_stats.executed
         plane.reset()
         again = run_grid(spec, pool=SerialPool())
         reference = cold.to_json()

@@ -35,6 +35,7 @@ from repro.sim.pool import (
     remote_command,
     sized_pool,
 )
+from repro.workloads import plane
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -294,27 +295,46 @@ class TestDefaultDispatch:
         assert run_grid(SPEC, max_workers=2).run_stats.workers == 2
 
     @pytest.mark.parametrize(
-        "cpus, max_workers, priced",
-        [(1, None, 0), (2, None, 1), (2, 2, 1)],
-        ids=["one-cpu-default", "default", "explicit-pool"],
+        "cpus, max_workers, break_even, priced",
+        [
+            (1, None, None, 0),
+            (2, None, None, 1),
+            (2, None, 0.0, 1),
+            (2, 2, None, 1),
+        ],
+        ids=["one-cpu-default", "default", "default-pooled", "explicit-pool"],
     )
     def test_each_cell_priced_at_most_once(
-        self, monkeypatch, cpus, max_workers, priced
+        self, monkeypatch, cpus, max_workers, break_even, priced
     ):
-        """Sizing and dispatch share one pricing per run; on one CPU the
-        default dispatch is serial without pricing anything."""
+        """Sizing and dispatch share one pricing and one workload keying
+        per run; on one CPU the default dispatch is serial without
+        pricing or keying anything."""
         from repro.sim import pool as pool_module
 
         calls = []
+        keyed = []
         real = pool_module.cell_cost
+        real_key = plane.cell_workload_key
         monkeypatch.setattr(pool_module, "available_cpu_count", lambda: cpus)
+        if break_even is not None:
+            monkeypatch.setattr(pool_module, "SERIAL_BREAK_EVEN", break_even)
         monkeypatch.setattr(
             pool_module, "cell_cost", lambda cell: calls.append(cell) or real(cell)
         )
-        run_grid(SPEC, max_workers=max_workers)
+        monkeypatch.setattr(
+            plane,
+            "cell_workload_key",
+            lambda cell: keyed.append(cell) or real_key(cell),
+        )
+        results = run_grid(SPEC, max_workers=max_workers)
+        if break_even is not None:
+            assert results.run_stats.workers == 2
         cells = plan_cells(SPEC)
         assert len(calls) == priced * len(cells)
         assert len({id(cell) for cell in calls}) == len(calls)
+        assert len(keyed) == priced * len(cells)
+        assert len({id(cell) for cell in keyed}) == len(keyed)
 
     def test_grid_swap_affinity_order_is_pinned(self):
         """The cost hint's engine and mitigation factors keep the
@@ -559,7 +579,8 @@ def shm_names():
 
 
 class TestWorkloadPlane:
-    """Plane accounting and shared-memory lifecycle through the pools."""
+    """Plane accounting through the pools; no backend leaves a
+    ``repro-`` shared-memory segment behind."""
 
     SPEC = ExperimentSpec(
         workloads=["povray"],
@@ -569,19 +590,25 @@ class TestWorkloadPlane:
         ),
     )
 
-    def test_pooled_run_attaches_published_workload(self):
-        """A pooled swap-design x TRH grid: the coordinator generates
-        (publish), workers attach and hit the decode cache, and no
-        segment survives."""
+    @pytest.mark.parametrize(
+        "make_pool",
+        [SerialPool, lambda: ProcessPool(2), lambda: None],
+        ids=["serial", "pooled", "default"],
+    )
+    def test_every_perf_cell_is_one_generation_or_hit(self, make_pool):
+        """A swap-design x TRH grid: each executed cell materializes its
+        workload once — generated or served by its process's trace LRU —
+        and pooled workers report their counts back with each chunk."""
         before = shm_names()
         spec = dataclasses.replace(
             self.SPEC,
             mitigations=["rrs", "srs", "scale-srs"],
             grid={"trh": [2400, 1200]},
         )
-        stats = run_grid(spec, pool=ProcessPool(2)).run_stats.workloads
+        run_stats = run_grid(spec, pool=make_pool()).run_stats
+        stats = run_stats.workloads
         assert stats.generated >= 1
-        assert stats.attached >= 1
+        assert stats.generated + stats.trace_hits == run_stats.executed
         assert stats.decode_hits >= 1
         assert shm_names() == before
 
@@ -603,7 +630,7 @@ class TestWorkloadPlane:
         assert stats.decode_hits >= 1
 
     def test_no_shm_leak_after_cell_failure(self, tmp_path):
-        """A failing cell still tears every published segment down."""
+        """A failing cell leaves no shared-memory segment behind."""
         before = shm_names()
         spec = dataclasses.replace(
             self.SPEC,
@@ -614,7 +641,7 @@ class TestWorkloadPlane:
         assert shm_names() == before
 
     def test_no_shm_leak_after_interrupt(self):
-        """Ctrl-C mid-run: the drain path unlinks published segments."""
+        """Ctrl-C mid-run: the drain path leaves no segment behind."""
         from repro.sim.experiment import plan_cells
         from repro.sim.pool import PoolTask
 
@@ -627,10 +654,8 @@ class TestWorkloadPlane:
         )
         with pytest.raises(KeyboardInterrupt):
             pool.run(task)
-        # The publisher generated the shared workload before the
-        # interrupt hit, and its segments are gone regardless.
+        # The drained chunks' plane deltas still reach the pool.
         assert pool.plane_stats is not None
-        assert pool.plane_stats.generated >= 1
         assert shm_names() == before
 
 
@@ -665,7 +690,7 @@ class TestChunking:
         assert flat == list(range(100))
 
     def test_key_change_flushes_a_chunk(self):
-        """A chunk never spans two workload keys (one plane attach)."""
+        """A chunk never spans two workload keys (one workload per chunk)."""
         from repro.sim.pool import chunk_plan
 
         ordered = (
