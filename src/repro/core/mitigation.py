@@ -30,6 +30,7 @@ class MitigationKind(enum.Enum):
     PIN = "pin"
     UNPIN = "unpin"
     COUNTER_ACCESS = "counter_access"
+    VICTIM_REFRESH = "victim_refresh"
     EPOCH_UNRAVEL = "epoch_unravel"
 
 

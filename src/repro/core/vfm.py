@@ -63,6 +63,31 @@ class VictimRefreshMitigation(Mitigation):
         self.protected_radius = protected_radius
         self.victim_refreshes = 0
 
+    # ------------------------------------------------------------------
+    # batching contract
+    #
+    # Tracker triggers are the only entry into `_refresh_neighbours`
+    # for the tracked variant (TRR), which schedules no timed
+    # background work and pins or remaps nothing — so the tracker's
+    # no-trigger guarantees are exactly its no-refresh guarantees.
+    # Without a tracker (PARA) nothing is guaranteed: any activation
+    # may draw a refresh.
+
+    def batch_horizon(self) -> int:
+        if self.tracker is None:
+            return 0
+        return self.tracker.batch_horizon()
+
+    def row_headroom(self, row: int) -> int:
+        if self.tracker is None:
+            return 0
+        return self.tracker.row_headroom(row)
+
+    def batch_slack(self) -> int:
+        if self.tracker is None:
+            return 0
+        return self.tracker.batch_slack()
+
     def _refresh_neighbours(self, time: float, row: int) -> float:
         """Refresh ``row``'s neighbours out to the protected radius."""
         t_rc = self.bank.timing.t_rc
@@ -76,7 +101,7 @@ class VictimRefreshMitigation(Mitigation):
                 self.victim_refreshes += 1
                 self._log(
                     MitigationEvent(
-                        kind=MitigationKind.COUNTER_ACCESS,
+                        kind=MitigationKind.VICTIM_REFRESH,
                         time=time,
                         row=victim,
                         duration=t_rc,

@@ -216,10 +216,14 @@ class Bank:
     def access(self, time: float, row: int, is_write: bool = False) -> AccessResult:
         """Service one column access to ``row`` arriving at ``time``.
 
-        The batched engine (``repro.sim.engine.batched``) replicates this
-        state machine expression-for-expression on its fused fast path;
-        timing changes here must be mirrored there (the engine
-        equivalence tests catch any divergence bit-exactly).
+        Two fused loops replicate this state machine
+        expression-for-expression: the batched engine
+        (``repro.sim.engine.batched``) on its fast path and the hammer
+        harness (``repro.attacks.harness.hammer_pattern``). Timing
+        changes here must be mirrored in both (the engine equivalence
+        tests and the harness differential tests in
+        ``tests/test_security_golden.py`` catch any divergence
+        bit-exactly).
         """
         if not 0 <= row < self.num_rows:
             raise ValueError(f"row {row} out of range [0, {self.num_rows})")

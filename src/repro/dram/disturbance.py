@@ -77,8 +77,11 @@ class DisturbanceModel:
         self.trh = trh
         self.refresh_window = refresh_window
         self.distance_factors = distance_factors
-        self._reach = tuple(
-            (index + 1, factor) for index, factor in enumerate(distance_factors)
+        # Flat (offset, factor) taps: below, then above, at each distance.
+        self._taps = tuple(
+            (sign * (index + 1), factor)
+            for index, factor in enumerate(distance_factors)
+            for sign in (-1, 1)
         )
         self._disturbance: Dict[int, float] = defaultdict(float)
         self._window_index = 0
@@ -103,7 +106,14 @@ class DisturbanceModel:
 
     def on_activation(self, row: int, time: float) -> None:
         """An ACT on ``row`` disturbs its neighbours out to the radius
-        (below, then above, at each distance)."""
+        (below, then above, at each distance).
+
+        The hammer harness (``repro.attacks.harness.hammer_pattern``)
+        inlines this method expression for expression in its fused
+        loop; changes here must be mirrored there (the harness
+        differential tests in ``tests/test_security_golden.py`` catch
+        any divergence bit-exactly).
+        """
         if time >= self._next_window:
             self._roll(time)
         self.total_activations += 1
@@ -111,13 +121,13 @@ class DisturbanceModel:
         flipped = self._flipped
         num_rows = self.num_rows
         trh = self.trh
-        for distance, factor in self._reach:
-            for victim in (row - distance, row + distance):
-                if 0 <= victim < num_rows:
-                    level = levels[victim] + factor
-                    levels[victim] = level
-                    if level >= trh and victim not in flipped:
-                        self._flip(victim, time, level)
+        for offset, factor in self._taps:
+            victim = row + offset
+            if 0 <= victim < num_rows:
+                level = levels[victim] + factor
+                levels[victim] = level
+                if level >= trh and victim not in flipped:
+                    self._flip(victim, time, level)
 
     def _flip(self, row: int, time: float, level: float) -> None:
         self._flipped.add(row)

@@ -15,17 +15,24 @@ plain arithmetic it replaced:
   one-activation-per-insert loop, over five filter geometries;
 - the full JSON of every ``hammer`` cell shape at a reduced scale at
   which TRR and PARA still flip rows, and the rig's flip events: one
-  per flipped row in the single window, and the harness against its
-  per-access loop for a design (AQUA) that remaps rows without
-  offering a ``resolve_map`` view;
-- (slow tier) Figure 6's three Monte-Carlo cells and the four
-  300k-activation half-double cells at full report scale.
+  per flipped row in the single window;
+- the fused ``hammer_pattern`` against its per-access loop on the full
+  end state of bank, disturbance model, tracker and mitigation, for
+  every defense the harness drives (TRR, PARA, Scale-SRS, RRS, SRS,
+  AQUA) on four patterns, plus a deadline stop, mid-pattern window
+  rolls, an open-page bank, overdue SRS place-backs and an
+  out-of-range row;
+- the four 300k-activation half-double cells at full report scale,
+  and (slow tier) Figure 6's three Monte-Carlo cells and the flip
+  events of those half-double cells.
 
 A mismatch means a security number the report prints moved. Update a
 value only for an intended model change, and record why in the commit.
 """
 
+import enum
 import json
+import random
 
 import numpy as np
 import pytest
@@ -35,7 +42,8 @@ from repro.attacks.analytical import (
     JuggernautModel,
     srs_parameters,
 )
-from repro.attacks.harness import hammer_pattern
+from repro.attacks.harness import HammerOutcome, hammer_pattern
+from repro.attacks.patterns import double_sided, half_double, many_sided
 from repro.attacks.montecarlo import MonteCarloJuggernaut, MonteCarloResult
 from repro.core import blockhammer
 from repro.core.blockhammer import (
@@ -43,10 +51,19 @@ from repro.core.blockhammer import (
     BloomParameters,
     dos_false_positive_delay,
 )
+from repro.core.aqua import AquaQuarantine
+from repro.core.mitigation import MitigationKind
+from repro.core.rrs import RandomizedRowSwap
+from repro.core.scale_srs import ScaleSecureRowSwap
+from repro.core.srs import SecureRowSwap
+from repro.core.vfm import PARA, TargetedRowRefresh
 from repro.dram.bank import Bank
+from repro.dram.commands import PagePolicy
 from repro.dram.config import DRAMTiming
+from repro.dram.disturbance import DisturbanceModel
 from repro.sim.evaluations import HammerParams, SecurityParams, _half_double_rig
 from repro.sim.experiment import ExperimentSpec, run_grid
+from repro.trackers.base import ExactTracker
 
 INF = float("inf")
 
@@ -377,45 +394,242 @@ def test_half_double_flip_events(defense, radius, outcome):
     check_flip_events(defense, radius, 20_000, 200, outcome)
 
 
-def reference_hammer(mitigation, disturbance, pattern):
-    """The harness loop calling ``is_pinned``/``resolve`` per access."""
+def reference_hammer(mitigation, disturbance, pattern, start=0.0, deadline=None):
+    """The harness as a per-access loop: ``is_pinned``/``resolve``,
+    ``Bank.access``, ``DisturbanceModel.on_activation`` and
+    ``Mitigation.on_activation`` once per access, the last two only when
+    the access activated a row (as ``MemorySystem`` gates them)."""
     bank = mitigation.bank
-    time = 0.0
+    limit = INF if deadline is None else deadline
+    time = start
+    issued = 0
     for row in pattern:
+        if time >= limit:
+            break
         if mitigation.is_pinned(row):
             time += bank.timing.t_rc
             continue
         physical = mitigation.resolve(row)
         result = bank.access(time, physical)
+        if not result.activated:
+            time = result.finish
+            continue
         disturbance.on_activation(physical, result.start)
+        issued += 1
         time = max(result.finish, mitigation.on_activation(result.finish, row))
-    return time, disturbance.hottest(), disturbance.flipped_rows()
+    hottest_row, hottest = disturbance.hottest()
+    return HammerOutcome(
+        activations=issued,
+        flipped_rows=disturbance.flipped_rows(),
+        hottest_row=hottest_row,
+        hottest_disturbance=hottest,
+        victim_refreshes=getattr(mitigation, "victim_refreshes", 0),
+        duration_ns=time - start,
+    )
+
+
+def state_of(value):
+    """Plain-data snapshot of an object graph, for bit-exact equality.
+
+    Walks instance attributes recursively, so one snapshot of a
+    mitigation covers its bank (timing state, ``total_accesses``,
+    per-row counts, lifetime activations, window records), its
+    disturbance model (levels, flip events, totals), its tracker
+    (counts, observations, triggers), its indirection and pin state,
+    its RNG state and its ``MitigationStats`` with the event log.
+    """
+    if isinstance(value, random.Random):
+        return ("Random", value.getstate())
+    if value is None or isinstance(value, (bool, int, float, str, enum.Enum)):
+        return value
+    if isinstance(value, dict):
+        return {key: state_of(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [state_of(item) for item in value]
+    if isinstance(value, (set, frozenset)):
+        return ("set", sorted(value))
+    return (type(value).__name__, state_of(vars(value)))
+
+
+def rig_state(mitigation, disturbance):
+    if mitigation.tracker is not None:
+        # ExactTracker lowers its max-count bound lazily inside
+        # batch_horizon (which only the fused loop calls); settle it on
+        # both sides so the snapshots compare the counts themselves.
+        mitigation.tracker.batch_horizon()
+    return state_of(mitigation), state_of(disturbance)
+
+
+#: Rows of the differential rig's bank (AQUA carves its quarantine from
+#: the top).
+DIFF_ROWS = 2048
+#: Defenses of the differential test: name -> engine builder.
+DIFF_DEFENSES = {
+    "trr-r1": lambda bank, model: TargetedRowRefresh(
+        bank, model, ExactTracker(100), protected_radius=1, keep_events=True
+    ),
+    "trr-r2": lambda bank, model: TargetedRowRefresh(
+        bank, model, ExactTracker(100), protected_radius=2, keep_events=True
+    ),
+    "para": lambda bank, model: PARA(
+        bank, model, trh=model.trh, rng=random.Random(5), keep_events=True
+    ),
+    "scale-srs": lambda bank, model: ScaleSecureRowSwap(
+        bank, ExactTracker(model.trh // 3), random.Random(7), keep_events=True
+    ),
+    "rrs": lambda bank, model: RandomizedRowSwap(
+        bank, ExactTracker(50), random.Random(11), keep_events=True
+    ),
+    "srs": lambda bank, model: SecureRowSwap(
+        bank, ExactTracker(50), random.Random(13), keep_events=True
+    ),
+    # The harness never ends a window, so the quarantine must hold
+    # every migration of the longest pattern.
+    "aqua": lambda bank, model: AquaQuarantine(
+        bank, ExactTracker(50), quarantine_rows=512, keep_events=True
+    ),
+}
+DIFF_PATTERNS = {
+    "double-sided": lambda: list(double_sided(100, 3000)),
+    "half-double": lambda: list(half_double(100, 6000, near_touch_period=64)),
+    "many-sided": lambda: list(many_sided([100, 200, 203, 300], 4000)),
+    # Rows whose blast radius crosses the bank's edges.
+    "bank-edges": lambda: [0, 1, DIFF_ROWS - 1, DIFF_ROWS - 2] * 1000,
+}
+
+
+def differential_rig(defense, window=1_000_000.0, policy=PagePolicy.CLOSED):
+    """A fresh defended bank plus disturbance model (TRH 200, a
+    distance-2 coupling strong enough to flip rows)."""
+    bank = Bank(
+        DIFF_ROWS, DRAMTiming(refresh_window=window), policy, keep_history=True
+    )
+    model = DisturbanceModel(
+        DIFF_ROWS, 200, refresh_window=window, distance_factors=(1.0, 0.05)
+    )
+    return DIFF_DEFENSES[defense](bank, model), model
+
+
+def check_against_reference(defense, pattern, deadline=None, **rig_args):
+    """Fused harness and per-access loop leave identical end states."""
+    fused_rig = differential_rig(defense, **rig_args)
+    reference_rig = differential_rig(defense, **rig_args)
+    outcome = hammer_pattern(*fused_rig, pattern, deadline=deadline)
+    expected = reference_hammer(*reference_rig, pattern, deadline=deadline)
+    assert outcome == expected
+    assert rig_state(*fused_rig) == rig_state(*reference_rig)
+    return fused_rig, outcome
+
+
+@pytest.mark.parametrize("pattern", sorted(DIFF_PATTERNS))
+@pytest.mark.parametrize("defense", sorted(DIFF_DEFENSES))
+def test_harness_matches_per_access_loop(defense, pattern):
+    (engine, model), outcome = check_against_reference(
+        defense, DIFF_PATTERNS[pattern]()
+    )
+    assert outcome.activations > 0
+    assert engine.bank.total_accesses > 0
+
+
+@pytest.mark.parametrize("defense", sorted(DIFF_DEFENSES))
+def test_harness_matches_per_access_loop_at_deadline(defense):
+    pattern = DIFF_PATTERNS["half-double"]()
+    _, outcome = check_against_reference(defense, pattern, deadline=50_000.0)
+    assert 0 < outcome.activations < len(pattern)
+
+
+@pytest.mark.parametrize("defense", sorted(DIFF_DEFENSES))
+def test_harness_matches_per_access_loop_across_windows(defense):
+    """A 100 us window: ActivationStats and the disturbance model both
+    roll twice inside the pattern (short enough that no design's
+    per-window swap or quarantine capacity runs out, since the harness
+    never ends a mitigation epoch)."""
+    (engine, model), outcome = check_against_reference(
+        defense, DIFF_PATTERNS["double-sided"]() * 2, window=100_000.0
+    )
+    assert engine.bank.stats.windows_closed >= 2
+    assert model._window_index >= 2
+
+
+@pytest.mark.parametrize("defense", sorted(DIFF_DEFENSES))
+def test_harness_matches_per_access_loop_open_page(defense):
+    """Open-page row hits activate nothing: no disturbance, no notify."""
+    pattern = [row for row in DIFF_PATTERNS["half-double"]() for _ in (0, 1)]
+    (engine, model), outcome = check_against_reference(
+        defense, pattern, policy=PagePolicy.OPEN
+    )
+    assert engine.bank.row_hits > 0
+    assert outcome.activations < len(pattern)
+
+
+def test_harness_matches_per_access_loop_through_placebacks():
+    """SRS with a lazy place-back due: the activation that finishes
+    past ``batch_quiet_until`` takes the full path, where ``tick`` runs
+    (the hammer keeps the bank busy, so it reschedules the place-back).
+    Here that activation is also the row's threshold-th, with the rest
+    of its span still pending: the pending rows must be committed
+    before it, or its trigger (and swap) would be missed."""
+
+    def warmed():
+        engine, model = differential_rig("srs")
+        reference_hammer(engine, model, [7] * 500)
+        engine.end_window(engine.bank.busy_until)
+        return engine, model
+
+    fused, reference = warmed(), warmed()
+    engine = fused[0]
+    threshold = engine.tracker.threshold
+    assert engine.batch_horizon() == threshold - 1
+    warm_events = len(engine.stats.events)
+    quiet = engine.batch_quiet_until()
+    timing = engine.bank.timing
+    # Back-to-back ACTs of row 7 from `start`: the threshold-th one is
+    # the first to finish at or past the place-back instant.
+    latency = timing.t_rcd + timing.t_cas + timing.t_bl
+    start = quiet - latency - (threshold - 1) * timing.t_rc + 1.0
+    pattern = [7] * 60 + DIFF_PATTERNS["many-sided"]()
+    outcome = hammer_pattern(*fused, pattern, start=start)
+    assert outcome == reference_hammer(*reference, pattern, start=start)
+    assert rig_state(*fused) == rig_state(*reference)
+    assert engine.batch_quiet_until() > quiet
+    swap = engine.stats.events[warm_events + 1]
+    assert (swap.kind, swap.row) == (MitigationKind.SWAP, 7)
+    assert quiet <= swap.time < quiet + timing.t_rc
+
+
+def test_harness_rejects_out_of_range_rows_like_the_bank():
+    pattern = [99, 101] * 50 + [DIFF_ROWS] + [99] * 10
+    fused, reference = differential_rig("trr-r1"), differential_rig("trr-r1")
+    with pytest.raises(ValueError, match="out of range"):
+        hammer_pattern(*fused, pattern)
+    with pytest.raises(ValueError, match="out of range"):
+        reference_hammer(*reference, pattern)
+    assert rig_state(*fused) == rig_state(*reference)
+
+
+def test_open_page_row_hits_do_not_activate():
+    """One row hammered on an open-page bank: one activation, and the
+    rest are row hits that disturb nothing and are never notified."""
+    engine, model = differential_rig("trr-r1", policy=PagePolicy.OPEN)
+    outcome = hammer_pattern(engine, model, [100] * 500)
+    assert outcome.activations == 1
+    assert model.disturbance(99) == 1.0
+    assert model.disturbance(101) == 1.0
+    assert engine.tracker.observations == 1
+    assert engine.victim_refreshes == 0
+    assert engine.bank.row_hits == 499
 
 
 def test_harness_follows_aqua_quarantine_view():
     """AQUA's ``resolve_map`` is its live forward table: the harness
     must follow every quarantine migration through it."""
-    from repro.core.aqua import AquaQuarantine
-    from repro.dram.disturbance import DisturbanceModel
-    from repro.trackers.base import ExactTracker
-
-    def rig():
-        timing = DRAMTiming(refresh_window=1_000_000.0)
-        engine = AquaQuarantine(Bank(4096, timing), ExactTracker(50))
-        return engine, DisturbanceModel(4096, 300, refresh_window=1_000_000.0)
-
     pattern = [99, 101] * 600
-    engine, disturbance = rig()
-    outcome = hammer_pattern(engine, disturbance, pattern)
+    (engine, _), _ = check_against_reference("aqua", pattern)
     assert engine.migrations > 0
-    time, hottest, flipped = reference_hammer(*rig(), pattern)
-    assert outcome.duration_ns == time
-    assert (outcome.hottest_row, outcome.hottest_disturbance) == hottest
-    assert outcome.flipped_rows == flipped
 
 
 # ----------------------------------------------------------------------
-# full report scale (slow tier)
+# full report scale
 
 #: Figure 6's Monte-Carlo cells: rounds -> (mc window success, mean,
 #: median, p05, p95 days, derived seed).
@@ -464,7 +678,6 @@ def test_fig06_montecarlo_cells():
         assert got == FIG06_MC[record["rounds"]]
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize(
     "defense, radius, outcome",
     HALF_DOUBLE_CELLS,

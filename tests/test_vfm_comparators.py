@@ -5,8 +5,6 @@ import random
 
 import pytest
 
-pytestmark = pytest.mark.slow  # disturbance-model simulations, seconds per test
-
 from repro.attacks.harness import hammer_pattern
 from repro.attacks.patterns import double_sided, half_double
 from repro.core.aqua import AquaQuarantine, QuarantineFullError
@@ -17,8 +15,9 @@ from repro.core.blockhammer import (
     DualBloomFilter,
     dos_false_positive_delay,
 )
+from repro.core.mitigation import MitigationKind
 from repro.core.scale_srs import ScaleSecureRowSwap
-from repro.core.vfm import PARA, TargetedRowRefresh
+from repro.core.vfm import PARA, TargetedRowRefresh, VictimRefreshMitigation
 from repro.dram.bank import Bank
 from repro.dram.config import DRAMTiming
 from repro.dram.disturbance import DisturbanceModel
@@ -70,6 +69,84 @@ class TestVFMAgainstClassicPatterns:
             TargetedRowRefresh(bank, disturbance, ExactTracker(10), protected_radius=0)
 
 
+class TestVictimRefreshBookkeeping:
+    def test_refreshes_log_as_victim_refreshes(self):
+        bank = Bank(4096, NO_ROLL)
+        disturbance = DisturbanceModel(4096, TRH, refresh_window=1e12)
+        engine = TargetedRowRefresh(
+            bank, disturbance, ExactTracker(10), protected_radius=2,
+            keep_events=True,
+        )
+        hammer_pattern(engine, disturbance, [100] * 30)
+        kinds = {event.kind for event in engine.stats.events}
+        assert kinds == {MitigationKind.VICTIM_REFRESH}
+        assert len(engine.stats.events) == engine.victim_refreshes == 3 * 4
+        assert engine.stats.counter_accesses == 0
+        assert engine.stats.busy_time == 12 * bank.timing.t_rc
+
+
+class TestVictimRefreshBatchingContract:
+    """TRR's quiescence horizon is its tracker's; PARA (and any VFM
+    without a tracker) may refresh on any activation and declares 0."""
+
+    def make_trr(self):
+        bank = Bank(4096, NO_ROLL)
+        disturbance = DisturbanceModel(4096, TRH, refresh_window=1e12)
+        return TargetedRowRefresh(bank, disturbance, ExactTracker(50))
+
+    @staticmethod
+    def hammer(engine, row, count, start=0.0):
+        bank = engine.bank
+        time = start
+        for _ in range(count):
+            result = bank.access(time, row)
+            end = engine.on_activation(result.finish, row)
+            assert end == result.finish
+            time = result.finish
+        return time
+
+    def test_trr_delegates_to_tracker(self):
+        engine = self.make_trr()
+        self.hammer(engine, 7, 30)
+        self.hammer(engine, 9, 5, start=engine.bank.busy_until)
+        assert engine.batch_horizon() == engine.tracker.batch_horizon() == 50 - 1 - 30
+        assert engine.row_headroom(7) == engine.tracker.row_headroom(7) == 19
+        assert engine.row_headroom(9) == engine.tracker.row_headroom(9) == 44
+        assert engine.batch_slack() == engine.tracker.batch_slack()
+
+    def test_horizon_replay_performs_no_refresh(self):
+        engine = self.make_trr()
+        self.hammer(engine, 7, 30)
+        horizon = engine.batch_horizon()
+        # Worst case within the horizon: every access lands on the
+        # hottest row — still no refresh, and `time` comes back as given.
+        self.hammer(engine, 7, horizon, start=engine.bank.busy_until)
+        assert engine.victim_refreshes == 0
+        assert engine.batch_horizon() == 0
+        result = engine.bank.access(engine.bank.busy_until, 7)
+        assert engine.on_activation(result.finish, 7) > result.finish
+        assert engine.victim_refreshes == 2
+
+    def test_para_declares_no_horizon(self):
+        engine, _ = rig("para")
+        assert engine.batch_horizon() == 0
+        assert engine.row_headroom(100) == 0
+        assert engine.batch_slack() == 0
+
+    def test_untracked_vfm_declares_no_horizon(self):
+        class Untracked(VictimRefreshMitigation):
+            def on_activation(self, time, row):
+                return time
+
+        bank = Bank(64, NO_ROLL)
+        engine = Untracked(bank, DisturbanceModel(64, TRH))
+        assert engine.tracker is None
+        assert engine.batch_horizon() == 0
+        assert engine.row_headroom(3) == 0
+        assert engine.batch_slack() == 0
+
+
+@pytest.mark.slow  # 300k-activation disturbance-model runs
 class TestHalfDoubleMotivation:
     """Section II-E: VFM's own refreshes hammer distance-2 rows."""
 
