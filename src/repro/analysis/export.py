@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import List, Mapping, Optional, Sequence, Union
 
 Number = Union[int, float]
 

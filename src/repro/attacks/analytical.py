@@ -105,10 +105,6 @@ class RoundOutcome:
     def time_to_break_days(self) -> float:
         return self.time_to_break_ns / NS_PER_DAY
 
-    @property
-    def time_to_break_seconds(self) -> float:
-        return self.time_to_break_ns / 1e9
-
 
 def _binomial_pmf_at_least_once(g: float, p: float, k: int) -> float:
     """``P(X == k)`` for ``X ~ Binomial(G, p)`` — Equation 8.

@@ -95,10 +95,6 @@ class MonteCarloResult:
     p05_days: float
     p95_days: float
 
-    @property
-    def mean_time_to_break_seconds(self) -> float:
-        return self.mean_time_to_break_days * 86_400.0
-
 
 class MonteCarloJuggernaut:
     """Monte-Carlo simulation of Juggernaut against a swap defense."""

@@ -18,8 +18,7 @@ Commands:
 - ``power`` — Table V power overheads.
 - ``report`` — emit registered paper figures/tables (markdown + CSV)
   from the result store, executing only missing cells.
-- ``store ls`` / ``store prune`` / ``store pack`` — inspect, clean,
-  and compact a result store.
+- ``store ls`` / ``store prune`` — inspect and clean a result store.
 
 Mitigation and tracker choices are generated from
 :mod:`repro.registry`, so a newly registered design shows up here with
@@ -616,10 +615,21 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_store_ls(args: argparse.Namespace) -> int:
+def _existing_store(path: str):
+    """The result store at ``path``; never creates a missing directory
+    (``store ls``/``prune`` only inspect)."""
     from repro.sim.store import ResultStore
 
-    inventory = ResultStore(args.dir).inventory()
+    if not os.path.isdir(path):
+        raise SystemExit(f"no result store at {path}")
+    try:
+        return ResultStore(path)
+    except ValueError as error:
+        raise SystemExit(str(error))
+
+
+def _cmd_store_ls(args: argparse.Namespace) -> int:
+    inventory = _existing_store(args.dir).inventory()
     print(f"{'kind':<12s}{'schema':>7s}{'cells':>7s}")
     for (kind, version), count in sorted(inventory.live.items()):
         print(f"{kind:<12s}{f'v{version}':>7s}{count:>7d}")
@@ -637,24 +647,11 @@ def _cmd_store_ls(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_prune(args: argparse.Namespace) -> int:
-    from repro.sim.store import ResultStore
-
-    removals = ResultStore(args.dir).prune(dry_run=args.dry_run)
+    removals = _existing_store(args.dir).prune(dry_run=args.dry_run)
     verb = "would remove" if args.dry_run else "removed"
     for path, reason in removals:
         print(f"{verb} {os.path.basename(path)}: {reason}")
     print(f"{verb} {len(removals)} entries")
-    return 0
-
-
-def _cmd_store_pack(args: argparse.Namespace) -> int:
-    from repro.sim.store import ResultStore
-
-    stats = ResultStore(args.dir).pack()
-    print(
-        f"packed {stats.packed} entries "
-        f"({stats.duplicate} already packed, {stats.skipped} skipped)"
-    )
     return 0
 
 
@@ -878,14 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dry-run", action="store_true",
                    help="report what would be removed without deleting")
     p.set_defaults(func=_cmd_store_prune)
-
-    p = store_sub.add_parser(
-        "pack", help="fold loose per-cell files into the packed segment "
-                     "(pack.seg + pack.idx); reads and --resume are "
-                     "unaffected"
-    )
-    p.add_argument("dir", help="result store directory")
-    p.set_defaults(func=_cmd_store_pack)
 
     return parser
 

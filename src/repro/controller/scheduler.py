@@ -11,7 +11,7 @@ arbiter adds the reordering that matters for open-page studies
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.dram.bank import Bank
 

@@ -18,7 +18,7 @@ space; it reuses the repository's tracker and bank substrate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.mitigation import (
     Mitigation,
@@ -87,9 +87,6 @@ class AquaQuarantine(Mitigation):
 
     def is_quarantined(self, row: int) -> bool:
         return row in self._forward
-
-    def quarantined_rows(self) -> List[int]:
-        return list(self._forward)
 
     def on_activation(self, time: float, row: int) -> float:
         observation = self.tracker.observe(row)

@@ -117,9 +117,6 @@ class RRSIndirectionTable:
         self._locked.clear()
         return n
 
-    def mapping_snapshot(self) -> Dict[int, int]:
-        return dict(self._map)
-
     def check_invariants(self) -> None:
         """Verify the involution property; raises ``AssertionError``."""
         for a, b in self._map.items():

@@ -15,7 +15,7 @@ tests, the quickstart example, and Scale-SRS capacity experiments.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from repro.core.pin_buffer import PinBuffer

@@ -11,7 +11,7 @@ harnesses can verify whether any physical location crossed ``TRH``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.dram.commands import PagePolicy

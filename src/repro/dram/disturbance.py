@@ -91,10 +91,6 @@ class DisturbanceModel:
         self.total_activations = 0
         self.refreshes = 0
 
-    @property
-    def blast_radius(self) -> int:
-        return len(self.distance_factors)
-
     def _roll(self, time: float) -> None:
         window = int(time // self.refresh_window)
         if window > self._window_index:

@@ -24,7 +24,7 @@ import csv
 import io
 import os
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Sequence
 
 
 def format_value(value: Any) -> str:

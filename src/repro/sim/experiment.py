@@ -98,7 +98,6 @@ from repro.sim.pool import (
 )
 from repro.sim.store import (
     ResultStore,
-    cell_digest,
     cell_key,
     key_digest,
     shard_of,
@@ -282,10 +281,6 @@ class ExperimentSpec:
                             f"unknown {self.kind} subject {name!r}; "
                             f"options: {info.subjects}"
                         )
-
-    def workload_names(self) -> List[str]:
-        """Resolved workload names (or scenario labels), declaration order."""
-        return [name for name, _ in self._workload_entries()]
 
     def _workload_entries(self) -> List[Tuple[str, Optional[Any]]]:
         """(name, carried ad-hoc spec) per workload; workload objects

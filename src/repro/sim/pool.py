@@ -48,12 +48,7 @@ from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.registry import EVALUATIONS
-from repro.sim.store import (
-    MergeStats,
-    PACK_INDEX,
-    PACK_SEGMENT,
-    ResultStore,
-)
+from repro.sim.store import MergeStats, ResultStore
 from repro.workloads import plane
 
 
@@ -866,10 +861,9 @@ class SshPool(Pool):
         """Stream the remote store as a tarball and merge the payload.
 
         Dependency-free: ``tar`` on the remote side, :mod:`tarfile`
-        locally. Only regular ``*.json`` members plus the packed-tier
-        files (``pack.seg``/``pack.idx``) are extracted (by basename,
-        into a staging directory), so a hostile or confused archive
-        cannot write outside it.
+        locally. Only regular ``*.json`` members are extracted (by
+        basename, into a staging directory), so a hostile or confused
+        archive cannot write outside it.
         """
         command = f"tar -C {shlex.quote(self.remote_store)} -cf - ."
         proc = subprocess.run(
@@ -884,11 +878,7 @@ class SshPool(Pool):
             with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as archive:
                 for member in archive.getmembers():
                     name = os.path.basename(member.name)
-                    wanted = name.endswith(".json") or name in (
-                        PACK_SEGMENT,
-                        PACK_INDEX,
-                    )
-                    if not member.isfile() or not wanted:
+                    if not member.isfile() or not name.endswith(".json"):
                         continue
                     extracted = archive.extractfile(member)
                     if extracted is None:

@@ -251,25 +251,6 @@ class TestCommands:
         assert main(argv + ["--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
 
-    def test_store_pack_cli(self, capsys, tmp_path):
-        """grid -> store pack -> --resume serves everything from the
-        segment; store ls stays accurate on the packed store."""
-        store = str(tmp_path / "store")
-        argv = ["storage", "--trh", "4800", "1200", "--store", store]
-        assert main(argv) == 0
-        assert "executed 4, reused 0" in capsys.readouterr().out
-        assert main(["store", "pack", store]) == 0
-        out = capsys.readouterr().out
-        assert "packed 4 entries" in out
-        assert sorted(os.listdir(store)) == ["pack.idx", "pack.seg"]
-        assert main(argv + ["--resume"]) == 0
-        assert "executed 0, reused 4" in capsys.readouterr().out
-        assert main(["store", "ls", store]) == 0
-        out = capsys.readouterr().out
-        assert "total 4 entries: 4 live, 0 stale, 0 corrupt" in out
-        assert main(["store", "pack", store]) == 0
-        assert "packed 0 entries" in capsys.readouterr().out
-
     def test_shard_flag_parsed_and_validated(self):
         args = build_parser().parse_args(["grid", "--shard", "1/4"])
         assert args.shard == (1, 4)
@@ -378,6 +359,8 @@ class TestReportCommand:
             ["store", "prune", "x"],
         ):
             assert callable(parser.parse_args(command).func)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["store", "pack", "x"])
         args = parser.parse_args(
             ["report", "--figure", "table4", "fig13", "--shard", "0/2"]
         )
@@ -480,3 +463,10 @@ class TestStoreCommand:
         assert not os.path.exists(victim)
         assert main(["store", "ls", store]) == 0
         assert "6 live, 0 stale, 0 corrupt" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["ls", "prune"])
+    def test_missing_store_is_an_error_not_created(self, command, tmp_path):
+        missing = str(tmp_path / "typo")
+        with pytest.raises(SystemExit, match="no result store at"):
+            main(["store", command, missing])
+        assert not os.path.exists(missing)

@@ -18,7 +18,6 @@ from repro.sim import (
     ModelResult,
     PowerParams,
     ResultSet,
-    ResultStore,
     SecurityParams,
     StorageParams,
     plan_cells,
@@ -358,7 +357,7 @@ class TestHammerAndModelKinds:
         assert back == result
         assert list(back.values["series"]) == [1200, 4800]
 
-    def test_loose_and_packed_tiers_serve_identical_records(
+    def test_resume_from_store_serves_identical_records(
         self, results, tmp_path
     ):
         path = str(tmp_path / "store")
@@ -372,9 +371,7 @@ class TestHammerAndModelKinds:
             return sets[0].extend(sets[1]).results, executed
 
         assert resolve() == (results.results, len(results))
-        assert resolve() == (results.results, 0)  # loose tier
-        ResultStore(path).pack()
-        assert resolve() == (results.results, 0)  # packed tier
+        assert resolve() == (results.results, 0)
 
     def test_hammer_cost_is_the_activation_count(self):
         assert {cell_cost(cell) for cell in plan_cells(HAMMER)} == {3000.0}

@@ -375,6 +375,13 @@ class TestMergeFrom:
         assert resumed.run_stats.executed == 0
         assert resumed.to_json() == direct.to_json()
 
+    def test_missing_source_raises_and_is_not_created(self, tmp_path):
+        dest = ResultStore(str(tmp_path / "dest"))
+        missing = tmp_path / "missing"
+        with pytest.raises(FileNotFoundError, match="no result store"):
+            dest.merge_from(str(missing))
+        assert not missing.exists()
+
     def test_merge_into_itself_is_a_noop(self, tmp_path):
         source = self.fill_source(tmp_path)
         stats = ResultStore(str(source)).merge_from(str(source))
@@ -531,145 +538,19 @@ class TestInventoryAndPrune:
         assert store.inventory().total == 0
 
 
-class TestPackedTier:
-    """The append-only segment: fold, read-through, heal, compact."""
+class TestLegacyPackedStore:
+    """A directory an older version folded into ``pack.seg`` is refused,
+    never silently read as empty."""
 
-    def fill(self, tmp_path):
+    def test_pack_segment_is_refused_and_left_alone(self, tmp_path):
         store_dir = tmp_path / "store"
-        run_grid(STORAGE, max_workers=1, store=str(store_dir))
-        return store_dir, ResultStore(str(store_dir))
-
-    def test_pack_round_trip_and_resume(self, tmp_path):
-        store_dir, store = self.fill(tmp_path)
-        count = len(store)
-        stats = store.pack()
-        assert stats.packed == count
-        assert stats.folded == count
-        assert entry_files(store_dir) == []
-        assert (store_dir / "pack.seg").exists()
-        assert (store_dir / "pack.idx").exists()
-        # A fresh instance (lazy index load) serves the whole grid.
-        resumed = run_grid(STORAGE, max_workers=1, store=str(store_dir))
-        assert resumed.run_stats.executed == 0
-        assert resumed.run_stats.reused == count
-        assert len(ResultStore(str(store_dir))) == count
-
-    def test_pack_is_idempotent(self, tmp_path):
-        _, store = self.fill(tmp_path)
-        store.pack()
-        again = store.pack()
-        assert again.packed == 0
-        assert again.folded == 0
-
-    def test_packed_and_loose_mix_serves_and_repacks(self, tmp_path):
-        """New results land loose next to the segment; a second pack
-        folds them in (duplicates are just dropped)."""
-        store_dir, store = self.fill(tmp_path)
-        store.pack()
-        wider = dataclasses.replace(
-            STORAGE, grid={"trh": [4800, 2400, 1200, 600]}
-        )
-        grown = run_grid(wider, max_workers=1, store=str(store_dir))
-        assert grown.run_stats.executed == 2
-        assert grown.run_stats.reused == 6
-        assert len(entry_files(store_dir)) == 2
-        stats = store.pack()
-        assert stats.packed == 2
-        assert entry_files(store_dir) == []
-        resumed = run_grid(wider, max_workers=1, store=str(store_dir))
-        assert resumed.run_stats.executed == 0
-
-    def test_corrupt_index_is_rebuilt_from_segment(self, tmp_path):
-        store_dir, store = self.fill(tmp_path)
-        store.pack()
-        (store_dir / "pack.idx").write_text("{ not json")
-        fresh = ResultStore(str(store_dir))
-        resumed = run_grid(STORAGE, max_workers=1, store=fresh)
-        assert resumed.run_stats.executed == 0
-        # The rebuild healed the sidecar on disk.
-        healed = json.loads((store_dir / "pack.idx").read_text())
-        assert len(healed["entries"]) == 6
-
-    def test_missing_index_is_rebuilt_from_segment(self, tmp_path):
-        store_dir, store = self.fill(tmp_path)
-        store.pack()
-        os.unlink(str(store_dir / "pack.idx"))
-        resumed = run_grid(STORAGE, max_workers=1, store=str(store_dir))
-        assert resumed.run_stats.executed == 0
-
-    def test_corrupt_segment_record_heals_through_rerun(self, tmp_path):
-        store_dir, store = self.fill(tmp_path)
-        store.pack()
-        # Garble one record's payload in place (same line length).
-        data = (store_dir / "pack.seg").read_bytes().splitlines(keepends=True)
-        line = data[0]
-        data[0] = line[:65] + b"x" * (len(line) - 66) + b"\n"
-        (store_dir / "pack.seg").write_bytes(b"".join(data))
-        rerun = run_grid(STORAGE, max_workers=1, store=str(store_dir))
-        assert rerun.run_stats.executed == 1
-        assert rerun.run_stats.reused == 5
-        # The rewrite landed loose and shadows the corrupt record.
-        assert len(entry_files(store_dir)) == 1
-        healed = run_grid(STORAGE, max_workers=1, store=str(store_dir))
-        assert healed.run_stats.executed == 0
-
-    def test_inventory_and_prune_are_pack_aware(self, tmp_path):
-        store_dir, store = self.fill(tmp_path)
-        store.pack()
-        data = (store_dir / "pack.seg").read_bytes().splitlines(keepends=True)
-        line = data[0]
-        victim = line[:64].decode()
-        data[0] = line[:65] + b"x" * (len(line) - 66) + b"\n"
-        (store_dir / "pack.seg").write_bytes(b"".join(data))
-        store = ResultStore(str(store_dir))
-        inventory = store.inventory()
-        assert sum(inventory.live.values()) == 5
-        assert [os.path.basename(p) for p, _ in inventory.corrupt] == [
-            f"pack.seg#{victim}"
-        ]
-        removed = store.prune()
-        assert len(removed) == 1
-        # The segment was compacted: five live records remain, readable.
-        assert len(store) == 5
-        rerun = run_grid(STORAGE, max_workers=1, store=store)
-        assert rerun.run_stats.executed == 1
-        assert rerun.run_stats.reused == 5
-
-    def test_merge_from_adopts_packed_sources(self, tmp_path):
-        """merge_from reads both tiers of the source; adoptions land
-        loose in the destination."""
-        store_dir, source = self.fill(tmp_path)
-        source.pack()
-        dest = ResultStore(str(tmp_path / "dest"))
-        stats = dest.merge_from(str(store_dir))
-        assert stats.adopted == 6
-        assert stats.unverified == 0
-        resumed = run_grid(STORAGE, max_workers=1, store=dest)
-        assert resumed.run_stats.executed == 0
-
-    def test_merge_from_sees_packed_destination_entries(self, tmp_path):
-        """An entry already packed in the destination counts as
-        present — no duplicate loose copy is written."""
-        store_dir, source = self.fill(tmp_path)
-        dest_dir = tmp_path / "dest"
-        dest = ResultStore(str(dest_dir))
-        dest.merge_from(str(store_dir))
-        dest.pack()
-        stats = dest.merge_from(str(store_dir))
-        assert stats.present == 6
-        assert stats.adopted == 0
-        assert entry_files(dest_dir) == []
-
-    def test_mixed_source_merge(self, tmp_path):
-        """A source with both packed and loose entries merges whole."""
-        store_dir, source = self.fill(tmp_path)
-        source.pack()
-        wider = dataclasses.replace(
-            STORAGE, grid={"trh": [4800, 2400, 1200, 600]}
-        )
-        run_grid(wider, max_workers=1, store=str(store_dir))
-        dest = ResultStore(str(tmp_path / "dest"))
-        stats = dest.merge_from(str(store_dir))
-        assert stats.adopted == 8
-        resumed = run_grid(wider, max_workers=1, store=dest)
-        assert resumed.run_stats.executed == 0
+        store_dir.mkdir()
+        segment = store_dir / "pack.seg"
+        data = b"0" * 64 + b' {"kind": "storage"}\n'
+        segment.write_bytes(data)
+        with pytest.raises(ValueError, match="pack.seg"):
+            ResultStore(str(store_dir))
+        with pytest.raises(ValueError, match="pack.seg"):
+            run_grid(STORAGE, max_workers=1, store=str(store_dir))
+        assert segment.read_bytes() == data
+        assert os.listdir(str(store_dir)) == ["pack.seg"]
