@@ -3,13 +3,6 @@
 from repro.analysis.storage import StorageModel, StorageBreakdown
 from repro.analysis.power import PowerModel, PowerBreakdown
 from repro.analysis.thresholds import TRH_HISTORY, trh_for_generation, scaling_factor
-from repro.analysis.export import (
-    ascii_bars,
-    ascii_line,
-    series_to_csv,
-    table_to_csv,
-    write_csv,
-)
 
 __all__ = [
     "StorageModel",
@@ -19,9 +12,4 @@ __all__ = [
     "TRH_HISTORY",
     "trh_for_generation",
     "scaling_factor",
-    "ascii_bars",
-    "ascii_line",
-    "series_to_csv",
-    "table_to_csv",
-    "write_csv",
 ]

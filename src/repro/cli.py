@@ -390,11 +390,15 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
 def _cmd_trace_info(args: argparse.Namespace) -> int:
     workload = TraceWorkload(path=args.path)
     mapper = AddressMapper(DRAMOrganization())
+    try:
+        files = workload.core_files()
+        columns = [workload.columns_for_file(path) for path in files]
+    except (OSError, ValueError) as error:  # missing, empty or malformed
+        raise SystemExit(str(error))
     print(f"{'file':<28s}{'records':>9s}{'instrs':>12s}{'mpki':>8s}"
           f"{'writes':>8s}{'rows':>8s}")
     totals = [0, 0]
-    for file_path in workload.core_files():
-        gaps, is_write, addresses = workload.columns_for_file(file_path)
+    for file_path, (gaps, is_write, addresses) in zip(files, columns):
         arrays = ColumnarTrace.from_addresses(gaps, is_write, addresses, mapper)
         records = len(arrays)
         print(f"{os.path.basename(file_path):<28s}{records:>9d}"

@@ -13,7 +13,7 @@ from repro.dram.config import (
     DEFAULT_TIMING,
     DEFAULT_ORGANIZATION,
 )
-from repro.dram.commands import DRAMCommand, PagePolicy
+from repro.dram.commands import PagePolicy
 from repro.dram.address import AddressMapper, DecodedAddress
 from repro.dram.bank import Bank, ActivationStats
 from repro.dram.refresh import RefreshScheduler
@@ -26,7 +26,6 @@ __all__ = [
     "SystemConfig",
     "DEFAULT_TIMING",
     "DEFAULT_ORGANIZATION",
-    "DRAMCommand",
     "PagePolicy",
     "AddressMapper",
     "DecodedAddress",

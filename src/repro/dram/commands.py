@@ -1,21 +1,8 @@
-"""DRAM command and policy definitions."""
+"""DRAM controller policy definitions."""
 
 from __future__ import annotations
 
 import enum
-
-
-class DRAMCommand(enum.Enum):
-    """Commands a memory controller may issue to a DRAM bank."""
-
-    ACT = "activate"
-    PRE = "precharge"
-    RD = "read"
-    WR = "write"
-    REF = "refresh"
-    SWAP = "swap"
-    UNSWAP = "unswap"
-    RESWAP = "reswap"
 
 
 class PagePolicy(enum.Enum):

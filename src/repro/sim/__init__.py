@@ -72,7 +72,7 @@ from repro.sim.evaluations import (
     StorageResult,
 )
 from repro.sim.factory import make_mitigation_factory, make_tracker
-from repro.sim.recorder import record_workload, write_columnar_trace
+from repro.sim.recorder import record_workload
 from repro.sim.results import SimulationResult, normalized_performance
 from repro.sim.simulator import PerformanceSimulation, SimulationParams
 
@@ -117,7 +117,6 @@ __all__ = [
     "make_mitigation_factory",
     "make_tracker",
     "record_workload",
-    "write_columnar_trace",
     "SimulationResult",
     "normalized_performance",
     "PerformanceSimulation",

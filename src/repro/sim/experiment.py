@@ -192,7 +192,9 @@ class ExperimentSpec:
             For non-``perf`` kinds: optional scenario labels (defaults
             to the kind's registered scenario).
         mitigations: Registered mitigation names; ``baseline`` need not
-            be listed — see ``include_baseline``. For non-``perf``
+            be listed — ``perf`` grids always run the matching
+            (deduplicated) baselines so the :class:`ResultSet` can
+            normalize. For non-``perf``
             kinds: the subject designs the kind evaluates (for example
             ``rrs``/``srs`` for ``security``).
         base_params: Parameters shared by every cell — an instance of
@@ -201,13 +203,6 @@ class ExperimentSpec:
         grid: ``{parameter field: [values]}`` axes; the cross product
             of all axes is applied over ``base_params`` with
             :func:`dataclasses.replace`.
-        include_baseline: Run the matching baselines (deduplicated) so
-            the :class:`ResultSet` can normalize. Disable only for
-            studies that never normalize. ``perf`` only.
-        replicates: Repeat every cell with seeds ``seed, seed+1, ...``
-            (deterministically derived); each ``perf`` replicate
-            normalizes against the baseline of its own seed. Requires
-            the kind's parameters to carry a ``seed`` field.
         kind: The registered evaluation kind cells run under
             (:mod:`repro.sim.evaluations`); default ``perf``.
     """
@@ -216,8 +211,6 @@ class ExperimentSpec:
     mitigations: Sequence[str] = ()
     base_params: Optional[Any] = None
     grid: Mapping[str, Sequence[Any]] = field(default_factory=dict)
-    include_baseline: bool = True
-    replicates: int = 1
     kind: str = PERF
 
     def __post_init__(self) -> None:
@@ -228,8 +221,6 @@ class ExperimentSpec:
     def validate(self) -> None:
         """Fail fast on unknown kinds, axes, workloads, subjects, engines."""
         info = EVALUATIONS.get(self.kind)  # raises on unknown kinds
-        if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
         param_fields = info.param_fields
         if not isinstance(self.base_params, info.params_cls):
             raise ValueError(
@@ -245,11 +236,6 @@ class ExperimentSpec:
                 )
             if not self.grid[axis]:
                 raise ValueError(f"grid axis {axis!r} has no values")
-        if self.replicates > 1 and "seed" not in param_fields:
-            raise ValueError(
-                f"kind {self.kind!r} has no seed parameter; "
-                "replicates must be 1"
-            )
         if self.kind == PERF:
             if not self.workloads:
                 raise ValueError("an experiment needs at least one workload")
@@ -313,12 +299,6 @@ class ExperimentSpec:
         for values in itertools.product(*(vals for _, vals in axes)):
             overrides = {name: value for (name, _), value in zip(axes, values)}
             combos.append(replace(self.base_params, **overrides))
-        if self.replicates > 1:
-            combos = [
-                replace(params, seed=params.seed + r)
-                for params in combos
-                for r in range(self.replicates)
-            ]
         return combos
 
     def cells(self) -> List[ExperimentCell]:
@@ -369,8 +349,6 @@ def plan_cells(spec: ExperimentSpec) -> List[ExperimentCell]:
     """
     cells = spec.cells()
     if spec.kind != PERF:
-        return cells
-    if not (spec.include_baseline or BASELINE in spec.mitigations):
         return cells
     return spec.baseline_cells() + cells
 
@@ -817,8 +795,8 @@ class ResultSet:
         if fallback is not None:
             return fallback
         raise LookupError(
-            f"no baseline result for workload {result.workload!r}; "
-            "run the grid with include_baseline=True"
+            f"no baseline result for workload {result.workload!r} "
+            "in this result set"
         )
 
     def normalized(self, result: SimulationResult) -> float:

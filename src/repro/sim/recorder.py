@@ -12,7 +12,9 @@ swap and slowdown numbers bit-for-bit; the determinism test in
 
 Recordings are plain text (one ``<gap> <R|W> <hex addr>`` line per
 access, ``# key=value`` header comments) so they diff, grep, and
-compress well; pass ``compress=True`` for gzip output.
+compress well; pass ``compress=True`` for gzip output. The lines are
+written by :func:`repro.workloads.trace.write_trace_columns`, the
+format's one writer.
 """
 
 from __future__ import annotations
@@ -22,40 +24,12 @@ from typing import Any, List, Optional
 
 from repro.dram.address import AddressMapper
 from repro.sim.simulator import SimulationParams
-from repro.workloads.columnar import ColumnarTrace
-from repro.workloads.trace import open_trace
+from repro.workloads.trace import open_trace, write_trace_columns
 
 
 def trace_file_name(core_id: int, compress: bool = False) -> str:
     """Canonical per-core trace file name (``core3.trace[.gz]``)."""
     return f"core{core_id}.trace" + (".gz" if compress else "")
-
-
-def write_columnar_trace(
-    arrays: ColumnarTrace,
-    mapper: AddressMapper,
-    path: str,
-    header: Optional[List[str]] = None,
-) -> int:
-    """Write one columnar stream as a USIMM text trace; returns records.
-
-    Args:
-        arrays: The access stream to serialize.
-        mapper: Address mapper used to encode coordinates back into the
-            physical byte addresses the on-disk format stores.
-        path: Output file (``.gz`` suffix enables gzip).
-        header: Optional ``# ``-prefixed comment lines for provenance.
-    """
-    addresses = arrays.encode_addresses(mapper)
-    gaps = arrays.gaps
-    is_write = arrays.is_write
-    with open_trace(path, "wt") as stream:
-        for line in header or []:
-            stream.write(f"# {line}\n")
-        for i in range(len(arrays)):
-            op = "W" if is_write[i] else "R"
-            stream.write(f"{int(gaps[i])} {op} 0x{int(addresses[i]):x}\n")
-    return len(arrays)
 
 
 def record_workload(
@@ -96,6 +70,13 @@ def record_workload(
             f"seed={params.seed} requests={len(arrays)} "
             f"rows_per_bank={organization.rows_per_bank}",
         ]
-        write_columnar_trace(arrays, mapper, str(path), header=header)
+        with open_trace(str(path), "wt") as stream:
+            write_trace_columns(
+                stream,
+                arrays.gaps,
+                arrays.is_write,
+                arrays.encode_addresses(mapper),
+                header=header,
+            )
         paths.append(str(path))
     return paths

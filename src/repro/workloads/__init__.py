@@ -18,15 +18,7 @@ path is identical for generated and recorded streams — see DESIGN.md,
 "Workload sources".
 """
 
-from repro.workloads.trace import (
-    Trace,
-    TraceParseError,
-    TraceRecord,
-    load_trace,
-    read_trace,
-    save_trace,
-    write_trace,
-)
+from repro.workloads.trace import TraceParseError
 from repro.workloads.columnar import ColumnarTrace
 from repro.workloads.cache import load_trace_columns
 from repro.workloads.synthetic import BenchmarkProfile, SyntheticTraceGenerator
@@ -44,13 +36,7 @@ from repro.workloads.suites import (
 )
 
 __all__ = [
-    "TraceRecord",
-    "Trace",
     "TraceParseError",
-    "read_trace",
-    "write_trace",
-    "load_trace",
-    "save_trace",
     "ColumnarTrace",
     "load_trace_columns",
     "BenchmarkProfile",

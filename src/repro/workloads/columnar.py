@@ -8,11 +8,7 @@ loader — produce this exact shape, so a recorded trace replays through
 the identical simulation code as a synthetic one (see DESIGN.md,
 "Workload sources").
 
-The columnar form exists because the object form
-(:class:`repro.workloads.trace.TraceRecord` lists) costs one Python
-object and one ``mapper.decode`` call per record; over the millions of
-records of a grid run that dominates wall-clock time. Conversions to and
-from byte addresses are vectorized through
+Conversions to and from byte addresses are vectorized through
 :meth:`repro.dram.address.AddressMapper.encode_arrays` /
 :meth:`~repro.dram.address.AddressMapper.decode_arrays`.
 """

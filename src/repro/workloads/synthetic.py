@@ -18,10 +18,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.dram.address import AddressMapper, DecodedAddress
 from repro.dram.config import DRAMOrganization
 from repro.workloads.columnar import ColumnarTrace
-from repro.workloads.trace import Trace, TraceRecord
 
 
 @dataclass(frozen=True)
@@ -78,11 +76,12 @@ class BenchmarkProfile:
 
 
 class SyntheticTraceGenerator:
-    """Generates traces (or columnar arrays) from a profile.
+    """Generates columnar traces from a profile.
 
     Args:
         profile: The benchmark profile.
-        organization: DRAM organization used for address encoding.
+        organization: DRAM organization whose coordinates the trace
+            addresses.
         seed: RNG seed; combine with ``core_id`` for rate-mode instances.
         core_id: Offsets the address region so each core of a rate-mode
             run touches disjoint rows (as separate processes would).
@@ -97,7 +96,6 @@ class SyntheticTraceGenerator:
     ):
         self.profile = profile
         self.organization = organization or DRAMOrganization()
-        self.mapper = AddressMapper(self.organization)
         self.core_id = core_id
         self.rng = np.random.default_rng((seed << 8) ^ core_id)
         self._hot_slots = self._place_hot_rows()
@@ -168,7 +166,7 @@ class SyntheticTraceGenerator:
         return self.rng.choice(n, size=count, p=weights)
 
     def generate_arrays(self, num_records: int) -> ColumnarTrace:
-        """Columnar generation (the fast path for the simulator)."""
+        """A ``num_records``-access :class:`ColumnarTrace`."""
         if num_records <= 0:
             raise ValueError("num_records must be positive")
         profile = self.profile
@@ -205,24 +203,3 @@ class SyntheticTraceGenerator:
             row=row.astype(np.int32),
             column=column.astype(np.int32),
         )
-
-    def generate(self, num_records: int) -> Trace:
-        """Object-level generation (for the public API and trace files)."""
-        arrays = self.generate_arrays(num_records)
-        records = []
-        for i in range(num_records):
-            decoded = DecodedAddress(
-                channel=int(arrays.channel[i]),
-                rank=int(arrays.rank[i]),
-                bank=int(arrays.bank[i]),
-                row=int(arrays.row[i]),
-                column=int(arrays.column[i]),
-            )
-            records.append(
-                TraceRecord(
-                    gap=int(arrays.gaps[i]),
-                    is_write=bool(arrays.is_write[i]),
-                    address=self.mapper.encode(decoded),
-                )
-            )
-        return Trace(records, name=self.profile.name)

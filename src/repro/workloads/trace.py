@@ -1,4 +1,4 @@
-"""Memory-access trace format (USIMM-style).
+"""Memory-access trace format (USIMM-style): the one reader and writer.
 
 A trace is a sequence of LLC-miss records. Each record carries the number
 of non-memory instructions preceding the access (the *gap*), whether it is
@@ -7,20 +7,22 @@ record per line: ``<gap> <R|W> <hex address>`` — the shape USIMM's trace
 readers expect. Blank lines and ``#`` comments are ignored; files ending
 in ``.gz`` are transparently gzip-compressed.
 
-Two in-memory representations exist. :class:`Trace` (lists of
-:class:`TraceRecord`) is the convenient object form for inspection and
-small files; :func:`parse_trace_columns` feeds the columnar fast path
-(:class:`repro.workloads.columnar.ColumnarTrace`) that the simulator and
-the on-disk cache use.
+In memory a trace is the ``(gaps, is_write, addresses)`` column triple:
+:func:`parse_trace_columns` reads it and :func:`write_trace_columns`
+writes it, so this module alone owns the on-disk format. The simulator
+consumes the decoded form,
+:class:`repro.workloads.columnar.ColumnarTrace`.
 """
 
 from __future__ import annotations
 
 import gzip
-from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, List, Tuple, Union
+from typing import IO, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+#: Largest gap or address a trace may hold: the columns are int64.
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class TraceParseError(ValueError):
@@ -30,78 +32,6 @@ class TraceParseError(ValueError):
         super().__init__(f"{name}: line {line_no}: {message}")
         self.name = name
         self.line_no = line_no
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One memory access: preceded by ``gap`` non-memory instructions."""
-
-    gap: int
-    is_write: bool
-    address: int
-
-    def __post_init__(self):
-        if self.gap < 0:
-            raise ValueError("gap must be non-negative")
-        if self.address < 0:
-            raise ValueError("address must be non-negative")
-
-
-class Trace:
-    """An in-memory trace with summary statistics.
-
-    Summary statistics (:attr:`total_instructions`,
-    :attr:`write_fraction`) are computed once at construction — the
-    record list is treated as immutable after ``__init__``.
-    """
-
-    def __init__(self, records: Iterable[TraceRecord], name: str = "trace"):
-        self.records: List[TraceRecord] = list(records)
-        self.name = name
-        self._total_instructions = sum(r.gap for r in self.records) + len(self.records)
-        writes = sum(1 for r in self.records if r.is_write)
-        self._write_fraction = writes / len(self.records) if self.records else 0.0
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
-
-    def __getitem__(self, index: int) -> TraceRecord:
-        return self.records[index]
-
-    @property
-    def total_instructions(self) -> int:
-        """Instructions represented: gaps plus one per memory access."""
-        return self._total_instructions
-
-    @property
-    def write_fraction(self) -> float:
-        """Share of records that are writes (0.0 for an empty trace)."""
-        return self._write_fraction
-
-    @property
-    def mpki(self) -> float:
-        """Misses per kilo-instruction implied by the trace."""
-        instructions = self.total_instructions
-        if instructions == 0:
-            return 0.0
-        return 1000.0 * len(self.records) / instructions
-
-    def address_footprint(self, granularity_bits: int = 13) -> int:
-        """Distinct address blocks touched (default 8 KB rows)."""
-        return len({r.address >> granularity_bits for r in self.records})
-
-
-def write_trace(trace: Trace, stream: IO[str]) -> int:
-    """Serialize a trace; returns records written."""
-    n = 0
-    for record in trace:
-        op = "W" if record.is_write else "R"
-        stream.write(f"{record.gap} {op} 0x{record.address:x}\n")
-        n += 1
-    return n
 
 
 def _parse_line(name: str, line_no: int, line: str) -> Tuple[int, bool, int]:
@@ -121,23 +51,11 @@ def _parse_line(name: str, line_no: int, line: str) -> Tuple[int, bool, int]:
         ) from None
     if gap < 0 or address < 0:
         raise TraceParseError(name, line_no, "gap and address must be non-negative")
+    if gap > _INT64_MAX or address > _INT64_MAX:
+        raise TraceParseError(
+            name, line_no, f"gap or address exceeds int64 in {line!r}"
+        )
     return gap, op == "W", address
-
-
-def read_trace(stream: Union[IO[str], Iterable[str]], name: str = "trace") -> Trace:
-    """Parse a trace from the one-record-per-line format.
-
-    Malformed lines raise :class:`TraceParseError` carrying ``name`` and
-    the 1-based line number.
-    """
-    records = []
-    for line_no, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        gap, is_write, address = _parse_line(name, line_no, line)
-        records.append(TraceRecord(gap=gap, is_write=is_write, address=address))
-    return Trace(records, name=name)
 
 
 def parse_trace_columns(
@@ -174,14 +92,27 @@ def open_trace(path: str, mode: str = "rt") -> IO[str]:
     return open(path, mode, encoding="utf-8")
 
 
-def load_trace(path: str, name: str = "") -> Trace:
-    """Read a trace file (gzip-aware); ``name`` defaults to the path."""
-    name = name or str(path)
-    with open_trace(path) as stream:
-        return read_trace(stream, name=name)
+def write_trace_columns(
+    stream: IO[str],
+    gaps: Sequence[int],
+    is_write: Sequence[bool],
+    addresses: Sequence[int],
+    header: Optional[Iterable[str]] = None,
+) -> int:
+    """Write ``(gaps, is_write, addresses)`` columns as trace lines.
 
+    The inverse of :func:`parse_trace_columns`; returns records written.
 
-def save_trace(trace: Trace, path: str) -> int:
-    """Write a trace file (gzip-aware); returns records written."""
-    with open_trace(path, "wt") as stream:
-        return write_trace(trace, stream)
+    Args:
+        stream: Text stream to write (see :func:`open_trace` for files).
+        gaps: Non-memory instructions preceding each access.
+        is_write: Write flags.
+        addresses: Physical byte addresses.
+        header: Optional ``# ``-prefixed comment lines for provenance.
+    """
+    for line in header or []:
+        stream.write(f"# {line}\n")
+    for gap, write, address in zip(gaps, is_write, addresses):
+        op = "W" if write else "R"
+        stream.write(f"{int(gap)} {op} 0x{int(address):x}\n")
+    return len(gaps)

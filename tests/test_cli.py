@@ -173,6 +173,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert f"trace:{out_dir}" in out and "GEOMEAN" in out
 
+    def test_trace_info_malformed_line_is_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.trace"
+        path.write_text("1 R 0x40\n2 X 0x80\n")
+        with pytest.raises(SystemExit, match=r"bad.trace: line 2: op must be"):
+            main(["trace", "info", str(path)])
+        assert "file" not in capsys.readouterr().out  # no table started
+
+    def test_trace_info_missing_path_is_one_line_error(self, tmp_path):
+        with pytest.raises(SystemExit, match="does not exist"):
+            main(["trace", "info", str(tmp_path / "missing")])
+
+    def test_trace_info_directory_without_traces_is_one_line_error(self, tmp_path):
+        with pytest.raises(SystemExit, match="contains no trace files"):
+            main(["trace", "info", str(tmp_path)])
+
     def test_attack_with_monte_carlo(self, capsys):
         code = main([
             "attack", "--trh", "4800", "--swap-rate", "6",

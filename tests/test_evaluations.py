@@ -101,16 +101,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown grid axis"):
             spec.validate()
 
-    def test_replicates_need_a_seed_field(self):
-        spec = ExperimentSpec(
-            kind="storage",
-            mitigations=["rrs"],
-            base_params=StorageParams(),
-            replicates=2,
-        )
-        with pytest.raises(ValueError, match="seed"):
-            spec.validate()
-
     def test_base_params_type_checked(self):
         spec = ExperimentSpec(
             kind="security",
@@ -239,17 +229,6 @@ class TestSecurityMonteCarlo:
             grid={"swap_rate": [6.0, 8.0]},
         )
         results = list(run_grid(spec, max_workers=1))
-        assert results[0].mc_seed != results[1].mc_seed
-
-    def test_replicates_derive_distinct_seeds(self):
-        spec = ExperimentSpec(
-            kind="security",
-            mitigations=["rrs"],
-            base_params=MC_PARAMS,
-            replicates=2,
-        )
-        results = list(run_grid(spec, max_workers=1))
-        assert results[0].params.seed + 1 == results[1].params.seed
         assert results[0].mc_seed != results[1].mc_seed
 
     def test_mc_cells_are_priced_by_their_probe(self):

@@ -1,7 +1,9 @@
 """Trace file round-trip edge cases: errors, gzip, empty traces, caching."""
 
 import gzip
+import hashlib
 import io
+import os
 import time
 
 import numpy as np
@@ -9,41 +11,65 @@ import pytest
 
 from repro.dram.address import AddressMapper
 from repro.dram.config import DRAMOrganization
+from repro.sim import SimulationParams, record_workload
 from repro.workloads.cache import cache_entry_path, load_trace_columns
 from repro.workloads.columnar import ColumnarTrace
+from repro.workloads.sources import resolve_workload_string
 from repro.workloads.trace import (
-    Trace,
     TraceParseError,
-    TraceRecord,
-    load_trace,
+    open_trace,
     parse_trace_columns,
-    read_trace,
-    save_trace,
+    write_trace_columns,
 )
+
+
+def parse(text, name="trace"):
+    return parse_trace_columns(io.StringIO(text), name=name)
+
+
+def save(path, columns):
+    with open_trace(str(path), "wt") as stream:
+        return write_trace_columns(stream, *columns)
+
+
+def assert_columns_equal(a, b):
+    for left, right in zip(a, b):
+        assert np.array_equal(left, right)
 
 
 class TestParseErrors:
     def test_malformed_line_reports_name_and_line(self):
         text = "5 R 0x40\n5 X 0x80\n"
         with pytest.raises(TraceParseError, match=r"mytrace: line 2: op must be"):
-            read_trace(io.StringIO(text), name="mytrace")
+            parse(text, name="mytrace")
 
     def test_wrong_field_count_reports_line(self):
         with pytest.raises(TraceParseError, match=r"line 1: expected"):
-            read_trace(io.StringIO("5 R\n"))
+            parse("5 R\n")
 
     def test_bad_numbers_report_line(self):
         with pytest.raises(TraceParseError, match=r"t: line 3"):
-            read_trace(io.StringIO("1 R 0x1\n2 W 0x2\nxx R 0x3\n"), name="t")
+            parse("1 R 0x1\n2 W 0x2\nxx R 0x3\n", name="t")
 
     def test_negative_gap_rejected(self):
         with pytest.raises(TraceParseError, match="non-negative"):
-            read_trace(io.StringIO("-3 R 0x40\n"))
+            parse("-3 R 0x40\n")
+
+    @pytest.mark.parametrize(
+        "line", ["2 W 0x8000000000000000", "99999999999999999999 R 0x40"]
+    )
+    def test_values_beyond_int64_report_name_and_line(self, line):
+        with pytest.raises(TraceParseError, match=r"big: line 2: .*exceeds int64"):
+            parse(f"1 R 0x40\n{line}\n", name="big")
+
+    def test_largest_int64_values_parse(self):
+        gaps, _, addresses = parse(f"{2**63 - 1} R 0x7fffffffffffffff\n")
+        assert gaps[0] == addresses[0] == 2**63 - 1
 
     def test_comment_lines_count_toward_line_numbers(self):
         text = "# header\n# more\nbroken\n"
         with pytest.raises(TraceParseError, match=r"line 3"):
-            read_trace(io.StringIO(text))
+            parse(text)
 
     def test_columnar_parser_same_errors(self):
         with pytest.raises(TraceParseError, match=r"cols: line 2"):
@@ -53,36 +79,32 @@ class TestParseErrors:
         path = tmp_path / "broken.trace"
         path.write_text("nope\n")
         with pytest.raises(TraceParseError, match="broken.trace"):
-            load_trace(str(path))
+            load_trace_columns(str(path))
 
 
 class TestGzipRoundTrip:
-    def make_trace(self, n=50):
-        return Trace(
-            [TraceRecord(gap=i, is_write=i % 3 == 0, address=64 * i) for i in range(n)],
-            name="rt",
-        )
+    def make_columns(self, n=50):
+        i = np.arange(n, dtype=np.int64)
+        return i, i % 3 == 0, 64 * i
 
     def test_plain_file_roundtrip(self, tmp_path):
         path = tmp_path / "t.trace"
-        trace = self.make_trace()
-        assert save_trace(trace, str(path)) == 50
-        reloaded = load_trace(str(path), name="rt")
-        assert list(reloaded) == list(trace)
+        columns = self.make_columns()
+        assert save(path, columns) == 50
+        assert_columns_equal(load_trace_columns(str(path)), columns)
 
     def test_gzip_roundtrip(self, tmp_path):
         path = tmp_path / "t.trace.gz"
-        trace = self.make_trace()
-        save_trace(trace, str(path))
+        columns = self.make_columns()
+        save(path, columns)
         # Really gzip on disk (magic bytes), not plain text.
         assert path.read_bytes()[:2] == b"\x1f\x8b"
-        reloaded = load_trace(str(path), name="rt")
-        assert list(reloaded) == list(trace)
+        assert_columns_equal(load_trace_columns(str(path)), columns)
 
     def test_gzip_and_plain_agree(self, tmp_path):
-        trace = self.make_trace()
-        save_trace(trace, str(tmp_path / "a.trace"))
-        save_trace(trace, str(tmp_path / "b.trace.gz"))
+        columns = self.make_columns()
+        save(tmp_path / "a.trace", columns)
+        save(tmp_path / "b.trace.gz", columns)
         plain = (tmp_path / "a.trace").read_text()
         unzipped = gzip.decompress((tmp_path / "b.trace.gz").read_bytes()).decode()
         assert plain == unzipped
@@ -90,17 +112,21 @@ class TestGzipRoundTrip:
 
 class TestEmptyTrace:
     def test_empty_trace_statistics(self):
-        trace = Trace([], name="empty")
-        assert len(trace) == 0
-        assert trace.total_instructions == 0
-        assert trace.write_fraction == 0.0
-        assert trace.mpki == 0.0
-        assert trace.address_footprint() == 0
+        arrays = ColumnarTrace.from_addresses(
+            *parse(""), AddressMapper(DRAMOrganization())
+        )
+        assert len(arrays) == 0
+        assert arrays.total_instructions == 0
+        assert arrays.write_fraction == 0.0
+        assert arrays.mpki == 0.0
+        assert arrays.row_footprint() == 0
 
     def test_empty_file_roundtrip(self, tmp_path):
         path = tmp_path / "empty.trace"
-        save_trace(Trace([], name="empty"), str(path))
-        assert len(load_trace(str(path))) == 0
+        empty = np.empty(0, np.int64)
+        assert save(path, (empty, np.empty(0, bool), empty)) == 0
+        assert path.read_bytes() == b""
+        assert len(load_trace_columns(str(path))[0]) == 0
 
     def test_comment_only_file_parses_to_zero_columns(self, tmp_path):
         path = tmp_path / "comments.trace"
@@ -156,17 +182,6 @@ class TestColumnarRoundTrip:
         )
         assert len(arrays.take(4)) == 4
         assert arrays.take(100) is arrays
-
-
-class TestTraceStatsCached:
-    def test_stats_computed_once_in_init(self):
-        # The properties must not re-walk the record list on each access:
-        # mutating the list afterwards does not change the statistics.
-        trace = Trace([TraceRecord(9, True, 0)], name="t")
-        assert trace.total_instructions == 10
-        trace.records.append(TraceRecord(1000, False, 64))
-        assert trace.total_instructions == 10
-        assert trace.write_fraction == 1.0
 
 
 class TestCache:
@@ -227,3 +242,43 @@ class TestCache:
         assert entry.exists()
         gaps2, _, _ = load_trace_columns(str(path))
         assert np.array_equal(gaps, gaps2)
+
+
+class TestRecorderBytes:
+    """The bytes ``record_workload`` writes for gcc, 2 cores x 200
+    requests, pinned so a change to the trace writer cannot move them.
+
+    A gzip member stamps its write time into the header, so compressed
+    recordings are pinned by their decompressed text (the same bytes as
+    the plain recording)."""
+
+    DIGESTS = {
+        "core0.trace": "de22c1aef4f121d32c021ed679bd06152d869042aefc32598a2388e8c7665f6f",
+        "core1.trace": "d4a328199bd5167c94d82569eba915b6c93c5696bcef1667c48b685eb6f747e5",
+    }
+
+    def record(self, out_dir, compress):
+        params = SimulationParams(num_cores=2, requests_per_core=200)
+        return record_workload(
+            resolve_workload_string("gcc"), params, out_dir=str(out_dir),
+            compress=compress,
+        )
+
+    def test_plain_recording_bytes(self, tmp_path):
+        paths = self.record(tmp_path, compress=False)
+        digests = {
+            os.path.basename(p): hashlib.sha256(open(p, "rb").read()).hexdigest()
+            for p in paths
+        }
+        assert digests == self.DIGESTS
+
+    def test_gzip_recording_bytes(self, tmp_path):
+        paths = self.record(tmp_path, compress=True)
+        digests = {}
+        for path in paths:
+            data = open(path, "rb").read()
+            assert data[:2] == b"\x1f\x8b"
+            digests[os.path.basename(path)[: -len(".gz")]] = hashlib.sha256(
+                gzip.decompress(data)
+            ).hexdigest()
+        assert digests == self.DIGESTS

@@ -5,7 +5,9 @@ import io
 import numpy as np
 import pytest
 
+from repro.dram.address import AddressMapper
 from repro.dram.config import DRAMOrganization
+from repro.workloads.columnar import ColumnarTrace
 from repro.workloads.suites import (
     ALL_WORKLOADS,
     PROFILES,
@@ -15,51 +17,63 @@ from repro.workloads.suites import (
     workloads_in_suite,
 )
 from repro.workloads.synthetic import BenchmarkProfile, SyntheticTraceGenerator
-from repro.workloads.trace import Trace, TraceRecord, read_trace, write_trace
+from repro.workloads.trace import parse_trace_columns, write_trace_columns
+
+
+def parse(text):
+    return parse_trace_columns(io.StringIO(text))
 
 
 class TestTraceFormat:
     def test_record_validation(self):
         with pytest.raises(ValueError):
-            TraceRecord(gap=-1, is_write=False, address=0)
+            parse("-1 R 0x0\n")
         with pytest.raises(ValueError):
-            TraceRecord(gap=0, is_write=False, address=-1)
+            parse("0 R -0x1\n")
 
     def test_roundtrip(self):
-        trace = Trace(
-            [
-                TraceRecord(10, False, 0x1000),
-                TraceRecord(0, True, 0xFF40),
-            ],
-            name="t",
+        columns = (
+            np.array([10, 0], dtype=np.int64),
+            np.array([False, True]),
+            np.array([0x1000, 0xFF40], dtype=np.int64),
         )
         buffer = io.StringIO()
-        assert write_trace(trace, buffer) == 2
+        assert write_trace_columns(buffer, *columns, header=["made by t"]) == 2
+        assert buffer.getvalue() == "# made by t\n10 R 0x1000\n0 W 0xff40\n"
         buffer.seek(0)
-        parsed = read_trace(buffer, name="t")
-        assert list(parsed) == list(trace)
+        for parsed, written in zip(parse_trace_columns(buffer, name="t"), columns):
+            assert np.array_equal(parsed, written)
 
     def test_read_skips_comments_and_blanks(self):
-        text = "# header\n\n5 R 0x40\n"
-        parsed = read_trace(io.StringIO(text))
-        assert len(parsed) == 1
-        assert parsed[0].gap == 5
+        gaps, _, _ = parse("# header\n\n5 R 0x40\n")
+        assert len(gaps) == 1
+        assert gaps[0] == 5
 
     def test_read_rejects_malformed(self):
         with pytest.raises(ValueError):
-            read_trace(io.StringIO("5 X 0x40\n"))
+            parse("5 X 0x40\n")
         with pytest.raises(ValueError):
-            read_trace(io.StringIO("5 R\n"))
+            parse("5 R\n")
 
     def test_statistics(self):
-        trace = Trace([TraceRecord(999, False, 0), TraceRecord(999, True, 64)])
-        assert trace.total_instructions == 2000
-        assert trace.mpki == pytest.approx(1.0)
-        assert trace.write_fraction == 0.5
+        arrays = ColumnarTrace.from_addresses(
+            np.array([999, 999]), np.array([False, True]), np.array([0, 64]),
+            AddressMapper(DRAMOrganization()),
+        )
+        assert arrays.total_instructions == 2000
+        assert arrays.mpki == pytest.approx(1.0)
+        assert arrays.write_fraction == 0.5
 
     def test_footprint(self):
-        trace = Trace([TraceRecord(0, False, 0), TraceRecord(0, False, 8192)])
-        assert trace.address_footprint() == 2
+        mapper = AddressMapper(DRAMOrganization())
+        addresses = mapper.encode_arrays(  # rows 5, 5 (another line), 6
+            np.zeros(3, int), np.zeros(3, int), np.zeros(3, int),
+            np.array([5, 5, 6]), np.array([0, 1, 0]),
+        )
+        arrays = ColumnarTrace.from_addresses(
+            np.zeros(3, np.int64), np.zeros(3, bool), addresses, mapper
+        )
+        assert arrays.row_footprint() == 2
 
 
 class TestSyntheticGenerator:
@@ -73,12 +87,12 @@ class TestSyntheticGenerator:
 
     def test_mpki_approximately_respected(self):
         generator = SyntheticTraceGenerator(self.make(mpki=10.0), seed=1)
-        trace = generator.generate(20_000)
+        trace = generator.generate_arrays(20_000)
         assert trace.mpki == pytest.approx(10.0, rel=0.1)
 
     def test_write_fraction_respected(self):
         generator = SyntheticTraceGenerator(self.make(write_fraction=0.4), seed=2)
-        trace = generator.generate(10_000)
+        trace = generator.generate_arrays(10_000)
         assert trace.write_fraction == pytest.approx(0.4, abs=0.03)
 
     def test_hot_rows_concentrate_accesses(self):
@@ -126,12 +140,14 @@ class TestSyntheticGenerator:
         assert arrays.row.max() < org.rows_per_bank
         assert arrays.column.max() < org.lines_per_row
 
-    def test_generate_object_addresses_decode(self):
+    def test_generated_addresses_decode(self):
         org = DRAMOrganization()
+        mapper = AddressMapper(org)
         generator = SyntheticTraceGenerator(self.make(), organization=org, seed=8)
-        trace = generator.generate(100)
-        for record in trace:
-            decoded = generator.mapper.decode(record.address)
+        arrays = generator.generate_arrays(100)
+        for address, row in zip(arrays.encode_addresses(mapper), arrays.row):
+            decoded = mapper.decode(int(address))
+            assert decoded.row == row
             assert 0 <= decoded.row < org.rows_per_bank
 
     def test_profile_validation(self):
