@@ -7,7 +7,8 @@ resolution runs only the cells the session's shared store
 produces the printed artifact. The benchmark file itself is reduced to
 assertions over the resolved :class:`~repro.report.spec.FigureData`.
 
-The scaling knobs are the report config's environment knobs:
+The harness scales the report config from environment knobs (the
+``repro report`` command takes its scale from flags only):
 
 - ``REPRO_BENCH_REQUESTS``: requests per core (default 25000).
 - ``REPRO_BENCH_CORES``: simulated cores (default 4).
@@ -26,8 +27,21 @@ from typing import Optional, Tuple
 
 from repro.report import Artifact, FigureData, ReportConfig, reproduce_figure
 
+
+def config_from_env() -> ReportConfig:
+    """The report config the ``REPRO_BENCH_*`` knobs above describe."""
+    values: dict = {}
+    if "REPRO_BENCH_REQUESTS" in os.environ:
+        values["requests"] = int(os.environ["REPRO_BENCH_REQUESTS"])
+    if "REPRO_BENCH_CORES" in os.environ:
+        values["cores"] = int(os.environ["REPRO_BENCH_CORES"])
+    if os.environ.get("REPRO_BENCH_FULL", "0") == "1":
+        values["full"] = True
+    return ReportConfig(**values)
+
+
 #: The session's scaled-down simulation knobs, shared by every figure.
-CONFIG = ReportConfig.from_env()
+CONFIG = config_from_env()
 
 #: Engine worker processes (None = CPU count).
 JOBS: Optional[int] = (

@@ -53,7 +53,7 @@ import argparse
 import os
 import shlex
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.attacks.outliers import OutlierModel
 from repro.dram.address import AddressMapper
@@ -77,6 +77,7 @@ from repro.sim.experiment import resolve_workload
 from repro.workloads.columnar import ColumnarTrace
 from repro.workloads.sources import TraceWorkload
 from repro.workloads.suites import ALL_WORKLOADS, PROFILES
+from repro.workloads.trace import load_trace_columns
 
 
 def _cmd_list_workloads(args: argparse.Namespace) -> int:
@@ -106,6 +107,27 @@ def _cmd_list_mitigations(args: argparse.Namespace) -> int:
         batch = "batchable" if tracker.supports_batching else ""
         print(f"  {tracker.name:<14s}{'':<14s}{batch:<11s}{tracker.description}")
     return 0
+
+
+def _resolve_workloads(names: Sequence[str]) -> List[Any]:
+    """Resolve every workload string before anything is planned.
+
+    An unknown name or source prefix, or a ``trace:`` path with no
+    trace files behind it, ends the command with a one-line error
+    naming the string instead of a traceback from a cell.
+    """
+    workloads = []
+    for name in names:
+        try:
+            workload = resolve_workload(name)
+            core_files = getattr(workload, "core_files", None)
+            if callable(core_files):
+                core_files()
+        except (KeyError, ValueError, OSError) as error:
+            message = error.args[0] if error.args else error
+            raise SystemExit(f"bad workload {name!r}: {message}")
+        workloads.append(workload)
+    return workloads
 
 
 def _params_from_args(args: argparse.Namespace, trh: Optional[int] = None) -> SimulationParams:
@@ -246,6 +268,7 @@ def _add_eval_options(
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    _resolve_workloads([args.workload])
     spec = ExperimentSpec(
         workloads=[args.workload],
         mitigations=list(args.mitigations),
@@ -261,6 +284,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _resolve_workloads([args.workload])
     spec = ExperimentSpec(
         workloads=[args.workload],
         mitigations=list(args.mitigations),
@@ -330,6 +354,7 @@ def _grid_pool(args: argparse.Namespace) -> Optional[SshPool]:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
+    _resolve_workloads(args.workloads)
     spec = ExperimentSpec(
         workloads=list(args.workloads),
         mitigations=list(args.mitigations),
@@ -371,7 +396,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_record(args: argparse.Namespace) -> int:
-    workload = resolve_workload(args.workload)
+    (workload,) = _resolve_workloads([args.workload])
     params = SimulationParams(
         num_cores=args.cores, requests_per_core=args.requests, seed=args.seed
     )
@@ -392,14 +417,19 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
     mapper = AddressMapper(DRAMOrganization())
     try:
         files = workload.core_files()
-        columns = [workload.columns_for_file(path) for path in files]
+        traces = []
+        for path in files:
+            columns = load_trace_columns(path)
+            try:
+                traces.append(ColumnarTrace.from_addresses(*columns, mapper))
+            except ValueError as error:  # beyond the organization
+                raise ValueError(f"{path}: {error}") from None
     except (OSError, ValueError) as error:  # missing, empty or malformed
         raise SystemExit(str(error))
     print(f"{'file':<28s}{'records':>9s}{'instrs':>12s}{'mpki':>8s}"
           f"{'writes':>8s}{'rows':>8s}")
     totals = [0, 0]
-    for file_path, (gaps, is_write, addresses) in zip(files, columns):
-        arrays = ColumnarTrace.from_addresses(gaps, is_write, addresses, mapper)
+    for file_path, arrays in zip(files, traces):
         records = len(arrays)
         print(f"{os.path.basename(file_path):<28s}{records:>9d}"
               f"{arrays.total_instructions:>12d}{arrays.mpki:>8.2f}"
@@ -542,10 +572,24 @@ def _cmd_power(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_config(args: argparse.Namespace) -> Any:
+    """The report's :class:`~repro.report.ReportConfig`: its defaults
+    with ``--requests``/``--cores``/``--full`` applied."""
+    from repro.report import ReportConfig
+
+    overrides: Dict[str, Any] = {}
+    if args.requests is not None:
+        overrides["requests"] = args.requests
+    if args.cores is not None:
+        overrides["cores"] = args.cores
+    if args.full:
+        overrides["full"] = True
+    return ReportConfig(**overrides)
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.report import (
         FIGURES,
-        ReportConfig,
         build_figure,
         figure_names,
         render_figure,
@@ -572,14 +616,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         )
     if args.resume and not args.store:
         raise SystemExit("--resume needs --store")
-    overrides = {}
-    if args.requests is not None:
-        overrides["requests"] = args.requests
-    if args.cores is not None:
-        overrides["cores"] = args.cores
-    if args.full:
-        overrides["full"] = True
-    config = ReportConfig.from_env(**overrides)
+    config = _report_config(args)
     # A store makes reuse the point: rerunning a finished report should
     # execute nothing without extra flags. --no-resume forces recompute.
     reuse = args.resume if args.resume is not None else bool(args.store)
@@ -838,10 +875,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "printing markdown")
     p.add_argument("--requests", type=int, default=None,
                    help="memory requests per core for perf figures "
-                        "(default: 25000 or REPRO_BENCH_REQUESTS)")
+                        "(default: 25000)")
     p.add_argument("--cores", type=int, default=None,
                    help="simulated cores for perf figures "
-                        "(default: 4 or REPRO_BENCH_CORES)")
+                        "(default: 4)")
     p.add_argument("--full", action="store_true",
                    help="per-workload figures over all 78 workloads")
     p.add_argument("--jobs", type=_positive_int, default=None,

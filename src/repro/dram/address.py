@@ -114,11 +114,20 @@ class AddressMapper:
 
         Returns ``(channel, rank, bank, row, column)`` arrays; the
         columnar trace path uses this to turn a parsed trace file into
-        simulator coordinates without a per-record Python loop.
+        simulator coordinates without a per-record Python loop. An
+        address beyond the organization's capacity raises
+        ``ValueError`` (the row range :meth:`encode_arrays` enforces)
+        instead of aliasing onto a low row.
         """
         addresses = np.asarray(addresses, dtype=np.int64)
         if addresses.size and int(addresses.min()) < 0:
             raise ValueError("addresses must be non-negative")
+        if addresses.size and int(addresses.max()) >> self.address_bits:
+            limit = self.organization.rows_per_bank
+            raise ValueError(
+                f"address 0x{int(addresses.max()):x} decodes to a row "
+                f"out of range [0, {limit})"
+            )
         bits = addresses >> self._offset_bits
         channel = bits & ((1 << self._channel_bits) - 1)
         bits >>= self._channel_bits

@@ -25,7 +25,6 @@ resumable, and shardable.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, List, Mapping, Optional, Sequence
 
@@ -84,24 +83,6 @@ class ReportConfig:
     seed: int = 77
     tracker: str = "misra-gries"
     full: bool = False
-
-    @classmethod
-    def from_env(cls, **overrides: Any) -> "ReportConfig":
-        """A config from the ``REPRO_BENCH_*`` environment knobs.
-
-        ``REPRO_BENCH_REQUESTS``, ``REPRO_BENCH_CORES``, and
-        ``REPRO_BENCH_FULL`` scale the report the same way they scale
-        the benchmark tier; explicit ``overrides`` win over both.
-        """
-        values: dict = {}
-        if "REPRO_BENCH_REQUESTS" in os.environ:
-            values["requests"] = int(os.environ["REPRO_BENCH_REQUESTS"])
-        if "REPRO_BENCH_CORES" in os.environ:
-            values["cores"] = int(os.environ["REPRO_BENCH_CORES"])
-        if os.environ.get("REPRO_BENCH_FULL", "0") == "1":
-            values["full"] = True
-        values.update(overrides)
-        return cls(**values)
 
     def perf_workloads(self) -> List[str]:
         """The per-workload figure set (all 78 when ``full``)."""

@@ -50,7 +50,7 @@ def _workload_fingerprint(cell: Any) -> Optional[Any]:
     name + params identify them; a file-backed workload (a recorded
     trace) can change on disk under the same name, so its source object
     contributes a ``store_fingerprint()`` (mtime/size per file — the
-    same invalidation key the trace cache uses) to the cell identity.
+    same invalidation key the workload plane uses) to the cell identity.
     Unresolvable workloads and fingerprint errors degrade to ``None``:
     the digest then covers name + params only, and the actual run will
     surface the underlying problem.

@@ -18,9 +18,8 @@ path is identical for generated and recorded streams — see DESIGN.md,
 "Workload sources".
 """
 
-from repro.workloads.trace import TraceParseError
+from repro.workloads.trace import TraceParseError, load_trace_columns
 from repro.workloads.columnar import ColumnarTrace
-from repro.workloads.cache import load_trace_columns
 from repro.workloads.synthetic import BenchmarkProfile, SyntheticTraceGenerator
 from repro.workloads.sources import (
     TraceWorkload,

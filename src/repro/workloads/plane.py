@@ -15,9 +15,10 @@ workload bytes a plane-wide resource instead, in three layers:
    generation-relevant parameters + DRAM organization), plus the PR-5
    ``store_fingerprint()`` for file-backed workloads so re-recording a
    trace invalidates the cache. :func:`cached_decode` gives both
-   engines the same treatment for their decoded-list product, and
-   :func:`file_columns` memoizes parsed trace files in-process (a
-   rate-mode directory with one file is loaded once, not once per core).
+   engines the same treatment for their decoded-list product. Trace
+   files are parsed only when a materialization misses this LRU, and a
+   rate-mode directory's one file is parsed once for all of its cores,
+   not once per core; nothing below the plane caches a parse.
 
 2. **Worker-side materialization** — a
    :class:`~repro.sim.pool.ProcessPool` worker starts with cold caches
@@ -44,7 +45,6 @@ caches exactly what generation would have produced), pinned by
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -115,7 +115,6 @@ class PlaneStats:
 
 _trace_cache: "OrderedDict[str, List[ColumnarTrace]]" = OrderedDict()
 _decoded_cache: "OrderedDict[Tuple, Any]" = OrderedDict()
-_file_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
 _local_stats: Dict[str, int] = {name: 0 for name in _STAT_FIELDS}
 
 
@@ -138,7 +137,7 @@ def reset() -> None:
     coordinator and builds what it replays, as a spawned one would.
     """
     global _local_stats
-    for cache in (_trace_cache, _decoded_cache, _file_cache):
+    for cache in (_trace_cache, _decoded_cache):
         cache.clear()
     _local_stats = {name: 0 for name in _STAT_FIELDS}
 
@@ -238,33 +237,6 @@ def cell_workload_key(cell: Any) -> Optional[str]:
 
 # ----------------------------------------------------------------------
 # trace materialization
-
-
-def file_columns(file_path: str) -> Tuple:
-    """In-process memo over the parsed-trace cache for one file.
-
-    The on-disk ``.npz`` cache (:mod:`repro.workloads.cache`) already
-    avoids re-parsing, but loading the entry still costs milliseconds
-    per call — and a rate-mode trace directory asks for the same file
-    once *per core*. This memo keys on ``(realpath, mtime_ns, size)``
-    (the same invalidation stamp the disk cache uses) and holds the
-    decoded columns for the life of the process.
-    """
-    from repro.workloads.cache import load_trace_columns
-
-    try:
-        stat = os.stat(file_path)
-        stamp = (os.path.realpath(file_path), stat.st_mtime_ns, stat.st_size)
-    except OSError:
-        return load_trace_columns(file_path, name=file_path)
-    hit = _file_cache.get(stamp)
-    if hit is not None:
-        _file_cache.move_to_end(stamp)
-        return hit
-    columns = load_trace_columns(file_path, name=file_path)
-    _file_cache[stamp] = columns
-    _evict(_file_cache, _TRACE_CAPACITY)
-    return columns
 
 
 def _materialize(

@@ -17,11 +17,13 @@ mitigations and trackers do with their registries):
   suite, generated per core by the
   :class:`~repro.workloads.synthetic.SyntheticTraceGenerator`.
 - ``trace`` — file-backed replay: ``trace:/path/to/run`` resolves to a
-  :class:`TraceWorkload` that loads recorded USIMM traces (through the
-  mtime-keyed :mod:`repro.workloads.cache`) and decodes them with the
-  simulated organization's address mapper. The path may be a single
-  trace file (every core replays the same stream, rate-mode style) or a
-  directory of per-core files as written by
+  :class:`TraceWorkload` that parses recorded USIMM traces with
+  :func:`~repro.workloads.trace.load_trace_columns` and decodes them
+  with the simulated organization's address mapper. The workload plane
+  (:mod:`repro.workloads.plane`) keeps the decoded result for later
+  cells, keyed by :meth:`TraceWorkload.store_fingerprint`. The path may
+  be a single trace file (every core replays the same stream, rate-mode
+  style) or a directory of per-core files as written by
   :func:`repro.sim.recorder.record_workload`.
 
 Both sources emit the same :class:`~repro.workloads.columnar.ColumnarTrace`
@@ -46,6 +48,7 @@ from repro.registry import (
 )
 from repro.workloads.columnar import ColumnarTrace
 from repro.workloads.suites import ALL_WORKLOADS, WorkloadSpec
+from repro.workloads.trace import load_trace_columns
 
 #: Filename patterns recognised as trace files inside a trace directory.
 TRACE_FILE_GLOBS: Tuple[str, ...] = ("*.trace", "*.trace.gz", "*.usimm", "*.usimm.gz")
@@ -128,26 +131,14 @@ class TraceWorkload:
             raise FileNotFoundError(f"trace path {self.path!r} does not exist")
         return [str(root)]
 
-    def columns_for_file(self, file_path: str):
-        """Cached ``(gaps, is_write, addresses)`` columns of one file.
-
-        Goes through the workload plane's in-process memo (itself backed
-        by the on-disk parsed-trace cache), so a rate-mode directory
-        whose single file every core replays is loaded once per process
-        rather than once per core.
-        """
-        from repro.workloads import plane
-
-        return plane.file_columns(file_path)
-
     def store_fingerprint(self) -> List[Tuple[str, int, int]]:
         """Content token for the result store: ``(basename, mtime_ns,
         size)`` per backing file, core order.
 
-        The same invalidation key the parsed-trace cache uses: replaying
-        the identical path after re-recording it must be a different
-        cell as far as persisted results are concerned (see
-        :mod:`repro.sim.store`).
+        Replaying the identical path after re-recording it must be a
+        different cell as far as persisted results (see
+        :mod:`repro.sim.store`) and the workload plane's trace cache are
+        concerned.
         """
         out = []
         for file_path in self.core_files():
@@ -168,7 +159,7 @@ class TraceWorkload:
         shorter recording replays in full).
         """
         files = self.core_files()
-        gaps, is_write, addresses = self.columns_for_file(
+        gaps, is_write, addresses = load_trace_columns(
             files[core_id % len(files)]
         )
         arrays = ColumnarTrace.from_addresses(

@@ -8,15 +8,16 @@ readers expect. Blank lines and ``#`` comments are ignored; files ending
 in ``.gz`` are transparently gzip-compressed.
 
 In memory a trace is the ``(gaps, is_write, addresses)`` column triple:
-:func:`parse_trace_columns` reads it and :func:`write_trace_columns`
-writes it, so this module alone owns the on-disk format. The simulator
-consumes the decoded form,
-:class:`repro.workloads.columnar.ColumnarTrace`.
+:func:`parse_trace_columns` reads it, :func:`load_trace_columns` reads
+it from a file, and :func:`write_trace_columns` writes it, so this
+module alone owns the on-disk format. The simulator consumes the
+decoded form, :class:`repro.workloads.columnar.ColumnarTrace`.
 """
 
 from __future__ import annotations
 
 import gzip
+import io
 from typing import IO, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -63,9 +64,9 @@ def parse_trace_columns(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parse a trace into ``(gaps, is_write, addresses)`` numpy arrays.
 
-    The columnar loader path: no per-record objects are created, and the
-    result is what the trace cache persists. Empty (or comment-only)
-    traces yield zero-length, correctly-typed arrays.
+    The columnar loader path: no per-record objects are created.
+    Empty (or comment-only) traces yield zero-length, correctly-typed
+    arrays.
     """
     gaps: List[int] = []
     writes: List[bool] = []
@@ -86,10 +87,28 @@ def parse_trace_columns(
 
 
 def open_trace(path: str, mode: str = "rt") -> IO[str]:
-    """Open a trace file for text IO, transparently gzipped for ``.gz``."""
+    """Open a trace file for text IO, transparently gzipped for ``.gz``.
+
+    Gzip members are written with a zero header timestamp, so a
+    compressed recording's bytes depend on its content alone.
+    """
     if str(path).endswith(".gz"):
-        return gzip.open(path, mode, encoding="utf-8")
+        binary = gzip.GzipFile(path, mode.replace("t", ""), mtime=0)
+        return io.TextIOWrapper(binary, encoding="utf-8")
     return open(path, mode, encoding="utf-8")
+
+
+def load_trace_columns(
+    path: str, name: str = ""
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parse a trace file into ``(gaps, is_write, addresses)``.
+
+    Args:
+        path: The USIMM text trace (``.gz`` transparently handled).
+        name: Trace name used in parse-error messages (default: the path).
+    """
+    with open_trace(path) as stream:
+        return parse_trace_columns(stream, name=name or str(path))
 
 
 def write_trace_columns(

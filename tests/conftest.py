@@ -1,4 +1,4 @@
-"""Shared fixtures: small banks, fast timing, and an isolated trace cache."""
+"""Shared fixtures: small banks, fast timing, and a cold workload plane."""
 
 import random
 
@@ -6,14 +6,6 @@ import pytest
 
 from repro.dram.bank import Bank
 from repro.dram.config import DRAMTiming
-
-
-@pytest.fixture(autouse=True)
-def isolated_trace_cache(tmp_path, monkeypatch):
-    """Point the trace cache at a per-test directory (never ~/.cache)."""
-    cache = tmp_path / "trace-cache"
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(cache))
-    return cache
 
 
 @pytest.fixture(autouse=True)

@@ -188,6 +188,33 @@ class TestCommands:
         with pytest.raises(SystemExit, match="contains no trace files"):
             main(["trace", "info", str(tmp_path)])
 
+    def test_trace_info_address_beyond_organization_is_one_line_error(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "huge.trace"
+        path.write_text("1 R 0x7fffffffffffffff\n")
+        with pytest.raises(SystemExit, match=r"huge.trace: .*out of range"):
+            main(["trace", "info", str(path)])
+        assert "file" not in capsys.readouterr().out  # no table started
+
+    def test_trace_replay_writes_nothing_under_home(self, tmp_path, monkeypatch):
+        """Recording and replaying (pooled) leave ``$HOME`` untouched:
+        parsed traces are kept in memory only."""
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        out_dir = tmp_path / "rec"
+        main(["trace", "record", "gcc", "--out", str(out_dir),
+              "--cores", "2", "--requests", "600"])
+        code = main([
+            "grid", "--workload", f"trace:{out_dir}", "--trh", "1200",
+            "--cores", "2", "--requests", "600", "--mitigations", "rrs",
+            "--jobs", "2",
+        ])
+        assert code == 0
+        assert list(home.iterdir()) == []
+
+
     def test_attack_with_monte_carlo(self, capsys):
         code = main([
             "attack", "--trh", "4800", "--swap-rate", "6",
@@ -310,6 +337,41 @@ class TestCommands:
         from repro.sim import ResultSet
         reloaded = ResultSet.load(str(json_path))
         assert set(reloaded.workloads) == {"povray", "lbm"}
+
+
+BAD_WORKLOAD_COMMANDS = {
+    "run": lambda w, tmp: ["run", w, "--mitigations", "rrs"],
+    "sweep": lambda w, tmp: ["sweep", w, "--trh", "1200", "--mitigations", "rrs"],
+    "grid": lambda w, tmp: ["grid", "--workloads", "povray", w, "--trh", "1200",
+                            "--mitigations", "rrs"],
+    "trace record": lambda w, tmp: ["trace", "record", w, "--out", str(tmp / "out")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(BAD_WORKLOAD_COMMANDS))
+class TestBadWorkload:
+    """A workload string that names nothing ends the command, before
+    any cell is planned, with a one-line error naming the string."""
+
+    def check(self, command, workload, tmp_path, message):
+        argv = BAD_WORKLOAD_COMMANDS[command](workload, tmp_path)
+        argv += ["--cores", "1", "--requests", "100"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        text = str(excinfo.value.code)
+        assert "\n" not in text
+        assert repr(workload) in text and message in text
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_name(self, command, tmp_path):
+        self.check(command, "nosuch", tmp_path, "unknown workload")
+
+    def test_unknown_prefix(self, command, tmp_path):
+        self.check(command, "nosuch:gcc", tmp_path, "unknown workload source")
+
+    def test_missing_trace_path(self, command, tmp_path):
+        missing = f"trace:{tmp_path / 'missing'}"
+        self.check(command, missing, tmp_path, "does not exist")
 
 
 class TestMultiHost:

@@ -55,6 +55,21 @@ def record_rate_trace(tmp_path, requests=3000):
     return str(out)
 
 
+def count_trace_loads(monkeypatch):
+    """Record the path of every trace-file parse a replay makes."""
+    from repro.workloads import sources
+
+    loads = []
+    original = sources.load_trace_columns
+
+    def counting(path, *args, **kwargs):
+        loads.append(path)
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(sources, "load_trace_columns", counting)
+    return loads
+
+
 class TestWorkloadKey:
     def test_stable_and_generation_sensitive(self):
         spec = resolve_workload("povray")
@@ -159,23 +174,35 @@ class TestTracesFor:
     def test_rate_mode_decodes_once(self, tmp_path, monkeypatch):
         """A single-file recording is parsed and decoded once for all
         cores, and the per-core traces share one array set."""
-        import repro.workloads.cache as cache_module
-
         trace_dir = record_rate_trace(tmp_path)
-        loads = []
-        original = cache_module.load_trace_columns
-
-        def counting(path, **kwargs):
-            loads.append(path)
-            return original(path, **kwargs)
-
-        monkeypatch.setattr(cache_module, "load_trace_columns", counting)
+        loads = count_trace_loads(monkeypatch)
         workload = resolve_workload(f"trace:{trace_dir}")
         params = dataclasses.replace(PARAMS, num_cores=4)
         traces = plane.traces_for(workload, params, params.make_organization())
         assert len(traces) == 4
         assert all(t is traces[0] for t in traces)
         assert len(loads) == 1
+
+    def test_serial_trace_grid_parses_each_file_once(self, tmp_path, monkeypatch):
+        """Every cell of a serial grid over one per-core recording
+        (several mitigations x TRHs) after the first is served by the
+        plane, so each backing file is parsed exactly once."""
+        out = tmp_path / "per-core"
+        paths = record_workload(
+            resolve_workload("gcc"),
+            SimulationParams(num_cores=2, requests_per_core=600),
+            out_dir=str(out),
+        )
+        loads = count_trace_loads(monkeypatch)
+        spec = ExperimentSpec(
+            workloads=[f"trace:{out}"],
+            mitigations=["rrs", "srs", "scale-srs"],
+            base_params=PARAMS,
+            grid={"trh": [1200, 2400]},
+        )
+        results = run_grid(spec, pool=SerialPool())
+        assert results.run_stats.executed > len(paths)
+        assert sorted(loads) == sorted(paths)
 
 
 class TestReadOnly:

@@ -131,14 +131,25 @@ class TestRegistry:
 
 
 class TestConfig:
-    def test_from_env_overrides(self, monkeypatch):
+    def test_cli_config_ignores_bench_env(self, monkeypatch):
+        """``repro report`` takes its scale from its flags only: the
+        benchmark tier's ``REPRO_BENCH_*`` knobs do not reach it."""
+        from repro.cli import _report_config, build_parser
+
         monkeypatch.setenv("REPRO_BENCH_REQUESTS", "123")
         monkeypatch.setenv("REPRO_BENCH_CORES", "2")
         monkeypatch.setenv("REPRO_BENCH_FULL", "1")
-        config = ReportConfig.from_env()
-        assert config.requests == 123
-        assert config.cores == 2
-        assert config.full
+        parser = build_parser()
+        bare = parser.parse_args(["report", "--all"])
+        assert _report_config(bare) == ReportConfig()
+        flagged = parser.parse_args(
+            ["report", "--all", "--requests", "300", "--cores", "1"]
+        )
+        assert _report_config(flagged) == ReportConfig().scaled(
+            requests=300, cores=1
+        )
+        full = parser.parse_args(["report", "--all", "--full"])
+        assert _report_config(full) == ReportConfig().scaled(full=True)
 
     def test_perf_workloads_detailed_vs_full(self):
         assert ReportConfig().perf_workloads() == list(DETAILED_WORKLOADS)

@@ -1,10 +1,10 @@
-"""Trace file round-trip edge cases: errors, gzip, empty traces, caching."""
+"""Trace file round-trip edge cases: errors, gzip, empty traces, and
+the recorder's pinned bytes."""
 
 import gzip
 import hashlib
 import io
 import os
-import time
 
 import numpy as np
 import pytest
@@ -12,11 +12,11 @@ import pytest
 from repro.dram.address import AddressMapper
 from repro.dram.config import DRAMOrganization
 from repro.sim import SimulationParams, record_workload
-from repro.workloads.cache import cache_entry_path, load_trace_columns
 from repro.workloads.columnar import ColumnarTrace
 from repro.workloads.sources import resolve_workload_string
 from repro.workloads.trace import (
     TraceParseError,
+    load_trace_columns,
     open_trace,
     parse_trace_columns,
     write_trace_columns,
@@ -174,6 +174,25 @@ class TestColumnarRoundTrip:
         # Empty arrays are fine through the full path.
         assert len(arrays.encode_addresses(mapper)) == 0
 
+    def test_decode_rejects_out_of_range(self):
+        """An address beyond the organization's capacity is an error,
+        not an alias of a low row; the last in-range line decodes."""
+        mapper = AddressMapper(DRAMOrganization())
+        org = mapper.organization
+        last = (1 << mapper.address_bits) - org.line_size_bytes
+        row = mapper.decode_arrays(np.array([last]))[3]
+        assert int(row[0]) == org.rows_per_bank - 1
+        for address in (1 << mapper.address_bits, 2**63 - 1):
+            with pytest.raises(ValueError, match="row"):
+                mapper.decode_arrays(np.array([0, address]))
+        with pytest.raises(ValueError, match="row"):
+            ColumnarTrace.from_addresses(
+                np.zeros(1, np.int64), np.zeros(1, bool),
+                np.array([2**63 - 1]), mapper,
+            )
+        # Empty arrays decode to empty coordinates.
+        assert all(len(c) == 0 for c in mapper.decode_arrays(np.empty(0)))
+
     def test_take_truncates(self):
         mapper = AddressMapper(DRAMOrganization())
         gaps = np.arange(10, dtype=np.int64)
@@ -184,77 +203,22 @@ class TestColumnarRoundTrip:
         assert arrays.take(100) is arrays
 
 
-class TestCache:
-    def write(self, path, lines):
-        path.write_text("".join(lines))
-
-    def test_cache_hit_returns_same_columns(self, tmp_path, isolated_trace_cache):
-        path = tmp_path / "c.trace"
-        self.write(path, ["3 R 0x40\n", "0 W 0x80\n"])
-        first = load_trace_columns(str(path))
-        entry = cache_entry_path(str(path))
-        assert entry is not None and entry.exists()
-        second = load_trace_columns(str(path))
-        for a, b in zip(first, second):
-            assert np.array_equal(a, b)
-
-    def test_cache_invalidated_on_file_change(self, tmp_path):
-        path = tmp_path / "c.trace"
-        self.write(path, ["3 R 0x40\n"])
-        assert len(load_trace_columns(str(path))[0]) == 1
-        self.write(path, ["3 R 0x40\n", "1 W 0x80\n"])
-        gaps, is_write, addresses = load_trace_columns(str(path))
-        assert len(gaps) == 2 and bool(is_write[1])
-
-    def test_cache_invalidated_on_same_size_change(self, tmp_path):
-        path = tmp_path / "c.trace"
-        self.write(path, ["3 R 0x40\n"])
-        load_trace_columns(str(path))
-        time.sleep(0.01)  # ensure a distinct mtime_ns even on coarse clocks
-        self.write(path, ["7 W 0x80\n"])
-        gaps, is_write, addresses = load_trace_columns(str(path))
-        assert gaps[0] == 7 and bool(is_write[0]) and addresses[0] == 0x80
-
-    def test_corrupt_cache_entry_falls_back_to_parse(self, tmp_path):
-        path = tmp_path / "c.trace"
-        self.write(path, ["3 R 0x40\n"])
-        load_trace_columns(str(path))
-        entry = cache_entry_path(str(path))
-        entry.write_bytes(b"not an npz archive")
-        gaps, _, _ = load_trace_columns(str(path))
-        assert len(gaps) == 1
-
-    def test_cache_disabled_by_empty_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "")
-        path = tmp_path / "c.trace"
-        self.write(path, ["3 R 0x40\n"])
-        assert cache_entry_path(str(path)) is None
-        gaps, _, _ = load_trace_columns(str(path))
-        assert len(gaps) == 1
-
-    def test_gzip_traces_cache_too(self, tmp_path):
-        path = tmp_path / "c.trace.gz"
-        with gzip.open(path, "wt") as handle:
-            handle.write("5 R 0x140\n")
-        gaps, _, addresses = load_trace_columns(str(path))
-        assert gaps[0] == 5 and addresses[0] == 0x140
-        entry = cache_entry_path(str(path))
-        assert entry.exists()
-        gaps2, _, _ = load_trace_columns(str(path))
-        assert np.array_equal(gaps, gaps2)
-
-
 class TestRecorderBytes:
     """The bytes ``record_workload`` writes for gcc, 2 cores x 200
     requests, pinned so a change to the trace writer cannot move them.
 
-    A gzip member stamps its write time into the header, so compressed
-    recordings are pinned by their decompressed text (the same bytes as
-    the plain recording)."""
+    Gzip members carry no write time, so compressed recordings are
+    pinned by their own bytes too, and decompress to the plain
+    recording."""
 
     DIGESTS = {
         "core0.trace": "de22c1aef4f121d32c021ed679bd06152d869042aefc32598a2388e8c7665f6f",
         "core1.trace": "d4a328199bd5167c94d82569eba915b6c93c5696bcef1667c48b685eb6f747e5",
+    }
+
+    GZIP_DIGESTS = {
+        "core0.trace.gz": "52c321138bd879a8a8e3ca305b9dc250e2eb9590bf3a8bd83052d9a087477c7e",
+        "core1.trace.gz": "569b417836eaa2fc0b70062e9ebcdf6760177d6e6fcdb369f59ed31f64c67bc9",
     }
 
     def record(self, out_dir, compress):
@@ -274,11 +238,14 @@ class TestRecorderBytes:
 
     def test_gzip_recording_bytes(self, tmp_path):
         paths = self.record(tmp_path, compress=True)
-        digests = {}
+        digests, texts = {}, {}
         for path in paths:
             data = open(path, "rb").read()
             assert data[:2] == b"\x1f\x8b"
-            digests[os.path.basename(path)[: -len(".gz")]] = hashlib.sha256(
+            name = os.path.basename(path)
+            digests[name] = hashlib.sha256(data).hexdigest()
+            texts[name[: -len(".gz")]] = hashlib.sha256(
                 gzip.decompress(data)
             ).hexdigest()
-        assert digests == self.DIGESTS
+        assert digests == self.GZIP_DIGESTS
+        assert texts == self.DIGESTS
