@@ -14,19 +14,22 @@ def test_table4_storage(benchmark, figure_store):
     data, _ = benchmark.pedantic(
         lambda: reproduce("table4", figure_store), rounds=1, iterations=1
     )
-    cells = data.results.by("mitigation", "trh")
+    breakdown = data.model("storage")["breakdown"]
+    rrs_4800 = breakdown[4800]["rrs"]
 
     # Anchors at TRH=4800 (absolute match).
-    assert abs(cells[("rrs", 4800)].rit_bytes / 1024 - 35.0) < 1.5
-    assert abs(cells[("scale-srs", 4800)].rit_bytes / 1024 - 9.4) < 1.0
-    assert abs(cells[("rrs", 4800)].total_kb - 36.0) < 1.5
+    assert abs(rrs_4800["rit_bytes"] / 1024 - 35.0) < 1.5
+    assert abs(breakdown[4800]["scale-srs"]["rit_bytes"] / 1024 - 9.4) < 1.0
+    assert abs(rrs_4800["total_bytes"] / 1024 - 36.0) < 1.5
 
     # Headline ratio: ~2x at 4800 growing past 3x at 1200 (paper: 3.3x).
     ratio_1200 = (
-        cells[("rrs", 1200)].total_bytes / cells[("scale-srs", 1200)].total_bytes
+        breakdown[1200]["rrs"]["total_bytes"]
+        / breakdown[1200]["scale-srs"]["total_bytes"]
     )
     assert ratio_1200 > 3.0
     # Scale-SRS is smaller everywhere, and the RIT dominates at low TRH.
     for trh in TRH_VALUES:
-        assert cells[("scale-srs", trh)].total_kb < cells[("rrs", trh)].total_kb
-    assert cells[("rrs", 1200)].rit_bytes > cells[("rrs", 4800)].rit_bytes * 3.5
+        rows = breakdown[trh]
+        assert rows["scale-srs"]["total_bytes"] < rows["rrs"]["total_bytes"]
+    assert breakdown[1200]["rrs"]["rit_bytes"] > rrs_4800["rit_bytes"] * 3.5

@@ -14,8 +14,8 @@ Commands:
 - ``attack`` — the Juggernaut model at a design point.
 - ``security-sweep`` — time-to-break RRS/SRS across swap rates x TRH.
 - ``outliers`` — the Figure 13 outlier-appearance model.
-- ``storage`` — Table IV storage breakdowns.
-- ``power`` — Table V power overheads.
+- ``storage`` — the Table IV storage model.
+- ``power`` — the Table V power model.
 - ``report`` — emit registered paper figures/tables (markdown + CSV)
   from the result store, executing only missing cells.
 - ``store ls`` / ``store prune`` — inspect and clean a result store.
@@ -28,8 +28,8 @@ simulation commands take ``--engine {scalar,batched,auto}``; engines
 are bit-identical, so the flag only trades wall-clock time (see
 :mod:`repro.sim.engine`).
 
-``grid``, ``attack``, ``security-sweep``, ``storage``, and ``power``
-all route through the experiment engine (:mod:`repro.sim.experiment`),
+``grid``, ``attack`` and ``security-sweep`` route through the
+experiment engine (:mod:`repro.sim.experiment`),
 so they share parallel execution (``--jobs``), CSV/JSON export, and
 the persistent result store: ``--store DIR`` saves every completed
 cell, ``--resume`` reuses stored cells bit-identically (rerun a killed
@@ -50,23 +50,24 @@ splits a full-paper reproduction across hosts sharing one store.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import shlex
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.analysis.power import PowerModel
+from repro.analysis.storage import StorageModel
 from repro.attacks.outliers import OutlierModel
 from repro.dram.address import AddressMapper
 from repro.dram.config import DRAMOrganization
 from repro.registry import MITIGATIONS, TRACKERS
 from repro.sim import (
     ExperimentSpec,
-    PowerParams,
     ResultSet,
     SecurityParams,
     SimulationParams,
     SshPool,
-    StorageParams,
     parse_hosts,
     parse_shard,
     record_workload,
@@ -224,24 +225,40 @@ def _shard_type(text: str):
         raise argparse.ArgumentTypeError(str(error)) from None
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for ``--jobs``: a strictly positive worker count.
+def _positive(cast: Callable[[str], Any], what: str) -> Callable[[str], Any]:
+    """An argparse type accepting only strictly positive, finite
+    ``cast`` values; ``what`` names the value in the one-line error.
 
-    ``0`` and negatives used to be silently clamped to serial execution
-    deep in the engine; rejecting them here tells the user what the
-    flag actually does."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"{value} is not a positive worker count "
-            "(use 1 for serial execution)"
-        )
-    return value
+    A zero or negative size, threshold or rate would otherwise simulate
+    nonsense or fail inside a cell with a traceback."""
+
+    def parse(text: str) -> Any:
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {cast.__name__} value: {text!r}"
+            ) from None
+        if not (value > 0 and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(
+                f"{text} is not a positive {what}"
+            )
+        return value
+
+    return parse
+
+
+#: ``--jobs``: a worker count; 1 runs serially in-process.
+_worker_count = _positive(int, "worker count (use 1 for serial execution)")
+#: Thresholds, core counts, request counts and the time scale.
+_positive_int = _positive(int, "integer")
+#: Swap rates (``TRH / TS``).
+_positive_float = _positive(float, "number")
+
+
+def _rate_list(text: str) -> List[float]:
+    """argparse type for ``--rates``: comma-separated positive rates."""
+    return [_positive_float(rate) for rate in text.split(",")]
 
 
 def _add_eval_options(
@@ -249,7 +266,7 @@ def _add_eval_options(
 ) -> None:
     """Engine-backed command knobs: parallelism, export, persistence."""
     if jobs:
-        parser.add_argument("--jobs", type=_positive_int, default=None,
+        parser.add_argument("--jobs", type=_worker_count, default=None,
                             help="worker processes (default: sized "
                                  "from the cells' costs)")
     if export:
@@ -474,12 +491,11 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_security_sweep(args: argparse.Namespace) -> int:
-    rates = [float(r) for r in args.rates.split(",")]
     spec = ExperimentSpec(
         kind="security",
         mitigations=["rrs", "srs"],
         base_params=SecurityParams(step=20, iterations=args.iterations),
-        grid={"trh": list(args.trh), "swap_rate": rates},
+        grid={"trh": list(args.trh), "swap_rate": args.rates},
     )
     results = _run_eval(spec, args)
     # Row order follows the requested rates (and TRH blocks), never
@@ -498,7 +514,7 @@ def _cmd_security_sweep(args: argparse.Namespace) -> int:
         if mc:
             header += f"{'RRS mc-mean':>14s}{'SRS mc-mean':>14s}"
         print(header)
-        for rate in rates:
+        for rate in args.rates:
             # A --shard run holds only its slice; missing points print
             # as '-' (the merged table comes from a --resume pass).
             rrs = by_point.get(("rrs", trh, rate))
@@ -527,48 +543,22 @@ def _cmd_outliers(args: argparse.Namespace) -> int:
 
 
 def _cmd_storage(args: argparse.Namespace) -> int:
-    spec = ExperimentSpec(
-        kind="storage",
-        mitigations=["rrs", "scale-srs"],
-        base_params=StorageParams(direction_bit=args.direction_bit),
-        grid={"trh": list(args.trh)},
-    )
-    results = _run_eval(spec, args)
-    by_point = {(r.mitigation, r.trh): r for r in results}
+    model = StorageModel(direction_bit_optimization=args.direction_bit)
     print(f"{'TRH':>6s}{'RRS KB':>9s}{'Scale KB':>10s}{'ratio':>7s}")
     for trh in args.trh:
-        rrs = by_point.get(("rrs", trh))
-        scale = by_point.get(("scale-srs", trh))
-        if rrs is None or scale is None:
-            continue  # --shard slice without the full pair
+        rrs = model.breakdown(trh, "rrs")
+        scale = model.breakdown(trh, "scale-srs")
         print(f"{trh:>6d}{rrs.total_kb:>9.1f}{scale.total_kb:>10.1f}"
               f"{rrs.total_bytes / scale.total_bytes:>7.2f}")
-    _report_store(results, args)
-    _export_results(results, args, kind="storage")
     return 0
 
 
 def _cmd_power(args: argparse.Namespace) -> int:
-    spec = ExperimentSpec(
-        kind="power",
-        mitigations=["rrs", "scale-srs"],
-        base_params=PowerParams(trh=args.trh),
-    )
-    results = _run_eval(spec, args)
-    by_design = {r.mitigation: r for r in results}
-    for design in ("rrs", "scale-srs"):
-        row = by_design.get(design)
-        if row is None:
-            continue  # --shard slice without this design
+    model = PowerModel()
+    for design, row in model.table(args.trh).items():
         print(f"{design:<12s} DRAM {row.dram_overhead_percent:.2f}%  "
               f"SRAM {row.sram_power_mw:.0f} mW")
-    if "rrs" in by_design and "scale-srs" in by_design:
-        # The saving formula lives in PowerModel; the cells above ran
-        # the identical model, so this is consistent with their rows.
-        model = by_design["rrs"].params.model()
-        print(f"on-chip saving: {model.sram_power_saving_percent(args.trh):.1f}%")
-    _report_store(results, args)
-    _export_results(results, args, kind="power")
+    print(f"on-chip saving: {model.sram_power_saving_percent(args.trh):.1f}%")
     return 0
 
 
@@ -711,10 +701,11 @@ def _add_sim_options(
         choices=mitigation_names,
         help="registered mitigations to compare",
     )
-    parser.add_argument("--cores", type=int, default=4)
-    parser.add_argument("--requests", type=int, default=default_requests,
+    parser.add_argument("--cores", type=_positive_int, default=4)
+    parser.add_argument("--requests", type=_positive_int,
+                        default=default_requests,
                         help="memory requests per core")
-    parser.add_argument("--time-scale", type=int, default=32)
+    parser.add_argument("--time-scale", type=_positive_int, default=32)
     parser.add_argument(
         "--tracker",
         default="misra-gries",
@@ -728,7 +719,7 @@ def _add_sim_options(
         help="simulation engine; engines are bit-identical, 'auto' "
              "batches where the mitigation supports it",
     )
-    parser.add_argument("--jobs", type=_positive_int, default=None,
+    parser.add_argument("--jobs", type=_worker_count, default=None,
                         help="worker processes "
                              "(default: sized from the cells' costs)")
 
@@ -756,13 +747,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="performance comparison on one workload")
     p.add_argument("workload", help="suite name or trace:<path> replay spec")
-    p.add_argument("--trh", type=int, default=1200)
+    p.add_argument("--trh", type=_positive_int, default=1200)
     _add_sim_options(p, mitigation_names, tracker_names, ["rrs", "scale-srs"])
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sweep", help="TRH sweep on one workload (parallel)")
     p.add_argument("workload", help="suite name or trace:<path> replay spec")
-    p.add_argument("--trh", type=int, nargs="+", default=[4800, 2400, 1200])
+    p.add_argument("--trh", type=_positive_int, nargs="+",
+                   default=[4800, 2400, 1200])
     _add_sim_options(p, mitigation_names, tracker_names, ["rrs", "scale-srs"],
                      default_requests=12_000)
     p.set_defaults(func=_cmd_sweep)
@@ -774,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workloads", "--workload", nargs="+",
                    default=["gcc", "lbm", "povray"],
                    help="suite names and/or trace:<path> replay specs")
-    p.add_argument("--trh", type=int, nargs="+", default=[2400, 1200])
+    p.add_argument("--trh", type=_positive_int, nargs="+", default=[2400, 1200])
     p.add_argument("--csv", help="export the result set as CSV")
     p.add_argument("--json", help="export the result set (with parameters) as JSON")
     p.add_argument("--verbose", action="store_true", help="per-cell progress")
@@ -806,8 +798,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("workload", help="workload to record (name or source spec)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--gzip", action="store_true", help="gzip-compress the files")
-    p.add_argument("--cores", type=int, default=4)
-    p.add_argument("--requests", type=int, default=30_000,
+    p.add_argument("--cores", type=_positive_int, default=4)
+    p.add_argument("--requests", type=_positive_int, default=30_000,
                    help="memory requests per core")
     p.add_argument("--seed", type=int, default=2024)
     p.set_defaults(func=_cmd_trace_record)
@@ -821,8 +813,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "attack", help="Juggernaut model at one design point"
     )
-    p.add_argument("--trh", type=int, default=4800)
-    p.add_argument("--swap-rate", type=float, default=6.0)
+    p.add_argument("--trh", type=_positive_int, default=4800)
+    p.add_argument("--swap-rate", type=_positive_float, default=6.0)
     p.add_argument("--step", type=int, default=10,
                    help="optimal-N scan granularity "
                         "(SRS scans at max(100, step))")
@@ -835,29 +827,29 @@ def build_parser() -> argparse.ArgumentParser:
         "security-sweep",
         help="time-to-break across swap rates (x TRH), via the engine",
     )
-    p.add_argument("--trh", type=int, nargs="+", default=[4800],
+    p.add_argument("--trh", type=_positive_int, nargs="+", default=[4800],
                    help="one table per TRH value")
-    p.add_argument("--rates", default="6,7,8,9,10")
+    p.add_argument("--rates", type=_rate_list, default="6,7,8,9,10",
+                   help="comma-separated swap rates")
     p.add_argument("--iterations", type=int, default=0,
                    help="Monte-Carlo attack samples (0 = analytical only)")
     _add_eval_options(p)
     p.set_defaults(func=_cmd_security_sweep)
 
     p = sub.add_parser("outliers", help="Figure 13 outlier model")
-    p.add_argument("--trh", type=int, default=4800)
-    p.add_argument("--swap-rate", type=float, default=3.0)
+    p.add_argument("--trh", type=_positive_int, default=4800)
+    p.add_argument("--swap-rate", type=_positive_float, default=3.0)
     p.set_defaults(func=_cmd_outliers)
 
     p = sub.add_parser("storage", help="Table IV storage model")
-    p.add_argument("--trh", type=int, nargs="+", default=[4800, 2400, 1200])
+    p.add_argument("--trh", type=_positive_int, nargs="+",
+                   default=[4800, 2400, 1200])
     p.add_argument("--direction-bit", action="store_true",
                    help="apply the Section VIII-4 RIT optimisation")
-    _add_eval_options(p)
     p.set_defaults(func=_cmd_storage)
 
     p = sub.add_parser("power", help="Table V power model")
-    p.add_argument("--trh", type=int, default=4800)
-    _add_eval_options(p)
+    p.add_argument("--trh", type=_positive_int, default=4800)
     p.set_defaults(func=_cmd_power)
 
     p = sub.add_parser(
@@ -873,15 +865,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="DIR",
                    help="write <figure>.md/.csv artifacts here instead of "
                         "printing markdown")
-    p.add_argument("--requests", type=int, default=None,
+    p.add_argument("--requests", type=_positive_int, default=None,
                    help="memory requests per core for perf figures "
                         "(default: 25000)")
-    p.add_argument("--cores", type=int, default=None,
+    p.add_argument("--cores", type=_positive_int, default=None,
                    help="simulated cores for perf figures "
                         "(default: 4)")
     p.add_argument("--full", action="store_true",
                    help="per-workload figures over all 78 workloads")
-    p.add_argument("--jobs", type=_positive_int, default=None,
+    p.add_argument("--jobs", type=_worker_count, default=None,
                    help="worker processes "
                         "(default: sized from the cells' costs)")
     p.add_argument("--store", metavar="DIR",

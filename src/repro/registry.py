@@ -40,9 +40,9 @@ a parameter dataclass for grid expansion, serialization hooks for
 JSON/CSV and the content-addressed result store, and a schema version
 for store keying. The built-in kinds are ``perf`` (the performance
 simulator), ``security`` (Juggernaut time-to-break, analytical plus
-Monte-Carlo), ``storage`` (Table IV), ``power`` (Table V), ``hammer``
-(Section II-E's hammer-pattern rig), and ``model`` (the paper's
-one-off numbers); see :mod:`repro.sim.evaluations`.
+Monte-Carlo), ``hammer`` (Section II-E's hammer-pattern rig), and
+``model`` (the paper's closed-form numbers, the Table IV storage and
+Table V power models among them); see :mod:`repro.sim.evaluations`.
 
 *Figures* close the loop from evaluations back to the paper: every
 figure/table of the paper's evaluation is a registered builder
@@ -237,7 +237,8 @@ class EvaluationInfo:
             must be bit-identical, or store reuse would perturb results.
         csv_header: Column names for CSV export, or ``None`` when the
             kind implements export elsewhere (``perf`` lives in
-            :class:`~repro.sim.experiment.ResultSet`).
+            :class:`~repro.sim.experiment.ResultSet`) or has no flat
+            rows (``hammer``, ``model``: JSON export only).
         csv_row: ``result record -> row values`` matching ``csv_header``.
         cell_cost: Optional ``cell -> cost`` estimate of one
             :class:`~repro.sim.experiment.ExperimentCell`, in

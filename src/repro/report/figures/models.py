@@ -1,11 +1,11 @@
 """Model figures: outliers, storage, power, and the design-space studies
 (Figure 13, Tables IV-V, Sections V-C, VIII-4, IX).
 
-Tables IV and V grid the ``storage``/``power`` evaluation kinds, and
-Table IV adds the ``dram-counters`` model cell for its DRAM-overhead
-note. The outlier sweep, the LLC provisioning rig, and the related-work
-comparators are one ``model`` cell each: one-off computations, stored
-like every other cell so a resumed report reads them back.
+Every figure here reads one ``model`` cell (a
+:data:`repro.sim.evaluations.MODELS` entry): the outlier sweep, the
+Table IV storage and Table V power models, the LLC provisioning rig,
+and the related-work comparators. They are stored like every other
+cell, so a resumed report reads them back.
 """
 
 from __future__ import annotations
@@ -13,11 +13,7 @@ from __future__ import annotations
 from repro.registry import register_figure
 from repro.report.render import Artifact, Table
 from repro.report.spec import FigureData, FigureSpec, ReportConfig, model_spec
-from repro.sim.evaluations import FIG13_SWAP_RATES, PowerParams, StorageParams
-from repro.sim.experiment import ExperimentSpec
-
-#: The Table IV/V threshold series.
-TABLE_TRH_VALUES = (4800, 2400, 1200)
+from repro.sim.evaluations import FIG13_SWAP_RATES, TABLE_TRH_VALUES
 
 
 @register_figure(
@@ -60,31 +56,25 @@ def fig13(config: ReportConfig) -> FigureSpec:
     description="36 vs 18.7 KB at TRH=4800, growing to ~3.3x at 1200",
 )
 def table4(config: ReportConfig) -> FigureSpec:
-    """Per-bank SRAM inventory cells for both designs across TRH."""
-    spec = ExperimentSpec(
-        kind="storage",
-        mitigations=["rrs", "scale-srs"],
-        base_params=StorageParams(),
-        grid={"trh": list(TABLE_TRH_VALUES)},
-    )
+    """Per-bank SRAM inventory of both designs across TRH."""
 
     def render(data: FigureData) -> Artifact:
-        cells = data.results.of_kind("storage").by("mitigation", "trh")
+        values = data.model("storage")
         rows = []
         for trh in TABLE_TRH_VALUES:
-            rrs = cells[("rrs", trh)]
-            scale = cells[("scale-srs", trh)]
+            rrs = values["breakdown"][trh]["rrs"]
+            scale = values["breakdown"][trh]["scale-srs"]
             rows.append(
                 [
                     trh,
-                    rrs.rit_bytes / 1024.0,
-                    rrs.total_kb,
-                    scale.rit_bytes / 1024.0,
-                    scale.total_kb,
-                    rrs.total_bytes / scale.total_bytes,
+                    rrs["rit_bytes"] / 1024.0,
+                    rrs["total_bytes"] / 1024.0,
+                    scale["rit_bytes"] / 1024.0,
+                    scale["total_bytes"] / 1024.0,
+                    rrs["total_bytes"] / scale["total_bytes"],
                 ]
             )
-        overhead = data.model("dram-counters")["fraction"]
+        overhead = values["dram_counter_fraction"]
         return Artifact(
             tables=[
                 Table(
@@ -105,9 +95,7 @@ def table4(config: ReportConfig) -> FigureSpec:
             ],
         )
 
-    return FigureSpec(
-        specs=[spec, model_spec("dram-counters")], render=render
-    )
+    return FigureSpec(specs=[model_spec("storage")], render=render)
 
 
 @register_figure(
@@ -117,29 +105,23 @@ def table4(config: ReportConfig) -> FigureSpec:
     description="DRAM 0.5% vs 0.2%; SRAM 903 vs 703 mW (23% lower)",
 )
 def table5(config: ReportConfig) -> FigureSpec:
-    """Power-overhead cells for both designs across TRH (the paper's
-    table is the TRH=4800 row; the lower rows extrapolate)."""
-    spec = ExperimentSpec(
-        kind="power",
-        mitigations=["rrs", "scale-srs"],
-        base_params=PowerParams(),
-        grid={"trh": list(TABLE_TRH_VALUES)},
-    )
+    """Power overheads of both designs across TRH (the paper's table is
+    the TRH=4800 row; the lower rows extrapolate)."""
 
     def render(data: FigureData) -> Artifact:
-        cells = data.results.by("mitigation", "trh")
+        breakdown = data.model("power")["breakdown"]
         rows = [
             [
                 trh,
                 design,
-                cells[(design, trh)].dram_overhead_percent,
-                cells[(design, trh)].sram_power_mw,
+                breakdown[trh][design]["dram_overhead_percent"],
+                breakdown[trh][design]["sram_power_mw"],
             ]
             for trh in TABLE_TRH_VALUES
             for design in ("rrs", "scale-srs")
         ]
-        rrs = cells[("rrs", 4800)].sram_power_mw
-        scale = cells[("scale-srs", 4800)].sram_power_mw
+        rrs = breakdown[4800]["rrs"]["sram_power_mw"]
+        scale = breakdown[4800]["scale-srs"]["sram_power_mw"]
         saving = (1.0 - scale / rrs) * 100.0
         return Artifact(
             tables=[
@@ -158,7 +140,7 @@ def table5(config: ReportConfig) -> FigureSpec:
             ],
         )
 
-    return FigureSpec(specs=[spec], render=render)
+    return FigureSpec(specs=[model_spec("power")], render=render)
 
 
 @register_figure(

@@ -64,12 +64,8 @@ from repro.sim.evaluations import (
     HammerResult,
     ModelParams,
     ModelResult,
-    PowerParams,
-    PowerResult,
     SecurityParams,
     SecurityResult,
-    StorageParams,
-    StorageResult,
 )
 from repro.sim.factory import make_mitigation_factory, make_tracker
 from repro.sim.recorder import record_workload
@@ -106,10 +102,6 @@ __all__ = [
     "shard_of",
     "SecurityParams",
     "SecurityResult",
-    "StorageParams",
-    "StorageResult",
-    "PowerParams",
-    "PowerResult",
     "HammerParams",
     "HammerResult",
     "ModelParams",

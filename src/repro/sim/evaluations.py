@@ -2,17 +2,17 @@
 
 The paper's evaluation has three legs — performance simulation
 (Figures 12/14/15), Monte-Carlo/analytical security analysis (Figure 6's
-time-to-break), and analytical storage/power models (Tables IV-V) — plus
-the motivation and comparison numbers around them (Table I, Figures 1a
-and 13, Sections II-E, III-C, V-C, VIII and IX). This module registers
-each as an *evaluation kind* with
+time-to-break), and closed-form models (the Table IV storage and Table V
+power models among them) — plus the motivation and comparison numbers
+around them (Table I, Figures 1a and 13, Sections II-E, III-C, V-C, VIII
+and IX). This module registers each as an *evaluation kind* with
 :func:`repro.registry.register_evaluation`, so all of them run through
 the same engine (:mod:`repro.sim.experiment`): declarative grids,
 process-pool parallelism, deterministic per-cell seeding, JSON/CSV
 export, and the content-addressed result store
 (:mod:`repro.sim.store`).
 
-The six kinds:
+The four kinds:
 
 - ``perf`` — today's performance-simulator path, unchanged semantics: a
   cell is (workload, mitigation, :class:`SimulationParams`) and runs
@@ -22,20 +22,15 @@ The six kinds:
   swap rate, TRH, and the attacker's round budget. The analytical model
   (Equations 1-10) always runs; ``iterations > 0`` adds the Figure 6
   Monte-Carlo validation with a per-cell derived seed.
-- ``storage`` — the Table IV per-bank SRAM inventory
-  (:class:`~repro.analysis.storage.StorageModel`) for ``rrs`` /
-  ``scale-srs``.
-- ``power`` — the Table V DRAM/SRAM power overheads
-  (:class:`~repro.analysis.power.PowerModel`).
 - ``hammer`` — the Section II-E micro-rig: one access pattern
   (double-sided or half-double) played through one defense
   (``trr``/``para``/``scale-srs``) on a bank with a disturbance model
   (:func:`~repro.attacks.harness.hammer_pattern`).
-- ``model`` — the paper's one-off numbers (threshold history, the
-  random-guess and outlier models, the multi-bank and open-page
-  attacks, LLC pinning, the related-work comparators, the DRAM counter
-  overhead): one cell per :data:`MODELS` entry, its record a mapping of
-  JSON values.
+- ``model`` — the paper's closed-form and one-off numbers (threshold
+  history, the random-guess and outlier models, the multi-bank and
+  open-page attacks, LLC pinning, the related-work comparators, the
+  Table IV storage and Table V power models): one cell per
+  :data:`MODELS` entry, its record a mapping of JSON values.
 
 Every runner is a module-level function of the cell alone (picklable,
 deterministic), and every result record is a flat dataclass carrying
@@ -52,7 +47,6 @@ import random
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional
 
-from repro.analysis.power import PowerModel
 from repro.analysis.storage import StorageModel
 from repro.attacks.analytical import (
     AttackParameters,
@@ -335,167 +329,6 @@ def run_security_cell(cell: ExperimentCell) -> SecurityResult:
 
 
 # ----------------------------------------------------------------------
-# storage — the Table IV per-bank SRAM inventory
-
-
-@dataclass(frozen=True)
-class StorageParams:
-    """Knobs of one storage (Table IV) cell; see :class:`StorageModel`."""
-
-    trh: int = 4800
-    direction_bit: bool = False
-    rows_per_bank: int = 128 * 1024
-    rrs_swap_rate: float = 6.0
-    scale_swap_rate: float = 3.0
-    cat_overprovision: float = 1.17
-
-    def model(self) -> StorageModel:
-        """The :class:`StorageModel` these parameters configure."""
-        return StorageModel(
-            rows_per_bank=self.rows_per_bank,
-            rrs_swap_rate=self.rrs_swap_rate,
-            scale_swap_rate=self.scale_swap_rate,
-            cat_overprovision=self.cat_overprovision,
-            direction_bit_optimization=self.direction_bit,
-        )
-
-
-@dataclass
-class StorageResult:
-    """Per-bank SRAM inventory of one design at one threshold (bytes)."""
-
-    #: Evaluation kind of this record.
-    kind: ClassVar[str] = "storage"
-
-    workload: str
-    mitigation: str  # "rrs" or "scale-srs"
-    trh: int
-    rit_bytes: float
-    swap_buffer_bytes: float
-    place_back_buffer_bytes: float
-    epoch_register_bytes: float
-    pin_buffer_bytes: float
-    total_bytes: float
-    params: Optional[StorageParams] = None
-
-    @property
-    def total_kb(self) -> float:
-        """Total SRAM in KB (the Table IV unit)."""
-        return self.total_bytes / 1024.0
-
-
-@register_evaluation(
-    "storage",
-    params_cls=StorageParams,
-    result_cls=StorageResult,
-    subjects=("rrs", "scale-srs"),
-    scenario="table-iv",
-    description="per-bank SRAM storage inventory (Table IV)",
-    schema_version=1,
-    cell_cost=lambda cell: 20.0,  # closed-form model: microseconds
-    csv_header=(
-        "workload", "mitigation", "trh", "rit_kb", "swap_buffer_kb",
-        "place_back_kb", "epoch_register_kb", "pin_buffer_kb", "total_kb",
-        "direction_bit",
-    ),
-    csv_row=lambda r: [
-        r.workload, r.mitigation, r.trh,
-        f"{r.rit_bytes / 1024.0:.6g}",
-        f"{r.swap_buffer_bytes / 1024.0:.6g}",
-        f"{r.place_back_buffer_bytes / 1024.0:.6g}",
-        f"{r.epoch_register_bytes / 1024.0:.6g}",
-        f"{r.pin_buffer_bytes / 1024.0:.6g}",
-        f"{r.total_kb:.6g}",
-        r.params.direction_bit if r.params else "",
-    ],
-)
-def run_storage_cell(cell: ExperimentCell) -> StorageResult:
-    """Size one design's SRAM structures at one threshold."""
-    params: StorageParams = cell.params
-    breakdown = params.model().breakdown(params.trh, cell.mitigation)
-    return StorageResult(
-        workload=cell.workload,
-        mitigation=cell.mitigation,
-        trh=params.trh,
-        rit_bytes=breakdown.rit_bytes,
-        swap_buffer_bytes=breakdown.swap_buffer_bytes,
-        place_back_buffer_bytes=breakdown.place_back_buffer_bytes,
-        epoch_register_bytes=breakdown.epoch_register_bytes,
-        pin_buffer_bytes=breakdown.pin_buffer_bytes,
-        total_bytes=breakdown.total_bytes,
-        params=params,
-    )
-
-
-# ----------------------------------------------------------------------
-# power — the Table V DRAM/SRAM overheads
-
-
-@dataclass(frozen=True)
-class PowerParams:
-    """Knobs of one power (Table V) cell; the storage knobs feed the
-    SRAM-power fit through :class:`StorageParams.model`."""
-
-    trh: int = 4800
-    direction_bit: bool = False
-
-    def model(self) -> PowerModel:
-        """The :class:`PowerModel` these parameters configure."""
-        return PowerModel(
-            storage=StorageParams(
-                trh=self.trh, direction_bit=self.direction_bit
-            ).model()
-        )
-
-
-@dataclass
-class PowerResult:
-    """Power overheads of one design at one threshold."""
-
-    #: Evaluation kind of this record.
-    kind: ClassVar[str] = "power"
-
-    workload: str
-    mitigation: str  # "rrs" or "scale-srs"
-    trh: int
-    dram_overhead_percent: float
-    sram_power_mw: float
-    params: Optional[PowerParams] = None
-
-
-@register_evaluation(
-    "power",
-    params_cls=PowerParams,
-    result_cls=PowerResult,
-    subjects=("rrs", "scale-srs"),
-    scenario="table-v",
-    description="DRAM/SRAM power overheads (Table V)",
-    schema_version=1,
-    cell_cost=lambda cell: 20.0,  # closed-form model: microseconds
-    csv_header=(
-        "workload", "mitigation", "trh", "dram_overhead_percent",
-        "sram_power_mw",
-    ),
-    csv_row=lambda r: [
-        r.workload, r.mitigation, r.trh,
-        f"{r.dram_overhead_percent:.6g}", f"{r.sram_power_mw:.6g}",
-    ],
-)
-def run_power_cell(cell: ExperimentCell) -> PowerResult:
-    """Compute one design's power overheads at one threshold."""
-    params: PowerParams = cell.params
-    breakdown = params.model().breakdown(params.trh, cell.mitigation)
-    return PowerResult(
-        workload=cell.workload,
-        mitigation=cell.mitigation,
-        trh=params.trh,
-        dram_overhead_percent=breakdown.dram_overhead_percent,
-        sram_power_mw=breakdown.sram_power_mw,
-        params=params,
-    )
-
-
-# ----------------------------------------------------------------------
 # hammer — access patterns against a defended bank (Section II-E)
 
 #: Rows of the hammer rig's bank and disturbance model.
@@ -652,6 +485,8 @@ FIG01A_SWAP_RATES = (3, 4, 5, 6, 7, 8)
 FIG01A_TRH_VALUES = (1200, 2400, 4800)
 #: Figure 13's swap-rate axis (TRH=4800).
 FIG13_SWAP_RATES = (3, 4, 5, 6)
+#: The Table IV/V threshold series.
+TABLE_TRH_VALUES = (4800, 2400, 1200)
 #: Section III-C's banks-hammered axis (TRH=4800, swap rate 6).
 MULTI_BANK_COUNTS = (1, 2, 4, 8, 16)
 
@@ -846,10 +681,48 @@ def _comparators() -> Dict[str, Any]:
     return out
 
 
-def _dram_counters() -> Dict[str, Any]:
-    """Table IV's note: in-DRAM swap counters as a share of capacity."""
+def _fields(row: Any, **extra: Any) -> Dict[str, Any]:
+    """A breakdown record's numbers, without its ``design``/``trh``
+    labels (the model's mapping keys carry those)."""
+    values = {
+        key: value
+        for key, value in asdict(row).items()
+        if key not in ("design", "trh")
+    }
+    values.update(extra)
+    return values
+
+
+def _storage() -> Dict[str, Any]:
+    """Table IV: each design's per-bank SRAM inventory (bytes) per
+    threshold, and the in-DRAM swap counters' share of capacity."""
+    model = StorageModel()
     return {
-        "fraction": StorageParams().model().dram_counter_overhead_fraction()
+        "breakdown": {
+            trh: {
+                design: _fields(row, total_bytes=row.total_bytes)
+                for design, row in rows.items()
+            }
+            for trh, rows in model.table(TABLE_TRH_VALUES).items()
+        },
+        "dram_counter_fraction": model.dram_counter_overhead_fraction(),
+    }
+
+
+def _power() -> Dict[str, Any]:
+    """Table V: each design's DRAM overhead (percent) and SRAM power
+    (mW) per threshold."""
+    from repro.analysis.power import PowerModel
+
+    model = PowerModel()
+    return {
+        "breakdown": {
+            trh: {
+                design: _fields(row)
+                for design, row in model.table(trh).items()
+            }
+            for trh in TABLE_TRH_VALUES
+        }
     }
 
 
@@ -864,7 +737,8 @@ MODELS: Dict[str, Callable[[], Dict[str, Any]]] = {
     "open-page": _open_page,
     "llc-pinning": _llc_pinning,
     "comparators": _comparators,
-    "dram-counters": _dram_counters,
+    "storage": _storage,
+    "power": _power,
 }
 
 
@@ -941,7 +815,7 @@ def _model_result_from_dict(data: Mapping[str, Any]) -> ModelResult:
     params_cls=ModelParams,
     subjects=tuple(MODELS),
     scenario="paper",
-    description="one-off paper numbers (Table I, Figs. 1a/13, Secs. III-IX)",
+    description="paper models (Tables I/IV/V, Figs. 1a/13, Secs. III-IX)",
     schema_version=1,
     result_to_dict=_model_result_to_dict,
     result_from_dict=_model_result_from_dict,

@@ -20,10 +20,10 @@ and the engine takes care of the rest:
 - **Evaluation kinds**: every cell carries a ``kind`` naming a
   registered evaluation (:data:`repro.registry.EVALUATIONS`): ``perf``
   is the performance simulator above; ``security`` (Juggernaut
-  time-to-break), ``storage`` (Table IV), ``power`` (Table V),
-  ``hammer`` (Section II-E's pattern rig), and ``model`` (the paper's
-  one-off numbers) run the rest of the paper through the same grids,
-  pools, stores, and exports (see :mod:`repro.sim.evaluations`)::
+  time-to-break), ``hammer`` (Section II-E's pattern rig), and
+  ``model`` (the paper's closed-form numbers, Tables IV and V among
+  them) run the rest of the paper through the same grids, pools,
+  stores, and exports (see :mod:`repro.sim.evaluations`)::
 
       from repro.sim.evaluations import SecurityParams
 
@@ -632,7 +632,7 @@ class ResultSet:
     """An ordered collection of evaluation results with analysis helpers.
 
     A set may hold results of heterogeneous evaluation kinds (``perf``
-    simulations next to ``security``/``storage``/``power`` records);
+    simulations next to ``security``/``hammer``/``model`` records);
     filtering, merging, and JSON round-trips work across kinds, CSV
     export requires a single kind (``of_kind`` first), and the
     performance analytics (normalization, geomeans, sweeps) operate on
@@ -910,7 +910,9 @@ class ResultSet:
         (an empty shard slice would otherwise have no kind to infer —
         the engine-backed CLI commands pass their spec's kind). ``perf``
         rows carry normalized performance where a matching baseline
-        exists; the other kinds use their registered column hooks.
+        exists; the other kinds use their registered column hooks, and
+        a kind without them (``hammer``, ``model``) raises
+        :class:`ValueError` pointing to :meth:`to_json`.
         """
         kinds = self.kinds
         if kind is None:
@@ -926,6 +928,11 @@ class ResultSet:
             )
         if kind != PERF:
             info = EVALUATIONS.get(kind)
+            if info.csv_header is None:
+                raise ValueError(
+                    f"kind {kind!r} has no CSV columns (its records are "
+                    f"not flat); export it with to_json()"
+                )
             buffer = io.StringIO()
             writer = csv.writer(buffer)
             writer.writerow(info.csv_header)

@@ -80,6 +80,42 @@ class TestParser:
             assert "positive worker count" in capsys.readouterr().err
         assert parser.parse_args(["grid", "--jobs", "1"]).jobs == 1
 
+    @pytest.mark.parametrize(
+        "flag, commands",
+        [
+            ("--trh", [["run", "gcc", "--trh", "0"],
+                       ["grid", "--trh", "-1200"],
+                       ["storage", "--trh", "0"],
+                       ["storage", "--trh", "-5"],
+                       ["power", "--trh", "0"],
+                       ["attack", "--trh", "0"]]),
+            ("--cores", [["run", "gcc", "--cores", "0"],
+                         ["report", "--cores", "0"]]),
+            ("--requests", [["run", "gcc", "--requests", "0"],
+                            ["trace", "record", "gcc", "--out", "x",
+                             "--requests", "-1"]]),
+            ("--time-scale", [["grid", "--time-scale", "0"]]),
+            ("--swap-rate", [["attack", "--swap-rate", "0"],
+                             ["outliers", "--swap-rate", "-3"]]),
+            ("--rates", [["security-sweep", "--rates", "6,x"],
+                         ["security-sweep", "--rates", "6,0"]]),
+        ],
+    )
+    def test_non_positive_values_are_one_line_errors(
+        self, flag, commands, capsys
+    ):
+        """Sizes, thresholds and rates must be positive: a zero or
+        negative value ends the command at parse time with one error
+        line naming the flag, never a simulation or a traceback."""
+        for command in commands:
+            with pytest.raises(SystemExit) as exit_info:
+                main(command)
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            (error,) = [line for line in err.splitlines() if "error:" in line]
+            assert f"error: argument {flag}: " in error
+
 
 class TestCommands:
     def test_list_workloads(self, capsys):
@@ -252,15 +288,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "TRH = 4800" in out and "TRH = 2400" in out
 
-    def test_storage_and_power_export(self, capsys, tmp_path):
-        storage_csv = tmp_path / "storage.csv"
-        assert main(["storage", "--csv", str(storage_csv)]) == 0
-        assert storage_csv.read_text().startswith("workload,mitigation,trh")
-        power_json = tmp_path / "power.json"
-        assert main(["power", "--json", str(power_json)]) == 0
-        capsys.readouterr()
-        from repro.sim import ResultSet
-        assert ResultSet.load(str(power_json)).kinds == ["power"]
+    @pytest.mark.parametrize("command", ["storage", "power"])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--jobs", "2"], ["--csv", "x.csv"], ["--json", "x.json"],
+         ["--store", "s"], ["--resume"], ["--shard", "0/2"]],
+    )
+    def test_model_commands_take_no_engine_flags(self, command, flag, capsys):
+        """``storage`` and ``power`` print their models directly; the
+        tables' CSVs come from ``repro report --figure table4 table5``."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, *flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_security_sweep_store_resume(self, capsys, tmp_path):
         store = str(tmp_path / "store")
@@ -479,18 +518,18 @@ class TestReportCommand:
                 "--store", store, "--out", out_dir]
         assert main(argv) == 0
         first = capsys.readouterr().out
-        assert "report: executed 13, reused 0 of 13 cells" in first
+        assert "report: executed 2, reused 0 of 2 cells" in first
         assert os.path.exists(os.path.join(out_dir, "table4.md"))
         assert os.path.exists(os.path.join(out_dir, "table4.csv"))
         assert os.path.exists(os.path.join(out_dir, "table5.csv"))
         # The store makes the rerun free — no --resume flag needed.
         assert main(argv) == 0
         second = capsys.readouterr().out
-        assert "report: executed 0, reused 13 of 13 cells" in second
+        assert "report: executed 0, reused 2 of 2 cells" in second
         # --no-resume forces recomputation against the same store.
         assert main(argv + ["--no-resume"]) == 0
         third = capsys.readouterr().out
-        assert "report: executed 13, reused 0 of 13 cells" in third
+        assert "report: executed 2, reused 0 of 2 cells" in third
 
     def test_shard_runs_skip_artifacts(self, capsys, tmp_path):
         store = str(tmp_path / "store")
@@ -505,19 +544,20 @@ class TestReportCommand:
         # Final unsharded pass: everything reused, artifact written.
         assert main(argv) == 0
         final = capsys.readouterr().out
-        assert "report: executed 0, reused 7 of 7 cells" in final
+        assert "report: executed 0, reused 1 of 1 cells" in final
         assert os.path.exists(os.path.join(out_dir, "table4.md"))
 
 
 class TestStoreCommand:
     def test_ls_and_prune(self, capsys, tmp_path):
         store = str(tmp_path / "store")
-        assert main(["report", "--figure", "table4", "--store", store]) == 0
+        assert main(["security-sweep", "--rates", "6,8,10",
+                     "--store", store]) == 0
         capsys.readouterr()
         assert main(["store", "ls", store]) == 0
         out = capsys.readouterr().out
-        assert "storage" in out and "v1" in out
-        assert "total 7 entries: 7 live, 0 stale, 0 corrupt" in out
+        assert "security" in out and "v1" in out
+        assert "total 6 entries: 6 live, 0 stale, 0 corrupt" in out
         assert "prune" not in out  # nothing to clean, no hint
         # Corrupt one entry; ls flags it, prune --dry-run keeps it.
         victim = os.path.join(
@@ -527,7 +567,7 @@ class TestStoreCommand:
             handle.write("{ nope")
         assert main(["store", "ls", store, "--verbose"]) == 0
         out = capsys.readouterr().out
-        assert "6 live, 0 stale, 1 corrupt" in out
+        assert "5 live, 0 stale, 1 corrupt" in out
         assert "unreadable or truncated payload" in out
         assert "repro store prune" in out
         assert main(["store", "prune", store, "--dry-run"]) == 0
@@ -539,7 +579,7 @@ class TestStoreCommand:
         assert "removed 1 entries" in out
         assert not os.path.exists(victim)
         assert main(["store", "ls", store]) == 0
-        assert "6 live, 0 stale, 0 corrupt" in capsys.readouterr().out
+        assert "5 live, 0 stale, 0 corrupt" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["ls", "prune"])
     def test_missing_store_is_an_error_not_created(self, command, tmp_path):

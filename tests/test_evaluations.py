@@ -11,19 +11,18 @@ from repro.analysis.storage import StorageModel
 from repro.attacks.analytical import AttackParameters
 from repro.attacks.montecarlo import MonteCarloJuggernaut, derive_seed
 from repro.registry import EVALUATIONS, register_evaluation
+from repro.report.spec import model_spec
 from repro.sim import (
     ExperimentSpec,
     HammerParams,
     ModelParams,
     ModelResult,
-    PowerParams,
     ResultSet,
     SecurityParams,
-    StorageParams,
     plan_cells,
     run_grid,
 )
-from repro.sim.evaluations import MODELS
+from repro.sim.evaluations import MODELS, TABLE_TRH_VALUES
 from repro.sim.pool import cell_cost
 
 SECURITY = ExperimentSpec(
@@ -43,8 +42,7 @@ MC_PARAMS = SecurityParams(
 
 class TestEvaluationRegistry:
     def test_builtin_kinds_registered(self):
-        for kind in ("perf", "security", "storage", "power"):
-            assert kind in EVALUATIONS
+        assert EVALUATIONS.names() == ("perf", "security", "hammer", "model")
         assert EVALUATIONS.get("perf").subjects is None
         assert EVALUATIONS.get("security").subjects == ("rrs", "srs")
 
@@ -93,9 +91,9 @@ class TestSpecValidation:
 
     def test_axes_validated_against_kind_params(self):
         spec = ExperimentSpec(
-            kind="storage",
+            kind="security",
             mitigations=["rrs"],
-            base_params=StorageParams(),
+            base_params=SecurityParams(),
             grid={"engine": ["scalar"]},  # a SimulationParams field
         )
         with pytest.raises(ValueError, match="unknown grid axis"):
@@ -105,13 +103,13 @@ class TestSpecValidation:
         spec = ExperimentSpec(
             kind="security",
             mitigations=["rrs"],
-            base_params=StorageParams(),
+            base_params=HammerParams(),
         )
         with pytest.raises(ValueError, match="SecurityParams"):
             spec.validate()
 
     def test_subject_required(self):
-        spec = ExperimentSpec(kind="power", base_params=PowerParams())
+        spec = ExperimentSpec(kind="security", base_params=SecurityParams())
         with pytest.raises(ValueError, match="subject"):
             spec.validate()
 
@@ -256,40 +254,45 @@ class TestSecurityMonteCarlo:
         assert derive_seed(params, salt="a") != derive_seed(params, salt="b")
 
 
-class TestStorageKind:
-    def test_matches_direct_model(self):
-        spec = ExperimentSpec(
-            kind="storage",
-            mitigations=["rrs", "scale-srs"],
-            grid={"trh": [4800, 1200]},
+class TestTableModels:
+    """Tables IV and V are ``model`` cells holding the closed-form
+    storage and power models' numbers."""
+
+    @pytest.fixture(scope="class")
+    def values(self):
+        results = run_grid(
+            ExperimentSpec(kind="model", mitigations=["storage", "power"]),
+            max_workers=1,
         )
+        return {r.mitigation: r.values for r in results}
+
+    def test_storage_matches_direct_model(self, values):
         model = StorageModel()
-        for result in run_grid(spec, max_workers=1):
-            expected = model.breakdown(result.trh, result.mitigation)
-            assert result.total_bytes == expected.total_bytes
-            assert result.rit_bytes == expected.rit_bytes
-
-    def test_direction_bit_gridable(self):
-        spec = ExperimentSpec(
-            kind="storage",
-            mitigations=["scale-srs"],
-            grid={"direction_bit": [False, True]},
+        breakdown = values["storage"]["breakdown"]
+        assert list(breakdown) == list(TABLE_TRH_VALUES)
+        for trh in TABLE_TRH_VALUES:
+            for design in ("rrs", "scale-srs"):
+                expected = model.breakdown(trh, design)
+                row = breakdown[trh][design]
+                assert row["total_bytes"] == expected.total_bytes
+                assert row["rit_bytes"] == expected.rit_bytes
+                assert row["pin_buffer_bytes"] == expected.pin_buffer_bytes
+        assert (
+            values["storage"]["dram_counter_fraction"]
+            == model.dram_counter_overhead_fraction()
         )
-        plain, optimised = run_grid(spec, max_workers=1)
-        assert optimised.rit_bytes < plain.rit_bytes
 
-
-class TestPowerKind:
-    def test_matches_direct_model(self):
-        spec = ExperimentSpec(
-            kind="power", mitigations=["rrs", "scale-srs"],
-            grid={"trh": [4800, 2400]},
-        )
+    def test_power_matches_direct_model(self, values):
         model = PowerModel()
-        for result in run_grid(spec, max_workers=1):
-            expected = model.breakdown(result.trh, result.mitigation)
-            assert result.sram_power_mw == expected.sram_power_mw
-            assert result.dram_overhead_percent == expected.dram_overhead_percent
+        breakdown = values["power"]["breakdown"]
+        for trh in TABLE_TRH_VALUES:
+            for design in ("rrs", "scale-srs"):
+                expected = model.breakdown(trh, design)
+                row = breakdown[trh][design]
+                assert row == {
+                    "dram_overhead_percent": expected.dram_overhead_percent,
+                    "sram_power_mw": expected.sram_power_mw,
+                }
 
 
 HAMMER = ExperimentSpec(
@@ -373,15 +376,12 @@ class TestHeterogeneousResultSets:
             ),
             max_workers=1,
         )
-        storage = run_grid(
-            ExperimentSpec(kind="storage", mitigations=["rrs"]),
-            max_workers=1,
-        )
-        return security.merge(storage)
+        model = run_grid(model_spec("storage"), max_workers=1)
+        return security.merge(model)
 
     def test_kinds_and_of_kind(self, mixed):
-        assert mixed.kinds == ["security", "storage"]
-        assert len(mixed.of_kind("storage")) == 1
+        assert mixed.kinds == ["security", "model"]
+        assert len(mixed.of_kind("model")) == 1
         assert mixed.of_kind("perf").results == []
 
     def test_merge_deduplicates_identical_cells(self, mixed):
@@ -390,6 +390,17 @@ class TestHeterogeneousResultSets:
     def test_mixed_csv_refuses(self, mixed):
         with pytest.raises(ValueError, match="single evaluation kind"):
             mixed.to_csv()
+
+    @pytest.mark.parametrize("kind", ["hammer", "model"])
+    def test_csv_of_a_kind_without_columns_points_to_json(self, kind):
+        spec = HAMMER if kind == "hammer" else model_spec("trh-history")
+        results = run_grid(
+            dataclasses.replace(spec, mitigations=spec.mitigations[:1], grid={}),
+            max_workers=1,
+        )
+        with pytest.raises(ValueError, match=f"kind '{kind}'.*to_json"):
+            results.to_csv()
+        assert ResultSet.from_json(results.to_json()).kinds == [kind]
 
     def test_mixed_json_round_trip(self, mixed):
         reloaded = ResultSet.from_json(mixed.to_json())

@@ -1,6 +1,7 @@
 """Tests for the declarative report pipeline (``repro.report``)."""
 
 import contextlib
+import dataclasses
 import io
 import os
 import re
@@ -22,7 +23,7 @@ from repro.report import (
     save_plots,
     write_artifact,
 )
-from repro.report.spec import DETAILED_WORKLOADS, FigureSpec
+from repro.report.spec import DETAILED_WORKLOADS, FigureSpec, model_spec
 from repro.sim import ExperimentSpec, ProcessPool, ResultStore
 
 EXPECTED_FIGURES = (
@@ -79,6 +80,16 @@ trh,rrs_rit_kb,rrs_total_kb,scale_rit_kb,scale_total_kb,ratio\r
 4800,34.9453,35.9453,8.74072,18.025,1.99419\r
 2400,69.8643,70.8643,17.4727,26.8851,2.63582\r
 1200,139.711,140.711,34.9321,44.3446,3.17312\r
+"""
+
+TABLE5_CSV = """\
+trh,design,dram_overhead_percent,sram_power_mw\r
+4800,rrs,0.5,902.368\r
+4800,scale-srs,0.2,695.197\r
+2400,rrs,1,1306.06\r
+2400,scale-srs,0.4,797.626\r
+1200,rrs,2,2113.53\r
+1200,scale-srs,0.8,999.469\r
 """
 
 
@@ -171,39 +182,47 @@ class TestConfig:
 class TestResolve:
     def test_second_resolve_executes_zero(self, tmp_path):
         store = str(tmp_path / "store")
-        info, spec = build_figure("table4")
+        info, spec = build_figure("fig07")
         fresh = resolve_figure(spec, store=store)
-        assert fresh.stats.planned == 7  # 6 storage cells + 1 model cell
-        assert fresh.stats.executed == 7
+        assert fresh.stats.planned == 87  # 3 TRH x 29 round budgets
+        assert fresh.stats.executed == 87
         assert fresh.stats.reused == 0
         again = resolve_figure(spec, store=store)
         assert again.stats.executed == 0
-        assert again.stats.reused == 7
+        assert again.stats.reused == 87
         assert again.results.to_json() == fresh.results.to_json()
 
     def test_store_backed_artifact_matches_storeless(self, tmp_path):
         data, storeless = reproduce_figure("table4")
         _, stored = reproduce_figure("table4", store=str(tmp_path / "s"))
         assert stored.to_markdown() == storeless.to_markdown()
-        assert data.model("dram-counters")["fraction"] > 0
+        assert data.model("storage")["dram_counter_fraction"] > 0
 
     def test_shards_merge_to_full_artifact(self, tmp_path):
-        """Two shard runs against one store cover every cell, the model
+        """Two shard runs against one store cover every cell, a model
         cell included; the final unsharded pass executes nothing and
         renders the exact artifact a storeless run would."""
         store = str(tmp_path / "store")
-        info, spec = build_figure("table4")
+        info, spec = build_figure("fig07")
+        mixed = dataclasses.replace(
+            spec, specs=[*spec.specs, model_spec("storage")]
+        )
         executed = 0
         for index in range(2):
-            part = resolve_figure(spec, store=store, shard=(index, 2))
+            part = resolve_figure(mixed, store=store, shard=(index, 2))
             assert part.stats.shard == (index, 2)
+            assert 0 < part.stats.executed < 88
             executed += part.stats.executed
-        assert executed == 7
-        final = resolve_figure(spec, store=store)
+        assert executed == 88
+        final = resolve_figure(mixed, store=store)
         assert final.stats.executed == 0
-        assert final.stats.reused == 7
-        _, reference = reproduce_figure("table4")
-        artifact = render_figure(info, spec, final)
+        assert final.stats.reused == 88
+        assert final.model("storage")["dram_counter_fraction"] > 0
+        _, reference = reproduce_figure("fig07")
+        security = dataclasses.replace(
+            final, results=final.results.of_kind("security")
+        )
+        artifact = render_figure(info, spec, security)
         assert artifact.to_markdown() == reference.to_markdown()
 
     def test_render_hook_must_return_artifact(self):
@@ -224,6 +243,13 @@ class TestGoldenArtifacts:
         _, artifact = reproduce_figure("table4", store=str(tmp_path / "s"))
         assert artifact.to_markdown() == TABLE4_MD
         assert artifact.table().to_csv() == TABLE4_CSV
+
+    def test_table5_csv(self, tmp_path):
+        _, artifact = reproduce_figure("table5", store=str(tmp_path / "s"))
+        assert artifact.table().to_csv() == TABLE5_CSV
+        assert artifact.notes == [
+            "Scale-SRS on-chip power saving at TRH=4800: 23.0%"
+        ]
 
 
 class TestRender:
@@ -276,17 +302,17 @@ class TestRender:
 
 class TestBenchmarkStoreSharing:
     def test_overlapping_figures_share_cells(self, tmp_path):
-        """table4 (storage cells plus a model cell) and table5 (power
-        cells) draw disjoint kinds — one store serves a mixed report
+        """table4 (a model cell) and fig07 (security cells) draw
+        disjoint kinds — one store serves a mixed report
         incrementally."""
         store = ResultStore(str(tmp_path / "store"))
         first, _ = reproduce_figure("table4", store=store)
-        second, _ = reproduce_figure("table5", store=store)
-        assert first.stats.executed == 7
-        assert second.stats.executed == 6
+        second, _ = reproduce_figure("fig07", store=store)
+        assert first.stats.executed == 1
+        assert second.stats.executed == 87
         third, _ = reproduce_figure("table4", store=store)
         assert third.stats.executed == 0
-        assert len(store) == 13
+        assert len(store) == 88
 
 
 TINY_REPORT = ("report", "--all", "--requests", "300", "--cores", "1")

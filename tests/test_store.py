@@ -13,6 +13,7 @@ from repro.sim import (
     ExperimentSpec,
     ResultStore,
     SecurityParams,
+    SecurityResult,
     SimulationParams,
     cell_digest,
     parse_shard,
@@ -21,9 +22,11 @@ from repro.sim import (
     shard_of,
 )
 
-STORAGE = ExperimentSpec(
-    kind="storage",
-    mitigations=["rrs", "scale-srs"],
+# Six analytical security cells: a few milliseconds to compute.
+SECURITY = ExperimentSpec(
+    kind="security",
+    mitigations=["rrs", "srs"],
+    base_params=SecurityParams(iterations=0),
     grid={"trh": [4800, 2400, 1200]},
 )
 
@@ -68,7 +71,7 @@ def entry_files(store_dir):
 
 class TestDigest:
     def test_digest_is_stable_and_param_sensitive(self):
-        cells = plan_cells(STORAGE)
+        cells = plan_cells(SECURITY)
         assert cell_digest(cells[0]) == cell_digest(cells[0])
         digests = {cell_digest(c) for c in cells}
         assert len(digests) == len(cells)  # every cell gets its own key
@@ -145,19 +148,26 @@ class TestDigest:
         assert [shard_of(c, 4) for c in plan_cells(spec)] == shards_before
 
     def test_digest_covers_the_kind(self):
-        storage_cell = plan_cells(STORAGE)[0]
-        security_cell = plan_cells(
-            ExperimentSpec(
-                kind="security", mitigations=["rrs"],
-                base_params=SecurityParams(trh=storage_cell.params.trh),
-            )
-        )[0]
-        assert cell_digest(storage_cell) != cell_digest(security_cell)
+        """Two kinds sharing a parameter class, subject and scenario
+        still key their cells apart."""
+        register_evaluation(
+            "security-twin",
+            params_cls=SecurityParams,
+            result_cls=SecurityResult,
+            subjects=("rrs",),
+            scenario="juggernaut",
+        )(lambda cell: None)
+        try:
+            security_cell = plan_cells(SECURITY)[0]
+            twin_cell = dataclasses.replace(security_cell, kind="security-twin")
+            assert cell_digest(security_cell) != cell_digest(twin_cell)
+        finally:
+            EVALUATIONS.remove("security-twin")
 
 
 class TestSharding:
     def test_partition_complete_and_disjoint(self):
-        cells = plan_cells(STORAGE)
+        cells = plan_cells(SECURITY)
         for count in (1, 2, 3, 5):
             shards = [
                 [c for c in cells if shard_of(c, count) == i]
@@ -170,9 +180,9 @@ class TestSharding:
     def test_partition_is_axis_stable(self):
         """Extending a grid axis never migrates existing cells between
         shards (the digest depends on the cell alone)."""
-        small = plan_cells(STORAGE)
+        small = plan_cells(SECURITY)
         grown = plan_cells(
-            dataclasses.replace(STORAGE, grid={"trh": [4800, 2400, 1200, 600]})
+            dataclasses.replace(SECURITY, grid={"trh": [4800, 2400, 1200, 600]})
         )
         before = {cell_digest(c): shard_of(c, 4) for c in small}
         after = {cell_digest(c): shard_of(c, 4) for c in grown}
@@ -180,26 +190,26 @@ class TestSharding:
             assert after[digest] == shard
 
     def test_shard_runs_merge_into_the_full_grid(self, tmp_path):
-        full = run_grid(STORAGE, max_workers=1)
+        full = run_grid(SECURITY, max_workers=1)
         store = str(tmp_path / "store")
         parts = [
-            run_grid(STORAGE, max_workers=1, store=store, shard=(i, 3))
+            run_grid(SECURITY, max_workers=1, store=store, shard=(i, 3))
             for i in range(3)
         ]
         assert sum(len(p) for p in parts) == len(full)
         merged = parts[0].merge(*parts[1:])
-        assert {cell_digest(c) for c in plan_cells(STORAGE)} == {
+        assert {cell_digest(c) for c in plan_cells(SECURITY)} == {
             name[: -len(".json")] for name in entry_files(store)
         }
         # A final resume pass collects everything without executing.
-        collected = run_grid(STORAGE, max_workers=1, store=store)
+        collected = run_grid(SECURITY, max_workers=1, store=store)
         assert collected.run_stats.executed == 0
         assert collected.to_json() == full.to_json()
         assert len(merged) == len(full)
 
     def test_bad_shard_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            run_grid(STORAGE, max_workers=1, shard=(3, 3))
+            run_grid(SECURITY, max_workers=1, shard=(3, 3))
 
     def test_parse_shard(self):
         assert parse_shard("0/4") == (0, 4)
@@ -212,9 +222,9 @@ class TestSharding:
 class TestResultStore:
     def test_round_trip_bit_identical(self, tmp_path):
         store = str(tmp_path / "store")
-        first = run_grid(STORAGE, max_workers=1, store=store)
+        first = run_grid(SECURITY, max_workers=1, store=store)
         assert first.run_stats.executed == len(first)
-        second = run_grid(STORAGE, max_workers=1, store=store)
+        second = run_grid(SECURITY, max_workers=1, store=store)
         assert second.run_stats.executed == 0
         assert second.run_stats.reused == len(first)
         assert second.to_json() == first.to_json()
@@ -225,9 +235,9 @@ class TestResultStore:
         """The acceptance pin: kill a grid partway, rerun with the same
         store — only the missing cells execute, and the final set is
         bit-identical to an uninterrupted run."""
-        uninterrupted = run_grid(STORAGE, max_workers=1)
+        uninterrupted = run_grid(SECURITY, max_workers=1)
         store_dir = tmp_path / "store"
-        run_grid(STORAGE, max_workers=1, store=str(store_dir))
+        run_grid(SECURITY, max_workers=1, store=str(store_dir))
         # Simulate the kill: drop some completed cells from the store.
         killed = entry_files(store_dir)[::2]
         for name in killed:
@@ -241,34 +251,34 @@ class TestResultStore:
             return original(cell)
 
         monkeypatch.setattr(experiment, "_run_cell", counting)
-        resumed = run_grid(STORAGE, max_workers=1, store=str(store_dir))
+        resumed = run_grid(SECURITY, max_workers=1, store=str(store_dir))
         assert sorted(executed) == sorted(n[: -len(".json")] for n in killed)
         assert resumed.run_stats.executed == len(killed)
         assert resumed.to_json() == uninterrupted.to_json()
 
     def test_corrupt_entry_is_a_miss_and_heals(self, tmp_path):
         store_dir = tmp_path / "store"
-        first = run_grid(STORAGE, max_workers=1, store=str(store_dir))
+        first = run_grid(SECURITY, max_workers=1, store=str(store_dir))
         victim = str(store_dir / entry_files(store_dir)[0])
         with open(victim, "w", encoding="utf-8") as handle:
-            handle.write('{"kind": "storage", truncated')
-        healed = run_grid(STORAGE, max_workers=1, store=str(store_dir))
+            handle.write('{"kind": "security", truncated')
+        healed = run_grid(SECURITY, max_workers=1, store=str(store_dir))
         assert healed.run_stats.executed == 1
         assert healed.to_json() == first.to_json()
         # The rewritten entry parses again.
         with open(victim, encoding="utf-8") as handle:
-            assert json.load(handle)["kind"] == "storage"
+            assert json.load(handle)["kind"] == "security"
 
     def test_schema_version_mismatch_is_a_miss(self, tmp_path):
         store_dir = tmp_path / "store"
-        run_grid(STORAGE, max_workers=1, store=str(store_dir))
+        run_grid(SECURITY, max_workers=1, store=str(store_dir))
         victim = str(store_dir / entry_files(store_dir)[0])
         with open(victim, encoding="utf-8") as handle:
             payload = json.load(handle)
         payload["schema_version"] = 999
         with open(victim, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
-        rerun = run_grid(STORAGE, max_workers=1, store=str(store_dir))
+        rerun = run_grid(SECURITY, max_workers=1, store=str(store_dir))
         assert rerun.run_stats.executed == 1
 
     def test_parallel_run_persists_every_cell(self, tmp_path):
@@ -276,9 +286,9 @@ class TestResultStore:
         plan order), so every completed cell survives a kill; the
         returned set still equals the serial run bit-for-bit."""
         store_dir = tmp_path / "store"
-        parallel = run_grid(STORAGE, max_workers=2, store=str(store_dir))
+        parallel = run_grid(SECURITY, max_workers=2, store=str(store_dir))
         assert len(entry_files(store_dir)) == len(parallel)
-        assert parallel.to_json() == run_grid(STORAGE, max_workers=1).to_json()
+        assert parallel.to_json() == run_grid(SECURITY, max_workers=1).to_json()
 
     def test_parallel_failure_still_persists_completed_cells(self, tmp_path):
         """One failing cell must not discard in-flight successes: the
@@ -305,15 +315,15 @@ class TestResultStore:
 
     def test_reuse_false_recomputes(self, tmp_path):
         store = str(tmp_path / "store")
-        run_grid(STORAGE, max_workers=1, store=store)
-        rerun = run_grid(STORAGE, max_workers=1, store=store, reuse=False)
+        run_grid(SECURITY, max_workers=1, store=store)
+        rerun = run_grid(SECURITY, max_workers=1, store=store, reuse=False)
         assert rerun.run_stats.executed == len(rerun)
 
     def test_store_accepts_instance(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
-        results = run_grid(STORAGE, max_workers=1, store=store)
+        results = run_grid(SECURITY, max_workers=1, store=store)
         assert len(store) == len(results)
-        assert plan_cells(STORAGE)[0] in store
+        assert plan_cells(SECURITY)[0] in store
 
     def test_perf_results_round_trip_bit_identically(self, tmp_path):
         """Simulation results (floats, per-core records) must come back
@@ -356,7 +366,7 @@ class TestMergeFrom:
 
     def fill_source(self, tmp_path):
         source = tmp_path / "source"
-        run_grid(STORAGE, max_workers=1, store=str(source))
+        run_grid(SECURITY, max_workers=1, store=str(source))
         return source
 
     def test_adopts_everything_and_is_idempotent(self, tmp_path):
@@ -370,8 +380,8 @@ class TestMergeFrom:
         again = dest.merge_from(str(source))
         assert (again.adopted, again.present) == (0, 6)
         # Adopted entries serve resumes bit-identically.
-        direct = run_grid(STORAGE, max_workers=1)
-        resumed = run_grid(STORAGE, max_workers=1, store=dest)
+        direct = run_grid(SECURITY, max_workers=1)
+        resumed = run_grid(SECURITY, max_workers=1, store=dest)
         assert resumed.run_stats.executed == 0
         assert resumed.to_json() == direct.to_json()
 
@@ -450,7 +460,7 @@ class TestMergeFrom:
         """A renamed/tampered source entry still fails digest
         verification and is left behind."""
         source = tmp_path / "source"
-        run_grid(STORAGE, max_workers=1, store=str(source))
+        run_grid(SECURITY, max_workers=1, store=str(source))
         names = entry_files(source)
         bogus = "0" * 64 + ".json"
         os.rename(str(source / names[0]), str(source / bogus))
@@ -465,7 +475,7 @@ class TestInventoryAndPrune:
 
     def fill(self, tmp_path):
         store_dir = tmp_path / "store"
-        run_grid(STORAGE, max_workers=1, store=str(store_dir))
+        run_grid(SECURITY, max_workers=1, store=str(store_dir))
         return store_dir, ResultStore(str(store_dir))
 
     def corrupt_one(self, store_dir, index=0):
@@ -489,7 +499,7 @@ class TestInventoryAndPrune:
     def test_inventory_counts_live_per_kind(self, tmp_path):
         _, store = self.fill(tmp_path)
         report = store.inventory()
-        assert report.live == {("storage", 1): 6}
+        assert report.live == {("security", 1): 6}
         assert report.stale == []
         assert report.corrupt == []
         assert report.total == 6
@@ -501,7 +511,7 @@ class TestInventoryAndPrune:
         old = self.stale_one(store_dir, index=1)
         alien = self.stale_one(store_dir, index=2, kind="no-such-kind")
         report = store.inventory()
-        assert report.live == {("storage", 1): 3}
+        assert report.live == {("security", 1): 3}
         assert dict(report.corrupt)[bad] == "unreadable or truncated payload"
         stale = dict(report.stale)
         assert "current v1" in stale[old]
@@ -526,9 +536,9 @@ class TestInventoryAndPrune:
         assert not os.path.exists(bad)
         assert not os.path.exists(old)
         assert len(store) == 4
-        assert store.inventory().live == {("storage", 1): 4}
+        assert store.inventory().live == {("security", 1): 4}
         # The grid heals the pruned cells and nothing else.
-        rerun = run_grid(STORAGE, max_workers=1, store=store)
+        rerun = run_grid(SECURITY, max_workers=1, store=store)
         assert rerun.run_stats.executed == 2
         assert rerun.run_stats.reused == 4
 
@@ -546,11 +556,11 @@ class TestLegacyPackedStore:
         store_dir = tmp_path / "store"
         store_dir.mkdir()
         segment = store_dir / "pack.seg"
-        data = b"0" * 64 + b' {"kind": "storage"}\n'
+        data = b"0" * 64 + b' {"kind": "security"}\n'
         segment.write_bytes(data)
         with pytest.raises(ValueError, match="pack.seg"):
             ResultStore(str(store_dir))
         with pytest.raises(ValueError, match="pack.seg"):
-            run_grid(STORAGE, max_workers=1, store=str(store_dir))
+            run_grid(SECURITY, max_workers=1, store=str(store_dir))
         assert segment.read_bytes() == data
         assert os.listdir(str(store_dir)) == ["pack.seg"]
