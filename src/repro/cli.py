@@ -24,9 +24,9 @@ Mitigation and tracker choices are generated from
 :mod:`repro.registry`, so a newly registered design shows up here with
 no CLI change. Workload arguments accept both suite names (``gcc``)
 and workload-source strings (``trace:/path/to/run``) everywhere. The
-simulation commands take ``--engine {scalar,batched,auto}``; engines
-are bit-identical, so the flag only trades wall-clock time (see
-:mod:`repro.sim.engine`).
+simulation commands take ``--engine {scalar,auto}``; ``auto`` runs the
+batched engine, and engines are bit-identical, so the flag only trades
+wall-clock time (see :mod:`repro.sim.engine`).
 
 ``grid``, ``attack`` and ``security-sweep`` route through the
 experiment engine (:mod:`repro.sim.experiment`),
@@ -101,12 +101,10 @@ def _cmd_list_mitigations(args: argparse.Namespace) -> int:
     print("mitigations:")
     for info in MITIGATIONS:
         rate = f"rate {info.default_swap_rate:g}" if info.default_swap_rate else "no swap rate"
-        batch = "batchable" if info.supports_batching else ""
-        print(f"  {info.name:<14s}{rate:<14s}{batch:<11s}{info.description}")
+        print(f"  {info.name:<14s}{rate:<14s}{info.description}")
     print("trackers:")
     for tracker in TRACKERS:
-        batch = "batchable" if tracker.supports_batching else ""
-        print(f"  {tracker.name:<14s}{'':<14s}{batch:<11s}{tracker.description}")
+        print(f"  {tracker.name:<14s}{'':<14s}{tracker.description}")
     return 0
 
 
@@ -225,12 +223,16 @@ def _shard_type(text: str):
         raise argparse.ArgumentTypeError(str(error)) from None
 
 
-def _positive(cast: Callable[[str], Any], what: str) -> Callable[[str], Any]:
-    """An argparse type accepting only strictly positive, finite
-    ``cast`` values; ``what`` names the value in the one-line error.
+def _positive(
+    cast: Callable[[str], Any], what: str, zero: bool = False
+) -> Callable[[str], Any]:
+    """An argparse type accepting only strictly positive (or, with
+    ``zero``, non-negative) finite ``cast`` values; ``what`` names the
+    value in the one-line error.
 
     A zero or negative size, threshold or rate would otherwise simulate
-    nonsense or fail inside a cell with a traceback."""
+    nonsense or fail inside a cell with a traceback; a negative sample
+    count would store a cell keyed apart from the zero-sample one."""
 
     def parse(text: str) -> Any:
         try:
@@ -239,10 +241,10 @@ def _positive(cast: Callable[[str], Any], what: str) -> Callable[[str], Any]:
             raise argparse.ArgumentTypeError(
                 f"invalid {cast.__name__} value: {text!r}"
             ) from None
-        if not (value > 0 and math.isfinite(value)):
-            raise argparse.ArgumentTypeError(
-                f"{text} is not a positive {what}"
-            )
+        if not ((value > 0 or (zero and value == 0))
+                and math.isfinite(value)):
+            sign = "non-negative" if zero else "positive"
+            raise argparse.ArgumentTypeError(f"{text} is not a {sign} {what}")
         return value
 
     return parse
@@ -254,6 +256,8 @@ _worker_count = _positive(int, "worker count (use 1 for serial execution)")
 _positive_int = _positive(int, "integer")
 #: Swap rates (``TRH / TS``).
 _positive_float = _positive(float, "number")
+#: Monte-Carlo sample counts; 0 keeps the analytical model only.
+_non_negative_int = _positive(int, "integer", zero=True)
 
 
 def _rate_list(text: str) -> List[float]:
@@ -717,7 +721,7 @@ def _add_sim_options(
         default=SimulationParams.engine,
         choices=list(ENGINE_NAMES),
         help="simulation engine; engines are bit-identical, 'auto' "
-             "batches where the mitigation supports it",
+             "runs the span-fused batched engine",
     )
     parser.add_argument("--jobs", type=_worker_count, default=None,
                         help="worker processes "
@@ -779,10 +783,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "--store path — right for shared filesystems and "
                         "localhost workers)")
     p.add_argument("--ssh", metavar="CMD",
-                   default=os.environ.get("REPRO_SSH"),
                    help="ssh command reaching the hosts (default: 'ssh -o "
-                        "BatchMode=yes', or $REPRO_SSH; point it at a shim "
-                        "for tests)")
+                        "BatchMode=yes'; point it at a shim for tests)")
     _add_sim_options(p, mitigation_names, tracker_names, ["rrs", "scale-srs"],
                      default_requests=12_000)
     _add_eval_options(p, jobs=False, export=False)
@@ -815,10 +817,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trh", type=_positive_int, default=4800)
     p.add_argument("--swap-rate", type=_positive_float, default=6.0)
-    p.add_argument("--step", type=int, default=10,
+    p.add_argument("--step", type=_positive_int, default=10,
                    help="optimal-N scan granularity "
                         "(SRS scans at max(100, step))")
-    p.add_argument("--iterations", type=int, default=0,
+    p.add_argument("--iterations", type=_non_negative_int, default=0,
                    help="Monte-Carlo attack samples (0 = analytical only)")
     _add_eval_options(p)
     p.set_defaults(func=_cmd_attack)
@@ -831,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one table per TRH value")
     p.add_argument("--rates", type=_rate_list, default="6,7,8,9,10",
                    help="comma-separated swap rates")
-    p.add_argument("--iterations", type=int, default=0,
+    p.add_argument("--iterations", type=_non_negative_int, default=0,
                    help="Monte-Carlo attack samples (0 = analytical only)")
     _add_eval_options(p)
     p.set_defaults(func=_cmd_security_sweep)

@@ -219,7 +219,6 @@ class Mitigation(abc.ABC):
     description="no mitigation (not secure); the normalization reference",
     uses_tracker=False,
     is_baseline=True,
-    supports_batching=True,
     builder=lambda ctx: BaselineMitigation(ctx.bank),
 )
 class BaselineMitigation(Mitigation):

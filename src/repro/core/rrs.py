@@ -44,7 +44,6 @@ def rit_capacity(max_activations: int, swap_threshold: int) -> int:
     "rrs",
     description="Randomized Row-Swap (ASPLOS'22), the prior state of the art",
     default_swap_rate=6.0,
-    supports_batching=True,
     builder=lambda ctx: RandomizedRowSwap(
         ctx.bank, ctx.tracker, ctx.rng, keep_events=ctx.keep_events
     ),
@@ -324,7 +323,6 @@ register_mitigation(
     "rrs-no-unswap",
     description="RRS ablation without immediate unswaps (Figure 4)",
     default_swap_rate=6.0,
-    supports_batching=True,
     builder=lambda ctx: RandomizedRowSwap(
         ctx.bank,
         ctx.tracker,

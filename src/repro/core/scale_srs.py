@@ -33,7 +33,6 @@ DEFAULT_SWAP_RATE = 3
     "scale-srs",
     description="Scale-SRS: half-rate SRS with outlier pinning in the LLC",
     default_swap_rate=3.0,
-    supports_batching=True,
     builder=lambda ctx: ScaleSecureRowSwap(
         ctx.bank,
         ctx.tracker,

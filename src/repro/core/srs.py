@@ -38,7 +38,6 @@ from repro.trackers.base import Tracker
     "srs",
     description="Secure Row-Swap: swap-only RIT, lazy place-backs, detection",
     default_swap_rate=6.0,
-    supports_batching=True,
     builder=lambda ctx: SecureRowSwap(
         ctx.bank, ctx.tracker, ctx.rng, keep_events=ctx.keep_events
     ),

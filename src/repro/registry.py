@@ -108,15 +108,7 @@ class MitigationBuildContext:
 
 @dataclass(frozen=True)
 class MitigationInfo:
-    """Registry record for one mitigation design.
-
-    ``supports_batching`` declares that the design implements the
-    :meth:`~repro.core.mitigation.Mitigation.batch_horizon` contract well
-    enough for the batched simulation engine to be worthwhile; designs
-    that leave it ``False`` still run correctly under ``--engine
-    batched`` (every access falls through to the scalar path) but
-    ``--engine auto`` selects the scalar engine for them.
-    """
+    """Registry record for one mitigation design."""
 
     name: str
     cls: type
@@ -125,7 +117,6 @@ class MitigationInfo:
     default_swap_rate: Optional[float] = None
     uses_tracker: bool = True
     is_baseline: bool = False
-    supports_batching: bool = False
 
 
 @dataclass(frozen=True)
@@ -152,16 +143,12 @@ class TrackerInfo:
 
     ``builder(threshold, timing)`` must return a tracker sized securely
     for that trigger threshold under the given :class:`DRAMTiming`.
-    ``supports_batching`` declares that the tracker implements a useful
-    :meth:`~repro.trackers.base.Tracker.batch_horizon` (Hydra cannot: any
-    observation may miss its counter cache and cost DRAM accesses).
     """
 
     name: str
     cls: type
     builder: Callable[[int, Any], Any]
     description: str = ""
-    supports_batching: bool = False
 
 
 @dataclass(frozen=True)
@@ -377,7 +364,6 @@ def register_mitigation(
     default_swap_rate: Optional[float] = None,
     uses_tracker: bool = True,
     is_baseline: bool = False,
-    supports_batching: bool = False,
 ) -> Callable[[type], type]:
     """Class decorator registering a mitigation design.
 
@@ -392,9 +378,6 @@ def register_mitigation(
         uses_tracker: Whether a per-bank tracker should be built and
             handed to the builder.
         is_baseline: Marks the no-mitigation reference design.
-        supports_batching: The design implements a useful
-            :meth:`~repro.core.mitigation.Mitigation.batch_horizon`, so
-            ``--engine auto`` may pick the batched engine for it.
     """
 
     def decorate(cls: type) -> type:
@@ -408,7 +391,6 @@ def register_mitigation(
                 default_swap_rate=default_swap_rate,
                 uses_tracker=uses_tracker,
                 is_baseline=is_baseline,
-                supports_batching=supports_batching,
             ),
         )
         return cls
@@ -421,14 +403,11 @@ def register_tracker(
     *,
     builder: Callable[[int, Any], Any],
     description: str = "",
-    supports_batching: bool = False,
 ) -> Callable[[type], type]:
     """Class decorator registering a tracker.
 
     ``builder(threshold, timing)`` sizes and builds the tracker for a
-    trigger threshold under the given timing. ``supports_batching``
-    declares a useful :meth:`~repro.trackers.base.Tracker.batch_horizon`
-    (see :class:`TrackerInfo`).
+    trigger threshold under the given timing.
     """
 
     def decorate(cls: type) -> type:
@@ -439,7 +418,6 @@ def register_tracker(
                 cls=cls,
                 builder=builder,
                 description=description,
-                supports_batching=supports_batching,
             ),
         )
         return cls

@@ -31,7 +31,6 @@ from repro.report.render import (
     Artifact,
     Table,
     format_value,
-    save_plots,
     write_artifact,
 )
 from repro.report.spec import (
@@ -53,7 +52,6 @@ __all__ = [
     "Artifact",
     "Table",
     "format_value",
-    "save_plots",
     "write_artifact",
     "DETAILED_WORKLOADS",
     "FigureData",

@@ -1,4 +1,4 @@
-"""Artifact rendering: tables to markdown, CSV, and optional plots.
+"""Artifact rendering: tables to markdown and CSV.
 
 Render hooks lay figure data out as :class:`Table` rows; this module
 owns every output format so all artifacts look alike:
@@ -8,10 +8,6 @@ owns every output format so all artifacts look alike:
   report directory and the benchmark tier's ``-s`` output use.
 - **CSV** (:meth:`Table.to_csv`): one file per table, machine-readable
   mirrors of the markdown rows.
-- **Plots** (:func:`save_plots`): best-effort line charts when
-  matplotlib is importable; the container ships without it, so plotting
-  degrades to a no-op instead of a dependency (nothing is ever
-  ``pip install``-ed).
 
 Values are formatted once, identically everywhere, by
 :func:`format_value` (floats via ``%.6g``), so golden-output tests pin
@@ -114,11 +110,7 @@ class Artifact:
 
 
 def write_artifact(artifact: Artifact, out_dir: str) -> List[str]:
-    """Write ``<name>.md`` plus one CSV per table; returns the paths.
-
-    Plots ride along when matplotlib is available (see
-    :func:`save_plots`).
-    """
+    """Write ``<name>.md`` plus one CSV per table; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths: List[str] = []
     md_path = os.path.join(out_dir, f"{artifact.name}.md")
@@ -131,59 +123,4 @@ def write_artifact(artifact: Artifact, out_dir: str) -> List[str]:
         with open(csv_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(table.to_csv())
         paths.append(csv_path)
-    paths.extend(save_plots(artifact, out_dir))
-    return paths
-
-
-def _numeric_columns(table: Table) -> List[int]:
-    """Indexes of columns whose every non-empty cell is a number."""
-    numeric = []
-    for index in range(len(table.columns)):
-        cells = [row[index] for row in table.rows if row[index] is not None]
-        if cells and all(
-            isinstance(cell, (int, float)) and not isinstance(cell, bool)
-            for cell in cells
-        ):
-            numeric.append(index)
-    return numeric
-
-
-def save_plots(artifact: Artifact, out_dir: str) -> List[str]:
-    """Best-effort PNG line charts, one per plottable table.
-
-    A table plots when its first column can serve as an x axis and at
-    least one other column is numeric. Without matplotlib (the
-    container default) this is a silent no-op — plots are a bonus
-    output, never a dependency.
-    """
-    try:
-        import matplotlib  # noqa: F401
-
-        matplotlib.use("Agg")
-        from matplotlib import pyplot
-    except Exception:
-        return []
-    paths: List[str] = []
-    for table in artifact.tables:
-        numeric = _numeric_columns(table)
-        series = [i for i in numeric if i != 0]
-        if not series or not table.rows:
-            continue
-        figure, axes = pyplot.subplots(figsize=(7, 4))
-        x = [row[0] for row in table.rows]
-        for index in series:
-            axes.plot(
-                x,
-                [row[index] for row in table.rows],
-                marker="o",
-                label=str(table.columns[index]),
-            )
-        axes.set_xlabel(str(table.columns[0]))
-        axes.set_title(artifact.title or artifact.name)
-        axes.legend()
-        stem = f"{artifact.name}.{table.name}" if table.name else artifact.name
-        path = os.path.join(out_dir, f"{stem}.png")
-        figure.savefig(path, dpi=120, bbox_inches="tight")
-        pyplot.close(figure)
-        paths.append(path)
     return paths

@@ -319,7 +319,7 @@ class ExperimentSpec:
         mitigation cells — so a baseline-only experiment still runs.
         The dedup key ignores the simulation engine (engines are
         bit-identical), but the planned cell keeps the first-seen
-        cell's requested engine so ``--engine batched`` speeds the
+        cell's requested engine so ``--engine auto`` speeds the
         baselines up too. ``perf`` only — the analytical kinds have no
         baseline concept.
         """

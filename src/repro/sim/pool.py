@@ -649,11 +649,12 @@ class SshPool(Pool):
     accounting. A worker whose ssh process dies has its partial store
     collected (best-effort) and its shard reassigned to a surviving
     host; when every host has died the run raises. Completed shards'
-    stores are collected into the coordinator's store via
-    :meth:`~repro.sim.store.ResultStore.merge_from` — directly when
-    the remote store path is visible on the coordinator (shared
-    filesystem, localhost), else by streaming a tarball over ssh —
-    and the pending cells are then recorded from the merged store.
+    stores are streamed back as a tarball over ssh and merged into the
+    coordinator's store via
+    :meth:`~repro.sim.store.ResultStore.merge_from` — unless
+    ``remote_store`` *is* the coordinator's store directory (shared
+    filesystem, localhost), where the workers already wrote — and the
+    pending cells are then recorded from the merged store.
     Cells no remote run produced (after host deaths, or unverifiable
     trace-workload entries) are recomputed locally, accounted under a
     ``local`` pseudo-host.
@@ -671,10 +672,6 @@ class SshPool(Pool):
             override with a shim for tests or with custom options).
         echo: ``echo(label, line)`` sink for streamed worker output
             (default: print ``[label] line``).
-        shared_fs: Force the store-collection strategy: ``True`` reads
-            ``remote_store`` directly from the coordinator's
-            filesystem, ``False`` always streams a tarball over ssh,
-            ``None`` (default) auto-detects per collection.
         poll_interval: Liveness-poll period in seconds.
     """
 
@@ -691,7 +688,6 @@ class SshPool(Pool):
         remote_store: str,
         ssh: Optional[Sequence[str]] = None,
         echo: Optional[Callable[[str, str], None]] = None,
-        shared_fs: Optional[bool] = None,
         poll_interval: float = 0.05,
     ):
         """Configure the backend; nothing launches until :meth:`run`."""
@@ -701,7 +697,6 @@ class SshPool(Pool):
         self.remote_argv = list(remote_argv)
         self.remote_store = remote_store
         self.ssh = list(ssh) if ssh is not None else list(self.DEFAULT_SSH)
-        self.shared_fs = shared_fs
         self.poll_interval = poll_interval
         self._print_lock = threading.Lock()
         self._echo = echo if echo is not None else self._print_line
@@ -838,17 +833,19 @@ class SshPool(Pool):
         per cell), so collecting after every worker exit — including
         several workers sharing one remote directory — is safe. A
         failed collection only costs local recomputation later, so it
-        warns instead of raising.
+        warns instead of raising. A remote path that merely also exists
+        on the coordinator is still collected over ssh: only the
+        coordinator's own store directory is known to hold what the
+        workers wrote.
         """
         assert task.store is not None
         try:
-            shared = self.shared_fs
-            if shared is None:
-                shared = os.path.isdir(self.remote_store)
-            if shared:
-                stats = task.store.merge_from(self.remote_store)
-            else:
-                stats = self._collect_over_ssh(host, task.store)
+            if os.path.samefile(self.remote_store, task.store.path):
+                return
+        except OSError:
+            pass  # the remote path does not exist here: not our store
+        try:
+            stats = self._collect_over_ssh(host, task.store)
             self._echo(
                 label,
                 f"collected store: adopted {stats.adopted}, already had "

@@ -2,11 +2,10 @@
 
 Wires trace-driven cores, the memory system, and a mitigation together,
 then hands the interleaving loop to a simulation *engine*
-(:mod:`repro.sim.engine`): ``scalar`` is the reference schedule,
-``batched`` the span-fused fast path, and ``auto`` picks per mitigation;
-all engines produce bit-identical results. The paper runs 1 billion
-instructions per core through USIMM; a pure-Python reproduction cannot,
-so the simulator supports *time scaling*: the refresh window and the Row
+(:mod:`repro.sim.engine`): ``scalar`` is the reference schedule and
+``auto`` the span-fused batched engine; both produce bit-identical
+results. The paper runs 1 billion instructions per core through USIMM;
+a pure-Python reproduction cannot, so the simulator supports *time scaling*: the refresh window and the Row
 Hammer thresholds are divided by ``time_scale``, which preserves the
 quantity the mitigation overhead depends on — swaps per window and the
 fraction of bank time they steal — while shrinking wall-clock cost by the
@@ -47,8 +46,8 @@ class SimulationParams:
         policy: Row-buffer policy.
         rows_per_bank: Override to shrink banks (tests); ``None`` keeps
             the Table III 128K rows.
-        engine: Simulation engine (``scalar``, ``batched``, or ``auto``;
-            see :mod:`repro.sim.engine`). Engines are bit-identical —
+        engine: Simulation engine (``scalar`` or ``auto``; see
+            :mod:`repro.sim.engine`). Engines are bit-identical —
             this knob trades wall-clock, never numbers. Defaults to
             ``scalar``, the reference engine.
     """
@@ -179,9 +178,7 @@ class PerformanceSimulation:
 
         memory = self.memory
         if engine is None:
-            engine = make_engine(
-                params.engine, self.mitigation_name, params.tracker
-            )
+            engine = make_engine(params.engine)
         engine.drive(cores, traces, memory)
 
         finish = 0.0

@@ -125,7 +125,6 @@ class Tracker(abc.ABC):
     "exact",
     description="idealised per-row counters (ground truth; not buildable)",
     builder=lambda threshold, timing: ExactTracker(threshold),
-    supports_batching=True,
 )
 class ExactTracker(Tracker):
     """Idealised tracker holding one counter per row.

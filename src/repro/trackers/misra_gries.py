@@ -46,7 +46,6 @@ from repro.trackers.base import Tracker, TrackerObservation
             ),
         ),
     ),
-    supports_batching=True,
 )
 class MisraGriesTracker(Tracker):
     """Misra-Gries summary with a spillover counter.

@@ -46,8 +46,9 @@ class TestParser:
             assert args.engine == "scalar"
             args = build_parser().parse_args(command + ["--engine", "auto"])
             assert args.engine == "auto"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "gcc", "--engine", "warp"])
+        for engine in ("warp", "batched"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run", "gcc", "--engine", engine])
 
     def test_mitigation_choices_derived_from_registry(self):
         parser = build_parser()
@@ -99,6 +100,10 @@ class TestParser:
                              ["outliers", "--swap-rate", "-3"]]),
             ("--rates", [["security-sweep", "--rates", "6,x"],
                          ["security-sweep", "--rates", "6,0"]]),
+            ("--iterations", [["attack", "--iterations", "-5"],
+                              ["security-sweep", "--iterations", "-1"]]),
+            ("--step", [["attack", "--step", "0"],
+                        ["attack", "--step", "-3"]]),
         ],
     )
     def test_non_positive_values_are_one_line_errors(
@@ -115,6 +120,12 @@ class TestParser:
             assert "Traceback" not in err
             (error,) = [line for line in err.splitlines() if "error:" in line]
             assert f"error: argument {flag}: " in error
+
+    def test_zero_iterations_keeps_the_analytical_model(self):
+        parser = build_parser()
+        for command in ("attack", "security-sweep"):
+            args = parser.parse_args([command, "--iterations", "0"])
+            assert args.iterations == 0
 
 
 class TestCommands:

@@ -67,3 +67,15 @@ class TestDocsCheck:
             "REPRO_PLANTED: read in code but not in README.md or DESIGN.md",
             "REPRO_STALE: documented but read nowhere",
         ]
+
+    def test_example_with_a_removed_import_fails(self, tmp_path):
+        check_docs = load_checker()
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "fine.py").write_text("import os\n")
+        (tmp_path / "examples" / "stale.py").write_text(
+            "import os\n\n\ndef main():\n"
+            "    from repro.sim import no_such_api\n"
+        )
+        (finding,) = check_docs.check_examples(tmp_path)
+        assert finding.startswith("examples/stale.py:5: ")
+        assert "no_such_api" in finding

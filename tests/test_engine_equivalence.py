@@ -85,7 +85,7 @@ def run_both(workload, mitigation, params):
     ).run()
     engine = BatchedEngine()
     batched = PerformanceSimulation(
-        spec, mitigation, replace(params, engine="batched")
+        spec, mitigation, replace(params, engine="auto")
     ).run(engine=engine)
     return scalar, batched, engine
 
@@ -223,7 +223,6 @@ class TestSpanCuts:
             name,
             description="test-only: tracked, batchable, never mitigates",
             uses_tracker=True,
-            supports_batching=True,
             builder=lambda ctx: BaselineMitigation(ctx.bank, ctx.tracker),
         )(BaselineMitigation)
         try:
@@ -287,7 +286,7 @@ class TestSpanCuts:
             workloads=["gcc"],
             mitigations=["rrs"],
             base_params=BASE,
-            grid={"engine": ["scalar", "batched"]},
+            grid={"engine": ["scalar", "auto"]},
         )
         cells = plan_cells(spec)
         baselines = [c for c in cells if c.mitigation == "baseline"]
@@ -303,12 +302,12 @@ class TestSpanCuts:
         spec = ExperimentSpec(
             workloads=["gcc"],
             mitigations=["rrs"],
-            base_params=replace(BASE, engine="batched"),
+            base_params=replace(BASE, engine="auto"),
         )
         cells = plan_cells(spec)
         baselines = [c for c in cells if c.mitigation == "baseline"]
         assert len(baselines) == 1
-        assert baselines[0].params.engine == "batched"
+        assert baselines[0].params.engine == "auto"
 
 
 class TestEngineSelection:
@@ -316,37 +315,56 @@ class TestEngineSelection:
         assert resolve_engine_name("auto", "baseline", "misra-gries") == "batched"
 
     def test_auto_picks_batched_for_swap_designs(self):
-        for mitigation in ("rrs", "rrs-no-unswap", "srs", "scale-srs"):
-            for tracker in ("misra-gries", "exact"):
+        for mitigation in mitigation_names():
+            for tracker in tracker_names():
                 assert (
                     resolve_engine_name("auto", mitigation, tracker)
                     == "batched"
                 )
 
-    def test_auto_picks_scalar_for_hydra_tracked_cells(self):
-        # Hydra declares no batchability (any observation can miss the
-        # counter cache and cost DRAM time), so auto stays scalar there.
-        for mitigation in ("rrs", "srs", "scale-srs"):
-            assert resolve_engine_name("auto", mitigation, "hydra") == "scalar"
+    @pytest.mark.parametrize(
+        "mitigation,tracker",
+        [("rrs", "hydra"), ("aqua", "misra-gries"),
+         ("blockhammer", "misra-gries")],
+    )
+    def test_auto_matches_scalar_where_nothing_fuses(
+        self, mitigation, tracker
+    ):
+        # No bank of these cells can fuse (Hydra may cost DRAM time on
+        # any observation; AQUA and BlockHammer grant no horizon), so
+        # auto's batched engine runs the shared per-access step for
+        # every access and must match scalar bit for bit.
+        spec = resolve_workload("gcc")
+        params = replace(BASE, tracker=tracker)
+        scalar = PerformanceSimulation(spec, mitigation, params).run()
+        engine = make_engine("auto")
+        auto = PerformanceSimulation(
+            spec, mitigation, replace(params, engine="auto")
+        ).run(engine=engine)
+        assert comparable(scalar) == comparable(auto)
+        assert engine.counters["fast_accesses"] == 0
+        assert engine.counters["scalar_accesses"] == (
+            scalar.total_memory_accesses
+        )
 
     def test_explicit_names_pass_through(self):
         assert resolve_engine_name("scalar", "baseline", "exact") == "scalar"
-        assert resolve_engine_name("batched", "rrs", "hydra") == "batched"
+        assert resolve_engine_name("scalar", "rrs", "hydra") == "scalar"
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine_name("vectorized", "baseline", "exact")
+        for name in ("vectorized", "batched"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                resolve_engine_name(name, "baseline", "exact")
 
     def test_make_engine_builds_the_resolved_engine(self):
-        assert isinstance(make_engine("auto", "baseline", "exact"), BatchedEngine)
-        assert isinstance(make_engine("auto", "rrs", "exact"), BatchedEngine)
-        assert isinstance(make_engine("auto", "rrs", "hydra"), ScalarEngine)
-        assert "scalar" in ENGINE_NAMES and "batched" in ENGINE_NAMES
+        assert isinstance(make_engine("auto"), BatchedEngine)
+        assert isinstance(make_engine("scalar"), ScalarEngine)
+        assert ENGINE_NAMES == ("scalar", "auto")
 
     def test_counters_reset_between_drives(self):
         engine = BatchedEngine()
         spec = resolve_workload("povray")
-        params = replace(BASE, engine="batched")
+        params = replace(BASE, engine="auto")
         first = PerformanceSimulation(spec, "baseline", params).run(engine=engine)
         fast_first = engine.counters["fast_accesses"]
         PerformanceSimulation(spec, "baseline", params).run(engine=engine)

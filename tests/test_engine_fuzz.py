@@ -137,7 +137,7 @@ def check_seed(seed):
     engine = BatchedEngine()
     try:
         batched = PerformanceSimulation(
-            spec, mitigation, replace(params, engine="batched")
+            spec, mitigation, replace(params, engine="auto")
         ).run(engine=engine)
     except AssertionError as exc:
         # Engine-internal span assertions carry no scenario context;

@@ -235,7 +235,7 @@ class TestReadOnly:
 
 class TestBitIdentity:
     @pytest.mark.parametrize("source", ["synthetic", "trace"])
-    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    @pytest.mark.parametrize("engine", ["scalar", "auto"])
     def test_grid_identical_cold_warm_pooled(self, engine, source, tmp_path):
         """Cold caches, warm caches, a process pool (workers build the
         workload themselves) and a run after ``reset()`` all agree."""
@@ -260,7 +260,7 @@ class TestBitIdentity:
     def test_decode_cache_hits_under_batched_engine(self):
         """Back-to-back batched cells over one workload share a decode."""
         spec = resolve_workload("povray")
-        params = dataclasses.replace(PARAMS, engine="batched")
+        params = dataclasses.replace(PARAMS, engine="auto")
         for mitigation in ("baseline", "rrs"):
             PerformanceSimulation(spec, mitigation, params).run()
         stats = plane.local_stats()

@@ -517,17 +517,46 @@ class TestSshPool:
         assert results.to_json() == run_grid(SPEC, max_workers=1).to_json()
 
     def test_tar_collection_without_shared_fs(self, tmp_path, remote_env):
-        """shared_fs=False forces the tar-over-ssh collection path even
-        though the shim runs everything locally."""
+        """A remote store other than the coordinator's own is collected
+        over ssh + tar, even though the shim runs everything locally."""
         shim = write_shim(tmp_path, GOOD_SSH)
         remote_dir = tmp_path / "remote"
         local_dir = tmp_path / "local"
         pool = SshPool(
             ["localhost"], remote_argv(remote_dir), str(remote_dir),
-            ssh=[shim], echo=quiet, shared_fs=False,
+            ssh=[shim], echo=quiet,
         )
         results = run_grid(SPEC, store=str(local_dir), pool=pool)
         assert len(entry_files(local_dir)) == 2
+        assert results.to_json() == run_grid(SPEC, max_workers=1).to_json()
+
+    def test_remote_path_that_exists_locally_is_collected_over_ssh(
+        self, tmp_path, remote_env
+    ):
+        """A remote store path that merely also exists on the
+        coordinator is not the remote disk. The shim keeps the host's
+        store in a hidden directory while an empty directory sits at
+        the path locally; collection must still go over ssh, so no cell
+        is recomputed under the ``local`` pseudo-host."""
+        remote_dir = tmp_path / "remote"
+        remote_dir.mkdir()
+        remote_disk = tmp_path / ".remote-disk"
+        shim = write_shim(tmp_path, f"""#!/bin/sh
+# fake ssh whose host keeps {remote_dir} at {remote_disk}
+shift
+exec /bin/sh -c "$(printf '%s' "$1" | sed 's|{remote_dir}|{remote_disk}|g')"
+""")
+        local_dir = tmp_path / "local"
+        pool = SshPool(
+            ["remote"], remote_argv(remote_dir), str(remote_dir),
+            ssh=[shim], echo=quiet,
+        )
+        results = run_grid(SPEC, store=str(local_dir), pool=pool)
+        hosts = {h.label: h for h in results.run_stats.hosts}
+        assert set(hosts) == {"remote"}
+        assert hosts["remote"].executed == 2
+        assert entry_files(remote_dir) == []
+        assert entry_files(local_dir) == entry_files(remote_disk)
         assert results.to_json() == run_grid(SPEC, max_workers=1).to_json()
 
     def test_all_hosts_dead_raises(self, tmp_path, remote_env):
@@ -619,7 +648,7 @@ class TestWorkloadPlane:
         spec = dataclasses.replace(
             self.SPEC,
             base_params=dataclasses.replace(
-                self.SPEC.base_params, engine="batched"
+                self.SPEC.base_params, engine="auto"
             ),
         )
         results = run_grid(spec, pool=SerialPool())
@@ -725,7 +754,7 @@ class TestChunking:
 
         assert cell_cost(self.items(1)[0][1]) == 1.0
 
-    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    @pytest.mark.parametrize("engine", ["scalar", "auto"])
     def test_chunked_runs_are_bit_identical(self, engine, tmp_path):
         """Serial and chunked pooled runs produce the same result JSON
         and the same store entries, on both engines."""

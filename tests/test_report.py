@@ -20,7 +20,6 @@ from repro.report import (
     render_figure,
     reproduce_figure,
     resolve_figure,
-    save_plots,
     write_artifact,
 )
 from repro.report.spec import DETAILED_WORKLOADS, FigureSpec, model_spec
@@ -289,15 +288,6 @@ class TestRender:
         assert text.startswith("## Figure X")
         assert "### means" in text
         assert "- a note" in text
-
-    def test_save_plots_is_noop_without_matplotlib(self, tmp_path):
-        artifact = Artifact(
-            tables=[Table(columns=["x", "y"], rows=[[1, 2]])], name="f"
-        )
-        try:
-            import matplotlib  # noqa: F401
-        except ImportError:
-            assert save_plots(artifact, str(tmp_path)) == []
 
 
 class TestBenchmarkStoreSharing:

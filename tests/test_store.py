@@ -87,7 +87,7 @@ class TestDigest:
             )
             return plan_cells(spec)[-1]
 
-        scalar, batched = cell_for("scalar"), cell_for("batched")
+        scalar, batched = cell_for("scalar"), cell_for("auto")
         assert cell_digest(scalar) == cell_digest(batched)
 
     def test_store_serves_across_engines(self, tmp_path):
@@ -95,7 +95,7 @@ class TestDigest:
         run_grid(PERF, max_workers=1, store=store)
         other = dataclasses.replace(
             PERF, base_params=dataclasses.replace(
-                PERF.base_params, engine="batched"
+                PERF.base_params, engine="auto"
             )
         )
         resumed = run_grid(other, max_workers=1, store=store)
@@ -106,7 +106,7 @@ class TestDigest:
         batched = run_grid(
             dataclasses.replace(
                 PERF, base_params=dataclasses.replace(
-                    PERF.base_params, engine="batched"
+                    PERF.base_params, engine="auto"
                 )
             ),
             max_workers=1,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checks for CI (no third-party dependencies).
 
-Three checks, all fast:
+Four checks, all fast:
 
 1. **Docstring coverage** (interrogate-style, via ``ast``): every public
    module, class, function, and method under the enforced packages
@@ -14,7 +14,11 @@ Three checks, all fast:
    README.md and DESIGN.md is parsed, and its import statements are
    executed, so renamed or removed APIs break CI instead of readers.
 
-3. **Environment knobs are documented, and only live ones**: every
+3. **Examples import cleanly**: the import statements of every
+   ``examples/*.py`` script are executed, so an example naming a
+   removed or renamed API fails CI even though nothing runs it.
+
+4. **Environment knobs are documented, and only live ones**: every
    ``REPRO_*`` name the code under ``src/``, ``benchmarks/`` or
    ``tools/`` mentions must appear in README.md or DESIGN.md, and those
    documents must name no ``REPRO_*`` variable that nothing reads. A
@@ -50,6 +54,9 @@ ENFORCED_PACKAGES = (
 
 #: Documents whose ``python`` code blocks must import cleanly.
 DOCUMENTS = ("README.md", "DESIGN.md")
+
+#: Directory of runnable example scripts whose imports must resolve.
+EXAMPLES = "examples"
 
 #: Trees whose ``REPRO_*`` environment knobs must be documented.
 KNOB_SOURCES = ("src", "benchmarks", "tools")
@@ -106,6 +113,27 @@ def python_blocks(text: str) -> Iterator[Tuple[int, str]]:
         yield line, match.group(1)
 
 
+def _import_findings(
+    label: str, first_line: int, code: str, nodes: Iterable[ast.AST]
+) -> List[str]:
+    """Execute each import statement in ``nodes`` (parsed from ``code``,
+    which starts at ``first_line`` of ``label``); one finding per
+    failure."""
+    findings: List[str] = []
+    for node in nodes:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        snippet = ast.get_source_segment(code, node) or "<import>"
+        try:
+            exec(compile(ast.Module([node], []), label, "exec"), {})
+        except Exception as error:  # pragma: no cover - report & continue
+            findings.append(
+                f"{label}:{first_line + node.lineno - 1}: "
+                f"{snippet!r} failed: {error}"
+            )
+    return findings
+
+
 def check_documents() -> List[str]:
     """Findings for doc code blocks that fail to parse or import."""
     findings: List[str] = []
@@ -120,20 +148,23 @@ def check_documents() -> List[str]:
             except SyntaxError as error:
                 findings.append(f"{name}:{line}: syntax error: {error}")
                 continue
-            imports = [
-                node
-                for node in tree.body
-                if isinstance(node, (ast.Import, ast.ImportFrom))
-            ]
-            for node in imports:
-                snippet = ast.get_source_segment(code, node) or "<import>"
-                try:
-                    exec(compile(ast.Module([node], []), name, "exec"), {})
-                except Exception as error:  # pragma: no cover - report & continue
-                    findings.append(
-                        f"{name}:{line + node.lineno - 1}: "
-                        f"{snippet!r} failed: {error}"
-                    )
+            findings += _import_findings(name, line, code, tree.body)
+    return findings
+
+
+def check_examples(root: Path = REPO_ROOT) -> List[str]:
+    """Findings for example scripts whose imports fail (at any depth,
+    so an import inside ``main()`` counts too)."""
+    findings: List[str] = []
+    for path in sorted((root / EXAMPLES).glob("*.py")):
+        label = str(path.relative_to(root))
+        code = path.read_text(encoding="utf-8")
+        try:
+            tree = ast.parse(code)
+        except SyntaxError as error:
+            findings.append(f"{label}: syntax error: {error}")
+            continue
+        findings += _import_findings(label, 1, code, ast.walk(tree))
     return findings
 
 
@@ -189,6 +220,12 @@ def main() -> int:
         print(f"broken doc code blocks ({len(document_findings)}):")
         for finding in document_findings:
             print(f"  {finding}")
+    example_findings = check_examples()
+    if example_findings:
+        failures += len(example_findings)
+        print(f"broken example imports ({len(example_findings)}):")
+        for finding in example_findings:
+            print(f"  {finding}")
     knob_findings = check_env_knobs()
     if knob_findings:
         failures += len(knob_findings)
@@ -199,9 +236,10 @@ def main() -> int:
         print(f"FAILED: {failures} documentation finding(s)")
         return 1
     modules = sum(1 for _ in iter_python_files())
+    examples = sum(1 for _ in (REPO_ROOT / EXAMPLES).glob("*.py"))
     print(f"docs OK: {modules} modules fully documented, "
-          f"{len(DOCUMENTS)} documents import cleanly, "
-          f"every REPRO_* knob documented")
+          f"{len(DOCUMENTS)} documents and {examples} examples import "
+          f"cleanly, every REPRO_* knob documented")
     return 0
 
 
