@@ -34,17 +34,15 @@ so they share parallel execution (``--jobs``), CSV/JSON export, and
 the persistent result store: ``--store DIR`` saves every completed
 cell, ``--resume`` reuses stored cells bit-identically (rerun a killed
 grid and only the missing cells execute), and ``--shard i/n`` runs one
-digest-stable slice of the grid — ``n`` such runs against a shared
-store cover the grid exactly once (see :mod:`repro.sim.store`).
-``grid --hosts user@h1,user@h2`` fans those shards out over plain
-``ssh`` and merges the remote stores back into ``--store``
-(see :mod:`repro.sim.pool`).
+digest-stable slice of the grid — ``n`` such runs cover the grid
+exactly once, against a shared store or against one store each whose
+``*.json`` files are then copied into one (see :mod:`repro.sim.store`).
 
 ``report`` sits on top of the same engine: every registered figure
 (:mod:`repro.report`) resolves its grids against ``--store`` and only
 missing cells execute, so ``repro report --all --store DIR`` run twice
 prints ``report: executed 0`` the second time, and ``--shard i/n``
-splits a full-paper reproduction across hosts sharing one store.
+splits a full-paper reproduction across hosts.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import shlex
 import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -65,10 +62,9 @@ from repro.registry import MITIGATIONS, TRACKERS
 from repro.sim import (
     ExperimentSpec,
     ResultSet,
+    ResultStore,
     SecurityParams,
     SimulationParams,
-    SshPool,
-    parse_hosts,
     parse_shard,
     record_workload,
     run_grid,
@@ -140,11 +136,28 @@ def _params_from_args(args: argparse.Namespace, trh: Optional[int] = None) -> Si
     )
 
 
+def _open_store(path: str, create: bool = True) -> ResultStore:
+    """The result store at ``path``, or a one-line exit when ``path`` is
+    a regular file, unwritable, or an old packed store. ``create=False``
+    never creates a missing directory (``store ls``/``prune`` only
+    inspect)."""
+    if not create and not os.path.isdir(path):
+        raise SystemExit(f"no result store at {path}")
+    try:
+        return ResultStore(path)
+    except ValueError as error:
+        raise SystemExit(str(error))
+    except OSError as error:
+        raise SystemExit(
+            f"cannot create result store directory {path}: "
+            f"{error.strerror or error}"
+        )
+
+
 def _run_eval(
     spec: ExperimentSpec,
     args: argparse.Namespace,
     progress=None,
-    pool=None,
 ) -> ResultSet:
     """Run a spec through the engine with the shared store/shard flags.
 
@@ -152,20 +165,17 @@ def _run_eval(
     pending cells' costs — serial when the pool would not pay for its
     start-up (:func:`~repro.sim.pool.sized_pool`); ``--jobs N`` sets
     the worker count (capped at the pending cell count), ``--jobs 1``
-    runs serially in-process. ``pool`` overrides the execution backend
-    (``--hosts``).
+    runs serially in-process.
     """
-    if getattr(args, "resume", False) and not getattr(args, "store", None):
+    if args.resume and not args.store:
         raise SystemExit("--resume needs --store")
-    jobs = getattr(args, "jobs", None)
     return run_grid(
         spec,
-        max_workers=jobs,
+        max_workers=args.jobs,
         progress=progress,
-        store=getattr(args, "store", None),
-        reuse=bool(getattr(args, "resume", False)),
-        shard=getattr(args, "shard", None),
-        pool=pool,
+        store=_open_store(args.store) if args.store else None,
+        reuse=args.resume,
+        shard=args.shard,
     )
 
 
@@ -183,16 +193,8 @@ def _report_store(results: ResultSet, args: argparse.Namespace) -> None:
         return
     if stats.workloads:
         print(stats.workloads.line)
-    if not getattr(args, "store", None):
+    if not args.store:
         return
-    if stats.hosts:
-        for host in stats.hosts:
-            shards = ",".join(str(s) for s in host.shards) or "-"
-            state = "ok" if host.ok else "died"
-            print(
-                f"host {host.label}: executed {host.executed}, reused "
-                f"{host.reused} (shards {shards}, {state})"
-            )
     shard = f", shard {stats.shard[0]}/{stats.shard[1]}" if stats.shard else ""
     print(
         f"store: executed {stats.executed}, reused {stats.reused} of "
@@ -285,7 +287,8 @@ def _add_eval_options(
                              "bit-identically)")
     parser.add_argument("--shard", metavar="I/N", type=_shard_type,
                         help="run only this digest-stable slice of the grid "
-                             "(e.g. 0/4; combine runs via a shared --store)")
+                             "(e.g. 0/4; combine runs via a shared --store, "
+                             "or copy each run's store entries into one)")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -323,57 +326,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid_remote_argv(args: argparse.Namespace, remote_store: str) -> List[str]:
-    """The ``repro grid`` command each ``--hosts`` worker replays.
-
-    Reproduces the coordinator's grid flags (so every host plans the
-    identical grid) against the remote store, always with ``--resume``
-    (reassigned shards skip what the dead host completed); the per-host
-    ``--shard i/N`` is appended by the pool."""
-    argv = [
-        sys.executable, "-m", "repro", "grid",
-        "--workloads", *args.workloads,
-        "--trh", *[str(trh) for trh in args.trh],
-        "--mitigations", *args.mitigations,
-        "--cores", str(args.cores),
-        "--requests", str(args.requests),
-        "--time-scale", str(args.time_scale),
-        "--tracker", args.tracker,
-        "--engine", args.engine,
-        "--store", remote_store,
-        "--resume",
-    ]
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    if args.verbose:
-        argv.append("--verbose")
-    return argv
-
-
-def _grid_pool(args: argparse.Namespace) -> Optional[SshPool]:
-    """The ``--hosts`` execution backend, or ``None`` for local runs."""
-    if not args.hosts:
-        return None
-    if args.shard:
-        raise SystemExit("--hosts drives sharding itself; drop --shard")
-    if not args.store:
-        raise SystemExit(
-            "--hosts needs --store (remote results are collected "
-            "through the result store)"
-        )
-    try:
-        hosts = parse_hosts(args.hosts)
-    except (OSError, ValueError) as error:
-        raise SystemExit(f"--hosts: {error}")
-    remote_store = args.remote_store or args.store
-    return SshPool(
-        hosts,
-        _grid_remote_argv(args, remote_store),
-        remote_store,
-        ssh=shlex.split(args.ssh) if args.ssh else None,
-    )
-
-
 def _cmd_grid(args: argparse.Namespace) -> int:
     _resolve_workloads(args.workloads)
     spec = ExperimentSpec(
@@ -386,7 +338,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         if args.verbose:
             print(f"[{done}/{total}] {result.summary()}")
 
-    results = _run_eval(spec, args, progress, pool=_grid_pool(args))
+    results = _run_eval(spec, args, progress)
     if args.shard:
         # A shard holds an arbitrary slice of the grid (its baselines
         # may live in other shards), so print raw cell summaries; the
@@ -610,6 +562,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         )
     if args.resume and not args.store:
         raise SystemExit("--resume needs --store")
+    if args.shard and not args.store:
+        raise SystemExit("--shard needs --store (shard runs write no artifacts)")
+    store = _open_store(args.store) if args.store else None
     config = _report_config(args)
     # A store makes reuse the point: rerunning a finished report should
     # execute nothing without extra flags. --no-resume forces recompute.
@@ -619,7 +574,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         info, spec = build_figure(name, config)
         data = resolve_figure(
             spec,
-            store=args.store,
+            store=store,
             jobs=args.jobs,
             reuse=reuse,
             shard=args.shard,
@@ -650,21 +605,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _existing_store(path: str):
-    """The result store at ``path``; never creates a missing directory
-    (``store ls``/``prune`` only inspect)."""
-    from repro.sim.store import ResultStore
-
-    if not os.path.isdir(path):
-        raise SystemExit(f"no result store at {path}")
-    try:
-        return ResultStore(path)
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-
 def _cmd_store_ls(args: argparse.Namespace) -> int:
-    inventory = _existing_store(args.dir).inventory()
+    inventory = _open_store(args.dir, create=False).inventory()
     print(f"{'kind':<12s}{'schema':>7s}{'cells':>7s}")
     for (kind, version), count in sorted(inventory.live.items()):
         print(f"{kind:<12s}{f'v{version}':>7s}{count:>7d}")
@@ -682,7 +624,7 @@ def _cmd_store_ls(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_prune(args: argparse.Namespace) -> int:
-    removals = _existing_store(args.dir).prune(dry_run=args.dry_run)
+    removals = _open_store(args.dir, create=False).prune(dry_run=args.dry_run)
     verb = "would remove" if args.dry_run else "removed"
     for path, reason in removals:
         print(f"{verb} {os.path.basename(path)}: {reason}")
@@ -774,17 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="export the result set as CSV")
     p.add_argument("--json", help="export the result set (with parameters) as JSON")
     p.add_argument("--verbose", action="store_true", help="per-cell progress")
-    p.add_argument("--hosts", metavar="HOSTS",
-                   help="fan the grid out over ssh hosts: a comma-separated "
-                        "user@host list, or @FILE with one host per line "
-                        "(needs --store; drives sharding itself)")
-    p.add_argument("--remote-store", metavar="DIR",
-                   help="store directory on the remote hosts (default: the "
-                        "--store path — right for shared filesystems and "
-                        "localhost workers)")
-    p.add_argument("--ssh", metavar="CMD",
-                   help="ssh command reaching the hosts (default: 'ssh -o "
-                        "BatchMode=yes'; point it at a shim for tests)")
     _add_sim_options(p, mitigation_names, tracker_names, ["rrs", "scale-srs"],
                      default_requests=12_000)
     _add_eval_options(p, jobs=False, export=False)
@@ -887,8 +818,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "whenever --store is given; --no-resume recomputes)")
     p.add_argument("--shard", metavar="I/N", type=_shard_type,
                    help="execute only this digest-stable slice of every "
-                        "figure's cells (no artifacts; render with a final "
-                        "unsharded pass)")
+                        "figure's cells into --store (no artifacts; render "
+                        "with a final unsharded pass)")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("store", help="inspect and clean a result store")

@@ -14,14 +14,13 @@ Resolution composes with everything the engine already does:
 - ``store``/``reuse`` make a repeated report incremental (the second
   run of ``repro report --all`` executes zero cells);
 - ``shard=(i, n)`` restricts execution to one digest-stable slice of
-  every figure's grid, so N hosts sharing a store split a full-paper
-  reproduction with no coordination — every figure's data are cells,
-  so the shards cover all of it (rendering needs the full grid, so
-  shard runs skip artifacts — a final unsharded pass reads everything
-  back and emits them);
-- ``jobs`` fans cells out over the engine's process pool, and
-  ``pool`` swaps in any other execution backend — e.g. an
-  :class:`~repro.sim.pool.SshPool` spanning machines
+  every figure's grid, so N hosts split a full-paper reproduction with
+  no coordination — every figure's data are cells, so the shards cover
+  all of it. The hosts share a store, or each fills its own and the
+  ``*.json`` files are copied into one. Rendering needs the full grid,
+  so shard runs skip artifacts — a final unsharded pass reads
+  everything back and emits them;
+- ``jobs`` fans cells out over the engine's process pool
   (:mod:`repro.sim.pool`).
 """
 
@@ -59,7 +58,6 @@ def resolve_figure(
     reuse: bool = True,
     shard: Optional[Tuple[int, int]] = None,
     progress: Optional[Callable[[int, int, object], None]] = None,
-    pool=None,
 ) -> FigureData:
     """Execute (only) the missing cells of a figure and collect its data.
 
@@ -69,12 +67,9 @@ def resolve_figure(
     :class:`FigureData` carries the merged result set and a summed
     :class:`~repro.sim.experiment.RunStats` (``stats.executed == 0``
     means the store served everything; ``stats.workers`` is the widest
-    grid's pool; the per-host breakdown of a multi-host ``pool`` is not
-    summed across grids — read each grid's own stats for that).
+    grid's pool).
 
     With ``shard`` the run covers one slice of each grid.
-    ``pool`` passes an explicit execution backend
-    (:class:`~repro.sim.pool.Pool`) to every grid.
     """
     if isinstance(store, str):
         store = ResultStore(store)
@@ -90,7 +85,6 @@ def resolve_figure(
             store=store,
             reuse=reuse,
             shard=shard,
-            pool=pool,
         )
         stats = results.run_stats
         planned += stats.planned
@@ -139,12 +133,10 @@ def reproduce_figure(
     config: Optional[ReportConfig] = None,
     store: Optional[Union[str, ResultStore]] = None,
     jobs: Optional[int] = None,
-    pool=None,
 ) -> Tuple[FigureData, Artifact]:
     """Build, resolve, and render one figure — the one-call form the
     benchmark tier uses (``data`` for assertions, ``artifact`` for the
-    human-readable reproduction). ``pool`` forwards an execution
-    backend to the figure's grids."""
+    human-readable reproduction)."""
     info, spec = build_figure(name, config)
-    data = resolve_figure(spec, store=store, jobs=jobs, pool=pool)
+    data = resolve_figure(spec, store=store, jobs=jobs)
     return data, render_figure(info, spec, data)

@@ -20,8 +20,8 @@ runs the security and analytical evaluation legs through the same
 engine (:mod:`repro.sim.evaluations`), and ``run_grid(store=...)``
 persists completed cells in a content-addressed
 :class:`~repro.sim.store.ResultStore` for resumable, shardable grids.
-Execution backends (:mod:`repro.sim.pool`) scale the same grids from a
-single process to a multi-host ``ssh`` fan-out without changing specs.
+Execution backends (:mod:`repro.sim.pool`) run the same grids serially
+or over a local process pool without changing specs.
 """
 
 from repro.sim.engine import (
@@ -43,17 +43,13 @@ from repro.sim.experiment import (
     run_grid,
 )
 from repro.sim.pool import (
-    HostStats,
     Pool,
     PoolTask,
     ProcessPool,
     SerialPool,
-    SshPool,
     available_cpu_count,
-    parse_hosts,
 )
 from repro.sim.store import (
-    MergeStats,
     ResultStore,
     cell_digest,
     parse_shard,
@@ -89,13 +85,9 @@ __all__ = [
     "run_grid",
     "Pool",
     "PoolTask",
-    "HostStats",
     "SerialPool",
     "ProcessPool",
-    "SshPool",
     "available_cpu_count",
-    "parse_hosts",
-    "MergeStats",
     "ResultStore",
     "cell_digest",
     "parse_shard",

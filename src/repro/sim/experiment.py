@@ -44,15 +44,15 @@ and the engine takes care of the rest:
   exactly one baseline per unique combination instead of one per grid
   cell.
 - **Pluggable execution** delegates the pending cells to an execution
-  backend (:mod:`repro.sim.pool`): serial in-process, a local process
-  pool, or an ``ssh`` fan-out across machines — every cell carries its
-  full parameter record and seeds its own RNG streams, so results are
-  deterministic and independent of scheduling order and backend.
+  backend (:mod:`repro.sim.pool`): serial in-process or a local process
+  pool — every cell carries its full parameter record and seeds its own
+  RNG streams, so results are deterministic and independent of
+  scheduling order and backend.
 - **Persistence** (``run_grid(store=...)``): completed cells land in a
   content-addressed :class:`~repro.sim.store.ResultStore`, and already-
   stored cells are reused bit-identically — interrupted grids resume,
   repeated sweeps are incremental, and ``shard=(i, n)`` splits one grid
-  across processes or machines sharing a store
+  across processes or machines, with one shared store or one store each
   (see :mod:`repro.sim.store`).
 - **Result sets** (:class:`ResultSet`) hold results of heterogeneous
   kinds, pair each ``perf`` result with its matching baseline for
@@ -89,7 +89,6 @@ from repro.dram.commands import PagePolicy
 from repro.registry import EVALUATIONS, MITIGATIONS
 from repro.sim.engine import ENGINE_NAMES
 from repro.sim.pool import (
-    HostStats,
     Pool,
     PoolTask,
     ProcessPool,
@@ -380,29 +379,23 @@ class RunStats:
         executed: Cells actually computed this run.
         reused: Cells served bit-identically from the result store.
         shard: The ``(index, count)`` shard this run covered, if any.
-        hosts: Per-host accounting when a multi-host backend ran the
-            grid (see :class:`~repro.sim.pool.HostStats`); ``None``
-            for single-machine runs.
         workloads: Workload-plane accounting
             (:class:`~repro.workloads.plane.PlaneStats`: generated /
-            cache hits) when a single-machine backend ran the grid —
-            the coordinator's own for a serial run, the sum of the
-            workers' per-chunk deltas for a process pool; ``None``
-            otherwise.
+            cache hits) — the coordinator's own for a serial run, the
+            sum of the workers' per-chunk deltas for a process pool;
+            ``None`` when no cell ran or the backend reports none.
         chunks: Dispatch chunks the backend submitted (see
             :func:`~repro.sim.pool.chunk_plan`) when a process pool
-            ran the grid; ``None`` for serial and multi-host runs.
+            ran the grid; ``None`` for serial runs.
         workers: The pool width the run used — ``1`` for serial, the
             process count for a process pool (see
-            :func:`~repro.sim.pool.pool_width`); ``None`` for
-            multi-host runs, whose ``hosts`` carry the breakdown.
+            :func:`~repro.sim.pool.pool_width`).
     """
 
     planned: int
     executed: int
     reused: int
     shard: Optional[Tuple[int, int]] = None
-    hosts: Optional[Tuple[HostStats, ...]] = None
     workloads: Optional[PlaneStats] = None
     chunks: Optional[int] = None
     workers: Optional[int] = None
@@ -446,11 +439,12 @@ def run_grid(
             depends on what else is in the grid, so ``count`` runs with
             the same shared store cover every cell exactly once and can
             then be collected with a final ``--resume`` pass or
-            :meth:`ResultSet.merge`.
+            :meth:`ResultSet.merge`. Runs on separate stores combine by
+            copying their ``*.json`` files into one store, which
+            verifies every entry it serves.
         pool: An explicit execution backend
-            (:class:`~repro.sim.pool.Pool`) — e.g. an
-            :class:`~repro.sim.pool.SshPool` spanning several machines.
-            ``None`` picks :class:`~repro.sim.pool.SerialPool` or
+            (:class:`~repro.sim.pool.Pool`), e.g. a test's instrumented
+            pool. ``None`` picks :class:`~repro.sim.pool.SerialPool` or
             :class:`~repro.sim.pool.ProcessPool` from ``max_workers``
             (or, without it, from the cell costs).
 
@@ -524,9 +518,7 @@ def run_grid(
         while reported in by_position:
             progress(reported + 1, len(jobs), by_position[reported])
             reported += 1
-    task = PoolTask(
-        pending=pending, run_cell=_run_cell, record=record, store=store
-    )
+    task = PoolTask(pending=pending, run_cell=_run_cell, record=record)
     if pool is None and max_workers is None:
         pool = sized_pool(task)
     elif pool is None:
@@ -541,7 +533,6 @@ def run_grid(
         executed=len(pending),
         reused=len(cached),
         shard=shard,
-        hosts=getattr(pool, "host_stats", None),
         workloads=getattr(pool, "plane_stats", None),
         chunks=getattr(pool, "chunk_count", None),
         workers=getattr(pool, "max_workers", None),

@@ -20,16 +20,19 @@ which buys the experiment engine three properties:
   workload) recomputes only the new cells; the digest of an existing
   cell does not depend on what else is in the grid.
 - **Sharding**: :func:`shard_of` partitions cells by digest, so ``n``
-  processes (or machines) each running ``shard=(i, n)`` against one
-  shared store cover the grid exactly once, in any order, with no
-  coordination.
+  processes (or machines) each running ``shard=(i, n)`` cover the grid
+  exactly once, in any order, with no coordination — against one
+  shared store, or each against its own store, whose ``*.json`` files
+  then combine by plain copying.
 
 Safety: writes are atomic (temp file + ``os.replace``); a corrupted,
 truncated, or foreign file is treated as a miss (the cell reruns and
-the entry is rewritten); a schema-version bump in the kind's
-registration invalidates its stored cells by changing their digests,
-and the version recorded inside each payload is verified on read as a
-second line of defense.
+the entry is rewritten); every read checks that the payload's ``cell``
+record hashes to the file name, so a renamed, swapped or tampered
+entry is a miss too; a schema-version bump in the kind's registration
+invalidates its stored cells by changing their digests, and the
+version recorded inside each payload is verified on read as a second
+line of defense.
 """
 
 from __future__ import annotations
@@ -166,31 +169,6 @@ def parse_shard(text: str) -> Tuple[int, int]:
 
 
 @dataclass
-class MergeStats:
-    """What one :meth:`ResultStore.merge_from` pass did.
-
-    ``adopted`` entries were copied in; ``present`` already existed in
-    the destination (first write wins — both sides computed the same
-    deterministic cell, so the bytes agree); ``unverified`` entries
-    failed digest verification (the payload's cell record does not hash
-    to the entry's address — renamed, tampered, or written by a store
-    predating the fingerprint-carrying payload format) and were left
-    behind; ``rejected`` entries were corrupt or stale (unreadable, an
-    unknown kind, or a schema-version mismatch).
-    """
-
-    adopted: int = 0
-    present: int = 0
-    unverified: int = 0
-    rejected: int = 0
-
-    @property
-    def total(self) -> int:
-        """Total source entries examined."""
-        return self.adopted + self.present + self.unverified + self.rejected
-
-
-@dataclass
 class StoreInventory:
     """What a :meth:`ResultStore.inventory` scan found.
 
@@ -266,9 +244,13 @@ class ResultStore:
         """The stored result of ``cell``, or ``None`` on any miss.
 
         A miss is: no entry, unreadable/corrupt JSON, a kind or
-        schema-version mismatch inside the payload, or a result record
-        that fails to deserialize. Every miss is recoverable — the
-        engine reruns the cell and :meth:`put` rewrites the entry.
+        schema-version mismatch inside the payload, a payload whose
+        ``cell`` record does not :func:`key_digest` to the file's digest
+        (a renamed, swapped or tampered entry), or a result record that
+        fails to deserialize. Every miss is recoverable — the engine
+        reruns the cell and :meth:`put` rewrites the entry. The digest
+        check is what makes a store assembled by copying other stores'
+        ``*.json`` files as safe as one this process wrote.
         ``digest`` short-circuits the address computation when the
         caller already holds :func:`cell_digest` of the cell (the
         engine computes it once per cell — fingerprinting a trace
@@ -286,21 +268,25 @@ class ResultStore:
                 return None
             if payload.get("schema_version") != info.schema_version:
                 return None
+            if key_digest(payload["cell"]) != digest:
+                return None
             return info.result_from_dict(payload["result"])
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return None
 
     @staticmethod
-    def _classify_payload(text: Optional[str]) -> Tuple[str, Any]:
-        """``(state, detail)`` of one payload text (``None`` = unreadable).
+    def _classify_payload(digest: str, text: Optional[str]) -> Tuple[str, Any]:
+        """``(state, detail)`` of the entry ``digest`` holding ``text``
+        (``None`` = unreadable).
 
         States: ``live`` (well-formed; detail is the ``(kind, version)``
-        bucket), ``stale`` (well-formed but unreadable by the current
-        registrations — unknown kind, old schema version, or a result
-        record the kind's deserializer rejects), ``corrupt``
-        (unparseable JSON or a payload missing the envelope fields).
-        Reads already treat stale and corrupt entries as silent misses;
-        this makes them visible to ``repro store ls`` / ``prune``.
+        bucket), ``stale`` (well-formed but not servable — unknown kind,
+        old schema version, a ``cell`` record that does not hash to the
+        file name, or a result record the kind's deserializer rejects),
+        ``corrupt`` (unparseable JSON or a payload missing the envelope
+        fields). :meth:`get` already treats stale and corrupt entries as
+        silent misses; this makes them visible to ``repro store ls`` /
+        ``prune``.
         """
         try:
             if text is None:
@@ -319,6 +305,8 @@ class ResultStore:
                 "stale",
                 f"{kind} schema v{version} (current v{info.schema_version})",
             )
+        if key_digest(payload.get("cell")) != digest:
+            return "stale", "payload does not hash to its file name"
         try:
             info.result_from_dict(result)
         except Exception:
@@ -339,8 +327,8 @@ class ResultStore:
     def inventory(self) -> StoreInventory:
         """Scan every entry: per-kind live counts plus prunable entries."""
         report = StoreInventory()
-        for _, path, text in self._entry_payloads():
-            state, detail = self._classify_payload(text)
+        for digest, path, text in self._entry_payloads():
+            state, detail = self._classify_payload(digest, text)
             if state == "live":
                 report.live[detail] = report.live.get(detail, 0) + 1
             elif state == "stale":
@@ -362,78 +350,6 @@ class ResultStore:
                     pass  # concurrent prune; the entry is gone either way
         return removals
 
-    def merge_from(self, source: str) -> MergeStats:
-        """Adopt another store's entries into this store.
-
-        The multi-host collection primitive: a coordinator merges each
-        worker's store after its shard completes. Adoption is per-cell
-        atomic (temp file + ``os.replace``, like :meth:`put`) and
-        idempotent — an entry this store already holds is left alone
-        (both sides computed the same deterministic cell), so merging
-        the same source twice, or two workers that shared a directory,
-        changes nothing.
-
-        Entries are **digest-verified** before adoption: the payload's
-        ``cell`` record must hash back to the entry's address through
-        :func:`key_digest` (a JSON round-trip keeps the canonical
-        encoding bit-for-bit), so a renamed or tampered file from a
-        remote host cannot poison the coordinator's store. The payload
-        carries the same
-        fingerprint-bearing key the address was derived from, so
-        trace-workload entries verify like any other; entries written
-        before the payload carried the fingerprint fail the check and
-        are skipped (counted ``unverified``) — the coordinator
-        recomputes those cells. Corrupt or stale source entries are
-        skipped as ``rejected``. Merging a store into itself is a
-        no-op (everything counts as ``present``).
-
-        Raises:
-            FileNotFoundError: ``source`` is not a directory.
-        """
-        if not os.path.isdir(source):
-            raise FileNotFoundError(f"no result store at {source}")
-        stats = MergeStats()
-        try:
-            same = os.path.samefile(source, self.path)
-        except OSError:
-            same = False
-        source_store = ResultStore(source)
-        for name, _, text in source_store._entry_payloads():
-            if same:
-                stats.present += 1
-                continue
-            destination = os.path.join(self.path, name + ".json")
-            if os.path.exists(destination):
-                stats.present += 1
-                continue
-            state, _ = self._classify_payload(text)
-            if state != "live":
-                stats.rejected += 1
-                continue
-            payload = json.loads(text)
-            if key_digest(payload.get("cell", {})) != name:
-                stats.unverified += 1
-                continue
-            handle = tempfile.NamedTemporaryFile(
-                "w",
-                encoding="utf-8",
-                dir=self.path,
-                suffix=".tmp",
-                delete=False,
-            )
-            try:
-                with handle:
-                    handle.write(text)
-                os.replace(handle.name, destination)
-            except BaseException:
-                try:
-                    os.unlink(handle.name)
-                except OSError:
-                    pass
-                raise
-            stats.adopted += 1
-        return stats
-
     def put(
         self,
         cell: Any,
@@ -449,8 +365,8 @@ class ResultStore:
         files). When omitted they are computed here, from one
         :func:`cell_key` call. The payload records the same
         fingerprint-carrying key the address is derived from, which is
-        what makes every entry digest-verifiable by
-        :meth:`merge_from` — including trace-workload cells.
+        what lets :meth:`get` verify every entry against its file name —
+        including trace-workload cells.
         """
         info = EVALUATIONS.get(cell.kind)
         if key is None:

@@ -424,55 +424,27 @@ class TestBadWorkload:
         self.check(command, missing, tmp_path, "does not exist")
 
 
-class TestMultiHost:
-    """The --hosts flag: flag validation plus an end-to-end run over a
-    fake ssh shim (two localhost "hosts" sharing the store)."""
+@pytest.mark.parametrize("command", [
+    ["grid", "--workloads", "povray", "--trh", "1200", "--cores", "1",
+     "--requests", "800", "--mitigations", "rrs"],
+    ["attack"],
+    ["security-sweep", "--rates", "6"],
+    ["report", "--figure", "table4"],
+], ids=lambda argv: argv[0])
+class TestBadStore:
+    """A ``--store`` path that cannot be a result store ends every
+    store-backed command with a one-line error, before any cell runs."""
 
-    GRID = ["grid", "--workloads", "povray", "--trh", "1200", "--cores",
-            "1", "--requests", "800", "--mitigations", "rrs"]
+    def test_regular_file(self, command, tmp_path):
+        path = tmp_path / "not-a-dir"
+        path.write_text("x")
+        with pytest.raises(SystemExit, match="cannot create result store directory"):
+            main(command + ["--store", str(path)])
 
-    def test_hosts_needs_store(self):
-        with pytest.raises(SystemExit, match="--hosts needs --store"):
-            main(self.GRID + ["--hosts", "h1,h2"])
-
-    def test_hosts_rejects_shard(self, tmp_path):
-        with pytest.raises(SystemExit, match="drop --shard"):
-            main(self.GRID + [
-                "--hosts", "h1,h2", "--shard", "0/2",
-                "--store", str(tmp_path / "s"),
-            ])
-
-    def test_hosts_rejects_empty_list(self, tmp_path):
-        with pytest.raises(SystemExit, match="--hosts"):
-            main(self.GRID + [
-                "--hosts", ",", "--store", str(tmp_path / "s"),
-            ])
-
-    def test_two_localhost_hosts_end_to_end(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        """The CI smoke in miniature: a two-"host" localhost run fills
-        the store, then a plain --resume executes nothing."""
-        import repro
-
-        src = os.path.dirname(os.path.dirname(os.path.abspath(
-            repro.__file__)))
-        monkeypatch.setenv("PYTHONPATH", src)
-        shim = tmp_path / "fakessh"
-        shim.write_text('#!/bin/sh\nshift\nexec /bin/sh -c "$1"\n')
-        shim.chmod(0o755)
-        store = str(tmp_path / "store")
-        argv = self.GRID + ["--store", store]
-        assert main(argv + [
-            "--hosts", "localhost,localhost", "--ssh", str(shim),
-        ]) == 0
-        first = capsys.readouterr().out
-        assert "host localhost:" in first
-        assert "host localhost#2:" in first
-        assert "store: executed 2, reused 0 of 2 cells" in first
-        assert main(argv + ["--resume"]) == 0
-        second = capsys.readouterr().out
-        assert "store: executed 0, reused 2 of 2 cells" in second
+    def test_old_packed_store(self, command, tmp_path):
+        (tmp_path / "pack.seg").write_bytes(b"")
+        with pytest.raises(SystemExit, match="no longer read"):
+            main(command + ["--store", str(tmp_path)])
 
 
 class TestReportCommand:
@@ -513,6 +485,11 @@ class TestReportCommand:
     def test_resume_requires_store(self):
         with pytest.raises(SystemExit, match="--resume needs --store"):
             main(["report", "--figure", "table1", "--resume"])
+
+    def test_shard_requires_store(self, capsys):
+        with pytest.raises(SystemExit, match="--shard needs --store"):
+            main(["report", "--figure", "table1", "--shard", "0/2"])
+        assert "executed" not in capsys.readouterr().out
 
     def test_model_figure_prints_markdown(self, capsys):
         assert main(["report", "--figure", "table1"]) == 0

@@ -1,20 +1,12 @@
-"""Tests for the execution backends (:mod:`repro.sim.pool`).
-
-The SshPool tests use a fake ``ssh`` shim — a shell script that drops
-the host argument and runs the remote command locally — so multi-host
-orchestration (sharding, live streaming, host death, reassignment,
-store collection) is exercised end-to-end without real remote hosts.
-"""
+"""Tests for the execution backends (:mod:`repro.sim.pool`)."""
 
 import dataclasses
 import os
-import sys
 import time
 from typing import ClassVar
 
 import pytest
 
-import repro
 from repro.registry import EVALUATIONS, register_evaluation
 from repro.sim import (
     ExperimentSpec,
@@ -22,9 +14,7 @@ from repro.sim import (
     ResultStore,
     SerialPool,
     SimulationParams,
-    SshPool,
     available_cpu_count,
-    parse_hosts,
     plan_cells,
     run_grid,
 )
@@ -32,16 +22,11 @@ from repro.sim.pool import (
     PoolTask,
     dispatch_order,
     pool_width,
-    remote_command,
     sized_pool,
 )
 from repro.workloads import plane
 
-SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-
-# A spec whose cells the CLI reproduces exactly with default tracker/
-# engine/seed flags — remote `repro grid` runs must plan identical cells
-# (identical digests) or the coordinator would never see their results.
+# One tiny rrs cell plus its baseline.
 SPEC = ExperimentSpec(
     workloads=["povray"],
     mitigations=["rrs"],
@@ -59,58 +44,6 @@ GRID_SWAP = ExperimentSpec(
         num_cores=4, requests_per_core=12000, time_scale=32, seed=77
     ),
 )
-
-GOOD_SSH = """#!/bin/sh
-# fake ssh: drop the host argument, run the command locally
-shift
-exec /bin/sh -c "$1"
-"""
-
-BAD_SSH = """#!/bin/sh
-# fake ssh where hosts named bad* are dead
-host="$1"; shift
-case "$host" in bad*) exit 17;; esac
-exec /bin/sh -c "$1"
-"""
-
-
-def write_shim(tmp_path, text):
-    path = tmp_path / "fakessh"
-    path.write_text(text)
-    path.chmod(0o755)
-    return str(path)
-
-
-def remote_argv(store_dir):
-    """The grid command a worker replays — mirrors _grid_remote_argv."""
-    return [
-        sys.executable, "-m", "repro", "grid",
-        "--workloads", "povray",
-        "--trh", "1200",
-        "--mitigations", "rrs",
-        "--cores", "1",
-        "--requests", "800",
-        "--jobs", "1",
-        "--store", str(store_dir),
-        "--resume",
-    ]
-
-
-def quiet(label, line):
-    """Echo sink that swallows worker output."""
-
-
-def ssh_pool(hosts, shim, store_dir, **kwargs):
-    return SshPool(
-        hosts, remote_argv(store_dir), str(store_dir), ssh=[shim],
-        echo=quiet, **kwargs,
-    )
-
-
-@pytest.fixture
-def remote_env(monkeypatch):
-    """Remote runs re-export PYTHONPATH; make it absolute for them."""
-    monkeypatch.setenv("PYTHONPATH", SRC_DIR)
 
 
 def entry_files(store_dir):
@@ -437,144 +370,6 @@ class TestFailurePaths:
         with pytest.raises(KeyboardInterrupt):
             run_grid(spec, store=str(store_dir), pool=ProcessPool(1))
         assert entry_files(store_dir) == []
-
-
-class TestHostParsing:
-    def test_comma_list(self):
-        assert parse_hosts("a@h1, b@h2,h3") == ["a@h1", "b@h2", "h3"]
-
-    def test_host_file(self, tmp_path):
-        hosts = tmp_path / "hosts"
-        hosts.write_text("# cluster\nuser@h1\n\nuser@h2\n")
-        assert parse_hosts(f"@{hosts}") == ["user@h1", "user@h2"]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no hosts"):
-            parse_hosts(" , ")
-
-    def test_remote_command_quotes_and_reexports(self, monkeypatch):
-        monkeypatch.setenv("PYTHONPATH", "/some path/src")
-        command = remote_command(["python", "-m", "repro", "grid"],
-                                 cwd="/work dir")
-        assert command.startswith("cd '/work dir' && ")
-        assert "PYTHONPATH='/some path/src'" in command
-        assert command.endswith("python -m repro grid")
-
-
-class TestSshPool:
-    def test_two_localhost_hosts_cover_the_grid(
-        self, tmp_path, remote_env
-    ):
-        """The acceptance flow: two localhost "hosts" share a store;
-        the merged store serves a plain single-host resume with zero
-        executions, bit-identical to a single-host run."""
-        shim = write_shim(tmp_path, GOOD_SSH)
-        store_dir = tmp_path / "store"
-        pool = ssh_pool(["localhost", "localhost"], shim, store_dir)
-        results = run_grid(SPEC, store=str(store_dir), pool=pool)
-        stats = {h.label: h for h in results.run_stats.hosts}
-        assert set(stats) == {"localhost", "localhost#2"}
-        assert all(h.ok for h in stats.values())
-        assert sum(h.executed for h in stats.values()) == 2
-        assert sorted(s for h in stats.values() for s in h.shards) == [0, 1]
-        resumed = run_grid(SPEC, max_workers=1, store=str(store_dir))
-        assert resumed.run_stats.executed == 0
-        assert resumed.run_stats.reused == 2
-        assert resumed.to_json() == run_grid(SPEC, max_workers=1).to_json()
-
-    def test_dead_host_shard_reassigned_to_survivor(
-        self, tmp_path, remote_env
-    ):
-        shim = write_shim(tmp_path, BAD_SSH)
-        store_dir = tmp_path / "store"
-        pool = ssh_pool(["good", "bad"], shim, store_dir)
-        results = run_grid(SPEC, store=str(store_dir), pool=pool)
-        stats = {h.label: h for h in results.run_stats.hosts}
-        assert stats["bad"].ok is False
-        assert stats["good"].ok is True
-        # The survivor picked up the dead host's shard.
-        assert sorted(stats["good"].shards) == [0, 1]
-        assert len(results) == 2
-        assert results.to_json() == run_grid(SPEC, max_workers=1).to_json()
-
-    def test_dead_host_completed_cells_survive(self, tmp_path, remote_env):
-        """Cells a host completed before dying are collected from its
-        store and never recomputed: pre-populating the remote store
-        stands in for the dead host's partial progress."""
-        shim = write_shim(tmp_path, BAD_SSH)
-        remote_dir = tmp_path / "remote"
-        run_grid(SPEC, max_workers=1, store=str(remote_dir))
-        local_dir = tmp_path / "local"
-        pool = ssh_pool(["good", "bad"], shim, remote_dir)
-        results = run_grid(SPEC, store=str(local_dir), pool=pool)
-        stats = {h.label: h for h in results.run_stats.hosts}
-        assert stats["bad"].ok is False
-        # Nothing recomputed anywhere: every cell came from the store
-        # the "dead" host left behind.
-        assert sum(h.executed for h in stats.values()) == 0
-        assert stats["good"].reused == 2
-        assert entry_files(local_dir) == entry_files(remote_dir)
-        assert results.to_json() == run_grid(SPEC, max_workers=1).to_json()
-
-    def test_tar_collection_without_shared_fs(self, tmp_path, remote_env):
-        """A remote store other than the coordinator's own is collected
-        over ssh + tar, even though the shim runs everything locally."""
-        shim = write_shim(tmp_path, GOOD_SSH)
-        remote_dir = tmp_path / "remote"
-        local_dir = tmp_path / "local"
-        pool = SshPool(
-            ["localhost"], remote_argv(remote_dir), str(remote_dir),
-            ssh=[shim], echo=quiet,
-        )
-        results = run_grid(SPEC, store=str(local_dir), pool=pool)
-        assert len(entry_files(local_dir)) == 2
-        assert results.to_json() == run_grid(SPEC, max_workers=1).to_json()
-
-    def test_remote_path_that_exists_locally_is_collected_over_ssh(
-        self, tmp_path, remote_env
-    ):
-        """A remote store path that merely also exists on the
-        coordinator is not the remote disk. The shim keeps the host's
-        store in a hidden directory while an empty directory sits at
-        the path locally; collection must still go over ssh, so no cell
-        is recomputed under the ``local`` pseudo-host."""
-        remote_dir = tmp_path / "remote"
-        remote_dir.mkdir()
-        remote_disk = tmp_path / ".remote-disk"
-        shim = write_shim(tmp_path, f"""#!/bin/sh
-# fake ssh whose host keeps {remote_dir} at {remote_disk}
-shift
-exec /bin/sh -c "$(printf '%s' "$1" | sed 's|{remote_dir}|{remote_disk}|g')"
-""")
-        local_dir = tmp_path / "local"
-        pool = SshPool(
-            ["remote"], remote_argv(remote_dir), str(remote_dir),
-            ssh=[shim], echo=quiet,
-        )
-        results = run_grid(SPEC, store=str(local_dir), pool=pool)
-        hosts = {h.label: h for h in results.run_stats.hosts}
-        assert set(hosts) == {"remote"}
-        assert hosts["remote"].executed == 2
-        assert entry_files(remote_dir) == []
-        assert entry_files(local_dir) == entry_files(remote_disk)
-        assert results.to_json() == run_grid(SPEC, max_workers=1).to_json()
-
-    def test_all_hosts_dead_raises(self, tmp_path, remote_env):
-        shim = write_shim(tmp_path, BAD_SSH)
-        store_dir = tmp_path / "store"
-        pool = ssh_pool(["bad", "bad2"], shim, store_dir)
-        with pytest.raises(RuntimeError, match="no live host"):
-            run_grid(SPEC, store=str(store_dir), pool=pool)
-
-    def test_needs_a_store(self, tmp_path):
-        shim = write_shim(tmp_path, GOOD_SSH)
-        pool = ssh_pool(["localhost"], shim, tmp_path / "store")
-        with pytest.raises(ValueError, match="store"):
-            run_grid(SPEC, pool=pool)
-
-    def test_needs_hosts(self):
-        with pytest.raises(ValueError, match="at least one host"):
-            SshPool([], ["true"], "/tmp/none")
 
 
 class TestSerialPoolContract:

@@ -23,7 +23,7 @@ from repro.report import (
     write_artifact,
 )
 from repro.report.spec import DETAILED_WORKLOADS, FigureSpec, model_spec
-from repro.sim import ExperimentSpec, ProcessPool, ResultStore
+from repro.sim import ExperimentSpec, ResultStore
 
 EXPECTED_FIGURES = (
     "table1",
@@ -376,7 +376,7 @@ class TestReportResume:
 @pytest.mark.parametrize("name", ["motiv-half-double", "relwork-comparators"])
 def test_serial_and_pooled_artifacts_are_byte_identical(name, tmp_path):
     _, serial = reproduce_figure(name, jobs=1)
-    _, pooled = reproduce_figure(name, pool=ProcessPool(2))
+    _, pooled = reproduce_figure(name, jobs=2)
     write_artifact(serial, str(tmp_path / "serial"))
     write_artifact(pooled, str(tmp_path / "pooled"))
     assert artifact_tree(tmp_path / "serial") == artifact_tree(

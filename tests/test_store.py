@@ -360,76 +360,91 @@ class TestResultStore:
         assert reused.to_json() == fresh.to_json()
 
 
-class TestMergeFrom:
-    """Digest-verified adoption of one store's entries into another —
-    the multi-host collection primitive."""
+class TestCopiedStore:
+    """Per-host stores combine by copying ``*.json`` files, because
+    every read checks that an entry's ``cell`` record hashes to its
+    file name: a copied entry is served only if it is the cell it
+    claims to be."""
 
-    def fill_source(self, tmp_path):
-        source = tmp_path / "source"
-        run_grid(SECURITY, max_workers=1, store=str(source))
-        return source
+    def fill(self, store_dir, spec=SECURITY, shard=None):
+        run_grid(spec, max_workers=1, store=str(store_dir), shard=shard)
+        return store_dir
 
-    def test_adopts_everything_and_is_idempotent(self, tmp_path):
-        source = self.fill_source(tmp_path)
-        dest = ResultStore(str(tmp_path / "dest"))
-        stats = dest.merge_from(str(source))
-        assert (stats.adopted, stats.present) == (6, 0)
-        assert (stats.unverified, stats.rejected) == (0, 0)
-        assert stats.total == 6
-        assert entry_files(tmp_path / "dest") == entry_files(source)
-        again = dest.merge_from(str(source))
-        assert (again.adopted, again.present) == (0, 6)
-        # Adopted entries serve resumes bit-identically.
-        direct = run_grid(SECURITY, max_workers=1)
-        resumed = run_grid(SECURITY, max_workers=1, store=dest)
+    def cell_of(self, entry_name):
+        """The SECURITY cell stored under ``entry_name``."""
+        return {
+            cell_digest(cell) + ".json": cell for cell in plan_cells(SECURITY)
+        }[entry_name]
+
+    def copy_entries(self, source, dest):
+        dest.mkdir(exist_ok=True)
+        for name in entry_files(source):
+            (dest / name).write_bytes((source / name).read_bytes())
+
+    def test_copied_store_serves_a_resume_with_no_executions(self, tmp_path):
+        dest = self.fill(tmp_path / "s0", shard=(0, 2))
+        source = self.fill(tmp_path / "s1", shard=(1, 2))
+        self.copy_entries(source, dest)
+        self.copy_entries(source, dest)  # copying twice changes nothing
+        assert len(entry_files(dest)) == 6
+        assert ResultStore(str(dest)).inventory().live == {("security", 1): 6}
+        resumed = run_grid(SECURITY, max_workers=1, store=str(dest))
         assert resumed.run_stats.executed == 0
-        assert resumed.to_json() == direct.to_json()
+        assert resumed.to_json() == run_grid(SECURITY, max_workers=1).to_json()
 
-    def test_missing_source_raises_and_is_not_created(self, tmp_path):
-        dest = ResultStore(str(tmp_path / "dest"))
-        missing = tmp_path / "missing"
-        with pytest.raises(FileNotFoundError, match="no result store"):
-            dest.merge_from(str(missing))
-        assert not missing.exists()
-
-    def test_merge_into_itself_is_a_noop(self, tmp_path):
-        source = self.fill_source(tmp_path)
-        stats = ResultStore(str(source)).merge_from(str(source))
-        assert (stats.adopted, stats.present) == (0, 6)
-        assert len(entry_files(source)) == 6
-
-    def test_renamed_entry_is_not_adopted(self, tmp_path):
-        """An entry whose payload does not hash back to its filename
-        (renamed, tampered) must not poison the destination."""
-        source = self.fill_source(tmp_path)
-        victim = entry_files(source)[0]
+    def test_renamed_or_tampered_entry_is_a_miss(self, tmp_path):
+        store_dir = self.fill(tmp_path / "store")
+        names = entry_files(store_dir)
         bogus = "0" * 64 + ".json"
-        os.rename(str(source / victim), str(source / bogus))
-        dest = ResultStore(str(tmp_path / "dest"))
-        stats = dest.merge_from(str(source))
-        assert (stats.adopted, stats.unverified) == (5, 1)
-        assert bogus not in entry_files(tmp_path / "dest")
+        os.rename(str(store_dir / names[0]), str(store_dir / bogus))
+        with open(str(store_dir / names[1]), encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["cell"]["params"]["trh"] += 1
+        with open(str(store_dir / names[1]), "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        store = ResultStore(str(store_dir))
+        stale = dict(store.inventory().stale)
+        assert set(stale) == {str(store_dir / bogus), str(store_dir / names[1])}
+        assert set(stale.values()) == {"payload does not hash to its file name"}
+        resumed = run_grid(SECURITY, max_workers=1, store=store)
+        assert (resumed.run_stats.executed, resumed.run_stats.reused) == (2, 4)
+        assert [path for path, _ in store.prune()] == [str(store_dir / bogus)]
+        assert store.inventory().live == {("security", 1): 6}
 
-    def test_corrupt_and_stale_entries_rejected(self, tmp_path):
-        source = self.fill_source(tmp_path)
-        names = entry_files(source)
-        with open(str(source / names[0]), "w", encoding="utf-8") as handle:
+    def test_corrupt_and_stale_entries_are_misses(self, tmp_path):
+        store_dir = self.fill(tmp_path / "store")
+        names = entry_files(store_dir)
+        with open(str(store_dir / names[0]), "w", encoding="utf-8") as handle:
             handle.write("{ truncated")
-        with open(str(source / names[1]), encoding="utf-8") as handle:
+        with open(str(store_dir / names[1]), encoding="utf-8") as handle:
             payload = json.load(handle)
         payload["schema_version"] = 999
-        with open(str(source / names[1]), "w", encoding="utf-8") as handle:
+        with open(str(store_dir / names[1]), "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
-        dest = ResultStore(str(tmp_path / "dest"))
-        stats = dest.merge_from(str(source))
-        assert (stats.adopted, stats.rejected) == (4, 2)
+        store = ResultStore(str(store_dir))
+        assert store.get(self.cell_of(names[0])) is None
+        assert store.get(self.cell_of(names[1])) is None
+        resumed = run_grid(SECURITY, max_workers=1, store=store)
+        assert (resumed.run_stats.executed, resumed.run_stats.reused) == (2, 4)
 
-    def test_fingerprinted_trace_entries_verify_and_adopt(self, tmp_path):
+    def test_foreign_json_is_a_miss(self, tmp_path):
+        """A copied file that is valid JSON but no entry (here an array)
+        is a corrupt miss, not a crash."""
+        store_dir = self.fill(tmp_path / "store")
+        victim = entry_files(store_dir)[0]
+        (store_dir / victim).write_text("[]")
+        store = ResultStore(str(store_dir))
+        assert store.get(self.cell_of(victim)) is None
+        assert [path for path, _ in store.inventory().corrupt] == [
+            str(store_dir / victim)
+        ]
+        resumed = run_grid(SECURITY, max_workers=1, store=store)
+        assert (resumed.run_stats.executed, resumed.run_stats.reused) == (1, 5)
+
+    def test_copied_trace_entries_verify(self, tmp_path):
         """Trace cells are addressed under a local content fingerprint,
-        and the payload carries the same fingerprint-bearing key — so
-        collection verifies and adopts them instead of forcing the
-        coordinator to recompute. The adopted entries must then serve a
-        resume against the destination with zero executions."""
+        and the payload carries the same fingerprint-bearing key — so a
+        copied trace store verifies and resumes with zero executions."""
         from repro.sim import record_workload
         from repro.sim.experiment import resolve_workload
 
@@ -446,28 +461,39 @@ class TestMergeFrom:
                 PERF.base_params, requests_per_core=400
             ),
         )
-        source = tmp_path / "source"
-        run_grid(spec, max_workers=1, store=str(source))
-        dest = ResultStore(str(tmp_path / "dest"))
-        stats = dest.merge_from(str(source))
-        assert stats.adopted == len(entry_files(source))
-        assert stats.unverified == 0
-        resumed = run_grid(spec, max_workers=1, store=dest)
+        source = self.fill(tmp_path / "source", spec=spec)
+        dest = tmp_path / "dest"
+        self.copy_entries(source, dest)
+        inventory = ResultStore(str(dest)).inventory()
+        assert inventory.live == {("perf", 1): 2}
+        assert inventory.prunable == []
+        resumed = run_grid(spec, max_workers=1, store=str(dest))
         assert resumed.run_stats.executed == 0
-        assert resumed.run_stats.reused == stats.adopted
+        assert resumed.run_stats.reused == 2
 
-    def test_tampered_entry_stays_unverified(self, tmp_path):
-        """A renamed/tampered source entry still fails digest
-        verification and is left behind."""
-        source = tmp_path / "source"
-        run_grid(SECURITY, max_workers=1, store=str(source))
-        names = entry_files(source)
-        bogus = "0" * 64 + ".json"
-        os.rename(str(source / names[0]), str(source / bogus))
-        dest = ResultStore(str(tmp_path / "dest"))
-        stats = dest.merge_from(str(source))
-        assert stats.unverified == 1
-        assert stats.adopted == len(names) - 1
+    def test_swapped_entries_are_misses(self, tmp_path, capsys):
+        """Two entries whose contents trade places are both misses —
+        never the other cell's result — and a resume rewrites both
+        byte-identically."""
+        from repro.cli import main
+
+        store_dir = self.fill(tmp_path / "store")
+        first, second = entry_files(store_dir)[:2]
+        original = {
+            name: (store_dir / name).read_bytes() for name in (first, second)
+        }
+        (store_dir / first).write_bytes(original[second])
+        (store_dir / second).write_bytes(original[first])
+        store = ResultStore(str(store_dir))
+        assert store.get(self.cell_of(first)) is None
+        assert store.get(self.cell_of(second)) is None
+        assert main(["store", "ls", str(store_dir)]) == 0
+        assert "4 live, 2 stale, 0 corrupt" in capsys.readouterr().out
+        resumed = run_grid(SECURITY, max_workers=1, store=store)
+        assert (resumed.run_stats.executed, resumed.run_stats.reused) == (2, 4)
+        for name, data in original.items():
+            assert (store_dir / name).read_bytes() == data
+        assert resumed.to_json() == run_grid(SECURITY, max_workers=1).to_json()
 
 
 class TestInventoryAndPrune:
