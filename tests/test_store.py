@@ -392,23 +392,42 @@ class TestCopiedStore:
         assert resumed.run_stats.executed == 0
         assert resumed.to_json() == run_grid(SECURITY, max_workers=1).to_json()
 
-    def test_renamed_or_tampered_entry_is_a_miss(self, tmp_path):
+    def test_renamed_entry_is_a_miss(self, tmp_path):
+        """An entry copied in under a name its payload does not hash to
+        is never served, and prune deletes it."""
         store_dir = self.fill(tmp_path / "store")
-        names = entry_files(store_dir)
+        victim = entry_files(store_dir)[0]
         bogus = "0" * 64 + ".json"
-        os.rename(str(store_dir / names[0]), str(store_dir / bogus))
-        with open(str(store_dir / names[1]), encoding="utf-8") as handle:
+        os.rename(str(store_dir / victim), str(store_dir / bogus))
+        store = ResultStore(str(store_dir))
+        assert dict(store.inventory().stale) == {
+            str(store_dir / bogus): "payload does not hash to its file name"
+        }
+        assert store.get(self.cell_of(victim)) is None
+        resumed = run_grid(SECURITY, max_workers=1, store=store)
+        assert (resumed.run_stats.executed, resumed.run_stats.reused) == (1, 5)
+        assert [path for path, _ in store.prune()] == [str(store_dir / bogus)]
+        assert store.inventory().live == {("security", 1): 6}
+
+    def test_tampered_entry_is_a_miss(self, tmp_path):
+        """An entry whose cell record was edited after it was written no
+        longer hashes to its file name: it is a miss, and the rerun
+        overwrites it with the true cell."""
+        store_dir = self.fill(tmp_path / "store")
+        victim = entry_files(store_dir)[0]
+        with open(str(store_dir / victim), encoding="utf-8") as handle:
             payload = json.load(handle)
         payload["cell"]["params"]["trh"] += 1
-        with open(str(store_dir / names[1]), "w", encoding="utf-8") as handle:
+        with open(str(store_dir / victim), "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
         store = ResultStore(str(store_dir))
-        stale = dict(store.inventory().stale)
-        assert set(stale) == {str(store_dir / bogus), str(store_dir / names[1])}
-        assert set(stale.values()) == {"payload does not hash to its file name"}
+        assert dict(store.inventory().stale) == {
+            str(store_dir / victim): "payload does not hash to its file name"
+        }
+        assert store.get(self.cell_of(victim)) is None
         resumed = run_grid(SECURITY, max_workers=1, store=store)
-        assert (resumed.run_stats.executed, resumed.run_stats.reused) == (2, 4)
-        assert [path for path, _ in store.prune()] == [str(store_dir / bogus)]
+        assert (resumed.run_stats.executed, resumed.run_stats.reused) == (1, 5)
+        assert store.prune() == []
         assert store.inventory().live == {("security", 1): 6}
 
     def test_corrupt_and_stale_entries_are_misses(self, tmp_path):
