@@ -80,6 +80,12 @@ class MemorySystem:
             for rank in channel.ranks
             for _ in rank.banks
         ]
+        # Live per-bank views behind `Mitigation.resolve` and
+        # `Mitigation.is_pinned` (see `Mitigation.resolve_map` and
+        # `Mitigation.batch_pinned_view`); the request path reads row
+        # indirection and LLC pins through them, as the fused loops do.
+        self._resolve_maps = [m.resolve_map() for m in self.mitigations]
+        self._pinned_views = [m.batch_pinned_view() for m in self.mitigations]
         self.write_queues: List[WriteQueue] = [WriteQueue() for _ in range(org.channels)]
         self._bus_free: List[float] = [0.0] * org.channels
         self._t_bl = timing.t_bl
@@ -131,10 +137,10 @@ class MemorySystem:
     #
     # Every demand request flows through the same staged pipeline:
     #
-    #   route    -- window roll, bank/mitigation lookup, and the pin
-    #               filter (inline at the top of `read`/`write`)
-    #   service  -- refresh alignment (inline in `read`) + RIT resolve
-    #               + the bank state machine (`_service`)
+    #   route    -- window roll, the mitigation's tick and the pin
+    #               filter (inline at the top of `_read`/`_write`)
+    #   service  -- refresh alignment (inline in `_read`) + row
+    #               indirection + the bank state machine (`_service`)
     #   transfer -- channel data-bus serialization (inline in `_service`)
     #   observe  -- tracker notification, which may trigger swaps
     #               (the tail of `_service`)
@@ -142,9 +148,12 @@ class MemorySystem:
     # Reads run all four stages inline; writes stop after `route` (they
     # post into the channel write queue) and replay service/transfer/
     # observe later when the queue drains by watermark. The simulation
-    # engines (`repro.sim.engine`) drive these stages; the batched
-    # engine additionally fuses the stages for spans the mitigation
-    # declares quiescent via `Mitigation.batch_horizon`.
+    # engines (`repro.sim.engine`) drive these stages through `_read`
+    # and `_write`, which take the flat bank index the decoded trace
+    # already carries; `read`/`write` are the coordinate-addressed
+    # wrappers. The batched engine additionally fuses the stages for
+    # spans the mitigation declares quiescent via
+    # `Mitigation.batch_horizon`.
 
     def _service(
         self,
@@ -156,8 +165,9 @@ class MemorySystem:
         is_write: bool = False,
     ):
         """Service/transfer/observe stages for one access to one bank."""
+        remap = self._resolve_maps[index]
         result = self._banks[index].access(
-            start, mitigation.resolve(row), is_write
+            start, row if remap is None else remap.get(row, row), is_write
         )
         finish = result.finish
         bus = self._bus_free[channel]
@@ -167,23 +177,22 @@ class MemorySystem:
             mitigation.on_activation(finish, row)
         return result, completion
 
-    def read(
-        self, time: float, channel: int, rank: int, bank: int, row: int, column: int = 0
-    ) -> MemoryRequestOutcome:
-        """Service a demand read; returns its completion time."""
+    def _read(self, time: float, channel: int, index: int, row: int):
+        """Demand read of ``row`` in flat bank ``index``.
+
+        Returns ``(result, completion)``: the bank's
+        :class:`~repro.dram.bank.AccessResult` (``None`` when the LLC
+        served a pinned row) and the time the data arrives.
+        """
         if time >= self._next_window_end:
             self._roll_windows(time)
         self.reads += 1
-        index = (channel * self._ranks_per_channel + rank) * self._banks_per_rank + bank
         mitigation = self.mitigations[index]
         mitigation.tick(time)
-        if mitigation.is_pinned(row):
+        pinned = self._pinned_views[index]
+        if pinned is not None and row in pinned:
             self.llc_hits_from_pins += 1
-            return MemoryRequestOutcome(
-                completion=time + self.config.llc_latency_ns,
-                row_hit=False,
-                served_by_llc=True,
-            )
+            return None, time + self.config.llc_latency_ns
         queue = self.write_queues[channel]
         if len(queue._queue) >= queue.high_watermark:
             self._drain_writes(channel, time)
@@ -192,32 +201,52 @@ class MemorySystem:
         if time % self._t_refi < self._t_rfc:
             self._refreshers[index].refreshes_applied += 1
             start = int(time // self._t_refi) * self._t_refi + self._t_rfc
-        result, completion = self._service(channel, index, mitigation, start, row)
+        return self._service(channel, index, mitigation, start, row)
+
+    def read(
+        self, time: float, channel: int, rank: int, bank: int, row: int, column: int = 0
+    ) -> MemoryRequestOutcome:
+        """Service a demand read; returns its completion time."""
+        index = (channel * self._ranks_per_channel + rank) * self._banks_per_rank + bank
+        result, completion = self._read(time, channel, index, row)
+        if result is None:
+            return MemoryRequestOutcome(
+                completion=completion, row_hit=False, served_by_llc=True
+            )
         return MemoryRequestOutcome(
             completion=completion, row_hit=result.row_hit, served_by_llc=False
         )
 
-    def write(
-        self, time: float, channel: int, rank: int, bank: int, row: int, column: int = 0
-    ) -> None:
-        """Post a write into the channel's write queue."""
+    def _write(self, time: float, channel: int, index: int, row: int, column: int) -> None:
+        """Post a write of ``row`` in flat bank ``index``."""
         if time >= self._next_window_end:
             self._roll_windows(time)
         self.writes += 1
-        index = (channel * self._ranks_per_channel + rank) * self._banks_per_rank + bank
-        if self.mitigations[index].is_pinned(row):
+        pinned = self._pinned_views[index]
+        if pinned is not None and row in pinned:
             self.llc_hits_from_pins += 1
             return
         queue = self.write_queues[channel]
         if len(queue._queue) >= queue.capacity:
             self._drain_writes(channel, time)
-        queue.enqueue(PendingWrite(arrival=time, bank_index=index, row=row, column=column))
+        queue.enqueue(PendingWrite(time, index, row, column))
+
+    def write(
+        self, time: float, channel: int, rank: int, bank: int, row: int, column: int = 0
+    ) -> None:
+        """Post a write into the channel's write queue."""
+        index = (channel * self._ranks_per_channel + rank) * self._banks_per_rank + bank
+        self._write(time, channel, index, row, column)
 
     def _drain_writes(self, channel: int, time: float, to_empty: bool = False) -> None:
+        service = self._service
+        mitigations = self.mitigations
+
         def issue(write: PendingWrite) -> None:
-            self._service(
-                channel, write.bank_index, self.mitigations[write.bank_index],
-                max(time, write.arrival), write.row, is_write=True,
+            arrival, index, row, _ = write
+            service(
+                channel, index, mitigations[index],
+                arrival if arrival > time else time, row, True,
             )
 
         self.write_queues[channel].drain(issue, to_empty=to_empty)

@@ -53,12 +53,8 @@ class WriteQueue:
     def needs_drain(self) -> bool:
         return len(self._queue) >= self.high_watermark
 
-    @property
-    def is_full(self) -> bool:
-        return len(self._queue) >= self.capacity
-
     def enqueue(self, write: PendingWrite) -> None:
-        if self.is_full:
+        if len(self._queue) >= self.capacity:
             raise OverflowError("write queue full; caller must drain first")
         self._queue.append(write)
         self.total_enqueued += 1

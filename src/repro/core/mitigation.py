@@ -105,8 +105,9 @@ class Mitigation(abc.ABC):
         """Physical location currently holding ``row``'s data.
 
         A design that overrides this must also override
-        :meth:`resolve_map`: the batched engine and the hammer harness
-        read indirection only through that view."""
+        :meth:`resolve_map`: the memory system's request path, the
+        batched engine and the hammer harness read indirection only
+        through that view."""
         return row
 
     def is_pinned(self, row: int) -> bool:
@@ -183,9 +184,11 @@ class Mitigation(abc.ABC):
         :meth:`resolve`, or ``None`` when resolve is the identity.
 
         Rows absent from the dict map to themselves. The dict is *live*
-        shared state, mutated only by full-path mitigation calls — so a
-        batched engine may hoist it for a fused span and still observe
-        every swap committed through the scalar path in between.
+        shared state, mutated in place only by full-path mitigation
+        calls and never replaced — so the memory system takes it once
+        at construction, and a batched engine may hoist it for a fused
+        span and still observe every swap committed through the scalar
+        path in between.
         """
         return None
 

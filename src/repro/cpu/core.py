@@ -11,7 +11,7 @@ into slowdown:
   is what gives memory-level parallelism. Writes are posted.
 
 The core does not own a clock loop; the simulation driver advances it one
-trace record at a time via :meth:`next_issue` / :meth:`complete_access`,
+trace record at a time via :meth:`advance` / :meth:`issue_read`,
 so that multiple cores can be interleaved in global time order.
 """
 
@@ -67,16 +67,30 @@ class TraceCore:
         instruction itself; returns the core time the access issues at.
 
         Once the ROB (or the MSHRs) would overflow, the core stalls on
-        its oldest loads. Mirrored by the batched engine's fused loop;
-        keep the arithmetic in sync with :meth:`gap_deltas`.
+        its oldest loads (see :meth:`advance`). Keep the clock-advance
+        arithmetic in sync with :meth:`gap_deltas`.
+        """
+        return self.advance(
+            gap, (gap / self.config.fetch_width + 1.0) * self.cycle_ns
+        )
+
+    def advance(self, gap: int, delta: float) -> float:
+        """:meth:`advance_gap` with the clock advance ``delta``
+        precomputed by :meth:`gap_deltas` (bit-identical to the inline
+        arithmetic); the engines' per-access step.
+
+        Adds ``delta`` to the clock, then stalls on the oldest loads
+        while the ROB (or the MSHRs) would overflow. Mirrored by the
+        batched engine's fused loop.
         """
         if gap < 0:
             raise ValueError("gap must be non-negative")
-        self.instructions += gap + 1
-        clock = self.clock_ns + (gap / self.config.fetch_width + 1.0) * self.cycle_ns
+        instructions = self.instructions + gap + 1
+        self.instructions = instructions
+        clock = self.clock_ns + delta
         pending = self._pending
         if pending:
-            rob_floor = self.instructions - self.config.rob_size
+            rob_floor = instructions - self.config.rob_size
             while pending and (
                 pending[0][0] <= rob_floor or len(pending) >= self.max_outstanding
             ):
@@ -91,9 +105,10 @@ class TraceCore:
 
         Element ``i`` is exactly the amount :meth:`advance_gap` would add
         to the clock for ``gaps[i]`` (same IEEE-754 operations, so the
-        values are bit-identical to the scalar path). The batched
-        simulation engine precomputes these once per trace instead of
-        redoing the division per access.
+        values are bit-identical). Both simulation engines precompute
+        these once per trace (``_DecodedTrace.deltas``) and advance by
+        them through :meth:`advance` instead of redoing the division per
+        access.
         """
         return (
             np.asarray(gaps, dtype=np.float64) / self.config.fetch_width + 1.0

@@ -223,7 +223,12 @@ class Bank:
         changes here must be mirrored in both (the engine equivalence
         tests and the harness differential tests in
         ``tests/test_security_golden.py`` catch any divergence
-        bit-exactly).
+        bit-exactly), and so must the activation count: a same-window
+        ACT bumps ``stats._counts`` and ``lifetime_activations``
+        in-line, and only a window change calls
+        :meth:`ActivationStats.record`. Results are built positionally
+        (``start, finish, row_hit, activated``): keyword construction
+        more than doubles their cost.
         """
         if not 0 <= row < self.num_rows:
             raise ValueError(f"row {row} out of range [0, {self.num_rows})")
@@ -236,7 +241,7 @@ class Bank:
             start = time if time >= busy else busy
             finish = start + t.t_cas + t.t_bl
             self.busy_until = finish
-            return AccessResult(start=start, finish=finish, row_hit=True, activated=False)
+            return AccessResult(start, finish, True, False)
 
         # Earliest ACT: after the bank frees up and tRC past the last ACT.
         start = time if time >= busy else busy
@@ -249,7 +254,14 @@ class Bank:
             start += t.t_rp
         self.open_row = row
         self.last_act_time = start
-        self.stats.record(row, start)
+        # ActivationStats.record: a same-window ACT is counted in-line;
+        # only a window change (roll or out-of-order check) takes the call.
+        stats = self.stats
+        if start // stats.refresh_window == stats._window_index:
+            stats._counts[row] += 1
+            stats.lifetime_activations += 1
+        else:
+            stats.record(row, start)
         finish = start + t.t_rcd + t.t_cas + t.t_bl
         if self._open_page:
             self.busy_until = finish
@@ -259,7 +271,7 @@ class Bank:
             self.open_row = None
             closed = start + t.t_rc
             self.busy_until = finish if finish >= closed else closed
-        return AccessResult(start=start, finish=finish, row_hit=False, activated=True)
+        return AccessResult(start, finish, False, True)
 
     def occupy(self, time: float, duration: float) -> float:
         """Block the bank for ``duration`` ns (refresh, swap data movement).

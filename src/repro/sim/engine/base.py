@@ -48,8 +48,8 @@ class _DecodedTrace:
     """
 
     __slots__ = (
-        "length", "gaps", "is_write", "channel", "rank", "bank", "row",
-        "column", "bank_index", "deltas",
+        "length", "gaps", "is_write", "channel", "row", "column",
+        "bank_index", "deltas",
     )
 
     def __init__(self, trace: ColumnarTrace, core: TraceCore, memory: MemorySystem):
@@ -58,8 +58,6 @@ class _DecodedTrace:
         self.gaps = trace.gaps.tolist()
         self.is_write = trace.is_write.tolist()
         self.channel = trace.channel.tolist()
-        self.rank = trace.rank.tolist()
-        self.bank = trace.bank.tolist()
         self.row = trace.row.tolist()
         self.column = trace.column.tolist()
         bank_index = (
@@ -100,41 +98,43 @@ def scalar_stretch(
     """Service accesses one heap pop at a time; returns how many.
 
     A min-heap of ``(core clock, core id)`` picks the earliest core;
-    its next record advances the core and goes to the memory system
-    (reads block the core's ROB window on their completion time, writes
-    are posted), then the core is re-inserted. Returns at the first
-    refresh-window roll — so the batched engine can re-check fused
-    eligibility there — or once every trace is consumed; ``heap`` and
-    ``positions`` say where to resume.
+    its next record advances the core by the precomputed clock delta
+    and goes to the memory system at its flat bank index (reads block
+    the core's ROB window on their completion time, writes are posted),
+    then the core is re-inserted. Returns at the first refresh-window
+    roll — so the batched engine can re-check fused eligibility there —
+    or once every trace is consumed; ``heap`` and ``positions`` say
+    where to resume.
     """
     boundary = memory._next_window_end
-    read = memory.read
-    write = memory.write
+    read = memory._read
+    write = memory._write
+    heappop = heapq.heappop
+    heappush = heapq.heappush
     serviced = 0
     while heap:
-        _, core_id = heapq.heappop(heap)
+        _, core_id = heappop(heap)
         pos = positions[core_id]
         dec = decoded[core_id]
         if pos >= dec.length:
             continue
         core = cores[core_id]
-        issue = core.advance_gap(dec.gaps[pos])
+        issue = core.advance(dec.gaps[pos], dec.deltas[pos])
         if dec.is_write[pos]:
             write(
-                issue, dec.channel[pos], dec.rank[pos], dec.bank[pos],
-                dec.row[pos], dec.column[pos],
+                issue, dec.channel[pos], dec.bank_index[pos], dec.row[pos],
+                dec.column[pos],
             )
             core.issue_write()
         else:
-            outcome = read(
-                issue, dec.channel[pos], dec.rank[pos], dec.bank[pos],
-                dec.row[pos], dec.column[pos],
+            core.issue_read(
+                read(issue, dec.channel[pos], dec.bank_index[pos], dec.row[pos])[1]
             )
-            core.issue_read(outcome.completion)
         serviced += 1
-        positions[core_id] = pos + 1
-        if pos + 1 < dec.length:
-            heapq.heappush(heap, (core.clock_ns, core_id))
+        pos += 1
+        positions[core_id] = pos
+        if pos < dec.length:
+            heappush(heap, (core.clock_ns, core_id))
         if memory._next_window_end != boundary:
             break
     return serviced

@@ -1,17 +1,25 @@
 """The batched engine: a fused scheduling loop over hoisted state.
 
 Both engines run over the same pre-decoded traces
-(:func:`~repro.sim.engine.base.decode_traces`), but the scalar loop
-still pays roughly a dozen method calls per access (tick, pin check,
-resolve, bank state machine, tracker observe, core bookkeeping). This
-engine removes that overhead with a *fused* loop that keeps all bank,
-bus, and core state in hoisted parallel arrays — servicing *spans* of
-consecutive accesses without touching a single simulated object. Every
-expression in the fused loop replicates the scalar path's IEEE-754
-operations in the same order, so results are bit-identical: this is a
-faster schedule of the same arithmetic, never a different model
-(enforced by ``tests/test_engine_equivalence.py`` and the differential
-fuzzing harness in ``tests/test_engine_fuzz.py``).
+(:func:`~repro.sim.engine.base.decode_traces`), but the scalar step
+still pays about ten Python-level calls per activating read: the core
+advance, ``MemorySystem._read`` (and the mitigation's ``tick``),
+``_service``, ``Bank.access`` and its result, ``on_activation`` and
+the tracker's ``observe`` and its result, the core's read bookkeeping,
+plus the heap pop and push (the row indirection and the pin filter are
+live-view lookups, and a same-window ACT is counted in-line). On the
+21 cells of ``repro grid`` over gcc/hmmer/povray x rrs/srs/scale-srs x
+TRH 2400/1200 (4 cores x 12 000 requests) the scalar engine spends
+about 6.6 us of cell CPU per access, from 9.2 us before those calls
+were trimmed (medians of six alternating serial runs, 2-CPU host,
+Python 3.11.7). This engine removes that overhead with a *fused* loop
+that keeps all bank, bus, and core state in hoisted parallel arrays —
+servicing *spans* of consecutive accesses without touching a single
+simulated object. Every expression in the fused loop replicates the
+scalar path's IEEE-754 operations in the same order, so results are
+bit-identical: this is a faster schedule of the same arithmetic, never
+a different model (enforced by ``tests/test_engine_equivalence.py``
+and the differential fuzzing harness in ``tests/test_engine_fuzz.py``).
 
 A *span* is the maximal run of accesses one bank's mitigation tolerates
 before its objects have to be consulted. The quiescence contract is
@@ -60,10 +68,13 @@ the scalar path's defensive checks are the ones that would catch
 malformed input.
 
 Maintenance rule: any change to the scalar access path
-(``MemorySystem.read``/``write``/``_drain_writes``, ``Bank.access``,
-``TraceCore``) or to mitigation/tracker bookkeeping consulted within a
-span must be mirrored here, and ``tests/test_engine_fuzz.py`` is the
-harness that catches a missed mirror.
+(``MemorySystem._read``/``_write``/``_service``/``_drain_writes``,
+``Bank.access`` — including its in-line ACT count, which bumps
+``ActivationStats._counts`` and ``lifetime_activations`` directly and
+calls ``ActivationStats.record`` only on a window change —
+``TraceCore.advance``) or to mitigation/tracker bookkeeping consulted
+within a span must be mirrored here, and ``tests/test_engine_fuzz.py``
+is the harness that catches a missed mirror.
 """
 
 from __future__ import annotations
@@ -565,17 +576,17 @@ class BatchedEngine(Engine):
                     counters["window_rolls"] += 1
                     core = cores[core_id]
                     if write:
-                        memory.write(
-                            clock, ch, dec.rank[pos], dec.bank[pos],
-                            rows_l[pos], cols_l[pos],
+                        memory._write(
+                            clock, ch, bank_indices[pos], rows_l[pos],
+                            cols_l[pos],
                         )
                         core.issue_write()
                     else:
-                        outcome = memory.read(
-                            clock, ch, dec.rank[pos], dec.bank[pos],
-                            rows_l[pos], cols_l[pos],
+                        core.issue_read(
+                            memory._read(
+                                clock, ch, bank_indices[pos], rows_l[pos]
+                            )[1]
                         )
-                        core.issue_read(outcome.completion)
                     counters["scalar_accesses"] += 1
                     pos += 1
                     positions[core_id] = pos
@@ -746,25 +757,19 @@ class BatchedEngine(Engine):
                         # (rare: a drain coinciding with a span cut).
                         if qlen[ch] >= high_wm[ch]:
                             sync_banks()
-                            outcome = memory.read(
-                                clock, ch, dec.rank[pos], dec.bank[pos],
-                                row, cols_l[pos],
-                            )
+                            completion = memory._read(clock, ch, b, row)[1]
                             hoist()
                         else:
                             sync_bank(b)
                             memory._bus_free[ch] = bus[ch]
-                            outcome = memory.read(
-                                clock, ch, dec.rank[pos], dec.bank[pos],
-                                row, cols_l[pos],
-                            )
+                            completion = memory._read(clock, ch, b, row)[1]
                             bus[ch] = memory._bus_free[ch]
                             qlen[ch] = len(qlists[ch])
                             rehoist_bank(b)
                         counters["scoped_accesses"] += 1
                         counters["scalar_accesses"] += 1
                         mreads[core_id] += 1
-                        pending.append((instr, outcome.completion))
+                        pending.append((instr, completion))
                         if all_dead():
                             pos += 1
                             positions[core_id] = pos

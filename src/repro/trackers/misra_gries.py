@@ -78,12 +78,6 @@ class MisraGriesTracker(Tracker):
     # ------------------------------------------------------------------
     # bucket index maintenance
 
-    def _bucket_add(self, row: int, count: int) -> None:
-        if count <= self.spillover:
-            self._floor_pool.add(row)
-        else:
-            self._rows_at_count.setdefault(count, set()).add(row)
-
     def _bucket_remove(self, row: int, count: int) -> None:
         if row in self._floor_pool:
             self._floor_pool.discard(row)
@@ -106,31 +100,57 @@ class MisraGriesTracker(Tracker):
     # tracker interface
 
     def observe(self, row: int) -> TrackerObservation:
+        """Record one activation of ``row``.
+
+        The per-activation step of every Misra-Gries design, so the
+        bucket-index updates (remove from the old count's bucket, add
+        to the new one) and the ``_note`` bookkeeping are written out
+        in-line; the trigger and spillover-raise paths keep their
+        helpers.
+        """
         counts = self._counts
+        floor_pool = self._floor_pool
         old = counts.get(row)
-        if old is None and len(counts) >= self.num_entries and not self._floor_pool:
+        if old is None and len(counts) >= self.num_entries and not floor_pool:
             # No entry at the floor: absorb the arrival into the spillover
             # counter (Misra-Gries decrement-all).
             self._raise_spillover()
             count = self.spillover
         else:
+            spillover = self.spillover
+            rows_at = self._rows_at_count
             if old is not None:
-                self._bucket_remove(row, old)
+                # Leave the old count's bucket.
+                if row in floor_pool:
+                    floor_pool.discard(row)
+                else:
+                    bucket = rows_at.get(old)
+                    if bucket is not None:
+                        bucket.discard(row)
+                        if not bucket:
+                            del rows_at[old]
                 count = old + 1
             else:
                 if len(counts) >= self.num_entries:
-                    del counts[self._floor_pool.pop()]
-                count = self.spillover + 1
+                    del counts[floor_pool.pop()]
+                count = spillover + 1
             counts[row] = count
-            self._bucket_add(row, count)
+            # Join the new count's bucket.
+            if count <= spillover:
+                floor_pool.add(row)
+            else:
+                bucket = rows_at.get(count)
+                if bucket is None:
+                    rows_at[count] = {row}
+                else:
+                    bucket.add(row)
+        self.observations += 1
         triggered = count >= self.threshold
-        if triggered and row in counts:
-            self._bucket_remove(row, counts[row])
-            counts[row] = 0
-            self._floor_pool.add(row)
-        return self._note(
-            TrackerObservation(triggered=triggered, estimated_count=count)
-        )
+        if triggered:
+            self.triggers += 1
+            self.reset_row(row)
+        # Positional: (triggered, extra_dram_accesses, estimated_count).
+        return TrackerObservation(triggered, 0, count)
 
     def count(self, row: int) -> int:
         """Current over-estimate for ``row``."""
@@ -171,7 +191,7 @@ class MisraGriesTracker(Tracker):
                     self.observe(row)
                     spillover = self.spillover
                     continue
-                # _bucket_remove(row, old), inlined.
+                # Leave the old count's bucket (as in observe).
                 if row in floor_pool:
                     floor_pool.discard(row)
                 else:
@@ -205,7 +225,7 @@ class MisraGriesTracker(Tracker):
                     seen += 1
                     continue
                 counts[row] = count
-            # _bucket_add(row, count), inlined.
+            # Join the new count's bucket (as in observe).
             if count <= spillover:
                 floor_pool.add(row)
             else:

@@ -168,3 +168,72 @@ class TestBankOccupyAndActivate:
     def test_precharge_idempotent_when_closed(self, small_bank):
         t = small_bank.precharge(100.0)
         assert t == 100.0
+
+
+class TestBankActivationAccounting:
+    """``Bank.access`` counts a same-window ACT in-line and calls
+    ``ActivationStats.record`` only on a window change; its stats must
+    match ``record`` fed the same ``(row, start)`` pairs."""
+
+    WINDOW = 1000.0
+
+    def drive(self, bank, arrivals):
+        """Access every ``(time, row)``; returns the ACTs' ``(row, start)``."""
+        acts = []
+        for time, row in arrivals:
+            result = bank.access(time, row)
+            if result.activated:
+                acts.append((row, result.start))
+        return acts
+
+    def arrivals(self):
+        # Repeats within window 0, a step into window 1, then a jump
+        # over window 2 into window 3 (which closes an empty window).
+        rows = [3, 3, 7, 3, 9, 7, 3, 7]
+        times = [0.0, 50.0, 120.0, 300.0, 640.0, 900.0, 1100.0, 3050.0]
+        return list(zip(times, rows))
+
+    @pytest.mark.parametrize("policy", [PagePolicy.CLOSED, PagePolicy.OPEN])
+    @pytest.mark.parametrize("keep_history", [False, True])
+    def test_stats_equal_record_of_the_same_acts(self, policy, keep_history):
+        bank = Bank(
+            64, DRAMTiming(refresh_window=self.WINDOW), policy,
+            keep_history=keep_history,
+        )
+        acts = self.drive(bank, self.arrivals())
+        assert {int(start // self.WINDOW) for _, start in acts} == {0, 1, 3}
+        reference = ActivationStats(self.WINDOW, keep_history=keep_history)
+        for row, start in acts:
+            reference.record(row, start)
+        stats = bank.stats
+        assert stats.current_counts() == reference.current_counts()
+        assert stats.window_index == reference.window_index == 3
+        assert stats.lifetime_activations == reference.lifetime_activations
+        assert stats.windows_closed == reference.windows_closed == 3
+        assert stats.closed_total_activations == reference.closed_total_activations
+        assert (
+            stats.closed_max_row_activations
+            == reference.closed_max_row_activations
+        )
+        assert stats.history == reference.history
+        if keep_history:
+            assert [record.window_index for record in stats.history] == [0, 1, 2]
+            assert stats.history[0].hottest_row == 3
+            assert stats.history[2].total_activations == 0
+
+    def test_counts_within_one_window(self):
+        bank = Bank(64, DRAMTiming(refresh_window=self.WINDOW))
+        acts = self.drive(bank, self.arrivals()[:6])
+        assert len(acts) == 6
+        assert bank.stats.current_counts() == {3: 3, 7: 2, 9: 1}
+        assert bank.stats.lifetime_activations == 6
+        assert bank.stats.windows_closed == 0
+
+    def test_access_before_the_current_window_raises(self):
+        bank = Bank(64, DRAMTiming(refresh_window=self.WINDOW))
+        bank.access(0.0, 3)
+        # A latent activation (a swap's) recorded in window 2 moves the
+        # stats past the bank's next demand ACT.
+        bank.stats.record(5, 2500.0)
+        with pytest.raises(ValueError, match="precedes current window"):
+            bank.access(100.0, 3)

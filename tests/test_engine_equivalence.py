@@ -405,6 +405,44 @@ class TestBatchHooks:
         assert sequential.triggers == batched.triggers
         for row in set(rows):
             assert sequential.count(row) == batched.count(row)
+        if isinstance(sequential, MisraGriesTracker):
+            self.assert_same_summary(sequential, batched)
+
+    @staticmethod
+    def assert_same_summary(sequential, batched):
+        """Misra-Gries internals, in iteration order: the floor-pool
+        ``pop`` that picks an eviction victim depends on the set's
+        history, so equal counts alone do not pin it."""
+        assert list(sequential._counts.items()) == list(batched._counts.items())
+        assert list(sequential._floor_pool) == list(batched._floor_pool)
+        assert list(sequential._rows_at_count.items()) == list(
+            batched._rows_at_count.items()
+        )
+        assert sequential.spillover == batched.spillover
+        assert sequential.spillover_increments == batched.spillover_increments
+
+    def test_misra_gries_saturated_table_matches_sequential(self):
+        """A universe far above the table size keeps the table full:
+        arrivals evict floor-pool victims and raise the spillover, so
+        victim order and the floor's rise are exercised throughout. The
+        threshold sits above the spillover's reach, so every eviction
+        runs on ``observe_batch``'s own path, not a delegated
+        ``observe``."""
+        sequential = MisraGriesTracker(4096, 16)
+        batched = MisraGriesTracker(4096, 16)
+        rows = self.rows(n=20000, universe=4000, seed=11)
+        for row in rows:
+            sequential.observe(row)
+        position = 0
+        while position < len(rows):
+            chunk = max(1, batched.batch_horizon())
+            batched.observe_batch(rows[position:position + chunk])
+            position += chunk
+        assert sequential.spillover_increments > 0
+        assert sequential.observations == batched.observations == len(rows)
+        assert sequential.triggers == batched.triggers == 0
+        self.assert_same_summary(sequential, batched)
+        sequential.check_invariants()
 
     @pytest.mark.parametrize(
         "factory",
