@@ -161,11 +161,10 @@ def _run_eval(
 ) -> ResultSet:
     """Run a spec through the engine with the shared store/shard flags.
 
-    Without ``--jobs`` every command sizes its worker pool from the
-    pending cells' costs — serial when the pool would not pay for its
-    start-up (:func:`~repro.sim.pool.sized_pool`); ``--jobs N`` sets
-    the worker count (capped at the pending cell count), ``--jobs 1``
-    runs serially in-process.
+    Every command sizes its worker pool from the pending cells' costs
+    — serial when no cell pays for a worker's start-up
+    (:func:`~repro.sim.pool.sized_pool`); ``--jobs N`` caps the worker
+    count, ``--jobs 1`` runs serially in-process.
     """
     if args.resume and not args.store:
         raise SystemExit("--resume needs --store")
@@ -273,7 +272,7 @@ def _add_eval_options(
     """Engine-backed command knobs: parallelism, export, persistence."""
     if jobs:
         parser.add_argument("--jobs", type=_worker_count, default=None,
-                            help="worker processes (default: sized "
+                            help="cap on worker processes (default: sized "
                                  "from the cells' costs)")
     if export:
         parser.add_argument("--csv", help="export the result set as CSV")
@@ -666,7 +665,7 @@ def _add_sim_options(
              "runs the span-fused batched engine",
     )
     parser.add_argument("--jobs", type=_worker_count, default=None,
-                        help="worker processes "
+                        help="cap on worker processes "
                              "(default: sized from the cells' costs)")
 
 
@@ -807,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true",
                    help="per-workload figures over all 78 workloads")
     p.add_argument("--jobs", type=_worker_count, default=None,
-                   help="worker processes "
+                   help="cap on worker processes "
                         "(default: sized from the cells' costs)")
     p.add_argument("--store", metavar="DIR",
                    help="resolve figures against this result store "

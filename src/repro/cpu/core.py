@@ -114,31 +114,6 @@ class TraceCore:
             np.asarray(gaps, dtype=np.float64) / self.config.fetch_width + 1.0
         ) * self.cycle_ns
 
-    def advance_many(self, gaps: np.ndarray) -> np.ndarray:
-        """Array-friendly :meth:`advance_gap` over a run of accesses.
-
-        Requires no loads in flight: with an empty pending queue the ROB
-        window cannot stall, so the whole run reduces to a cumulative sum
-        of :meth:`gap_deltas`. Uses ``np.add.accumulate`` seeded with the
-        current clock, whose sequential pairwise adds are bit-identical
-        to calling :meth:`advance_gap` in a loop. Returns the per-access
-        issue times; the core's clock and instruction count advance past
-        the run.
-        """
-        if self._pending:
-            raise ValueError("advance_many requires no loads in flight")
-        gaps = np.asarray(gaps)
-        if len(gaps) == 0:
-            return np.empty(0, dtype=np.float64)
-        if int(gaps.min()) < 0:
-            raise ValueError("gap must be non-negative")
-        issues = np.add.accumulate(
-            np.concatenate(([self.clock_ns], self.gap_deltas(gaps)))
-        )[1:]
-        self.instructions += int(gaps.sum()) + len(gaps)
-        self.clock_ns = float(issues[-1])
-        return issues
-
     def issue_read(self, completion_time: float) -> None:
         """Register an issued load and its (memory-provided) completion."""
         self.memory_reads += 1

@@ -10,8 +10,9 @@ harnesses can verify whether any physical location crossed ``TRH``.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 from repro.dram.commands import PagePolicy
@@ -49,7 +50,9 @@ class ActivationStats:
             raise ValueError("refresh_window must be positive")
         self.refresh_window = refresh_window
         self.keep_history = keep_history
-        self._counts: Counter = Counter()
+        # Every read of an absent row goes through ``.get``, so the
+        # C-level ``int`` default only ever serves the ``+= 1`` bumps.
+        self._counts: Dict[int, int] = defaultdict(int)
         self._window_index = 0
         #: Per-window records; populated only with ``keep_history=True``.
         self.history: List[WindowRecord] = []
@@ -73,7 +76,7 @@ class ActivationStats:
     def _finalize_current(self) -> None:
         counts = self._counts
         if counts:
-            hottest, hottest_count = max(counts.items(), key=lambda kv: kv[1])
+            hottest, hottest_count = max(counts.items(), key=itemgetter(1))
             total = sum(counts.values())
         else:
             hottest, hottest_count, total = None, 0, 0

@@ -231,11 +231,11 @@ class EvaluationInfo:
             :class:`~repro.sim.experiment.ExperimentCell`, in
             microseconds of single-CPU work (one unit is roughly one
             simulated memory request). The dispatcher
-            (:mod:`repro.sim.pool`) orders cells longest first, packs
-            cheap cells into shared chunks, sizes the pool from the
-            chunk costs and stays serial below the pool's break-even,
-            so microsecond analytical cells report tens of units while
-            heavy simulation cells report thousands to millions.
+            (:mod:`repro.sim.pool`) orders cells longest first, sizes
+            the pool from the cell costs and stays serial when no cell
+            reaches the pool's break-even, so microsecond analytical
+            cells report tens of units while heavy simulation cells
+            report thousands to millions.
             ``None`` means one unit.
     """
 

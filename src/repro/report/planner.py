@@ -76,7 +76,7 @@ def resolve_figure(
     sets: List[ResultSet] = []
     planned = executed = reused = 0
     workloads = None
-    chunks = workers = None
+    workers = None
     for experiment in spec.specs:
         results = run_grid(
             experiment,
@@ -95,8 +95,6 @@ def resolve_figure(
                 stats.workloads if workloads is None
                 else workloads + stats.workloads
             )
-        if stats.chunks is not None:
-            chunks = stats.chunks if chunks is None else chunks + stats.chunks
         if stats.workers is not None:
             workers = max(workers or 0, stats.workers)
         sets.append(results)
@@ -106,7 +104,7 @@ def resolve_figure(
         config=spec.config or ReportConfig(),
         stats=RunStats(
             planned=planned, executed=executed, reused=reused, shard=shard,
-            workloads=workloads, chunks=chunks, workers=workers,
+            workloads=workloads, workers=workers,
         ),
     )
 

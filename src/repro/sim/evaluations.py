@@ -79,8 +79,9 @@ def _perf_cell_cost(cell: ExperimentCell) -> float:
     """Cost of one perf cell: one unit per simulated memory request,
     x3 where the batched engine cannot fuse (the scalar engine, or a
     Hydra-tracked cell) and x1.5 for mitigation cells (swaps add work
-    over the baseline). A real cell costs thousands of units, so it
-    always exceeds the chunk budget and dispatches alone."""
+    over the baseline). A real cell costs thousands of units, so a
+    grid of them pools once a cell reaches the pool's break-even
+    (:data:`~repro.sim.pool.SERIAL_BREAK_EVEN`)."""
     params = cell.params
     cost = float((params.requests_per_core or 0) * (params.num_cores or 1))
     if params.engine == "scalar" or params.tracker == "hydra":
@@ -454,7 +455,7 @@ def _half_double_rig(defense: str, params: HammerParams):
     description="hammer pattern vs a defended bank (Section II-E)",
     schema_version=1,
     # One unit per pattern activation: a 300k-activation half-double
-    # cell exceeds any chunk budget and dispatches alone.
+    # cell is well above the pool's break-even and gets a worker.
     cell_cost=lambda cell: float(cell.params.hammers),
 )
 def run_hammer_cell(cell: ExperimentCell) -> HammerResult:

@@ -88,13 +88,7 @@ from repro.cpu.core import CoreResult
 from repro.dram.commands import PagePolicy
 from repro.registry import EVALUATIONS, MITIGATIONS
 from repro.sim.engine import ENGINE_NAMES
-from repro.sim.pool import (
-    Pool,
-    PoolTask,
-    ProcessPool,
-    SerialPool,
-    sized_pool,
-)
+from repro.sim.pool import Pool, PoolTask, sized_pool
 from repro.sim.store import (
     ResultStore,
     cell_key,
@@ -382,11 +376,8 @@ class RunStats:
         workloads: Workload-plane accounting
             (:class:`~repro.workloads.plane.PlaneStats`: generated /
             cache hits) — the coordinator's own for a serial run, the
-            sum of the workers' per-chunk deltas for a process pool;
+            sum of the workers' per-cell deltas for a process pool;
             ``None`` when no cell ran or the backend reports none.
-        chunks: Dispatch chunks the backend submitted (see
-            :func:`~repro.sim.pool.chunk_plan`) when a process pool
-            ran the grid; ``None`` for serial runs.
         workers: The pool width the run used — ``1`` for serial, the
             process count for a process pool (see
             :func:`~repro.sim.pool.pool_width`).
@@ -397,7 +388,6 @@ class RunStats:
     reused: int
     shard: Optional[Tuple[int, int]] = None
     workloads: Optional[PlaneStats] = None
-    chunks: Optional[int] = None
     workers: Optional[int] = None
 
 
@@ -414,15 +404,15 @@ def run_grid(
 
     Args:
         spec: The experiment to run.
-        max_workers: Process count, capped at the pending cell count;
-            ``1`` forces serial in-process execution. ``None`` sizes
-            the pool from the pending cells' costs
-            (:func:`~repro.sim.pool.sized_pool`): serial when their
-            summed cost is below the pool's break-even, else one worker
-            per dispatch chunk up to the CPUs actually available — and
-            up to twice that, above the CPU count, only when every
-            chunk is long (:func:`~repro.sim.pool.pool_width`).
-            Values below 1 raise :class:`ValueError`.
+        max_workers: Cap on the worker count; ``1`` forces serial
+            in-process execution. The pool is sized from the pending
+            cells' costs (:func:`~repro.sim.pool.sized_pool`): serial
+            when no cell reaches the pool's break-even, else one worker
+            per cell up to the CPUs actually available — and up to
+            twice that, above the CPU count, only when every cell is
+            long (:func:`~repro.sim.pool.pool_width`). Each pooled cell
+            is its own future. Values below 1 raise
+            :class:`ValueError`.
         progress: Optional ``(done, total, result)`` callback, invoked
             in plan order as results arrive (including reused ones).
         store: A :class:`~repro.sim.store.ResultStore` (or its
@@ -445,8 +435,8 @@ def run_grid(
         pool: An explicit execution backend
             (:class:`~repro.sim.pool.Pool`), e.g. a test's instrumented
             pool. ``None`` picks :class:`~repro.sim.pool.SerialPool` or
-            :class:`~repro.sim.pool.ProcessPool` from ``max_workers``
-            (or, without it, from the cell costs).
+            :class:`~repro.sim.pool.ProcessPool` from the cell costs
+            and ``max_workers``.
 
     Results are deterministic: each cell derives every RNG stream from
     its own parameters, so scheduling order cannot leak into numbers.
@@ -519,11 +509,8 @@ def run_grid(
             progress(reported + 1, len(jobs), by_position[reported])
             reported += 1
     task = PoolTask(pending=pending, run_cell=_run_cell, record=record)
-    if pool is None and max_workers is None:
-        pool = sized_pool(task)
-    elif pool is None:
-        workers = max(1, min(max_workers, len(pending)))
-        pool = SerialPool() if workers == 1 else ProcessPool(workers)
+    if pool is None:
+        pool = sized_pool(task, max_workers)
     if pending:
         pool.run(task)
 
@@ -534,7 +521,6 @@ def run_grid(
         reused=len(cached),
         shard=shard,
         workloads=getattr(pool, "plane_stats", None),
-        chunks=getattr(pool, "chunk_count", None),
         workers=getattr(pool, "max_workers", None),
     )
     return result_set

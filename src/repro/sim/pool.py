@@ -8,10 +8,13 @@ implementations, in the style of instrumentation-infra's ``Pool`` →
 - :class:`SerialPool` — in-process, one cell at a time (the
   ``max_workers=1`` path);
 - :class:`ProcessPool` — a :class:`~concurrent.futures.ProcessPoolExecutor`
-  fan-out with interrupt-safe draining: on Ctrl-C, queued cells are
-  cancelled, already-completed results still reach the store, and the
-  :class:`KeyboardInterrupt` re-raises — so an interrupted grid rerun
-  with ``--resume`` recomputes only genuinely unfinished cells.
+  fan-out, one future per cell, with interrupt-safe draining: on
+  Ctrl-C, queued cells are cancelled, already-completed results still
+  reach the store, and the :class:`KeyboardInterrupt` re-raises — so
+  an interrupted grid rerun with ``--resume`` recomputes only genuinely
+  unfinished cells.
+
+:func:`sized_pool` is the one dispatch policy that picks between them.
 
 Backends share one failure contract: a failing cell raises a
 :class:`RuntimeError` naming the cell (:func:`wrap_cell_error`),
@@ -34,22 +37,15 @@ from repro.registry import EVALUATIONS
 from repro.workloads import plane
 
 
-#: Per-chunk cost budget, in :func:`cell_cost` units (one unit is
-#: roughly one simulated memory request, i.e. microseconds of work).
-#: A real ``perf`` cell costs thousands of units and therefore fills a
-#: chunk alone; analytical cells (tens of units) pack by the dozens to
-#: hundreds, which is what amortizes the per-dispatch pickle + IPC +
-#: store round-trip on high-cardinality grids.
-CHUNK_BUDGET = 4000.0
-
-#: Summed :func:`cell_cost` below which the default dispatch stays
-#: in-process: about the ~15 ms a process pool spends starting its
-#: workers and shipping cells (DESIGN.md, "Default dispatch").
+#: The :func:`cell_cost` floor a cell must reach to be worth a worker:
+#: about the ~15 ms a process pool spends starting a worker and
+#: shipping a cell (DESIGN.md, "Default dispatch"). A grid none of
+#: whose cells reaches it runs in-process.
 SERIAL_BREAK_EVEN = 15_000.0
 
-#: A chunk at least this costly (~100 ms) dwarfs a worker's start-up,
-#: so a few such chunks are worth one worker each (see :func:`pool_width`).
-LONG_CHUNK = 100_000.0
+#: A cell at least this costly (~100 ms) dwarfs a worker's start-up,
+#: so a few such cells are worth one worker each (see :func:`pool_width`).
+LONG_CELL = 100_000.0
 
 
 def cell_cost(cell: Any) -> float:
@@ -58,9 +54,9 @@ def cell_cost(cell: Any) -> float:
     Delegates to the evaluation kind's registered ``cell_cost`` hint
     (see :class:`repro.registry.EvaluationInfo`), which receives the
     cell; kinds without a hint, unknown kinds, and hint failures all
-    degrade to one unit — the scheduler then simply packs such cells by
-    count. Never returns less than one unit, so a chunk's cell count is
-    bounded by the budget.
+    degrade to one unit, far below :data:`SERIAL_BREAK_EVEN`, so the
+    default dispatch runs such cells in-process. Never returns less
+    than one unit.
     """
     try:
         hook = EVALUATIONS.get(cell.kind).cell_cost
@@ -71,30 +67,30 @@ def cell_cost(cell: Any) -> float:
         return 1.0
 
 
-def pool_width(chunk_costs: Sequence[float], cpus: int) -> int:
-    """Worker count for a grid's dispatch chunks; ``1`` means serial.
+def pool_width(cell_costs: Sequence[float], cpus: int) -> int:
+    """Worker count for a grid's pending cells; ``1`` means serial.
 
-    The rule behind :func:`~repro.sim.experiment.run_grid`'s default
-    dispatch, with ``n`` chunks on ``cpus`` CPUs:
+    The rule behind :func:`sized_pool`, with ``n`` cells on ``cpus``
+    CPUs:
 
-    - serial on one CPU, for at most one chunk, or when the chunks'
-      summed cost is below :data:`SERIAL_BREAK_EVEN`;
+    - serial on one CPU, for at most one cell, or when no cell reaches
+      :data:`SERIAL_BREAK_EVEN`;
     - ``n`` workers when ``n <= cpus``;
-    - ``n`` workers when ``cpus < n <= 2 * cpus`` and every chunk costs
-      at least :data:`LONG_CHUNK` — the OS then shares the CPUs across
-      all chunks, where ``cpus`` workers would leave CPUs idle behind
-      the last chunks (three 3 s chunks on two CPUs run as 2 + 1);
+    - ``n`` workers when ``cpus < n <= 2 * cpus`` and every cell costs
+      at least :data:`LONG_CELL` — the OS then shares the CPUs across
+      all cells, where ``cpus`` workers would leave CPUs idle behind
+      the last cells (three 3 s cells on two CPUs run as 2 + 1);
     - otherwise ``cpus`` workers.
 
-    So the width exceeds the CPU count only in the many-long-chunks case.
+    So the width exceeds the CPU count only in the many-long-cells case.
     """
-    chunks = len(chunk_costs)
-    if cpus <= 1 or chunks <= 1 or sum(chunk_costs) < SERIAL_BREAK_EVEN:
+    cells = len(cell_costs)
+    if cpus <= 1 or cells <= 1 or max(cell_costs) < SERIAL_BREAK_EVEN:
         return 1
-    if chunks <= cpus:
-        return chunks
-    if chunks <= 2 * cpus and min(chunk_costs) >= LONG_CHUNK:
-        return chunks
+    if cells <= cpus:
+        return cells
+    if cells <= 2 * cpus and min(cell_costs) >= LONG_CELL:
+        return cells
     return cpus
 
 
@@ -116,109 +112,58 @@ def dispatch_order(
     return plane.affinity_order(plane.keyed_pending(pending), costs)
 
 
-def sized_pool(task: "PoolTask") -> "Pool":
-    """The backend :func:`~repro.sim.experiment.run_grid` picks when it
-    is given neither ``max_workers`` nor a pool: serial on one CPU
-    without pricing anything, else the pending cells are chunked for
-    the available CPUs and :func:`pool_width` sizes the pool from the
-    chunk costs (``task.costs`` and ``task.ordered``, which the pool
-    then reuses)."""
+def sized_pool(
+    task: "PoolTask", max_workers: Optional[int] = None
+) -> "Pool":
+    """The dispatch policy :func:`~repro.sim.experiment.run_grid` uses
+    when it is not given a pool.
+
+    Serial without pricing anything on one CPU, for at most one pending
+    cell, or when ``max_workers`` is ``1``. Otherwise the pending cells
+    are priced once (``task.costs``) and :func:`pool_width` sizes the
+    pool, capped at ``max_workers`` when one is given: a grid with no
+    cell above :data:`SERIAL_BREAK_EVEN` stays in-process, and a pooled
+    grid sends every cell to the workers as its own future.
+    """
     cpus = available_cpu_count()
-    if cpus <= 1 or len(task.pending) <= 1:
+    if cpus <= 1 or max_workers == 1 or len(task.pending) <= 1:
         return SerialPool()
-    costs = task.costs
-    chunks = chunk_plan(task.ordered, cpus, costs)
-    width = pool_width(
-        [sum(costs[position] for position, _, _ in chunk) for chunk in chunks],
-        cpus,
-    )
+    width = pool_width(list(task.costs.values()), cpus)
+    if max_workers is not None:
+        width = min(width, max_workers)
     return SerialPool() if width == 1 else ProcessPool(width)
 
 
-def chunk_plan(
-    ordered: Sequence[Tuple[int, Any, Optional[str]]],
-    max_workers: int,
-    costs: Optional[Dict[int, float]] = None,
-) -> List[List[Tuple[int, Any, Optional[str]]]]:
-    """Partition affinity-ordered cells into dispatch chunks.
-
-    Greedy sweep over :func:`repro.workloads.plane.affinity_order`
-    output: a chunk closes when the workload key changes (each chunk
-    replays one workload — the workload grouping *is* the partition
-    key) or when its accumulated :func:`cell_cost` reaches the budget.
-    The budget is ``min(CHUNK_BUDGET, total_cost / max_workers)`` — never
-    wider than an even split across the workers, so a small grid still
-    fans out instead of collapsing into one chunk.
-
-    Deterministic: the partition is a pure function of the ordered
-    cells and worker count. Execution order inside a chunk is the
-    affinity order, and recording stays plan-positional — chunking
-    changes dispatch granularity, never results. ``costs`` (by
-    position, see :func:`price`) is priced here when not given.
-    """
-    if costs is None:
-        costs = price([(position, cell) for position, cell, _ in ordered])
-    total = sum(costs[position] for position, _, _ in ordered)
-    budget = max(1.0, min(CHUNK_BUDGET, total / max(1, max_workers)))
-    chunks: List[List[Tuple[int, Any, Optional[str]]]] = []
-    current: List[Tuple[int, Any, Optional[str]]] = []
-    current_cost = 0.0
-    current_key: Any = None
-    for item in ordered:
-        key = item[2]
-        if current and (key != current_key or current_cost >= budget):
-            chunks.append(current)
-            current = []
-            current_cost = 0.0
-        current.append(item)
-        current_cost += costs[item[0]]
-        current_key = key
-    if current:
-        chunks.append(current)
-    return chunks
-
-
 @dataclass
-class ChunkOutcome:
-    """What one dispatched chunk produced (worker → coordinator).
+class CellOutcome:
+    """What one dispatched cell produced (worker → coordinator).
 
-    ``completed`` holds ``(plan position, result)`` for every cell that
-    finished — on failure or interrupt it is the completed prefix, so
-    partially-executed chunks still persist their finished cells.
-    ``failed_position``/``error`` identify the first cell that raised
-    (``error`` may be a :class:`BaseException` such as
-    :class:`KeyboardInterrupt`; the coordinator re-routes those through
-    the interrupt drain path). ``plane_stats`` is the worker's
-    workload-plane delta over the chunk.
+    ``result`` is the cell's result unless ``error`` is set: the cell
+    raised, possibly a :class:`BaseException` such as
+    :class:`KeyboardInterrupt`, which the coordinator re-routes through
+    the interrupt drain path. ``plane_stats`` is the worker's
+    workload-plane delta over the cell, failed or not.
     """
 
-    completed: List[Tuple[int, Any]] = field(default_factory=list)
-    failed_position: Optional[int] = None
+    result: Any = None
     error: Optional[BaseException] = None
     plane_stats: plane.PlaneStats = field(default_factory=plane.PlaneStats)
 
 
-def _run_chunk(
-    run_cell: Callable[[Any], Any],
-    cells: Sequence[Tuple[int, Any]],
-) -> ChunkOutcome:
-    """Worker-side chunk runner: run the cells, report the plane delta.
+def _run_chunk(run_cell: Callable[[Any], Any], cell: Any) -> CellOutcome:
+    """Worker entry: run one cell and report it with its plane delta.
 
-    Catches ``BaseException`` per cell — a ``KeyboardInterrupt``
-    delivered mid-chunk must still return the completed prefix (and
-    its plane accounting) to the coordinator instead of discarding it
-    with the future.
+    Catches ``BaseException`` — a ``KeyboardInterrupt`` delivered
+    mid-cell still returns the cell's plane accounting to the
+    coordinator instead of discarding it with the future. (perfbench
+    wraps this entry by name to flush worker spans.)
     """
     before = plane.local_stats()
-    outcome = ChunkOutcome()
-    for position, cell in cells:
-        try:
-            result = run_cell(cell)
-        except BaseException as error:
-            outcome.failed_position = position
-            outcome.error = error
-            break
-        outcome.completed.append((position, result))
+    outcome = CellOutcome()
+    try:
+        outcome.result = run_cell(cell)
+    except BaseException as error:
+        outcome.error = error
     outcome.plane_stats = plane.local_stats() - before
     return outcome
 
@@ -373,74 +318,63 @@ class ProcessPool(Pool):
         """``max_workers`` defaults to :func:`available_cpu_count`; it is
         honoured exactly, even above the CPU count. The default dispatch
         (:func:`sized_pool`) asks for more workers than CPUs only for a
-        few long chunks (:func:`pool_width`)."""
+        few long cells (:func:`pool_width`)."""
         self.max_workers = max_workers or available_cpu_count()
-        #: Dispatched chunk count of the last :meth:`run` (rolled into
-        #: :class:`~repro.sim.experiment.RunStats`).
-        self.chunk_count: Optional[int] = None
 
     def run(self, task: PoolTask) -> None:
-        """Fan the pending cells out in chunks; record as they complete.
+        """Submit each pending cell as its own future; record as they
+        complete.
 
-        Cells are partitioned by :func:`chunk_plan` over their
-        cache-affinity order — a chunk holds cells of one workload key
-        up to a cost budget, so cheap analytical cells share one
-        dispatch while a heavy ``perf`` cell fills a chunk alone. Each
-        completed chunk's batch is recorded in one call — one
-        independently atomic store write per cell, so a crash mid-batch
-        keeps a prefix; recording stays plan-positional, so progress and
-        the store are unaffected by the partition.
+        Cells are submitted in their cache-affinity order
+        (:attr:`PoolTask.ordered`: grouped by workload, longest first),
+        so a worker tends to replay one workload back to back. Each
+        completed cell is recorded at once; recording stays
+        plan-positional, so progress and the store do not depend on
+        completion order.
 
         Workers start with cold plane caches (``plane.reset`` is the
         initializer, so the accounting is the same under fork and
         spawn) and build the workloads they replay themselves. Each
-        chunk returns its worker's plane delta, and
-        :attr:`Pool.plane_stats` sums those of every chunk the
+        cell returns its worker's plane delta, and
+        :attr:`Pool.plane_stats` sums those of every cell the
         coordinator files, on the interrupt drain path too.
         """
         self.plane_stats = plane.PlaneStats()
         executor = ProcessPoolExecutor(
             max_workers=self.max_workers, initializer=plane.reset
         )
-        groups = chunk_plan(task.ordered, self.max_workers, task.costs)
-        self.chunk_count = len(groups)
-        # Submitted chunks not yet filed, by future.
-        futures: Dict[Any, List[Tuple[int, Any]]] = {}
+        # Submitted cells not yet filed: future -> (position, cell).
+        futures: Dict[Any, Tuple[int, Any]] = {}
         failed: Optional[Tuple[Any, Exception]] = None
         try:
-            for group in groups:
-                cells = [(position, cell) for position, cell, _ in group]
-                future = executor.submit(_run_chunk, task.run_cell, cells)
-                futures[future] = cells
+            for position, cell, _ in task.ordered:
+                future = executor.submit(_run_chunk, task.run_cell, cell)
+                futures[future] = (position, cell)
             for future in as_completed(futures):
-                cells = futures.pop(future)
+                position, cell = futures.pop(future)
                 try:
                     outcome = future.result()
                 except Exception as error:
                     # The dispatch itself failed (broken pool,
-                    # unpicklable payload): blame the chunk's first
-                    # cell but keep draining — completed chunks
-                    # still reach the store, so a --resume after
+                    # unpicklable payload): keep draining — completed
+                    # cells still reach the store, so a --resume after
                     # the failure recomputes only what never ran.
                     if failed is None:
-                        failed = (cells[0][1], error)
+                        failed = (cell, error)
                     continue
-                self._file(outcome, task)
-                if outcome.error is not None:
-                    if isinstance(outcome.error, Exception):
-                        if failed is None:
-                            cell = dict(cells)[outcome.failed_position]
-                            failed = (cell, outcome.error)
-                    else:
-                        # KeyboardInterrupt (or another
-                        # BaseException) inside a worker cell: the
-                        # chunk's completed prefix is already
-                        # recorded; route the rest through the
-                        # interrupt drain below.
-                        raise outcome.error
+                self._file(position, outcome, task)
+                if outcome.error is None:
+                    continue
+                if not isinstance(outcome.error, Exception):
+                    # KeyboardInterrupt (or another BaseException)
+                    # inside a worker: route it through the interrupt
+                    # drain below.
+                    raise outcome.error
+                if failed is None:
+                    failed = (cell, outcome.error)
         except BaseException:
             # Interrupted (KeyboardInterrupt, or a worker re-raising
-            # it): stop launching queued chunks, keep what finished.
+            # it): stop launching queued cells, keep what finished.
             executor.shutdown(wait=False, cancel_futures=True)
             self._drain_completed(futures, task)
             raise
@@ -449,24 +383,26 @@ class ProcessPool(Pool):
             cell, error = failed
             raise wrap_cell_error(cell, error) from error
 
-    def _file(self, outcome: ChunkOutcome, task: PoolTask) -> None:
-        """Record one chunk's completed batch and add its plane delta."""
+    def _file(
+        self, position: int, outcome: CellOutcome, task: PoolTask
+    ) -> None:
+        """Add one cell's plane delta and record its result, if any."""
         self.plane_stats += outcome.plane_stats
-        task.record(outcome.completed)
+        if outcome.error is None:
+            task.record([(position, outcome.result)])
 
     def _drain_completed(
-        self, futures: Dict[Any, List[Tuple[int, Any]]], task: PoolTask
+        self, futures: Dict[Any, Tuple[int, Any]], task: PoolTask
     ) -> None:
-        """File every completed, not yet filed chunk (interrupt path).
+        """File every completed, not yet filed cell (interrupt path).
 
         Cancelled and still-running futures are skipped — only results
-        that exist are recorded, including the completed prefix of a
-        chunk whose later cell raised."""
-        for future in futures:
+        that exist are recorded."""
+        for future, (position, _) in futures.items():
             if not future.done() or future.cancelled():
                 continue
             try:
                 outcome = future.result()
             except BaseException:
                 continue
-            self._file(outcome, task)
+            self._file(position, outcome, task)

@@ -408,8 +408,8 @@ class ResultStore:
         Not a transaction: a loop of independently atomic :meth:`put`
         calls, in order, so a crash mid-batch persists a prefix (which
         resume semantics already tolerate). The grid coordinator files
-        every completed batch through it — a chunk under the process
-        pool, a single cell under the serial pool.
+        every completed cell through it as a batch of one, on every
+        backend.
         """
         return [
             self.put(cell, result, digest=digest, key=key)

@@ -36,7 +36,7 @@ workload bytes a plane-wide resource instead, in three layers:
 
 Accounting flows through :class:`PlaneStats` (surfaced as the greppable
 ``workloads: generated N, decode hits K`` line); each pool worker
-returns its counters' delta with every chunk it ran, and the
+returns its counters' delta with every cell it ran, and the
 coordinator sums them.
 Results are identical to generating every cell from scratch (the plane
 caches exactly what generation would have produced), pinned by

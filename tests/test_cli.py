@@ -328,9 +328,10 @@ class TestCommands:
             main(["security-sweep", "--resume"])
 
     def test_analytical_parallel_matches_serial(self, capsys):
-        """A 200-cell analytical grid prints identical output whether
-        a two-worker pool (--jobs 2) or --jobs 1 ran it — chunked
-        dispatch is bit-identical and plan-ordered."""
+        """A 200-cell analytical grid prints identical output under
+        --jobs 2 and --jobs 1 — dispatch is bit-identical and
+        plan-ordered (its cells are below the pool's break-even, so
+        --jobs 2 caps a serial run)."""
         argv = [
             "security-sweep",
             "--trh", "1200", "1600", "2000", "2400", "2800",

@@ -474,18 +474,3 @@ class TestBatchHooks:
         assert tracker.batch_horizon() == 15 - 10
         tracker.end_window()
         assert tracker.batch_horizon() == 15
-
-    def test_advance_many_matches_advance_gap_loop(self):
-        gaps = np.asarray([0, 3, 17, 250, 1, 0, 9], dtype=np.int64)
-        looped, arrayed = TraceCore(0), TraceCore(1)
-        expected = [looped.advance_gap(int(gap)) for gap in gaps]
-        issues = arrayed.advance_many(gaps)
-        assert issues.tolist() == expected
-        assert arrayed.clock_ns == looped.clock_ns
-        assert arrayed.instructions == looped.instructions
-
-    def test_advance_many_requires_no_loads_in_flight(self):
-        core = TraceCore(0)
-        core.issue_read(core.advance_gap(1) + 100.0)
-        with pytest.raises(ValueError, match="no loads in flight"):
-            core.advance_many(np.asarray([1, 2]))

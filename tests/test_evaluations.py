@@ -17,6 +17,7 @@ from repro.sim import (
     HammerParams,
     ModelParams,
     ModelResult,
+    ProcessPool,
     ResultSet,
     SecurityParams,
     plan_cells,
@@ -161,7 +162,7 @@ class TestSecurityKind:
 
     def test_parallel_equals_serial(self):
         serial = run_grid(SECURITY, max_workers=1)
-        parallel = run_grid(SECURITY, max_workers=2)
+        parallel = run_grid(SECURITY, pool=ProcessPool(2))
         assert serial.to_json() == parallel.to_json()
 
     def test_srs_step_override(self):
@@ -216,7 +217,7 @@ class TestSecurityMonteCarlo:
             kind="security", mitigations=["rrs", "srs"], base_params=MC_PARAMS
         )
         first = run_grid(spec, max_workers=1)
-        second = run_grid(spec, max_workers=2)
+        second = run_grid(spec, pool=ProcessPool(2))
         assert first.to_json() == second.to_json()
 
     def test_distinct_cells_draw_independent_streams(self):
@@ -233,7 +234,7 @@ class TestSecurityMonteCarlo:
         """Figure 6's validation cells cost their probe windows: the
         1100-round cell probes 42.6M windows, the others the 5e7 cap."""
         from repro.report.planner import build_figure
-        from repro.sim.pool import LONG_CHUNK
+        from repro.sim.pool import LONG_CELL
 
         _, figure = build_figure("fig06")
         costs = {
@@ -241,7 +242,7 @@ class TestSecurityMonteCarlo:
             for cell in plan_cells(figure.specs[1])
         }
         assert costs[1100] < costs[1200] == costs[1300]
-        assert min(costs.values()) > 10 * LONG_CHUNK
+        assert min(costs.values()) > 10 * LONG_CELL
         # Without iterations the same point is a cheap analytical cell.
         analytic = dataclasses.replace(figure.specs[1], base_params=SecurityParams())
         assert max(cell_cost(cell) for cell in plan_cells(analytic)) == 50.0

@@ -14,6 +14,7 @@ from repro.sim.experiment import (
     resolve_workload,
     run_grid,
 )
+from repro.sim.pool import ProcessPool
 from repro.sim.results import geometric_mean, normalized_performance
 from repro.sim.simulator import PerformanceSimulation, SimulationParams
 
@@ -206,7 +207,7 @@ class TestEngineParity:
             grid={"trh": [2400, 1200]},
         )
         serial = run_grid(spec, max_workers=1)
-        parallel = run_grid(spec, max_workers=2)
+        parallel = run_grid(spec, pool=ProcessPool(2))
         assert serial.to_csv() == parallel.to_csv()
 
     def test_progress_callback_sees_every_job(self):

@@ -3,11 +3,12 @@
 import dataclasses
 import os
 import time
+from concurrent.futures import Future
 from typing import ClassVar
 
 import pytest
 
-from repro.registry import EVALUATIONS, register_evaluation
+from repro.registry import EVALUATIONS, FIGURES, register_evaluation
 from repro.sim import (
     ExperimentSpec,
     ProcessPool,
@@ -18,10 +19,16 @@ from repro.sim import (
     plan_cells,
     run_grid,
 )
+from repro.sim import pool as pool_module
 from repro.sim.pool import (
+    LONG_CELL,
+    SERIAL_BREAK_EVEN,
+    CellOutcome,
     PoolTask,
+    cell_cost,
     dispatch_order,
     pool_width,
+    price,
     sized_pool,
 )
 from repro.workloads import plane
@@ -44,6 +51,38 @@ GRID_SWAP = ExperimentSpec(
         num_cores=4, requests_per_core=12000, time_scale=32, seed=77
     ),
 )
+
+
+def assert_one_cell_per_future(pool, pending, monkeypatch):
+    """Run ``pool`` over ``pending`` on an executor that completes each
+    submission at once without running it, and check that every cell
+    went out as its own future and was recorded."""
+    submitted, recorded = [], []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers, initializer):
+            pass
+
+        def submit(self, fn, run_cell, cell):
+            submitted.append((fn, cell))
+            future = Future()
+            future.set_result(CellOutcome(result=cell))
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(pool_module, "ProcessPoolExecutor", RecordingExecutor)
+    pool.run(PoolTask(pending, None, recorded.extend))
+    assert [fn for fn, _ in submitted] == [pool_module._run_chunk] * len(
+        pending
+    )
+    assert sorted(id(cell) for _, cell in submitted) == sorted(
+        id(cell) for _, cell in pending
+    )
+    assert sorted(position for position, _ in recorded) == [
+        position for position, _ in pending
+    ]
 
 
 def entry_files(store_dir):
@@ -82,6 +121,9 @@ def run_interrupt_cell(cell):
         # reaching a worker process.
         time.sleep(0.4)
         raise KeyboardInterrupt
+    # An ok cell the executor hands a worker after the interrupt must
+    # not finish before the coordinator drains.
+    time.sleep(0.2)
     return PoolResult(cell.workload, cell.mitigation, cell.params.trh,
                       cell.params)
 
@@ -100,6 +142,25 @@ def flaky_kind():
         base_params=PoolParams(),
     )
     EVALUATIONS.remove("pool-kind")
+
+
+@pytest.fixture
+def heavy_kind():
+    """Three cells of a kind whose registered cost hint makes each one
+    long (:data:`LONG_CELL`), far above the pool's break-even."""
+    register_evaluation(
+        "pool-heavy",
+        params_cls=PoolParams,
+        result_cls=PoolResult,
+        subjects=("ok", "also-ok", "third-ok"),
+        cell_cost=lambda cell: LONG_CELL,
+    )(run_pool_cell)
+    yield ExperimentSpec(
+        kind="pool-heavy",
+        mitigations=["ok", "also-ok", "third-ok"],
+        base_params=PoolParams(),
+    )
+    EVALUATIONS.remove("pool-heavy")
 
 
 @pytest.fixture
@@ -158,7 +219,6 @@ class TestDefaultDispatch:
         """On 2 CPUs, fig06's three multi-second cells get 3 workers
         (not 2 + 1); its 45 analytical curve cells stay in-process."""
         from repro.report.planner import build_figure
-        from repro.sim import pool as pool_module
 
         monkeypatch.setattr(pool_module, "available_cpu_count", lambda: 2)
         _, figure = build_figure("fig06")
@@ -178,7 +238,6 @@ class TestDefaultDispatch:
         the default width (3 on 2 CPUs) write identical JSON and store
         entries."""
         from repro.report.planner import build_figure
-        from repro.sim import pool as pool_module
 
         monkeypatch.setattr(pool_module, "available_cpu_count", lambda: 2)
         _, figure = build_figure("fig06")
@@ -212,20 +271,25 @@ class TestDefaultDispatch:
         assert widths == {"serial": 1, "pooled": 2, "default": 3}
 
     def test_grid_swap_keeps_two_workers(self, monkeypatch):
-        """The benchmark grid's real cell costs size it at the CPU count."""
-        from repro.sim import pool as pool_module
-
+        """The benchmark grid's real cell costs size it at the CPU count,
+        one cell per future."""
         monkeypatch.setattr(pool_module, "available_cpu_count", lambda: 2)
-        pool = sized_pool(
-            PoolTask(list(enumerate(plan_cells(GRID_SWAP))), None, None)
-        )
+        pending = list(enumerate(plan_cells(GRID_SWAP)))
+        pool = sized_pool(PoolTask(pending, None, None))
         assert isinstance(pool, ProcessPool)
         assert pool.max_workers == 2
+        assert_one_cell_per_future(pool, pending, monkeypatch)
 
-    def test_explicit_workers_are_honoured(self):
-        """max_workers bypasses the cost rule: a cheap grid still pools."""
+    def test_explicit_workers_are_honoured(self, heavy_kind, monkeypatch):
+        """max_workers caps the cost-sized width: three long cells get
+        3 workers on 2 CPUs, 2 under --jobs 2 and none under --jobs 1,
+        while cells below the floor stay in-process under --jobs 2."""
+        monkeypatch.setattr(pool_module, "available_cpu_count", lambda: 2)
+        assert run_grid(heavy_kind).run_stats.workers == 3
+        assert run_grid(heavy_kind, max_workers=2).run_stats.workers == 2
+        assert run_grid(heavy_kind, max_workers=1).run_stats.workers == 1
         assert run_grid(SPEC).run_stats.workers == 1
-        assert run_grid(SPEC, max_workers=2).run_stats.workers == 2
+        assert run_grid(SPEC, max_workers=2).run_stats.workers == 1
 
     @pytest.mark.parametrize(
         "cpus, max_workers, break_even, priced",
@@ -242,9 +306,7 @@ class TestDefaultDispatch:
     ):
         """Sizing and dispatch share one pricing and one workload keying
         per run; on one CPU the default dispatch is serial without
-        pricing or keying anything."""
-        from repro.sim import pool as pool_module
-
+        pricing or keying anything, and a serial run keys nothing."""
         calls = []
         keyed = []
         real = pool_module.cell_cost
@@ -266,7 +328,8 @@ class TestDefaultDispatch:
         cells = plan_cells(SPEC)
         assert len(calls) == priced * len(cells)
         assert len({id(cell) for cell in calls}) == len(calls)
-        assert len(keyed) == priced * len(cells)
+        pooled = results.run_stats.workers > 1
+        assert len(keyed) == (len(cells) if pooled else 0)
         assert len({id(cell) for cell in keyed}) == len(keyed)
 
     def test_grid_swap_affinity_order_is_pinned(self):
@@ -298,10 +361,11 @@ class TestFailurePaths:
         """A failing cell raises the same RuntimeError (naming the
         cell) whether the backend was serial or a process pool."""
         messages = {}
-        for label, workers in (("serial", 1), ("parallel", 2)):
+        for label, pool in (
+            ("serial", SerialPool()), ("parallel", ProcessPool(2))
+        ):
             with pytest.raises(RuntimeError) as info:
-                run_grid(flaky_kind, max_workers=workers,
-                         store=str(tmp_path / label))
+                run_grid(flaky_kind, pool=pool, store=str(tmp_path / label))
             messages[label] = str(info.value)
             assert "pool-kind" in messages[label]
             assert "'boom'" in messages[label]
@@ -321,7 +385,7 @@ class TestFailurePaths:
         with pytest.raises(RuntimeError, match="pool boom"):
             run_grid(
                 flaky_kind,
-                max_workers=workers,
+                pool=SerialPool() if workers == 1 else ProcessPool(workers),
                 store=str(store_dir),
                 progress=lambda done, total, result: seen.append(
                     (done, total)
@@ -351,7 +415,7 @@ class TestFailurePaths:
         )
         store_dir = tmp_path / "store"
         with pytest.raises(KeyboardInterrupt):
-            run_grid(spec, max_workers=2, store=str(store_dir))
+            run_grid(spec, store=str(store_dir), pool=ProcessPool(2))
         assert len(entry_files(store_dir)) == 2
         ok_only = dataclasses.replace(spec, mitigations=["ok", "also-ok"])
         resumed = run_grid(ok_only, max_workers=1, store=str(store_dir))
@@ -359,8 +423,11 @@ class TestFailurePaths:
         assert resumed.run_stats.reused == 2
 
     def test_interrupt_cancels_queued_cells(self, interrupt_kind, tmp_path):
-        """With one worker and the interrupting cell first, the queued
-        cells never launch (cancel_futures) and the store stays empty."""
+        """With one worker and the interrupting cell first, nothing
+        completes before the interrupt: still-queued cells are
+        cancelled (cancel_futures), the coordinator does not wait for
+        the one the executor already handed on, and the store stays
+        empty."""
         spec = ExperimentSpec(
             kind="pool-interrupt",
             mitigations=["boom", "ok", "also-ok"],
@@ -422,7 +489,7 @@ class TestWorkloadPlane:
     def test_every_perf_cell_is_one_generation_or_hit(self, make_pool):
         """A swap-design x TRH grid: each executed cell materializes its
         workload once — generated or served by its process's trace LRU —
-        and pooled workers report their counts back with each chunk."""
+        and pooled workers report their counts back with each cell."""
         before = shm_names()
         spec = dataclasses.replace(
             self.SPEC,
@@ -478,14 +545,14 @@ class TestWorkloadPlane:
         )
         with pytest.raises(KeyboardInterrupt):
             pool.run(task)
-        # The drained chunks' plane deltas still reach the pool.
+        # The drained cells' plane deltas still reach the pool.
         assert pool.plane_stats is not None
         assert shm_names() == before
 
 
 @dataclasses.dataclass(frozen=True)
-class ChunkCell:
-    """Minimal cell stand-in for partition-policy tests."""
+class StandInCell:
+    """Minimal cell stand-in for cost-hint tests."""
 
     kind: str = "no-such-kind"
     workload: str = "w"
@@ -494,65 +561,30 @@ class ChunkCell:
 
 
 class TestChunking:
-    """Chunk-scheduled dispatch: partition policy and failure paths."""
+    """One-cell dispatch: cost hints, bit-identity and the pooled
+    failure paths against a real process pool."""
 
-    @staticmethod
-    def items(count, key=None, kind="no-such-kind"):
-        """Affinity-ordered (position, cell, key) triples of unit cost."""
-        return [
-            (i, ChunkCell(kind=kind, mitigation=f"m{i}", params=PoolParams()), key)
-            for i in range(count)
-        ]
-
-    def test_budget_packs_cheap_cells(self):
-        """Unit-cost cells pack to roughly total/workers per chunk."""
-        from repro.sim.pool import chunk_plan
-
-        chunks = chunk_plan(self.items(100), max_workers=4)
-        assert 4 <= len(chunks) <= 5
-        flat = [position for chunk in chunks for position, _, _ in chunk]
-        assert flat == list(range(100))
-
-    def test_key_change_flushes_a_chunk(self):
-        """A chunk never spans two workload keys (one workload per chunk)."""
-        from repro.sim.pool import chunk_plan
-
-        ordered = (
-            self.items(2, key="ka")
-            + [(2, ChunkCell(), "kb")]
-            + [(3, ChunkCell(), None), (4, ChunkCell(), None)]
-        )
-        chunks = chunk_plan(ordered, max_workers=1)
-        keys = [{key for _, _, key in chunk} for chunk in chunks]
-        assert keys == [{"ka"}, {"kb"}, {None}]
-
-    def test_registered_cost_hint_isolates_heavy_cells(self):
-        """A kind whose cost hint exceeds the budget dispatches solo."""
-        from repro.sim.pool import CHUNK_BUDGET, cell_cost, chunk_plan
-
-        register_evaluation(
-            "pool-heavy",
-            params_cls=PoolParams,
-            result_cls=PoolResult,
-            subjects=("ok",),
-            cell_cost=lambda params: 10 * CHUNK_BUDGET,
-        )(run_pool_cell)
-        try:
-            heavy = self.items(4, kind="pool-heavy")
-            assert cell_cost(heavy[0][1]) == 10 * CHUNK_BUDGET
-            assert [len(c) for c in chunk_plan(heavy, 2)] == [1, 1, 1, 1]
-        finally:
-            EVALUATIONS.remove("pool-heavy")
+    def test_registered_cost_hint_isolates_heavy_cells(
+        self, heavy_kind, monkeypatch
+    ):
+        """A kind's registered cost hint prices its cells, and cells
+        above the floor leave the coordinator: each one its own
+        future on a process pool."""
+        monkeypatch.setattr(pool_module, "available_cpu_count", lambda: 2)
+        cells = plan_cells(heavy_kind)
+        assert [cell_cost(cell) for cell in cells] == [LONG_CELL] * 3
+        pool = sized_pool(PoolTask(list(enumerate(cells)), None, None))
+        assert isinstance(pool, ProcessPool)
+        results = run_grid(heavy_kind, pool=pool)
+        assert [r.mitigation for r in results] == ["ok", "also-ok", "third-ok"]
 
     def test_unknown_kind_costs_one_unit(self):
-        from repro.sim.pool import cell_cost
-
-        assert cell_cost(self.items(1)[0][1]) == 1.0
+        assert cell_cost(StandInCell()) == 1.0
 
     @pytest.mark.parametrize("engine", ["scalar", "auto"])
     def test_chunked_runs_are_bit_identical(self, engine, tmp_path):
-        """Serial and chunked pooled runs produce the same result JSON
-        and the same store entries, on both engines."""
+        """Serial and pooled runs produce the same result JSON and the
+        same store entries, on both engines."""
         spec = dataclasses.replace(
             SPEC,
             mitigations=["rrs", "srs"],
@@ -562,7 +594,7 @@ class TestChunking:
         stores = {}
         for label, pool in (
             ("serial", SerialPool()),
-            ("chunked", ProcessPool(2)),
+            ("pooled", ProcessPool(2)),
         ):
             store_dir = tmp_path / label
             runs[label] = run_grid(
@@ -572,39 +604,30 @@ class TestChunking:
                 name: (store_dir / name).read_text()
                 for name in entry_files(store_dir)
             }
-        assert runs["chunked"] == runs["serial"]
-        assert stores["chunked"] == stores["serial"]
-
-    def test_run_stats_report_chunks(self, flaky_kind, tmp_path):
-        ok_only = dataclasses.replace(flaky_kind, mitigations=["ok", "also-ok"])
-        pooled = run_grid(ok_only, pool=ProcessPool(2))
-        assert pooled.run_stats.chunks >= 1
-        assert pooled.run_stats.workers == 2
-        serial = run_grid(ok_only, max_workers=1)
-        assert serial.run_stats.chunks is None
-        assert serial.run_stats.workers == 1
+        assert runs["pooled"] == runs["serial"]
+        assert stores["pooled"] == stores["serial"]
 
     def test_partial_chunk_failure_records_prefix(self, flaky_kind, tmp_path):
-        """When a cell mid-chunk raises, the chunk's completed prefix
-        still reaches the store; the rest of the chunk reruns later."""
+        """On one worker, a cell failing mid-plan does not stop the
+        drain: the cells before and after it reach the store before
+        the error propagates, so the resume recomputes nothing."""
         store_dir = tmp_path / "store"
         with pytest.raises(RuntimeError, match="pool boom"):
-            # One worker, unit costs: the whole [ok, boom, also-ok] plan
-            # lands in a single chunk.
             run_grid(flaky_kind, store=str(store_dir), pool=ProcessPool(1))
-        assert len(entry_files(store_dir)) == 1
+        assert len(entry_files(store_dir)) == 2
         ok_only = dataclasses.replace(
             flaky_kind, mitigations=["ok", "also-ok"]
         )
         resumed = run_grid(ok_only, max_workers=1, store=str(store_dir))
-        assert resumed.run_stats.reused == 1
-        assert resumed.run_stats.executed == 1
+        assert resumed.run_stats.reused == 2
+        assert resumed.run_stats.executed == 0
 
     def test_interrupt_mid_chunk_keeps_prefix_and_shm_clean(
         self, interrupt_kind, tmp_path
     ):
-        """A KeyboardInterrupt inside a chunk still delivers the chunk's
-        completed prefix to the store, and no shm segment survives."""
+        """A KeyboardInterrupt in a worker mid-plan still delivers the
+        cells completed before it to the store, and no shm segment
+        survives."""
         before = shm_names()
         spec = ExperimentSpec(
             kind="pool-interrupt",
@@ -614,11 +637,67 @@ class TestChunking:
         store_dir = tmp_path / "store"
         with pytest.raises(KeyboardInterrupt):
             run_grid(spec, store=str(store_dir), pool=ProcessPool(1))
-        # Single chunk [ok, boom, also-ok]: ok completed before the
-        # interrupt and must survive; the rest resumes later.
+        # One worker runs [ok, boom, also-ok] in turn: ok completed
+        # before the interrupt and must survive; also-ok resumes later.
         assert len(entry_files(store_dir)) == 1
         assert shm_names() == before
         ok_only = dataclasses.replace(spec, mitigations=["ok", "also-ok"])
         resumed = run_grid(ok_only, max_workers=1, store=str(store_dir))
         assert resumed.run_stats.reused == 1
         assert resumed.run_stats.executed == 1
+
+
+#: The dispatch census on 2 CPUs: each ``perf`` figure's one grid runs
+#: 2 workers, the other figures' grids run at these widths (fig06's
+#: curves then its Monte-Carlo grid; half-double's double-sided rig
+#: then its two half-double grids), and every other grid is serial.
+PERF_FIGURES = {"fig01b", "fig04", "fig12", "fig14", "fig15", "fig16"}
+POOLED_GRIDS = {"fig06": [1, 3], "motiv-half-double": [1, 2, 2]}
+
+
+class TestDispatchCensus:
+    """Every registered report grid, priced on 2 CPUs at the proxy
+    (3000 x 2) and default (25000 x 4) report scales: each one's
+    serial-or-pooled choice and width, one cell per future, and no grid
+    straddling the floor."""
+
+    @staticmethod
+    def grids(requests, cores):
+        """``(figure, kind, pending cells)`` of every report grid."""
+        from repro.report.planner import build_figure
+        from repro.report.spec import ReportConfig
+
+        config = ReportConfig(requests=requests, cores=cores)
+        for name in FIGURES.names():
+            _, figure = build_figure(name, config)
+            for spec in figure.specs:
+                yield name, spec.kind, list(enumerate(plan_cells(spec)))
+
+    @pytest.mark.parametrize(
+        "requests, cores", [(3000, 2), (25_000, 4)], ids=["proxy", "default"]
+    )
+    def test_report_grids(self, monkeypatch, requests, cores):
+        monkeypatch.setattr(pool_module, "available_cpu_count", lambda: 2)
+        widths, perf = {}, set()
+        for name, kind, pending in self.grids(requests, cores):
+            costs = list(price(pending).values())
+            # No grid mixes cells below and above the floor.
+            above = [cost >= SERIAL_BREAK_EVEN for cost in costs]
+            assert all(above) or not any(above), (name, sorted(set(costs)))
+            if kind == "perf":
+                perf.add(name)
+                # Proxy-scale perf cells cost 18 000 units: a cost-hint
+                # retune that drops them below the floor must fail here
+                # rather than silently serialize every perf figure.
+                assert min(costs) >= SERIAL_BREAK_EVEN, (name, min(costs))
+            pool = sized_pool(PoolTask(pending, None, None))
+            if isinstance(pool, ProcessPool):
+                assert_one_cell_per_future(pool, pending, monkeypatch)
+            else:
+                assert isinstance(pool, SerialPool)
+            widths.setdefault(name, []).append(pool.max_workers)
+        assert perf == PERF_FIGURES
+        expected = {name: [1] * len(got) for name, got in widths.items()}
+        expected.update(POOLED_GRIDS)
+        expected.update({name: [2] for name in PERF_FIGURES})
+        assert widths == expected

@@ -11,6 +11,7 @@ import repro.sim.experiment as experiment
 from repro.registry import EVALUATIONS, register_evaluation
 from repro.sim import (
     ExperimentSpec,
+    ProcessPool,
     ResultStore,
     SecurityParams,
     SecurityResult,
@@ -286,7 +287,9 @@ class TestResultStore:
         plan order), so every completed cell survives a kill; the
         returned set still equals the serial run bit-for-bit."""
         store_dir = tmp_path / "store"
-        parallel = run_grid(SECURITY, max_workers=2, store=str(store_dir))
+        parallel = run_grid(
+            SECURITY, pool=ProcessPool(2), store=str(store_dir)
+        )
         assert len(entry_files(store_dir)) == len(parallel)
         assert parallel.to_json() == run_grid(SECURITY, max_workers=1).to_json()
 
@@ -308,7 +311,7 @@ class TestResultStore:
             )
             store_dir = tmp_path / "store"
             with pytest.raises(RuntimeError, match="boom"):
-                run_grid(spec, max_workers=2, store=str(store_dir))
+                run_grid(spec, pool=ProcessPool(2), store=str(store_dir))
             assert len(entry_files(store_dir)) == 2
         finally:
             EVALUATIONS.remove("flaky-kind")
