@@ -18,10 +18,8 @@ from repro.sim import ExperimentSpec, SimulationParams, record_workload, run_gri
 from repro.sim.experiment import resolve_workload
 
 
-def main() -> int:
-    """Run the record → replay → compare loop and print both tables."""
-    workload = sys.argv[1] if len(sys.argv) > 1 else "gcc"
-    out_dir = sys.argv[2] if len(sys.argv) > 2 else tempfile.mkdtemp(prefix="trace-")
+def replay(workload: str, out_dir: str) -> int:
+    """Record ``workload`` into ``out_dir``, replay it, compare both runs."""
     params = SimulationParams(num_cores=2, requests_per_core=5_000, time_scale=32)
 
     print(f"recording {workload} -> {out_dir}")
@@ -41,6 +39,19 @@ def main() -> int:
     assert results[workload] == results[f"trace:{out_dir}"], "replay diverged!"
     print("replay reproduces the original run exactly")
     return 0
+
+
+def main() -> int:
+    """Run the record → replay → compare loop and print both tables.
+
+    The recording goes to the directory given as the second argument,
+    or to a temporary one that is deleted afterwards.
+    """
+    workload = sys.argv[1] if len(sys.argv) > 1 else "gcc"
+    if len(sys.argv) > 2:
+        return replay(workload, sys.argv[2])
+    with tempfile.TemporaryDirectory(prefix="trace-") as out_dir:
+        return replay(workload, out_dir)
 
 
 if __name__ == "__main__":

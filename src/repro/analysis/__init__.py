@@ -2,7 +2,7 @@
 
 from repro.analysis.storage import StorageModel, StorageBreakdown
 from repro.analysis.power import PowerModel, PowerBreakdown
-from repro.analysis.thresholds import TRH_HISTORY, trh_for_generation, scaling_factor
+from repro.analysis.thresholds import TRH_HISTORY, scaling_factor
 
 __all__ = [
     "StorageModel",
@@ -10,6 +10,5 @@ __all__ = [
     "PowerModel",
     "PowerBreakdown",
     "TRH_HISTORY",
-    "trh_for_generation",
     "scaling_factor",
 ]

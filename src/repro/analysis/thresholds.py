@@ -23,11 +23,6 @@ TRH_HISTORY: Dict[str, int] = {
 LPDDR4_NEW_RANGE: Tuple[int, int] = (4_800, 9_000)
 
 
-def trh_for_generation(generation: str) -> int:
-    """Demonstrated TRH for a generation; raises ``KeyError`` if unknown."""
-    return TRH_HISTORY[generation]
-
-
 def scaling_factor(older: str = "DDR3 (old)", newer: str = "LPDDR4 (new)") -> float:
     """How much TRH dropped between two generations (about 29x for the
     default pair, as the paper highlights)."""

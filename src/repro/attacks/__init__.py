@@ -32,7 +32,6 @@ from repro.attacks.juggernaut import (
     multi_bank_time_to_break_days,
 )
 from repro.attacks.patterns import (
-    single_sided,
     double_sided,
     many_sided,
     half_double,
@@ -52,7 +51,6 @@ __all__ = [
     "JuggernautAttacker",
     "AttackVerdict",
     "multi_bank_time_to_break_days",
-    "single_sided",
     "double_sided",
     "many_sided",
     "half_double",

@@ -70,22 +70,6 @@ class AttackParameters:
     def effective_act_gap(self) -> float:
         return self.act_gap if self.act_gap is not None else self.t_rc
 
-    def with_swap_rate(self, swap_rate: float) -> "AttackParameters":
-        """Same parameters with ``ts`` derived from a new swap rate."""
-        return AttackParameters(
-            trh=self.trh,
-            ts=max(1, int(round(self.trh / swap_rate))),
-            rows_per_bank=self.rows_per_bank,
-            t_rc=self.t_rc,
-            t_rfc=self.t_rfc,
-            refreshes_per_window=self.refreshes_per_window,
-            t_swap=self.t_swap,
-            t_reswap=self.t_reswap,
-            latent_per_round=self.latent_per_round,
-            refresh_window=self.refresh_window,
-            act_gap=self.act_gap,
-        )
-
 
 @dataclass(frozen=True)
 class RoundOutcome:

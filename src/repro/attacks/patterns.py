@@ -2,8 +2,6 @@
 
 Generators for the attack patterns the paper's threat model references:
 
-- *single-sided* [24]: hammer one aggressor (plus a far dummy row to
-  defeat the row buffer);
 - *double-sided* [54]: hammer the two rows sandwiching the victim —
   the pattern that set ``TRH = 4800`` on LPDDR4;
 - *many-sided* (TRRespass [15]): several aggressor pairs to overwhelm
@@ -21,14 +19,6 @@ from __future__ import annotations
 
 import itertools
 from typing import Iterable, Iterator, List, Sequence
-
-
-def single_sided(aggressor: int, dummy: int, count: int) -> Iterator[int]:
-    """Alternate the aggressor with a far dummy row (row-buffer flush)."""
-    if aggressor == dummy:
-        raise ValueError("dummy row must differ from the aggressor")
-    for i in range(count):
-        yield aggressor if i % 2 == 0 else dummy
 
 
 def double_sided(victim: int, count: int) -> Iterator[int]:

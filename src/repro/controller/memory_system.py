@@ -73,13 +73,6 @@ class MemorySystem:
                     self._banks.append(bank)
                     key = (ch_index, rk_index, bk_index)
                     self.mitigations.append(factory(bank, key))
-        # Each bank's rank refresh scheduler, by flat bank index.
-        self._refreshers = [
-            rank.refresh
-            for channel in self.channels
-            for rank in channel.ranks
-            for _ in rank.banks
-        ]
         # Live per-bank views behind `Mitigation.resolve` and
         # `Mitigation.is_pinned` (see `Mitigation.resolve_map` and
         # `Mitigation.batch_pinned_view`); the request path reads row
@@ -94,8 +87,6 @@ class MemorySystem:
         self._window = timing.refresh_window
         self._next_window_end = self._window
         self.llc_hits_from_pins = 0
-        self.reads = 0
-        self.writes = 0
 
     # ------------------------------------------------------------------
     # indexing helpers
@@ -186,7 +177,6 @@ class MemorySystem:
         """
         if time >= self._next_window_end:
             self._roll_windows(time)
-        self.reads += 1
         mitigation = self.mitigations[index]
         mitigation.tick(time)
         pinned = self._pinned_views[index]
@@ -196,10 +186,11 @@ class MemorySystem:
         queue = self.write_queues[channel]
         if len(queue._queue) >= queue.high_watermark:
             self._drain_writes(channel, time)
-        # Rank refresh alignment (RefreshScheduler.delay_through).
+        # Rank refresh alignment: every rank refreshes for tRFC at each
+        # multiple of tREFI, so an access issued inside a refresh starts
+        # when it ends.
         start = time
         if time % self._t_refi < self._t_rfc:
-            self._refreshers[index].refreshes_applied += 1
             start = int(time // self._t_refi) * self._t_refi + self._t_rfc
         return self._service(channel, index, mitigation, start, row)
 
@@ -221,7 +212,6 @@ class MemorySystem:
         """Post a write of ``row`` in flat bank ``index``."""
         if time >= self._next_window_end:
             self._roll_windows(time)
-        self.writes += 1
         pinned = self._pinned_views[index]
         if pinned is not None and row in pinned:
             self.llc_hits_from_pins += 1
@@ -250,14 +240,6 @@ class MemorySystem:
             )
 
         self.write_queues[channel].drain(issue, to_empty=to_empty)
-
-    def request_address(self, time: float, address: int, is_write: bool):
-        """Address-based entry point (decodes then dispatches)."""
-        decoded = self.mapper.decode(address)
-        if is_write:
-            self.write(time, decoded.channel, decoded.rank, decoded.bank, decoded.row, decoded.column)
-            return None
-        return self.read(time, decoded.channel, decoded.rank, decoded.bank, decoded.row, decoded.column)
 
     def finalize(self, time: float) -> float:
         """End of simulation: drain writes and close activation windows.

@@ -42,32 +42,18 @@ class WriteQueue:
         self.high_watermark = high_watermark
         self.low_watermark = low_watermark
         self._queue: List[PendingWrite] = []
-        self.total_enqueued = 0
-        self.total_drained = 0
-        self.drain_episodes = 0
 
     def __len__(self) -> int:
         return len(self._queue)
-
-    @property
-    def needs_drain(self) -> bool:
-        return len(self._queue) >= self.high_watermark
 
     def enqueue(self, write: PendingWrite) -> None:
         if len(self._queue) >= self.capacity:
             raise OverflowError("write queue full; caller must drain first")
         self._queue.append(write)
-        self.total_enqueued += 1
 
-    def drain(self, issue: Callable[[PendingWrite], None], to_empty: bool = False) -> int:
+    def drain(self, issue: Callable[[PendingWrite], None], to_empty: bool = False) -> None:
         """Issue buffered writes oldest-first until the low watermark
-        (or empty); returns the number drained."""
+        (or empty)."""
         target = 0 if to_empty else self.low_watermark
-        drained = 0
         while len(self._queue) > target:
             issue(self._queue.pop(0))
-            drained += 1
-        if drained:
-            self.total_drained += drained
-            self.drain_episodes += 1
-        return drained

@@ -2,8 +2,6 @@
 
 Modules:
 
-- :mod:`repro.core.cat` — Collision Avoidance Table (MIRAGE-style bucketed
-  hash table) used by the Row Indirection Table and the Misra-Gries tracker.
 - :mod:`repro.core.rit` — Row Indirection Tables: the tuple-paired RIT of
   RRS and the split real/mirrored swap-only RIT of SRS.
 - :mod:`repro.core.mitigation` — the common mitigation interface and the
@@ -26,7 +24,6 @@ discover designs (names, default swap rates, builders) from it. Adding
 a mitigation is one decorated class — no factory or CLI edits.
 """
 
-from repro.core.cat import CollisionAvoidanceTable
 from repro.core.rit import RRSIndirectionTable, SRSIndirectionTable
 from repro.core.mitigation import (
     Mitigation,
@@ -52,7 +49,6 @@ from repro.registry import MITIGATIONS, register_mitigation
 __all__ = [
     "MITIGATIONS",
     "register_mitigation",
-    "CollisionAvoidanceTable",
     "RRSIndirectionTable",
     "SRSIndirectionTable",
     "Mitigation",

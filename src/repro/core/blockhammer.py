@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.core.cat import _splitmix64
 from repro.core.mitigation import (
     Mitigation,
     MitigationEvent,
@@ -31,6 +30,18 @@ from repro.core.mitigation import (
 )
 from repro.dram.bank import Bank
 from repro.registry import register_mitigation
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(x: int) -> int:
+    """One round of the splitmix64 mixing function."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    z = x
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 @dataclass

@@ -62,7 +62,6 @@ class PinBuffer:
         self.sets_per_row = max(1, lines_per_row // llc_ways)
         self._entries: Dict[tuple, PinBufferEntry] = {}
         self._free_slots: List[int] = list(range(num_entries))
-        self.lifetime_pins = 0
 
     @staticmethod
     def _key(bank_key: tuple, row: int) -> tuple:
@@ -91,7 +90,6 @@ class PinBuffer:
             num_sets=self.sets_per_row,
         )
         self._entries[key] = entry
-        self.lifetime_pins += 1
         return entry
 
     def unpin(self, bank_key: tuple, row: int) -> bool:

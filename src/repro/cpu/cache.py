@@ -29,19 +29,8 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    pinned_hits: int = 0
     pinned_evictions_refused: int = 0
     bypasses: int = 0
-
-    @property
-    def accesses(self) -> int:
-        """Total lookups (hits plus misses)."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over accesses (0.0 when the cache is untouched)."""
-        return self.hits / self.accesses if self.accesses else 0.0
 
 
 class SetAssociativeCache:
@@ -109,8 +98,6 @@ class SetAssociativeCache:
         if line in cache_set:
             cache_set.move_to_end(line)
             self.stats.hits += 1
-            if cache_set[line]:
-                self.stats.pinned_hits += 1
             return True
         self.stats.misses += 1
         if len(cache_set) >= self.ways and not self._evict_one(cache_set):
@@ -165,21 +152,6 @@ class SetAssociativeCache:
             cache_set[line] = True
             self._pinned_lines.add(line)
         return installed
-
-    def unpin_row(self, row_base_address: int, row_size_bytes: int = 8 * 1024) -> int:
-        """Clear pin flags for a row's lines; returns lines unpinned."""
-        lines = row_size_bytes // self.line_bytes
-        cleared = 0
-        for offset in range(lines):
-            line = self._line_address(row_base_address + offset * self.line_bytes)
-            if line in self._pinned_lines:
-                self._pinned_lines.discard(line)
-                cleared += 1
-                for cache_set in self._sets.values():
-                    if line in cache_set:
-                        cache_set[line] = False
-                        break
-        return cleared
 
     @property
     def pinned_line_count(self) -> int:

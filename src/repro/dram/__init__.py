@@ -16,7 +16,6 @@ from repro.dram.config import (
 from repro.dram.commands import PagePolicy
 from repro.dram.address import AddressMapper, DecodedAddress
 from repro.dram.bank import Bank, ActivationStats
-from repro.dram.refresh import RefreshScheduler
 from repro.dram.disturbance import DisturbanceModel, FlipEvent
 from repro.dram.channel import Rank, Channel
 
@@ -31,7 +30,6 @@ __all__ = [
     "DecodedAddress",
     "Bank",
     "ActivationStats",
-    "RefreshScheduler",
     "DisturbanceModel",
     "FlipEvent",
     "Rank",

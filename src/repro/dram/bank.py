@@ -117,10 +117,6 @@ class ActivationStats:
         """Highest per-row ACT count in the current window."""
         return max(self._counts.values()) if self._counts else 0
 
-    def rows_at_or_above(self, threshold: int) -> List[int]:
-        """Rows whose current-window count is >= ``threshold``."""
-        return [row for row, n in self._counts.items() if n >= threshold]
-
     def current_counts(self) -> Dict[int, int]:
         """Copy of the current window's per-row counts."""
         return dict(self._counts)
@@ -287,9 +283,3 @@ class Bank:
         self.open_row = None
         self.busy_until = start + duration
         return self.busy_until
-
-    @property
-    def row_hit_rate(self) -> float:
-        if self.total_accesses == 0:
-            return 0.0
-        return self.row_hits / self.total_accesses

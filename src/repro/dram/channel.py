@@ -1,7 +1,8 @@
 """Rank and channel containers aggregating banks.
 
 A :class:`Channel` owns its ranks and exposes bank lookup by decoded
-address. Refresh is modelled per rank (all-bank refresh, as on DDR4).
+address. Refresh is modelled per rank (all-bank refresh, as on DDR4)
+by the memory system's request path (``MemorySystem._read``).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from typing import Iterator, List, Optional
 from repro.dram.bank import Bank
 from repro.dram.commands import PagePolicy
 from repro.dram.config import DRAMOrganization, DRAMTiming
-from repro.dram.refresh import RefreshScheduler
 
 
 class Rank:
@@ -28,14 +28,9 @@ class Rank:
         self.banks: List[Bank] = [
             Bank(rows_per_bank, self.timing, policy) for _ in range(num_banks)
         ]
-        self.refresh = RefreshScheduler(self.timing)
 
     def bank(self, index: int) -> Bank:
         return self.banks[index]
-
-    def adjusted_start(self, time: float) -> float:
-        """Push ``time`` past any in-progress refresh on this rank."""
-        return self.refresh.delay_through(time)
 
     def __len__(self) -> int:
         return len(self.banks)
@@ -66,10 +61,6 @@ class Channel:
 
     def bank(self, rank: int, bank: int) -> Bank:
         return self.ranks[rank].banks[bank]
-
-    def all_banks(self) -> Iterator[Bank]:
-        for rank in self.ranks:
-            yield from rank.banks
 
     def __len__(self) -> int:
         return len(self.ranks)

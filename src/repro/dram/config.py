@@ -47,6 +47,12 @@ class DRAMTiming:
     t_reswap: float = 5_400.0
     t_counter: float = 45.0
 
+    def __post_init__(self) -> None:
+        # Each rank refreshes for tRFC at every multiple of tREFI; a
+        # refresh that outlasts its interval leaves the bank no time.
+        if self.t_refi <= self.t_rfc:
+            raise ValueError("tREFI must exceed tRFC")
+
     @property
     def refreshes_per_window(self) -> int:
         """Number of refresh commands issued within one refresh window."""
@@ -114,11 +120,6 @@ class SystemConfig:
     def core_cycle_ns(self) -> float:
         """Duration of one core clock cycle in nanoseconds."""
         return 1.0 / self.core_clock_ghz
-
-    @property
-    def llc_sets(self) -> int:
-        line = self.organization.line_size_bytes
-        return self.llc_size_bytes // (line * self.llc_ways)
 
 
 DEFAULT_TIMING = DRAMTiming()

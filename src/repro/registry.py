@@ -669,11 +669,3 @@ def workload_source_names() -> Tuple[str, ...]:
     """Registered workload-source prefixes, registration order."""
     return WORKLOAD_SOURCES.names()
 
-
-def default_swap_rates() -> Dict[str, float]:
-    """``{name: default swap rate}`` for designs that declare one."""
-    return {
-        info.name: info.default_swap_rate
-        for info in MITIGATIONS
-        if info.default_swap_rate is not None
-    }

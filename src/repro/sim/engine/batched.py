@@ -74,7 +74,8 @@ Maintenance rule: any change to the scalar access path
 calls ``ActivationStats.record`` only on a window change —
 ``TraceCore.advance``) or to mitigation/tracker bookkeeping consulted
 within a span must be mirrored here, and ``tests/test_engine_fuzz.py``
-is the harness that catches a missed mirror.
+is the harness that catches a missed mirror. DESIGN.md lists the state
+the fused loop mirrors.
 """
 
 from __future__ import annotations
@@ -206,22 +207,12 @@ class BatchedEngine(Engine):
         banks = memory._banks
         mitigations = memory.mitigations
         num_banks = len(banks)
-        banks_per_rank = memory._banks_per_rank
         queues = memory.write_queues
         num_channels = len(queues)
         qlists = [queue._queue for queue in queues]
         capacity = [queue.capacity for queue in queues]
         high_wm = [queue.high_watermark for queue in queues]
         low_wm = [queue.low_watermark for queue in queues]
-
-        # Rank refresh schedulers, indexed by flat bank number.
-        rank_objs = [
-            rank for channel in memory.channels for rank in channel.ranks
-        ]
-        refreshers = [
-            rank_objs[index // banks_per_rank].refresh
-            for index in range(num_banks)
-        ]
 
         # Hoisted per-bank state (parallel to `banks`).
         busy = [0.0] * num_banks
@@ -235,7 +226,6 @@ class BatchedEngine(Engine):
         stats_wi = [0] * num_banks
         trackers = [m.tracker for m in mitigations]
         observed: List[list] = [[] for _ in range(num_banks)]
-        refresh_delta = [0] * num_banks
         # Batching-contract state, per bank. `rmaps` and `pinned` are
         # *live* views (mutated in place only by full-path calls);
         # horizon/slack/quiet are values, recomputed at every re-hoist;
@@ -257,7 +247,6 @@ class BatchedEngine(Engine):
         # Hoisted per-channel / per-core state.
         bus = [0.0] * num_channels
         qlen = [0] * num_channels
-        enq_delta = [0] * num_channels
         clocks = [core.clock_ns for core in cores]
         instrs = [core.instructions for core in cores]
         mreads = [core.memory_reads for core in cores]
@@ -265,9 +254,7 @@ class BatchedEngine(Engine):
         pends = [core._pending for core in cores]
         rob = cores[0].config.rob_size
         max_outstanding = cores[0].max_outstanding
-        # Hoisted MemorySystem counters and window mirror.
-        reads = 0
-        writes = 0
+        # Hoisted MemorySystem pin-hit counter and window mirror.
         llc_delta = 0
         next_window = memory._next_window_end
 
@@ -337,9 +324,6 @@ class BatchedEngine(Engine):
             bank.total_accesses = total_acc[b]
             bank.row_hits = row_hits[b]
             stats_objs[b].lifetime_activations = lifetime[b]
-            if refresh_delta[b]:
-                refreshers[b].refreshes_applied += refresh_delta[b]
-                refresh_delta[b] = 0
 
         def rehoist_bank(b: int) -> None:
             """Re-hoist bank ``b`` after a scoped full-path excursion.
@@ -369,19 +353,12 @@ class BatchedEngine(Engine):
 
         def sync_banks() -> None:
             """Write all hoisted bank/bus/counter state back."""
-            nonlocal reads, writes, llc_delta
+            nonlocal llc_delta
             for b in range(num_banks):
                 sync_bank(b)
             for c in range(num_channels):
                 memory._bus_free[c] = bus[c]
-                if enq_delta[c]:
-                    queues[c].total_enqueued += enq_delta[c]
-                    enq_delta[c] = 0
-            memory.reads += reads
-            memory.writes += writes
             memory.llc_hits_from_pins += llc_delta
-            reads = 0
-            writes = 0
             llc_delta = 0
 
         def sync_core(core_id: int) -> None:
@@ -463,7 +440,6 @@ class BatchedEngine(Engine):
             counters["drains"] += 1
             qlist = qlists[ch]
             target = low_wm[ch]
-            drained = 0
             while len(qlist) > target:
                 pending_write = qlist.pop(0)
                 b = pending_write.bank_index
@@ -504,7 +480,6 @@ class BatchedEngine(Engine):
                         bus[ch] = memory._bus_free[ch]
                         rehoist_bank(b)
                         counters["scoped_accesses"] += 1
-                        drained += 1
                         continue
                     total_acc[b] += 1
                     last_act[b] = s
@@ -526,11 +501,7 @@ class BatchedEngine(Engine):
                         observed[b].append(row)
                 held = bus[ch]
                 bus[ch] = (finish if finish > held else held) + t_bl
-                drained += 1
             qlen[ch] = len(qlist)
-            queue = queues[ch]
-            queue.total_drained += drained
-            queue.drain_episodes += 1
 
         hoist()
         fast = 0
@@ -617,7 +588,6 @@ class BatchedEngine(Engine):
                         # Pin filter: the write is absorbed by the LLC
                         # (no enqueue). Writes never tick, so no quiet
                         # gate applies.
-                        writes += 1
                         llc_delta += 1
                         mwrites[core_id] += 1
                         counters["pinned_fast_hits"] += 1
@@ -627,14 +597,12 @@ class BatchedEngine(Engine):
                             fused_drain(ch, clock)
                         # WriteQueue.enqueue, inlined (the queue cannot
                         # be full here: the drain above just emptied it).
-                        writes += 1
                         qlists[ch].append(
                             PendingWrite(
                                 arrival=clock, bank_index=b,
                                 row=row, column=cols_l[pos],
                             )
                         )
-                        enq_delta[ch] += 1
                         qlen[ch] += 1
                         mwrites[core_id] += 1
                         fast += 1
@@ -650,7 +618,6 @@ class BatchedEngine(Engine):
                         if pin_view is not None and row in pin_view:
                             # Pin filter: served from the LLC — no bank,
                             # no bus, no ACT, no drain trigger.
-                            reads += 1
                             llc_delta += 1
                             completion = clock + llc_latency
                             mreads[core_id] += 1
@@ -660,12 +627,10 @@ class BatchedEngine(Engine):
                         else:
                             if qlen[ch] >= high_wm[ch]:
                                 fused_drain(ch, clock)
-                            # RefreshScheduler.delay_through, inlined
-                            # (the counter increment is deferred until
-                            # the access is known to commit fused).
+                            # Rank refresh alignment, as in
+                            # MemorySystem._read.
                             start = clock
-                            refreshed = start % t_refi < t_rfc
-                            if refreshed:
+                            if start % t_refi < t_rfc:
                                 start = int(start // t_refi) * t_refi + t_rfc
                             rmap = rmaps[b]
                             physical = (
@@ -674,9 +639,6 @@ class BatchedEngine(Engine):
                             open_row = open_rows[b]
                             if open_policy and open_row == physical:
                                 # Bank.access, OPEN row-hit arm (no ACT).
-                                if refreshed:
-                                    refresh_delta[b] += 1
-                                reads += 1
                                 total_acc[b] += 1
                                 row_hits[b] += 1
                                 held = busy[b]
@@ -707,9 +669,6 @@ class BatchedEngine(Engine):
                                     s += t_rp
                                 finish = s + t_rcd + t_cas + t_bl
                                 if admit_act(b, row, finish):
-                                    if refreshed:
-                                        refresh_delta[b] += 1
-                                    reads += 1
                                     total_acc[b] += 1
                                     last_act[b] = s
                                     # ActivationStats.record, inlined

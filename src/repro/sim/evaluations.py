@@ -64,12 +64,12 @@ from repro.sim.experiment import (
     ExperimentCell,
     _params_from_dict,
     _params_to_dict,
-    _simulate_cell,
+    resolve_workload,
     result_from_dict,
     result_to_dict,
 )
 from repro.sim.results import SimulationResult
-from repro.sim.simulator import SimulationParams
+from repro.sim.simulator import PerformanceSimulation, SimulationParams
 
 # ----------------------------------------------------------------------
 # perf — the performance simulator (the engine's original kind)
@@ -112,8 +112,9 @@ def _perf_cell_cost(cell: ExperimentCell) -> float:
     cell_cost=_perf_cell_cost,
 )
 def run_perf_cell(cell: ExperimentCell) -> SimulationResult:
-    """Run one performance cell (delegates to the simulator driver)."""
-    return _simulate_cell(cell)
+    """Run one performance cell through the simulator driver."""
+    workload = cell.workload_spec or resolve_workload(cell.workload)
+    return PerformanceSimulation(workload, cell.mitigation, cell.params).run()
 
 
 # ----------------------------------------------------------------------

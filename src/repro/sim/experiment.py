@@ -100,7 +100,7 @@ from repro.sim.results import (
     geometric_mean,
     normalized_performance,
 )
-from repro.sim.simulator import PerformanceSimulation, SimulationParams
+from repro.sim.simulator import SimulationParams
 from repro.workloads.plane import PlaneStats
 from repro.workloads.sources import resolve_workload_string
 from repro.workloads.suites import WorkloadSpec
@@ -346,21 +346,9 @@ def plan_cells(spec: ExperimentSpec) -> List[ExperimentCell]:
     return spec.baseline_cells() + cells
 
 
-def _simulate_cell(cell: ExperimentCell) -> SimulationResult:
-    """Run one ``perf`` cell (module-level so process pools can pickle it)."""
-    workload = cell.workload_spec or resolve_workload(cell.workload)
-    return PerformanceSimulation(workload, cell.mitigation, cell.params).run()
-
-
 def _run_cell(cell: ExperimentCell) -> Any:
-    """Run one cell of any kind (module-level for process pools).
-
-    ``perf`` dispatches through this module's :func:`_simulate_cell`
-    (not the registry snapshot) so tests can instrument it; every other
-    kind runs its registered runner.
-    """
-    if cell.kind == PERF:
-        return _simulate_cell(cell)
+    """Run one cell with its kind's registered runner (module-level so
+    process pools can pickle it)."""
     return EVALUATIONS.get(cell.kind).runner(cell)
 
 
@@ -746,14 +734,6 @@ class ResultSet:
             )
         )
 
-    @property
-    def trh_values(self) -> List[int]:
-        """Distinct non-baseline TRH values, descending."""
-        return sorted(
-            {r.trh for r in self.results if r.mitigation != BASELINE},
-            reverse=True,
-        )
-
     # -- normalization (perf results only) ----------------------------
 
     def baseline_for(self, result: SimulationResult) -> SimulationResult:
@@ -829,15 +809,6 @@ class ResultSet:
             suite: {m: geometric_mean(vals) for m, vals in row.items()}
             for suite, row in buckets.items()
         }
-
-    def geomean(self, mitigation: str) -> float:
-        """Cross-workload geometric mean for one mitigation."""
-        values = [
-            self.normalized(r)
-            for r in self.results
-            if _kind_of(r) == PERF and r.mitigation == mitigation
-        ]
-        return geometric_mean(values)
 
     # -- export -------------------------------------------------------
 

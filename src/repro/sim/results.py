@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, ClassVar, List, Optional, Sequence
 
 from repro.cpu.core import CoreResult
 
@@ -88,13 +88,3 @@ def slowdown_percent(normalized: float) -> float:
     """Slowdown in percent from a normalized performance value."""
     return (1.0 - normalized) * 100.0
 
-
-def group_by_suite(
-    normalized: Dict[str, float], workload_suites: Dict[str, str]
-) -> Dict[str, float]:
-    """Per-suite geometric means of normalized performance."""
-    buckets: Dict[str, List[float]] = {}
-    for workload, value in normalized.items():
-        suite = workload_suites[workload]
-        buckets.setdefault(suite, []).append(value)
-    return {suite: geometric_mean(values) for suite, values in buckets.items()}

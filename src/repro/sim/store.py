@@ -172,11 +172,10 @@ def parse_shard(text: str) -> Tuple[int, int]:
 class StoreInventory:
     """What a :meth:`ResultStore.inventory` scan found.
 
-    ``live`` counts well-formed entries per ``(kind, stored schema
-    version)`` — including versions the registered kind no longer
-    declares (those are *stale*: reads treat them as misses).
-    ``stale`` and ``corrupt`` list the entries :meth:`ResultStore.prune`
-    would remove, with a reason each.
+    ``live`` counts the entries :meth:`ResultStore.get` serves, per
+    ``(kind, schema version)``. ``stale`` and ``corrupt`` list the
+    entries it treats as misses, which :meth:`ResultStore.prune` would
+    remove, with a reason each.
     """
 
     live: Dict[Tuple[str, int], int] = field(default_factory=dict)
@@ -243,50 +242,48 @@ class ResultStore:
     def get(self, cell: Any, digest: Optional[str] = None) -> Optional[Any]:
         """The stored result of ``cell``, or ``None`` on any miss.
 
-        A miss is: no entry, unreadable/corrupt JSON, a kind or
-        schema-version mismatch inside the payload, a payload whose
-        ``cell`` record does not :func:`key_digest` to the file's digest
-        (a renamed, swapped or tampered entry), or a result record that
-        fails to deserialize. Every miss is recoverable — the engine
-        reruns the cell and :meth:`put` rewrites the entry. The digest
-        check is what makes a store assembled by copying other stores'
-        ``*.json`` files as safe as one this process wrote.
+        A miss is: no entry, or an entry :meth:`_parse_entry` does not
+        find live — the same rule ``repro store ls`` counts by — or a
+        live entry of another kind. Every miss is recoverable — the
+        engine reruns the cell and :meth:`put` rewrites the entry. The
+        digest check is what makes a store assembled by copying other
+        stores' ``*.json`` files as safe as one this process wrote.
         ``digest`` short-circuits the address computation when the
         caller already holds :func:`cell_digest` of the cell (the
         engine computes it once per cell — fingerprinting a trace
         workload stats its files).
         """
-        info = EVALUATIONS.get(cell.kind)
         if digest is None:
             digest = cell_digest(cell)
         try:
             with open(
                 os.path.join(self.path, digest + ".json"), encoding="utf-8"
             ) as handle:
-                payload = json.load(handle)
-            if payload.get("kind") != cell.kind:
-                return None
-            if payload.get("schema_version") != info.schema_version:
-                return None
-            if key_digest(payload["cell"]) != digest:
-                return None
-            return info.result_from_dict(payload["result"])
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+                text = handle.read()
+        except OSError:
             return None
+        state, detail, result = self._parse_entry(digest, text)
+        if state != "live" or detail[0] != cell.kind:
+            return None
+        return result
 
     @staticmethod
-    def _classify_payload(digest: str, text: Optional[str]) -> Tuple[str, Any]:
-        """``(state, detail)`` of the entry ``digest`` holding ``text``
-        (``None`` = unreadable).
+    def _parse_entry(
+        digest: str, text: Optional[str]
+    ) -> Tuple[str, Any, Optional[Any]]:
+        """``(state, detail, result)`` of the entry ``digest`` holding
+        ``text`` (``None`` = unreadable): the store's one validity rule.
 
-        States: ``live`` (well-formed; detail is the ``(kind, version)``
-        bucket), ``stale`` (well-formed but not servable — unknown kind,
-        old schema version, a ``cell`` record that does not hash to the
-        file name, or a result record the kind's deserializer rejects),
+        States: ``live`` (servable; detail is the ``(kind, version)``
+        bucket and ``result`` the deserialized result), ``stale``
+        (well-formed but not servable — unknown kind, old schema
+        version, a ``cell`` record that does not hash to the file name,
+        or a result record the kind's deserializer rejects),
         ``corrupt`` (unparseable JSON or a payload missing the envelope
-        fields). :meth:`get` already treats stale and corrupt entries as
-        silent misses; this makes them visible to ``repro store ls`` /
-        ``prune``.
+        fields). For the last two, detail is the reason and ``result``
+        is ``None``. :meth:`get` serves live entries only;
+        :meth:`inventory` makes the rest visible to ``repro store ls``
+        / ``prune``.
         """
         try:
             if text is None:
@@ -294,24 +291,25 @@ class ResultStore:
             payload = json.loads(text)
             kind = payload["kind"]
             version = payload["schema_version"]
-            result = payload["result"]
+            record = payload["result"]
         except (ValueError, KeyError, TypeError):
-            return "corrupt", "unreadable or truncated payload"
-        if kind not in EVALUATIONS:
-            return "stale", f"unknown evaluation kind {kind!r}"
+            return "corrupt", "unreadable or truncated payload", None
+        if not isinstance(kind, str) or kind not in EVALUATIONS:
+            return "stale", f"unknown evaluation kind {kind!r}", None
         info = EVALUATIONS.get(kind)
         if version != info.schema_version:
             return (
                 "stale",
                 f"{kind} schema v{version} (current v{info.schema_version})",
+                None,
             )
         if key_digest(payload.get("cell")) != digest:
-            return "stale", "payload does not hash to its file name"
+            return "stale", "payload does not hash to its file name", None
         try:
-            info.result_from_dict(result)
+            result = info.result_from_dict(record)
         except Exception:
-            return "stale", f"{kind} result fails to deserialize"
-        return "live", (kind, version)
+            return "stale", f"{kind} result fails to deserialize", None
+        return "live", (kind, version), result
 
     def _entry_payloads(self) -> Iterator[Tuple[str, str, Optional[str]]]:
         """``(digest, path, text)`` of every entry file (``text=None``
@@ -328,7 +326,7 @@ class ResultStore:
         """Scan every entry: per-kind live counts plus prunable entries."""
         report = StoreInventory()
         for digest, path, text in self._entry_payloads():
-            state, detail = self._classify_payload(digest, text)
+            state, detail, _ = self._parse_entry(digest, text)
             if state == "live":
                 report.live[detail] = report.live.get(detail, 0) + 1
             elif state == "stale":

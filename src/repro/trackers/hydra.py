@@ -77,8 +77,6 @@ class HydraTracker(Tracker):
         # them. `_row_counts` is the DRAM-resident truth.
         self._row_counts: Dict[int, int] = {}
         self._rcc: "OrderedDict[int, int]" = OrderedDict()
-        self.rcc_hits = 0
-        self.rcc_misses = 0
         self.dram_counter_accesses = 0
 
     def _group_of(self, row: int) -> int:
@@ -87,10 +85,8 @@ class HydraTracker(Tracker):
     def _rcc_access(self, row: int) -> int:
         """Access ``row``'s counter through the RCC; returns DRAM accesses."""
         if row in self._rcc:
-            self.rcc_hits += 1
             self._rcc.move_to_end(row)
             return 0
-        self.rcc_misses += 1
         extra = 1  # read the counter from DRAM
         if len(self._rcc) >= self.config.rcc_entries:
             evicted_row, _ = self._rcc.popitem(last=False)
@@ -146,8 +142,3 @@ class HydraTracker(Tracker):
         self._hot_groups.clear()
         self._row_counts.clear()
         self._rcc.clear()
-
-    @property
-    def rcc_hit_rate(self) -> float:
-        total = self.rcc_hits + self.rcc_misses
-        return self.rcc_hits / total if total else 0.0

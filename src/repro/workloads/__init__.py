@@ -31,7 +31,6 @@ from repro.workloads.suites import (
     WorkloadSpec,
     profile_by_name,
     workloads_in_suite,
-    swap_heavy_workloads,
 )
 
 __all__ = [
@@ -47,5 +46,4 @@ __all__ = [
     "WorkloadSpec",
     "profile_by_name",
     "workloads_in_suite",
-    "swap_heavy_workloads",
 ]

@@ -237,13 +237,3 @@ def workloads_in_suite(suite: str) -> List[WorkloadSpec]:
     """All workloads of one suite (e.g. ``"GAP"``), suite order."""
     return [w for w in ALL_WORKLOADS if w.suite == suite]
 
-
-def swap_heavy_workloads() -> List[WorkloadSpec]:
-    """The Figure 14 detailed subset: workloads with at least one row
-    crossing 800 activations per 64 ms window (plus GUPS)."""
-    heavy = []
-    for spec in ALL_WORKLOADS:
-        profiles = [PROFILES[c] for c in spec.components]
-        if any(p.is_swap_heavy or p.suite == "GUPS" for p in profiles):
-            heavy.append(spec)
-    return heavy

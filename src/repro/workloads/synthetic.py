@@ -68,12 +68,6 @@ class BenchmarkProfile:
         """Mean non-memory instructions between misses."""
         return max(0.0, 1000.0 / self.mpki - 1.0)
 
-    @property
-    def is_swap_heavy(self) -> bool:
-        """Heuristic: does the profile concentrate enough accesses on few
-        rows to force frequent swaps at low thresholds?"""
-        return self.hot_access_fraction >= 0.05 and self.hot_row_count > 0
-
 
 class SyntheticTraceGenerator:
     """Generates columnar traces from a profile.

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis.power import PowerModel
 from repro.analysis.storage import PAPER_TABLE_IV_KB, StorageModel
-from repro.analysis.thresholds import TRH_HISTORY, scaling_factor, trh_for_generation
+from repro.analysis.thresholds import TRH_HISTORY, scaling_factor
 
 
 class TestStorageModel:
@@ -106,8 +106,8 @@ class TestPowerModel:
 
 class TestThresholdHistory:
     def test_table_i_values(self):
-        assert trh_for_generation("DDR3 (old)") == 139_000
-        assert trh_for_generation("LPDDR4 (new)") == 4_800
+        assert TRH_HISTORY["DDR3 (old)"] == 139_000
+        assert TRH_HISTORY["LPDDR4 (new)"] == 4_800
 
     def test_29x_scaling(self):
         assert scaling_factor() == pytest.approx(29.0, abs=0.5)
@@ -120,4 +120,4 @@ class TestThresholdHistory:
 
     def test_unknown_generation(self):
         with pytest.raises(KeyError):
-            trh_for_generation("DDR9")
+            scaling_factor(older="DDR9")

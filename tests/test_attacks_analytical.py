@@ -10,6 +10,7 @@ from repro.attacks.analytical import (
     srs_parameters,
 )
 from repro.attacks.birthday import random_guess_time_to_break_days
+from repro.sim.evaluations import SecurityParams
 
 
 @pytest.fixture
@@ -110,10 +111,10 @@ class TestCliffStructure:
 
 class TestParameterHandling:
     def test_with_swap_rate(self):
-        params = AttackParameters(trh=4800, ts=800)
-        higher = params.with_swap_rate(8)
-        assert higher.ts == 600
-        assert higher.trh == 4800
+        # A security cell derives TS from its swap rate.
+        params = SecurityParams(trh=4800, swap_rate=8).attack_parameters("rrs")
+        assert params.ts == 600
+        assert params.trh == 4800
 
     def test_swap_rate_property(self):
         assert AttackParameters(trh=4800, ts=800).swap_rate == 6.0

@@ -26,7 +26,6 @@ class TestWriteQueue:
         queue = WriteQueue(capacity=8, high_watermark=4, low_watermark=2)
         for i in range(4):
             queue.enqueue(PendingWrite(0.0, 0, i, 0))
-        assert queue.needs_drain
         issued = []
         queue.drain(issued.append)
         assert len(issued) == 2  # down to low watermark
@@ -116,10 +115,17 @@ class TestMemorySystem:
 
     def test_writes_buffered_then_drained(self):
         memory = MemorySystem(small_config())
+        queue = memory.write_queues[0]
         for i in range(45):  # beyond the high watermark of 40
             memory.write(1000.0, 0, 0, i % 4, row=i)
+        assert len(queue) == 45
+        assert memory.bank(0, 0, 1).stats.lifetime_activations == 0
         memory.read(2000.0, 0, 0, 0, row=99)
-        assert memory.write_queues[0].total_drained > 0
+        # The read drained the queue to its low watermark: 29 writes
+        # (rows 0..28, oldest first) reached the banks, bank 1 holding
+        # rows 1, 5, ..., 25.
+        assert len(queue) == queue.low_watermark
+        assert memory.bank(0, 0, 1).stats.lifetime_activations == 7
 
     def test_window_rollover_calls_end_window(self):
         config = small_config(window=10_000.0)
@@ -161,16 +167,20 @@ class TestMemorySystem:
 
     def test_request_address_roundtrip(self):
         memory = MemorySystem(small_config())
-        address = memory.mapper.address_of_row(1, 0, 3, 17)
-        outcome = memory.request_address(0.0, address, is_write=False)
-        assert outcome is not None
+        decoded = memory.mapper.decode(memory.mapper.address_of_row(1, 0, 3, 17))
+        memory.read(
+            0.0, decoded.channel, decoded.rank, decoded.bank, decoded.row,
+            decoded.column,
+        )
         assert memory.bank(1, 0, 3).stats.count(17) == 1
 
     def test_finalize_drains_writes(self):
         memory = MemorySystem(small_config())
         memory.write(0.0, 0, 0, 0, row=1)
+        assert len(memory.write_queues[0]) == 1
+        assert memory.bank(0, 0, 0).stats.lifetime_activations == 0
         memory.finalize(10_000.0)
-        assert memory.write_queues[0].total_drained == 1
+        assert len(memory.write_queues[0]) == 0
         assert memory.bank(0, 0, 0).stats.lifetime_activations == 1
 
     def test_max_row_activations_across_banks(self):

@@ -70,7 +70,7 @@ class TestLLC:
         cache = SetAssociativeCache(size_bytes=64 * 16 * 4, ways=4, line_bytes=64)
         assert not cache.access(0x1000)
         assert cache.access(0x1000)
-        assert cache.stats.hit_rate == 0.5
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
 
     def test_lru_eviction(self):
         cache = SetAssociativeCache(size_bytes=64 * 2 * 1, ways=2, line_bytes=64)
@@ -109,13 +109,6 @@ class TestLLC:
         installed = cache.pin_row((0, 0, 0), 5, row_base_address=0x10000)
         assert installed == 8 * 1024 // 64
         assert cache.pinned_line_count == installed
-
-    def test_unpin_row_releases(self):
-        cache = SetAssociativeCache()
-        cache.pin_row((0, 0, 0), 5, row_base_address=0x10000)
-        released = cache.unpin_row(0x10000)
-        assert released == 8 * 1024 // 64
-        assert cache.pinned_line_count == 0
 
     def test_occupancy(self):
         cache = SetAssociativeCache(size_bytes=64 * 16 * 4, ways=4)

@@ -7,7 +7,6 @@ from repro.attacks.patterns import (
     half_double,
     many_sided,
     pattern_rows,
-    single_sided,
 )
 from repro.dram.disturbance import DisturbanceModel, FlipEvent
 
@@ -105,14 +104,6 @@ class TestDisturbanceModel:
 
 
 class TestPatterns:
-    def test_single_sided_alternates(self):
-        rows = pattern_rows(single_sided(5, 99, 4))
-        assert rows == [5, 99, 5, 99]
-
-    def test_single_sided_validates(self):
-        with pytest.raises(ValueError):
-            pattern_rows(single_sided(5, 5, 4))
-
     def test_double_sided_sandwiches(self):
         rows = pattern_rows(double_sided(10, 4))
         assert rows == [9, 11, 9, 11]

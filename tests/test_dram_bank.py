@@ -88,7 +88,9 @@ class TestActivationStats:
         for _ in range(4):
             stats.record(1, 0.0)
         stats.record(2, 0.0)
-        assert stats.rows_at_or_above(4) == [1]
+        assert stats.current_counts() == {1: 4, 2: 1}
+        assert stats.ever_exceeded(4)
+        assert not stats.ever_exceeded(5)
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
@@ -141,7 +143,8 @@ class TestBankOpenPage:
         bank.access(0.0, 5)
         for _ in range(3):
             bank.access(bank.busy_until, 5)
-        assert bank.row_hit_rate == pytest.approx(0.75)
+        assert bank.total_accesses == 4
+        assert bank.row_hits == 3
 
 
 class TestBankOccupyAndActivate:

@@ -1,7 +1,7 @@
 """Tests for rank/channel containers."""
 
 from repro.dram.channel import Channel, Rank
-from repro.dram.config import DRAMOrganization, DRAMTiming
+from repro.dram.config import DRAMOrganization
 
 
 class TestRank:
@@ -16,17 +16,15 @@ class TestRank:
         assert rank.bank(1).stats.count(5) == 0
         assert rank.bank(0).stats.count(5) == 1
 
-    def test_adjusted_start_respects_refresh(self):
-        rank = Rank(2, 1024, DRAMTiming())
-        assert rank.adjusted_start(100.0) == 350.0
-
 
 class TestChannel:
     def test_default_organization(self):
         channel = Channel()
         org = DRAMOrganization()
         assert len(channel) == org.ranks_per_channel
-        assert len(list(channel.all_banks())) == org.ranks_per_channel * org.banks_per_rank
+        assert sum(len(rank) for rank in channel.ranks) == (
+            org.ranks_per_channel * org.banks_per_rank
+        )
 
     def test_bank_lookup(self):
         channel = Channel()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cpu.cache import SetAssociativeCache
 from repro.dram.config import (
     DRAMOrganization,
     DRAMTiming,
@@ -61,8 +62,8 @@ class TestSystemConfig:
         assert SystemConfig().core_cycle_ns == pytest.approx(0.3125)
 
     def test_llc_sets_for_8mb_16way(self):
-        cfg = SystemConfig()
-        assert cfg.llc_sets == 8 * 1024 * 1024 // (64 * 16)
+        llc = SetAssociativeCache.from_config(SystemConfig())
+        assert llc.num_sets == 8 * 1024 * 1024 // (64 * 16)
 
     def test_baseline_core_parameters(self):
         cfg = SystemConfig()

@@ -6,7 +6,6 @@ These pin down the invariants the security argument rests on:
 - the RRS RIT is always an involution, the SRS RIT always a permutation;
 - the Misra-Gries tracker never under-counts and its spillover respects
   the N/k bound;
-- the CAT never loses a locked (current-epoch) entry;
 - bank activation accounting is exact.
 """
 
@@ -15,7 +14,6 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cat import CATOverflowError, CollisionAvoidanceTable
 from repro.core.rit import RITCapacityError, RRSIndirectionTable, SRSIndirectionTable
 from repro.dram.address import AddressMapper, DecodedAddress
 from repro.dram.bank import ActivationStats
@@ -131,30 +129,6 @@ class TestMisraGriesProperties:
         for row in rows:
             tracker.observe(row)
             tracker.check_invariants()
-
-
-class TestCATProperties:
-    @given(st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 100)), max_size=150))
-    @settings(max_examples=100)
-    def test_locked_entries_never_lost(self, items):
-        cat = CollisionAvoidanceTable(num_entries=256, bucket_size=8, rng=random.Random(1))
-        stored = {}
-        try:
-            for key, value in items:
-                cat.insert(key, value, locked=True)
-                stored[key] = value
-        except CATOverflowError:
-            return  # provisioning exceeded: nothing to check
-        for key, value in stored.items():
-            assert cat.get(key) == value
-
-    @given(st.lists(st.integers(0, 500), min_size=1, max_size=200))
-    @settings(max_examples=100)
-    def test_len_matches_distinct_keys(self, keys):
-        cat = CollisionAvoidanceTable(num_entries=512, bucket_size=8, rng=random.Random(2))
-        for key in keys:
-            cat.insert(key, 0)
-        assert len(cat) == len(set(keys))
 
 
 class TestActivationStatsProperties:

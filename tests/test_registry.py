@@ -9,7 +9,6 @@ from repro.core.scale_srs import ScaleSecureRowSwap
 from repro.registry import (
     MITIGATIONS,
     TRACKERS,
-    default_swap_rates,
     mitigation_names,
     register_mitigation,
     register_tracker,
@@ -45,10 +44,9 @@ class TestBuiltins:
         assert base.is_baseline and not base.uses_tracker
 
     def test_default_swap_rates_view(self):
-        rates = default_swap_rates()
-        assert rates["rrs"] == 6.0
-        assert rates["scale-srs"] == 3.0
-        assert "baseline" not in rates
+        assert MITIGATIONS.get("rrs").default_swap_rate == 6.0
+        assert MITIGATIONS.get("scale-srs").default_swap_rate == 3.0
+        assert MITIGATIONS.get("baseline").default_swap_rate is None
 
     def test_tracker_info(self):
         assert TRACKERS.get("misra-gries").cls is MisraGriesTracker

@@ -16,11 +16,10 @@ from repro.sim.factory import (
 from repro.sim.results import (
     SimulationResult,
     geometric_mean,
-    group_by_suite,
     normalized_performance,
     slowdown_percent,
 )
-from repro.sim.experiment import ExperimentSpec, resolve_workload, run_grid
+from repro.sim.experiment import ExperimentSpec, ResultSet, resolve_workload, run_grid
 from repro.sim.simulator import PerformanceSimulation, SimulationParams
 from repro.trackers.hydra import HydraTracker
 from repro.trackers.misra_gries import MisraGriesTracker
@@ -128,12 +127,16 @@ class TestResults:
             geometric_mean([0.0])
 
     def test_group_by_suite(self):
-        grouped = group_by_suite(
-            {"a": 0.9, "b": 0.8, "c": 1.0},
-            {"a": "S1", "b": "S1", "c": "S2"},
-        )
-        assert grouped["S2"] == 1.0
-        assert grouped["S1"] == pytest.approx(geometric_mean([0.9, 0.8]))
+        results = []
+        for workload, suite, ipc in (("a", "S1", 1.8), ("b", "S1", 1.6), ("c", "S2", 2.0)):
+            results.append(
+                self._result([2.0], workload=workload, suite=suite, mitigation="baseline")
+            )
+            results.append(self._result([ipc], workload=workload, suite=suite))
+        grouped = ResultSet(results).suite_geomeans()
+        assert grouped["S2"]["rrs"] == 1.0
+        assert grouped["S1"]["rrs"] == pytest.approx(geometric_mean([0.9, 0.8]))
+        assert grouped["ALL"]["rrs"] == pytest.approx(geometric_mean([0.9, 0.8, 1.0]))
 
     def test_summary_string(self):
         text = self._result([1.0]).summary()

@@ -518,6 +518,85 @@ class TestCopiedStore:
         assert resumed.to_json() == run_grid(SECURITY, max_workers=1).to_json()
 
 
+def _edit_payload(path, change):
+    with open(path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    change(payload)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle)
+
+
+def _swap_names(paths):
+    first, second = paths[0].read_bytes(), paths[1].read_bytes()
+    paths[0].write_bytes(second)
+    paths[1].write_bytes(first)
+
+
+def _truncate(path):
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+
+
+#: Ways an entry gets damaged, each with the number of entries it damages.
+DAMAGE = {
+    "swapped-names": (_swap_names, 2),
+    "tampered-cell": (
+        lambda paths: _edit_payload(
+            paths[0], lambda p: p["cell"]["params"].update(trh=1)
+        ),
+        1,
+    ),
+    "old-schema-version": (
+        lambda paths: _edit_payload(
+            paths[0], lambda p: p.update(schema_version=0)
+        ),
+        1,
+    ),
+    "truncated-json": (lambda paths: _truncate(paths[0]), 1),
+    "result-fails-to-deserialize": (
+        lambda paths: _edit_payload(
+            paths[0], lambda p: p.update(result={"bogus": 1})
+        ),
+        1,
+    ),
+    "unknown-kind": (
+        lambda paths: _edit_payload(
+            paths[0], lambda p: p.update(kind="no-such-kind")
+        ),
+        1,
+    ),
+}
+
+
+class TestOneValidityRule:
+    """``get`` and ``store ls`` judge an entry by the same rule: the
+    reads that miss are exactly the entries not counted live."""
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_get_misses_exactly_the_entries_ls_does_not_count_live(
+        self, tmp_path, capsys, damage
+    ):
+        from repro.cli import main
+
+        store_dir = tmp_path / "store"
+        run_grid(SECURITY, max_workers=1, store=str(store_dir))
+        apply, damaged = DAMAGE[damage]
+        apply([store_dir / name for name in entry_files(store_dir)])
+        store = ResultStore(str(store_dir))
+        missed = {
+            cell_digest(cell) + ".json"
+            for cell in plan_cells(SECURITY)
+            if store.get(cell) is None
+        }
+        dead = {
+            os.path.basename(path) for path, _ in store.inventory().prunable
+        }
+        assert missed == dead
+        assert len(missed) == damaged
+        assert main(["store", "ls", str(store_dir)]) == 0
+        assert f"{6 - damaged} live, " in capsys.readouterr().out
+
+
 class TestInventoryAndPrune:
     """Store maintenance: classify every entry, delete the dead ones."""
 
