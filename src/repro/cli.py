@@ -22,11 +22,12 @@ Commands:
 
 Mitigation and tracker choices are generated from
 :mod:`repro.registry`, so a newly registered design shows up here with
-no CLI change. Workload arguments accept both suite names (``gcc``)
-and workload-source strings (``trace:/path/to/run``) everywhere. The
-simulation commands take ``--engine {scalar,auto}``; ``auto`` runs the
-batched engine, and engines are bit-identical, so the flag only trades
-wall-clock time (see :mod:`repro.sim.engine`).
+no CLI change. Workload arguments are names everywhere: suite names
+(``gcc``, ``synthetic:gcc``) and recorded traces
+(``trace:/path/to/run``). The simulation commands take ``--engine
+{scalar,auto}``; ``auto`` runs the batched engine, and engines are
+bit-identical, so the flag only trades wall-clock time (see
+:mod:`repro.sim.engine`).
 
 ``grid``, ``attack`` and ``security-sweep`` route through the
 experiment engine (:mod:`repro.sim.experiment`),
@@ -307,19 +308,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _resolve_workloads([args.workload])
+    (workload,) = _resolve_workloads([args.workload])
+    mitigations = list(dict.fromkeys(args.mitigations))
     spec = ExperimentSpec(
         workloads=[args.workload],
-        mitigations=list(args.mitigations),
+        mitigations=mitigations,
         base_params=_params_from_args(args, trh=args.trh[0]),
         grid={"trh": list(args.trh)},
     )
     results = run_grid(spec, max_workers=args.jobs)
-    sweeps = {m: results.sweep(args.workload, m) for m in args.mitigations}
-    print(f"{'TRH':>6s}" + "".join(f"{m:>14s}" for m in args.mitigations))
+    sweeps = {m: results.sweep(workload.name, m) for m in mitigations}
+    print(f"{'TRH':>6s}" + "".join(f"{m:>14s}" for m in mitigations))
     for trh in sorted(set(args.trh), reverse=True):
         cells = "".join(
-            f"{sweeps[m].get(trh, float('nan')):>14.4f}" for m in args.mitigations
+            f"{sweeps[m].get(trh, float('nan')):>14.4f}" for m in mitigations
         )
         print(f"{trh:>6d}{cells}")
     return 0
@@ -327,9 +329,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     _resolve_workloads(args.workloads)
+    mitigations = list(dict.fromkeys(args.mitigations))
     spec = ExperimentSpec(
         workloads=list(args.workloads),
-        mitigations=list(args.mitigations),
+        mitigations=mitigations,
         base_params=_params_from_args(args, trh=args.trh[0]),
         grid={"trh": list(args.trh)},
     )
@@ -348,17 +351,17 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         for trh in sorted(set(args.trh), reverse=True):
             at_trh = results.filter(trh=trh)
             print(f"\n=== TRH = {trh} (normalized performance) ===")
-            print(f"{'workload':<14s}" + "".join(f"{m:>14s}" for m in args.mitigations))
+            print(f"{'workload':<14s}" + "".join(f"{m:>14s}" for m in mitigations))
             for workload, row in at_trh.normalized_table().items():
                 cells = "".join(
-                    f"{row.get(m, float('nan')):>14.4f}" for m in args.mitigations
+                    f"{row.get(m, float('nan')):>14.4f}" for m in mitigations
                 )
                 print(f"{workload:<14s}{cells}")
             means = at_trh.suite_geomeans()
             if "ALL" in means:
                 cells = "".join(
                     f"{means['ALL'].get(m, float('nan')):>14.4f}"
-                    for m in args.mitigations
+                    for m in mitigations
                 )
                 print(f"{'GEOMEAN':<14s}{cells}")
         print()
@@ -462,14 +465,15 @@ def _cmd_security_sweep(args: argparse.Namespace) -> int:
         if r.kind == "security"
     }
     mc = args.iterations > 0
-    for trh in args.trh:
-        if len(args.trh) > 1:
+    trhs, rates = dict.fromkeys(args.trh), dict.fromkeys(args.rates)
+    for trh in trhs:
+        if len(trhs) > 1:
             print(f"\n=== TRH = {trh} ===")
         header = f"{'rate':>6s}{'RRS (days)':>14s}{'SRS (days)':>14s}"
         if mc:
             header += f"{'RRS mc-mean':>14s}{'SRS mc-mean':>14s}"
         print(header)
-        for rate in args.rates:
+        for rate in rates:
             # A --shard run holds only its slice; missing points print
             # as '-' (the merged table comes from a --resume pass).
             rrs = by_point.get(("rrs", trh, rate))

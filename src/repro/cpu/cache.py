@@ -15,22 +15,10 @@ tests, the quickstart example, and Scale-SRS capacity experiments.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from repro.core.pin_buffer import PinBuffer
 from repro.dram.config import SystemConfig
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss accounting."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    pinned_evictions_refused: int = 0
-    bypasses: int = 0
 
 
 class SetAssociativeCache:
@@ -61,7 +49,6 @@ class SetAssociativeCache:
         # Per-set LRU: OrderedDict mapping line address -> pinned flag.
         self._sets: Dict[int, "OrderedDict[int, bool]"] = {}
         self._pinned_lines: Set[int] = set()
-        self.stats = CacheStats()
 
     @classmethod
     def from_config(cls, config: SystemConfig, pin_buffer: Optional[PinBuffer] = None):
@@ -97,13 +84,10 @@ class SetAssociativeCache:
         cache_set = self._lookup_set(index)
         if line in cache_set:
             cache_set.move_to_end(line)
-            self.stats.hits += 1
             return True
-        self.stats.misses += 1
         if len(cache_set) >= self.ways and not self._evict_one(cache_set):
             # Every way of the set is pinned (a reserved pin-buffer set):
             # the miss bypasses the LLC without allocating.
-            self.stats.bypasses += 1
             return False
         cache_set[line] = pinned
         if pinned:
@@ -116,9 +100,7 @@ class SetAssociativeCache:
         for candidate, is_pinned in cache_set.items():
             if not is_pinned:
                 del cache_set[candidate]
-                self.stats.evictions += 1
                 return True
-            self.stats.pinned_evictions_refused += 1
         return False
 
     def pin_row(
@@ -146,7 +128,6 @@ class SetAssociativeCache:
             cache_set = self._lookup_set(index)
             if line not in cache_set:
                 if len(cache_set) >= self.ways and not self._evict_one(cache_set):
-                    self.stats.bypasses += 1
                     continue
                 installed += 1
             cache_set[line] = True

@@ -1,4 +1,4 @@
-"""Central registry of mitigations, trackers, workload sources, and evaluations.
+"""Central registry of mitigations, trackers, evaluations, and figures.
 
 The simulator, the CLI, and the experiment engine all need to answer the
 same questions — "which mitigations exist?", "what is this design's
@@ -27,12 +27,6 @@ and ``python -m repro run --mitigations my-defence ...`` works with no
 other change (see :mod:`repro.core.aqua` and
 :mod:`repro.core.blockhammer` for real examples).
 
-Workload *sources* register the same way: a source owns a prefix
-(``synthetic``, ``trace``) and resolves the remainder of a
-``<prefix>:<spec>`` workload string into a workload object, which is how
-``grid --workloads trace:/path/to/run`` reaches the simulator (see
-:mod:`repro.workloads.sources`).
-
 *Evaluation kinds* make the experiment engine itself extensible: a kind
 is a registered runner (``cell -> result record``) plus the metadata the
 engine needs to plan, execute, persist, and export cells of that kind —
@@ -52,10 +46,11 @@ experiment cells behind the artifact plus a render hook), which is how
 figure (see :mod:`repro.report`).
 
 The registry module itself imports nothing from :mod:`repro.core`,
-:mod:`repro.trackers`, or :mod:`repro.workloads` — those modules import
-*it* to self-register. Lookup methods lazily import the built-in
-packages so the registry is populated no matter which module is imported
-first.
+:mod:`repro.trackers`, :mod:`repro.sim`, or :mod:`repro.report` — those
+modules import *it* to self-register. Lookup methods lazily import the
+built-in packages so the registry is populated no matter which module is
+imported first. Workloads are not registered: a workload is a name,
+resolved by :func:`repro.workloads.sources.resolve_workload`.
 """
 
 from __future__ import annotations
@@ -117,24 +112,6 @@ class MitigationInfo:
     default_swap_rate: Optional[float] = None
     uses_tracker: bool = True
     is_baseline: bool = False
-
-
-@dataclass(frozen=True)
-class WorkloadSourceInfo:
-    """Registry record for one workload source.
-
-    A workload source turns the text after its prefix in a
-    ``<prefix>:<spec>`` workload string (for example
-    ``trace:/path/to/run``) into a workload object the simulator can
-    drive — anything with ``name``, ``suite``, and
-    ``arrays_for_core(core_id, params, organization)`` returning a
-    :class:`~repro.workloads.columnar.ColumnarTrace`.
-    """
-
-    prefix: str
-    cls: type
-    resolver: Callable[[str], Any]
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -205,7 +182,6 @@ class EvaluationInfo:
         scenario: Default ``workload`` label when a spec names none
             (non-``perf`` kinds have no workloads; the label keys
             filtering and export).
-        description: One-line description.
         schema_version: Version of the result record's schema. Part of
             the result store's content digest, so bumping it when the
             runner's numbers or the record's fields change invalidates
@@ -244,7 +220,6 @@ class EvaluationInfo:
     params_cls: type
     subjects: Optional[Tuple[str, ...]] = None
     scenario: str = "-"
-    description: str = ""
     schema_version: int = 1
     params_to_dict: Optional[Callable[[Any], Dict[str, Any]]] = None
     params_from_dict: Optional[Callable[[Mapping[str, Any]], Any]] = None
@@ -333,10 +308,6 @@ def _populate_trackers() -> None:
     import repro.trackers  # noqa: F401  (registers the built-in trackers)
 
 
-def _populate_workload_sources() -> None:
-    import repro.workloads.sources  # noqa: F401  (registers the built-in sources)
-
-
 def _populate_evaluations() -> None:
     import repro.sim.evaluations  # noqa: F401  (registers the built-in kinds)
 
@@ -347,9 +318,6 @@ def _populate_figures() -> None:
 
 MITIGATIONS: Registry[MitigationInfo] = Registry("mitigation", _populate_mitigations)
 TRACKERS: Registry[TrackerInfo] = Registry("tracker", _populate_trackers)
-WORKLOAD_SOURCES: Registry[WorkloadSourceInfo] = Registry(
-    "workload source", _populate_workload_sources
-)
 EVALUATIONS: Registry[EvaluationInfo] = Registry(
     "evaluation kind", _populate_evaluations
 )
@@ -418,33 +386,6 @@ def register_tracker(
                 cls=cls,
                 builder=builder,
                 description=description,
-            ),
-        )
-        return cls
-
-    return decorate
-
-
-def register_workload_source(
-    prefix: str,
-    *,
-    resolver: Callable[[str], Any],
-    description: str = "",
-) -> Callable[[type], type]:
-    """Class decorator registering a workload source under ``prefix``.
-
-    ``resolver(spec_text)`` receives everything after ``<prefix>:`` in a
-    workload string and must return a workload object exposing ``name``,
-    ``suite``, and ``arrays_for_core(core_id, params, organization)``.
-    Plain (colon-free) workload names resolve through the ``synthetic``
-    source, so registering a new prefix never changes existing names.
-    """
-
-    def decorate(cls: type) -> type:
-        WORKLOAD_SOURCES.add(
-            prefix,
-            WorkloadSourceInfo(
-                prefix=prefix, cls=cls, resolver=resolver, description=description
             ),
         )
         return cls
@@ -549,7 +490,6 @@ def register_evaluation(
     result_cls: Optional[type] = None,
     subjects: Optional[Tuple[str, ...]] = None,
     scenario: str = "-",
-    description: str = "",
     schema_version: int = 1,
     params_to_dict: Optional[Callable[[Any], Dict[str, Any]]] = None,
     params_from_dict: Optional[Callable[[Mapping[str, Any]], Any]] = None,
@@ -597,7 +537,6 @@ def register_evaluation(
                 params_cls=params_cls,
                 subjects=subjects,
                 scenario=scenario,
-                description=description,
                 schema_version=schema_version,
                 params_to_dict=params_to_dict,
                 params_from_dict=params_from_dict,
@@ -664,8 +603,4 @@ def tracker_names() -> Tuple[str, ...]:
     """Registered tracker names, registration order."""
     return TRACKERS.names()
 
-
-def workload_source_names() -> Tuple[str, ...]:
-    """Registered workload-source prefixes, registration order."""
-    return WORKLOAD_SOURCES.names()
 

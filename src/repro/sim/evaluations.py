@@ -97,7 +97,6 @@ def _perf_cell_cost(cell: ExperimentCell) -> float:
     result_cls=SimulationResult,
     subjects=None,  # validated against the mitigation registry
     scenario="-",
-    description="performance simulation (normalized IPC, swaps, pins)",
     schema_version=1,
     params_to_dict=_params_to_dict,
     params_from_dict=_params_from_dict,
@@ -113,8 +112,9 @@ def _perf_cell_cost(cell: ExperimentCell) -> float:
 )
 def run_perf_cell(cell: ExperimentCell) -> SimulationResult:
     """Run one performance cell through the simulator driver."""
-    workload = cell.workload_spec or resolve_workload(cell.workload)
-    return PerformanceSimulation(workload, cell.mitigation, cell.params).run()
+    return PerformanceSimulation(
+        resolve_workload(cell.workload), cell.mitigation, cell.params
+    ).run()
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +271,6 @@ def _security_cell_cost(cell: ExperimentCell) -> float:
     result_cls=SecurityResult,
     subjects=("rrs", "srs"),
     scenario="juggernaut",
-    description="Juggernaut time-to-break (analytical + Monte-Carlo)",
     schema_version=1,
     cell_cost=_security_cell_cost,
     csv_header=(
@@ -453,7 +452,6 @@ def _half_double_rig(defense: str, params: HammerParams):
     result_cls=HammerResult,
     subjects=("trr", "para", "scale-srs"),
     scenario="hammer-rig",
-    description="hammer pattern vs a defended bank (Section II-E)",
     schema_version=1,
     # One unit per pattern activation: a 300k-activation half-double
     # cell is well above the pool's break-even and gets a worker.
@@ -817,7 +815,6 @@ def _model_result_from_dict(data: Mapping[str, Any]) -> ModelResult:
     params_cls=ModelParams,
     subjects=tuple(MODELS),
     scenario="paper",
-    description="paper models (Tables I/IV/V, Figs. 1a/13, Secs. III-IX)",
     schema_version=1,
     result_to_dict=_model_result_to_dict,
     result_from_dict=_model_result_from_dict,

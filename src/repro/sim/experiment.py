@@ -102,13 +102,7 @@ from repro.sim.results import (
 )
 from repro.sim.simulator import SimulationParams
 from repro.workloads.plane import PlaneStats
-from repro.workloads.sources import resolve_workload_string
-from repro.workloads.suites import WorkloadSpec
-
-# A workload argument: a name / `<prefix>:<spec>` string, a suite
-# WorkloadSpec, or any other workload-source object (see
-# `repro.workloads.sources`) exposing `arrays_for_core`.
-WorkloadLike = Union[str, WorkloadSpec, Any]
+from repro.workloads.sources import resolve_workload
 
 _PARAM_FIELDS = tuple(f.name for f in fields(SimulationParams))
 
@@ -126,19 +120,6 @@ PERF = "perf"
 def _kind_of(result: Any) -> str:
     """Evaluation kind of a result record (``perf`` for legacy records)."""
     return getattr(result, "kind", PERF)
-
-
-def resolve_workload(workload: WorkloadLike) -> Any:
-    """Resolve a workload string to a workload object.
-
-    Plain names look up the synthetic suite; ``<prefix>:<spec>`` strings
-    (for example ``trace:/path/to/run``) dispatch through the
-    workload-source registry. Workload objects — anything with an
-    ``arrays_for_core`` hook — pass through unchanged.
-    """
-    if not isinstance(workload, str):
-        return workload
-    return resolve_workload_string(workload)
 
 
 def baseline_view(params: SimulationParams) -> SimulationParams:
@@ -160,19 +141,16 @@ class ExperimentCell:
 
     ``kind`` names the registered evaluation that runs the cell; its
     ``params`` is an instance of that kind's parameter dataclass
-    (:class:`SimulationParams` for ``perf``). For non-``perf`` kinds
-    ``workload`` is a scenario label and ``mitigation`` the evaluated
-    subject design.
-
-    ``workload_spec`` carries an ad-hoc workload object (a suite
-    :class:`WorkloadSpec`, a trace workload, ...) that is not resolvable
-    by name; when ``None`` the engine resolves ``workload`` by name.
+    (:class:`SimulationParams` for ``perf``). For ``perf`` cells
+    ``workload`` is the resolved workload name (see
+    :func:`~repro.workloads.sources.resolve_workload`); for other kinds
+    it is a scenario label and ``mitigation`` the evaluated subject
+    design.
     """
 
     workload: str
     mitigation: str
     params: Any
-    workload_spec: Optional[Any] = None
     kind: str = PERF
 
 
@@ -181,9 +159,11 @@ class ExperimentSpec:
     """A declarative workloads x mitigations x parameter-grid experiment.
 
     Attributes:
-        workloads: Workload names (or :class:`WorkloadSpec` instances).
-            For non-``perf`` kinds: optional scenario labels (defaults
-            to the kind's registered scenario).
+        workloads: Workload names (``gcc``, ``synthetic:gcc``,
+            ``trace:<path>``); names resolving to the same workload
+            plan one set of cells. For non-``perf`` kinds: optional
+            scenario labels (defaults to the kind's registered
+            scenario).
         mitigations: Registered mitigation names; ``baseline`` need not
             be listed — ``perf`` grids always run the matching
             (deduplicated) baselines so the :class:`ResultSet` can
@@ -195,12 +175,13 @@ class ExperimentSpec:
             dataclass's defaults.
         grid: ``{parameter field: [values]}`` axes; the cross product
             of all axes is applied over ``base_params`` with
-            :func:`dataclasses.replace`.
+            :func:`dataclasses.replace`, and a repeated point is
+            planned once.
         kind: The registered evaluation kind cells run under
             (:mod:`repro.sim.evaluations`); default ``perf``.
     """
 
-    workloads: Sequence[WorkloadLike] = ()
+    workloads: Sequence[str] = ()
     mitigations: Sequence[str] = ()
     base_params: Optional[Any] = None
     grid: Mapping[str, Sequence[Any]] = field(default_factory=dict)
@@ -229,6 +210,12 @@ class ExperimentSpec:
                 )
             if not self.grid[axis]:
                 raise ValueError(f"grid axis {axis!r} has no values")
+        for workload in self.workloads:
+            if not isinstance(workload, str):
+                raise ValueError(
+                    "workloads are names such as 'gcc' or 'trace:<path>', "
+                    f"not {type(workload).__name__}"
+                )
         if self.kind == PERF:
             if not self.workloads:
                 raise ValueError("an experiment needs at least one workload")
@@ -247,12 +234,6 @@ class ExperimentSpec:
                     f"a {self.kind} experiment needs at least one subject "
                     f"design; options: {info.subjects}"
                 )
-            for workload in self.workloads:
-                if not isinstance(workload, str):
-                    raise ValueError(
-                        f"kind {self.kind!r} takes string scenario labels, "
-                        f"not {type(workload).__name__}"
-                    )
             if info.subjects is not None:
                 for name in self.mitigations:
                     if name not in info.subjects:
@@ -261,21 +242,17 @@ class ExperimentSpec:
                             f"options: {info.subjects}"
                         )
 
-    def _workload_entries(self) -> List[Tuple[str, Optional[Any]]]:
-        """(name, carried ad-hoc spec) per workload; workload objects
-        (suite specs, trace workloads, ...) ride along so they need not
-        be resolvable by name in the worker process. Non-``perf`` kinds
-        carry plain labels, defaulting to the kind's scenario."""
+    def _workload_names(self) -> List[str]:
+        """The cells' workload names, deduplicated, in declaration order:
+        ``perf`` names resolved (``synthetic:gcc`` is ``gcc``), other
+        kinds' scenario labels as given, defaulting to the kind's
+        scenario."""
         if self.kind != PERF:
             labels = self.workloads or (EVALUATIONS.get(self.kind).scenario,)
-            return [(label, None) for label in labels]
-        return [
-            (
-                resolve_workload(w).name,
-                None if isinstance(w, str) else w,
-            )
-            for w in self.workloads
-        ]
+            return list(dict.fromkeys(labels))
+        return list(dict.fromkeys(
+            resolve_workload(name).name for name in self.workloads
+        ))
 
     def mitigation_names(self) -> List[str]:
         """Non-baseline mitigations (subject designs), deduplicated, in
@@ -286,21 +263,23 @@ class ExperimentSpec:
         return list(ordered)
 
     def param_grid(self) -> List[Any]:
-        """The expanded parameter combinations (one per grid point)."""
+        """The distinct expanded parameter combinations, first-seen order."""
         axes = list(self.grid.items())
-        combos: List[Any] = []
-        for values in itertools.product(*(vals for _, vals in axes)):
-            overrides = {name: value for (name, _), value in zip(axes, values)}
-            combos.append(replace(self.base_params, **overrides))
-        return combos
+        return list(dict.fromkeys(
+            replace(
+                self.base_params,
+                **{name: value for (name, _), value in zip(axes, values)},
+            )
+            for values in itertools.product(*(vals for _, vals in axes))
+        ))
 
     def cells(self) -> List[ExperimentCell]:
         """Mitigation cells of the grid (``perf`` baselines are planned
         by the engine, which deduplicates them — see :func:`plan_cells`)."""
         self.validate()
         return [
-            ExperimentCell(workload, mitigation, params, spec, kind=self.kind)
-            for workload, spec in self._workload_entries()
+            ExperimentCell(workload, mitigation, params, kind=self.kind)
+            for workload in self._workload_names()
             for mitigation in self.mitigation_names()
             for params in self.param_grid()
         ]
@@ -320,7 +299,7 @@ class ExperimentSpec:
         if self.kind != PERF:
             raise ValueError(f"kind {self.kind!r} has no baselines")
         baselines: Dict[Tuple[str, SimulationParams], ExperimentCell] = {}
-        for workload, spec in self._workload_entries():
+        for workload in self._workload_names():
             for params in self.param_grid():
                 key = (workload, baseline_view(params))
                 if key not in baselines:
@@ -328,7 +307,6 @@ class ExperimentSpec:
                         workload,
                         BASELINE,
                         replace(key[1], engine=params.engine),
-                        spec,
                     )
         return list(baselines.values())
 

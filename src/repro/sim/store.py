@@ -45,32 +45,26 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.registry import EVALUATIONS
+from repro.workloads.sources import TraceWorkload
+
 
 def _workload_fingerprint(cell: Any) -> Optional[Any]:
-    """Content token of a file-backed workload, or ``None``.
+    """Content token of a ``trace:<path>`` workload, or ``None``.
 
     Synthetic workloads are pure functions of the cell's parameters, so
-    name + params identify them; a file-backed workload (a recorded
-    trace) can change on disk under the same name, so its source object
-    contributes a ``store_fingerprint()`` (mtime/size per file — the
-    same invalidation key the workload plane uses) to the cell identity.
-    Unresolvable workloads and fingerprint errors degrade to ``None``:
-    the digest then covers name + params only, and the actual run will
-    surface the underlying problem.
+    name + params identify them; a recorded trace can change on disk
+    under the same name, so a ``trace:`` cell contributes its
+    :meth:`~repro.workloads.sources.TraceWorkload.store_fingerprint`
+    (mtime/size per file — the same invalidation key the workload plane
+    uses) to the cell identity. A missing trace path degrades to
+    ``None``: the digest then covers name + params only, and the actual
+    run will surface the underlying problem.
     """
-    workload = cell.workload_spec
-    if workload is None and ":" in str(cell.workload):
-        from repro.workloads.sources import resolve_workload_string
-
-        try:
-            workload = resolve_workload_string(cell.workload)
-        except Exception:
-            return None
-    hook = getattr(workload, "store_fingerprint", None)
-    if not callable(hook):
+    if not cell.workload.startswith("trace:"):
         return None
+    workload = TraceWorkload(path=cell.workload[len("trace:"):])
     try:
-        return hook()
+        return workload.store_fingerprint()
     except OSError:
         return None
 
@@ -90,10 +84,8 @@ def cell_key(cell: Any, with_fingerprint: bool = True) -> Dict[str, Any]:
     same path invalidates its stored cells instead of silently serving
     results for the old contents; shard assignment leaves it out so the
     partition is portable across machines whose file timestamps differ.
-    Other ad-hoc workload objects carried by ``workload_spec`` are keyed
-    by their name, like named workloads — two specs sharing a name and
-    parameters are assumed interchangeable, which holds for the
-    synthetic suite.
+    Every other workload is a suite name, which with the parameters
+    determines the cell's trace.
     """
     info = EVALUATIONS.get(cell.kind)
     key = {

@@ -77,7 +77,6 @@ class HydraTracker(Tracker):
         # them. `_row_counts` is the DRAM-resident truth.
         self._row_counts: Dict[int, int] = {}
         self._rcc: "OrderedDict[int, int]" = OrderedDict()
-        self.dram_counter_accesses = 0
 
     def _group_of(self, row: int) -> int:
         return row // self.config.rows_per_group
@@ -93,7 +92,6 @@ class HydraTracker(Tracker):
             extra += 1  # write back the dirty evicted counter
             del evicted_row
         self._rcc[row] = self._row_counts.get(row, 0)
-        self.dram_counter_accesses += extra
         return extra
 
     def observe(self, row: int) -> TrackerObservation:

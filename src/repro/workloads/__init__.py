@@ -11,20 +11,19 @@ See DESIGN.md's substitution table.
 
 Recorded traces are first-class too: any workload can be dumped to the
 USIMM on-disk format (``python -m repro trace record``) and replayed
-with a ``trace:<path>`` workload string. Both the synthetic generator
-and the trace loader emit the same columnar representation
-(:class:`~repro.workloads.columnar.ColumnarTrace`), so the simulator hot
-path is identical for generated and recorded streams — see DESIGN.md,
-"Workload sources".
+with a ``trace:<path>`` workload name. A workload is always named by a
+string, and :func:`~repro.workloads.sources.resolve_workload` is the
+one function that turns a name into a workload object. Both the
+synthetic generator and the trace loader emit the same columnar
+representation (:class:`~repro.workloads.columnar.ColumnarTrace`), so
+the simulator hot path is identical for generated and recorded streams
+— see DESIGN.md, "Workload sources".
 """
 
 from repro.workloads.trace import TraceParseError, load_trace_columns
 from repro.workloads.columnar import ColumnarTrace
 from repro.workloads.synthetic import BenchmarkProfile, SyntheticTraceGenerator
-from repro.workloads.sources import (
-    TraceWorkload,
-    resolve_workload_string,
-)
+from repro.workloads.sources import TraceWorkload, resolve_workload
 from repro.workloads.suites import (
     ALL_WORKLOADS,
     SUITES,
@@ -40,7 +39,7 @@ __all__ = [
     "BenchmarkProfile",
     "SyntheticTraceGenerator",
     "TraceWorkload",
-    "resolve_workload_string",
+    "resolve_workload",
     "ALL_WORKLOADS",
     "SUITES",
     "WorkloadSpec",

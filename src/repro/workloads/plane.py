@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.workloads.columnar import ColumnarTrace
+from repro.workloads.sources import resolve_workload
 from repro.workloads.suites import WorkloadSpec
 
 #: LRU capacities (entries, not bytes).
@@ -211,23 +212,18 @@ def workload_key(
 def cell_workload_key(cell: Any) -> Optional[str]:
     """The plane key of one ``perf`` grid cell, or ``None``.
 
-    Resolves the cell's workload the same way the engine will (the
-    carried ``workload_spec`` object, else the name through the
-    workload-source registry) and keys it against the cell's own
-    parameters and organization. Non-``perf`` cells, unresolvable
-    workloads, and missing trace files all degrade to ``None`` — the
-    cell simply runs uncached.
+    Resolves the cell's workload name the same way the engine will
+    (:func:`~repro.workloads.sources.resolve_workload`) and keys it
+    against the cell's own parameters and organization. Non-``perf``
+    cells, unresolvable names, and missing trace files all degrade to
+    ``None`` — the cell simply runs uncached.
     """
     if getattr(cell, "kind", None) != "perf":
         return None
-    workload = getattr(cell, "workload_spec", None)
-    if workload is None:
-        from repro.workloads.sources import resolve_workload_string
-
-        try:
-            workload = resolve_workload_string(str(cell.workload))
-        except Exception:
-            return None
+    try:
+        workload = resolve_workload(cell.workload)
+    except (KeyError, ValueError):
+        return None
     params = cell.params
     make_organization = getattr(params, "make_organization", None)
     if not callable(make_organization):

@@ -1,22 +1,20 @@
-"""Workload sources: pluggable producers of per-core columnar traces.
+"""Workload names and the one resolver that turns a name into a workload.
 
-A *workload source* owns a prefix in workload strings
-(``<prefix>:<spec>``) and resolves the spec into a workload object the
-simulator drives through one uniform hook::
+A workload is named by a string, and :func:`resolve_workload` turns the
+name into a workload object the simulator drives through one uniform
+hook::
 
     workload.arrays_for_core(core_id, params, organization)
         -> ColumnarTrace
 
-Two sources are built in and self-register with
-:func:`repro.registry.register_workload_source` (exactly like
-mitigations and trackers do with their registries):
+The name grammar has two prefixes:
 
-- ``synthetic`` — the default for plain names: ``gcc``, ``mix1``, and
+- ``synthetic:<name>`` or a plain ``<name>`` — ``gcc``, ``mix1`` and
   ``synthetic:gcc`` all resolve to the named
   :class:`~repro.workloads.suites.WorkloadSpec` of the 78-workload
   suite, generated per core by the
   :class:`~repro.workloads.synthetic.SyntheticTraceGenerator`.
-- ``trace`` — file-backed replay: ``trace:/path/to/run`` resolves to a
+- ``trace:<path>`` — file-backed replay: resolves to a
   :class:`TraceWorkload` that parses recorded USIMM traces with
   :func:`~repro.workloads.trace.load_trace_columns` and decodes them
   with the simulated organization's address mapper. The workload plane
@@ -26,7 +24,7 @@ mitigations and trackers do with their registries):
   style) or a directory of per-core files as written by
   :func:`repro.sim.recorder.record_workload`.
 
-Both sources emit the same :class:`~repro.workloads.columnar.ColumnarTrace`
+Both kinds emit the same :class:`~repro.workloads.columnar.ColumnarTrace`
 shape, so recorded and synthetic workloads run through the identical
 simulator hot path — which is what makes record→replay bit-deterministic.
 """
@@ -37,15 +35,10 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Tuple
+from typing import Any, ClassVar, List, Tuple
 
 from repro.dram.address import AddressMapper
 from repro.dram.config import DRAMOrganization
-from repro.registry import (
-    WORKLOAD_SOURCES,
-    register_workload_source,
-    workload_source_names,
-)
 from repro.workloads.columnar import ColumnarTrace
 from repro.workloads.suites import ALL_WORKLOADS, WorkloadSpec
 from repro.workloads.trace import load_trace_columns
@@ -74,11 +67,6 @@ def _natural_key(path: Path) -> List[Any]:
     ]
 
 
-@register_workload_source(
-    "trace",
-    resolver=lambda spec_text: TraceWorkload(path=spec_text),
-    description="replay a recorded USIMM trace file or per-core directory",
-)
 @dataclass(frozen=True)
 class TraceWorkload:
     """A workload replayed from recorded USIMM trace files.
@@ -89,19 +77,16 @@ class TraceWorkload:
             directory, core ``i`` replays file ``i % len(files)`` in
             natural-sorted order; with a single file every core replays
             the same stream (rate mode).
-        name: Workload name used in results; defaults to
-            ``trace:<path>`` so replays are self-describing in tables
-            and exports.
-        suite: Suite label carried into results (default ``TRACE``).
     """
 
     path: str
-    name: str = ""
-    suite: str = "TRACE"
+    #: Suite label carried into results.
+    suite: ClassVar[str] = "TRACE"
 
-    def __post_init__(self):
-        if not self.name:
-            object.__setattr__(self, "name", f"trace:{self.path}")
+    @property
+    def name(self) -> str:
+        """The workload's name in results: ``trace:<path>``."""
+        return f"trace:{self.path}"
 
     @property
     def is_mix(self) -> bool:
@@ -168,30 +153,22 @@ class TraceWorkload:
         return arrays.take(params.requests_per_core)
 
 
-# The synthetic suite registers as the `synthetic` source; plain
-# (colon-free) workload names fall through to it in
-# `resolve_workload_string`, so `gcc` and `synthetic:gcc` are the same
-# workload.
-register_workload_source(
-    "synthetic",
-    resolver=resolve_synthetic_name,
-    description="named profile or mix from the built-in 78-workload suite",
-)(WorkloadSpec)
+def resolve_workload(name: str) -> Any:
+    """Resolve a workload name to the workload object it names.
 
-
-def resolve_workload_string(text: str) -> Any:
-    """Resolve a workload string through the workload-source registry.
-
-    ``<prefix>:<spec>`` dispatches to the registered source; a plain
-    name resolves through the ``synthetic`` suite. Unknown prefixes
-    raise ``ValueError`` naming the registered options.
+    ``trace:<path>`` gives a :class:`TraceWorkload`; ``synthetic:<name>``
+    and a plain name look up the synthetic suite (``KeyError`` when no
+    workload matches). Any other prefix raises ``ValueError`` naming
+    both prefixes.
     """
-    prefix, sep, rest = text.partition(":")
-    if sep and prefix in WORKLOAD_SOURCES:
-        return WORKLOAD_SOURCES.get(prefix).resolver(rest)
-    if sep:
-        raise ValueError(
-            f"unknown workload source prefix {prefix!r} in {text!r}; "
-            f"registered prefixes: {workload_source_names()}"
-        )
-    return resolve_synthetic_name(text)
+    prefix, sep, rest = name.partition(":")
+    if not sep:
+        return resolve_synthetic_name(name)
+    if prefix == "synthetic":
+        return resolve_synthetic_name(rest)
+    if prefix == "trace":
+        return TraceWorkload(path=rest)
+    raise ValueError(
+        f"unknown workload source prefix {prefix!r} in {name!r}; "
+        "prefixes: 'synthetic', 'trace'"
+    )

@@ -197,6 +197,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "2400" in out and "1200" in out and "rrs" in out
 
+    def test_sweep_prefixed_name_prints_its_results(self, capsys):
+        """``synthetic:povray`` names ``povray``; its row is not NaN."""
+        code = main([
+            "sweep", "synthetic:povray", "--trh", "1200", "--cores", "1",
+            "--requests", "500", "--mitigations", "rrs", "--jobs", "1",
+        ])
+        assert code == 0
+        assert "nan" not in capsys.readouterr().out
+
     def test_trace_record_info_and_replay(self, capsys, tmp_path):
         out_dir = tmp_path / "rec"
         code = main([
@@ -371,6 +380,42 @@ class TestCommands:
         shard_out = capsys.readouterr().out
         assert "shard 0/2" in shard_out and "executed 0" in shard_out
         assert "GEOMEAN" not in shard_out
+
+    @pytest.mark.parametrize("repeated", [
+        ["--workloads", "povray", "--trh", "1200", "1200",
+         "--mitigations", "rrs"],
+        ["--workloads", "povray", "povray", "--trh", "1200",
+         "--mitigations", "rrs"],
+        ["--workloads", "povray", "synthetic:povray", "--trh", "1200",
+         "--mitigations", "rrs"],
+        ["--workloads", "povray", "--trh", "1200",
+         "--mitigations", "rrs", "rrs"],
+    ], ids=["trh", "workloads", "synthetic-prefix", "mitigations"])
+    def test_grid_repeated_values_plan_each_cell_once(
+        self, repeated, capsys, tmp_path
+    ):
+        argv = [
+            "grid", *repeated, "--cores", "1", "--requests", "500",
+            "--jobs", "1", "--store", str(tmp_path / "store"),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("=== TRH = 1200") == 1
+        rows = [line for line in out.splitlines() if line.startswith("povray")]
+        assert len(rows) == 1 and len(rows[0].split()) == 2
+        assert "executed 2, reused 0" in out
+
+    def test_security_sweep_repeated_values_print_each_row_once(
+        self, capsys, tmp_path
+    ):
+        argv = ["security-sweep", "--trh", "4800", "4800", "--rates", "6,6",
+                "--store", str(tmp_path / "store")]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "=== TRH" not in out
+        rows = [line for line in out.splitlines() if line.strip().startswith("6.0")]
+        assert len(rows) == 1
+        assert "executed 2, reused 0" in out
 
     def test_grid_small_with_export(self, capsys, tmp_path):
         csv_path = tmp_path / "grid.csv"

@@ -78,8 +78,9 @@ def comparable(result):
 
 
 def run_both(workload, mitigation, params):
-    """Run one cell under both engines; returns (scalar, batched, engine)."""
-    spec = resolve_workload(workload)
+    """Run one cell under both engines; returns (scalar, batched, engine).
+    ``workload`` is a name or a workload object."""
+    spec = resolve_workload(workload) if isinstance(workload, str) else workload
     scalar = PerformanceSimulation(
         spec, mitigation, replace(params, engine="scalar")
     ).run()

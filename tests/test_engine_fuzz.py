@@ -34,7 +34,7 @@ import pytest
 
 from repro.dram.commands import PagePolicy
 from repro.sim.engine import BatchedEngine
-from repro.sim.experiment import resolve_workload, result_to_dict
+from repro.sim.experiment import result_to_dict
 from repro.sim.simulator import PerformanceSimulation, SimulationParams
 from repro.workloads.columnar import ColumnarTrace
 
@@ -130,7 +130,7 @@ def check_seed(seed):
         f"\nrepro: FUZZ_SEEDS={seed} python -m pytest "
         "tests/test_engine_fuzz.py -k explicit"
     )
-    spec = resolve_workload(workload)
+    spec = workload  # a FuzzWorkload object, driven straight into the simulator
     scalar = PerformanceSimulation(
         spec, mitigation, replace(params, engine="scalar")
     ).run()

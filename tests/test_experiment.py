@@ -87,22 +87,52 @@ class TestSpecExpansion:
         with pytest.raises(KeyError):
             spec.validate()
 
-    def test_resolve_workload_passthrough(self):
-        spec = resolve_workload("gcc")
-        assert resolve_workload(spec) is spec
-
-    def test_adhoc_workload_spec_rides_through_engine(self):
-        """WorkloadSpec objects outside the named suite still run."""
-        adhoc = dataclasses.replace(resolve_workload("povray"), name="my-adhoc")
-        results = run_grid(
-            ExperimentSpec(
-                workloads=[adhoc],
-                mitigations=["rrs"],
-                base_params=dataclasses.replace(FAST, requests_per_core=1500),
-            ),
-            max_workers=1,
+    @pytest.mark.parametrize("kind", ["perf", "security"])
+    def test_non_string_workload_rejected(self, kind):
+        spec = ExperimentSpec(
+            kind=kind,
+            workloads=[resolve_workload("gcc")],
+            mitigations=["rrs"],
         )
-        assert set(results.normalized_table()) == {"my-adhoc"}
+        with pytest.raises(ValueError, match="not WorkloadSpec") as error:
+            spec.validate()
+        assert "\n" not in str(error.value)
+
+    def test_repeated_workloads_plan_one_set_of_cells(self):
+        """`gcc`, `synthetic:gcc` and a repeated `gcc` are one workload."""
+        spec = ExperimentSpec(
+            workloads=["gcc", "synthetic:gcc", "lbm", "gcc"],
+            mitigations=["rrs"],
+            base_params=FAST,
+        )
+        cells = plan_cells(spec)
+        assert [(c.workload, c.mitigation) for c in cells] == [
+            ("gcc", "baseline"), ("lbm", "baseline"),
+            ("gcc", "rrs"), ("lbm", "rrs"),
+        ]
+
+    def test_repeated_axis_values_plan_each_point_once(self):
+        spec = ExperimentSpec(
+            workloads=["gcc"],
+            mitigations=["rrs"],
+            base_params=FAST,
+            grid={"trh": [2400, 1200, 2400, 1200], "swap_rate": [6, 6.0]},
+        )
+        assert [p.trh for p in spec.param_grid()] == [2400, 1200]
+        assert [c.params.trh for c in spec.cells()] == [2400, 1200]
+        assert len(plan_cells(spec)) == 1 + 2
+
+    def test_repeated_values_plan_each_cell_once_for_every_kind(self):
+        spec = ExperimentSpec(
+            kind="security",
+            workloads=["a", "a"],
+            mitigations=["rrs", "rrs"],
+            grid={"trh": [4800, 4800], "swap_rate": [6, 6]},
+        )
+        cells = plan_cells(spec)
+        assert [(c.workload, c.mitigation, c.params.trh) for c in cells] == [
+            ("a", "rrs", 4800)
+        ]
 
     def test_baseline_only_experiment_still_runs(self):
         results = run_grid(

@@ -13,7 +13,7 @@ from repro.dram.address import AddressMapper
 from repro.dram.config import DRAMOrganization
 from repro.sim import SimulationParams, record_workload
 from repro.workloads.columnar import ColumnarTrace
-from repro.workloads.sources import resolve_workload_string
+from repro.workloads.sources import resolve_workload
 from repro.workloads.trace import (
     TraceParseError,
     load_trace_columns,
@@ -224,7 +224,7 @@ class TestRecorderBytes:
     def record(self, out_dir, compress):
         params = SimulationParams(num_cores=2, requests_per_core=200)
         return record_workload(
-            resolve_workload_string("gcc"), params, out_dir=str(out_dir),
+            resolve_workload("gcc"), params, out_dir=str(out_dir),
             compress=compress,
         )
 

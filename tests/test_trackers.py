@@ -167,10 +167,8 @@ class TestHydra:
             tracker.observe(0)
         assert tracker.observe(0).extra_dram_accesses == 1
         # Row 0's counter now sits in the RCC: no further DRAM traffic.
-        before = tracker.dram_counter_accesses
         for _ in range(100):
             assert tracker.observe(0).extra_dram_accesses == 0
-        assert tracker.dram_counter_accesses == before
 
     def test_rcc_misses_cost_dram_accesses(self):
         config = HydraConfig(rows_per_group=1, group_threshold_fraction=0.1, rcc_entries=2, group_threshold_floor=1)
@@ -180,10 +178,11 @@ class TestHydra:
         for row in range(64):
             for _ in range(110):
                 tracker.observe(row)
-        before = tracker.dram_counter_accesses
-        for _ in range(100):
-            tracker.observe(rng.randrange(64))
-        assert tracker.dram_counter_accesses > before
+        extra = sum(
+            tracker.observe(rng.randrange(64)).extra_dram_accesses
+            for _ in range(100)
+        )
+        assert extra > 0
 
     def test_end_window_resets(self):
         tracker = HydraTracker(100)
