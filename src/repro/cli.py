@@ -52,6 +52,7 @@ import argparse
 import math
 import os
 import sys
+import tempfile
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.power import PowerModel
@@ -567,39 +568,42 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise SystemExit("--resume needs --store")
     if args.shard and not args.store:
         raise SystemExit("--shard needs --store (shard runs write no artifacts)")
-    store = _open_store(args.store) if args.store else None
     config = _report_config(args)
-    # A store makes reuse the point: rerunning a finished report should
-    # execute nothing without extra flags. --no-resume forces recompute.
-    reuse = args.resume if args.resume is not None else bool(args.store)
+    # Reuse is the point of a store: rerunning a finished report executes
+    # nothing, and without --store the figures still share the cells they
+    # have in common through a temporary store removed on exit.
+    # --no-resume forces recompute.
+    reuse = args.resume is not False
     planned = executed = reused = 0
-    for name in names:
-        info, spec = build_figure(name, config)
-        data = resolve_figure(
-            spec,
-            store=store,
-            jobs=args.jobs,
-            reuse=reuse,
-            shard=args.shard,
-        )
-        planned += data.stats.planned
-        executed += data.stats.executed
-        reused += data.stats.reused
-        print(
-            f"{name}: executed {data.stats.executed}, reused "
-            f"{data.stats.reused} of {data.stats.planned} cells"
-        )
-        if args.shard:
-            # A shard holds an arbitrary slice of every grid; artifacts
-            # come from a final unsharded pass over the shared store.
-            continue
-        artifact = render_figure(info, spec, data)
-        if args.out:
-            for path in write_artifact(artifact, args.out):
-                print(f"wrote {path}")
-        else:
-            print()
-            print(artifact.to_markdown())
+    with tempfile.TemporaryDirectory(prefix="repro-report-") as scratch:
+        store = _open_store(args.store or scratch)
+        for name in names:
+            info, spec = build_figure(name, config)
+            data = resolve_figure(
+                spec,
+                store=store,
+                jobs=args.jobs,
+                reuse=reuse,
+                shard=args.shard,
+            )
+            planned += data.stats.planned
+            executed += data.stats.executed
+            reused += data.stats.reused
+            print(
+                f"{name}: executed {data.stats.executed}, reused "
+                f"{data.stats.reused} of {data.stats.planned} cells"
+            )
+            if args.shard:
+                # A shard holds an arbitrary slice of every grid; artifacts
+                # come from a final unsharded pass over the shared store.
+                continue
+            artifact = render_figure(info, spec, data)
+            if args.out:
+                for path in write_artifact(artifact, args.out):
+                    print(f"wrote {path}")
+            else:
+                print()
+                print(artifact.to_markdown())
     shard = f", shard {args.shard[0]}/{args.shard[1]}" if args.shard else ""
     print(
         f"report: executed {executed}, reused {reused} of "

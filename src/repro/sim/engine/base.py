@@ -10,9 +10,9 @@ this interface:
   trace into provably non-interacting *spans* and services eligible
   spans on a fused loop over hoisted state.
 
-Both drive pre-decoded traces (:class:`_DecodedTrace`, shared across
-the cells of a grid through the workload plane's decode cache) and both
-produce bit-identical :class:`~repro.sim.results.SimulationResult`
+Both drive pre-decoded traces (:class:`_DecodedTrace`, shared by the
+cells that replay one workload through the workload plane's slot) and
+both produce bit-identical :class:`~repro.sim.results.SimulationResult`
 values — the batched engine is a faster schedule of the same
 arithmetic, never a different model (enforced by
 ``tests/test_engine_equivalence.py``).
@@ -71,17 +71,25 @@ class _DecodedTrace:
 def decode_traces(
     cores: List[TraceCore], traces: List[ColumnarTrace], memory: MemorySystem
 ) -> List[_DecodedTrace]:
-    """Decode every core's trace, through the workload plane's cache.
+    """Decode every core's trace, reusing the workload plane's slot.
 
-    Decoded traces are immutable to the engines (they only read them),
-    so plane-materialized traces share one decode across the cells of a
-    grid.
+    A trace the plane served is decoded once per geometry, which is
+    everything else :class:`_DecodedTrace` reads (the core's
+    ``fetch_width`` and cycle time, the ranks and banks per channel),
+    and kept in the plane's slot: the engines only read decoded traces,
+    so every cell replaying the slot's workload shares them. Other
+    traces are decoded on every call.
     """
     from repro.workloads import plane
 
+    org = memory.config.organization
     return [
-        plane.cached_decode(
-            plane.decode_token(trace, core, memory),
+        plane.decoded(
+            trace,
+            (
+                core.config.fetch_width, core.cycle_ns,
+                org.ranks_per_channel, org.banks_per_rank,
+            ),
             lambda trace=trace, core=core: _DecodedTrace(trace, core, memory),
         )
         for trace, core in zip(traces, cores)

@@ -3,7 +3,7 @@
 A min-heap keyed by each core's local clock picks the earliest core,
 services exactly one of its accesses, and re-inserts the core — the
 shared loop :func:`~repro.sim.engine.base.scalar_stretch`, run over
-traces pre-decoded once through the workload plane's decode cache.
+traces pre-decoded once through the workload plane's slot.
 Every other engine is measured against this one: the differential test
 harness requires bit-identical results.
 """

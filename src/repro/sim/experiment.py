@@ -208,6 +208,11 @@ class ExperimentSpec:
                     f"unknown grid axis {axis!r}; "
                     f"{info.params_cls.__name__} fields: {param_fields}"
                 )
+            if axis == "engine":
+                raise ValueError(
+                    "engine is not a grid axis: engines are bit-identical; "
+                    "set base_params.engine"
+                )
             if not self.grid[axis]:
                 raise ValueError(f"grid axis {axis!r} has no values")
         for workload in self.workloads:
@@ -219,11 +224,11 @@ class ExperimentSpec:
         if self.kind == PERF:
             if not self.workloads:
                 raise ValueError("an experiment needs at least one workload")
-            for engine in {self.base_params.engine, *self.grid.get("engine", ())}:
-                if engine not in ENGINE_NAMES:
-                    raise ValueError(
-                        f"unknown engine {engine!r}; options: {ENGINE_NAMES}"
-                    )
+            engine = self.base_params.engine
+            if engine not in ENGINE_NAMES:
+                raise ValueError(
+                    f"unknown engine {engine!r}; options: {ENGINE_NAMES}"
+                )
             for workload in self.workloads:
                 resolve_workload(workload)
             for name in self.mitigations:
@@ -290,10 +295,9 @@ class ExperimentSpec:
         Derived from the workloads and grid directly — not from the
         mitigation cells — so a baseline-only experiment still runs.
         The dedup key ignores the simulation engine (engines are
-        bit-identical), but the planned cell keeps the first-seen
-        cell's requested engine so ``--engine auto`` speeds the
-        baselines up too. ``perf`` only — the analytical kinds have no
-        baseline concept.
+        bit-identical), but the planned cell keeps the requested
+        engine so ``--engine auto`` speeds the baselines up too.
+        ``perf`` only — the analytical kinds have no baseline concept.
         """
         self.validate()
         if self.kind != PERF:

@@ -102,14 +102,14 @@ def price(pending: Sequence[Tuple[int, Any]]) -> Dict[int, float]:
 def dispatch_order(
     pending: Sequence[Tuple[int, Any]],
     costs: Optional[Dict[int, float]] = None,
-) -> List[Tuple[int, Any, Optional[str]]]:
-    """Pending ``(position, cell)`` pairs keyed by workload and put in
+) -> List[Tuple[int, Any]]:
+    """Pending ``(position, cell)`` pairs grouped by workload and put in
     submission order (:func:`repro.workloads.plane.affinity_order`,
     longest :func:`cell_cost` first within each workload). ``costs``
     (by position, see :func:`price`) is priced here when not given."""
     if costs is None:
         costs = price(pending)
-    return plane.affinity_order(plane.keyed_pending(pending), costs)
+    return plane.affinity_order(pending, costs)
 
 
 def sized_pool(
@@ -230,8 +230,8 @@ class PoolTask:
         return price(self.pending)
 
     @cached_property
-    def ordered(self) -> List[Tuple[int, Any, Optional[str]]]:
-        """The pending cells keyed and in :func:`dispatch_order`,
+    def ordered(self) -> List[Tuple[int, Any]]:
+        """The pending cells in :func:`dispatch_order`,
         computed on first use and then shared like :attr:`costs`."""
         return dispatch_order(self.pending, self.costs)
 
@@ -259,7 +259,7 @@ class Pool:
 
 
 class SerialPool(Pool):
-    """In-process execution, one cell at a time.
+    """In-process execution, one cell at a time, grouped by workload.
 
     The backend behind ``max_workers=1``: no processes are forked, so
     monkeypatched cell runners (tests) and profilers see every call. A
@@ -273,23 +273,25 @@ class SerialPool(Pool):
     max_workers = 1
 
     def run(self, task: PoolTask) -> None:
-        """Run cells in plan order; stop at the first failure.
+        """Run cells grouped by workload; stop at the first failure.
 
-        Each result is recorded as a batch of one the moment it exists,
-        so a serial run persists every finished cell. Cells share this
-        process's workload plane, so consecutive cells over one workload
-        hit its trace/decode caches; the run's plane delta lands in
-        :attr:`Pool.plane_stats` (even on failure — the completed prefix
-        did the caching).
+        The groups (:func:`repro.workloads.plane.workload_groups`) run
+        in first-appearance order, each in plan order, so the plane's
+        one-workload slot serves every repeat of a workload; nothing is
+        priced. Non-``perf`` cells form one group and keep plan order.
+        Each result is recorded by plan position the moment it exists,
+        so a serial run persists every finished cell. The run's plane
+        delta lands in :attr:`Pool.plane_stats` (even on failure).
         """
         before = plane.local_stats()
         try:
-            for position, cell in task.pending:
-                try:
-                    result = task.run_cell(cell)
-                except Exception as error:
-                    raise wrap_cell_error(cell, error) from error
-                task.record([(position, result)])
+            for group in plane.workload_groups(task.pending):
+                for position, cell in group:
+                    try:
+                        result = task.run_cell(cell)
+                    except Exception as error:
+                        raise wrap_cell_error(cell, error) from error
+                    task.record([(position, result)])
         finally:
             self.plane_stats = plane.local_stats() - before
 
@@ -325,14 +327,14 @@ class ProcessPool(Pool):
         """Submit each pending cell as its own future; record as they
         complete.
 
-        Cells are submitted in their cache-affinity order
+        Cells are submitted in their workload-affinity order
         (:attr:`PoolTask.ordered`: grouped by workload, longest first),
         so a worker tends to replay one workload back to back. Each
         completed cell is recorded at once; recording stays
         plan-positional, so progress and the store do not depend on
         completion order.
 
-        Workers start with cold plane caches (``plane.reset`` is the
+        Workers start with an empty plane slot (``plane.reset`` is the
         initializer, so the accounting is the same under fork and
         spawn) and build the workloads they replay themselves. Each
         cell returns its worker's plane delta, and
@@ -347,7 +349,7 @@ class ProcessPool(Pool):
         futures: Dict[Any, Tuple[int, Any]] = {}
         failed: Optional[Tuple[Any, Exception]] = None
         try:
-            for position, cell, _ in task.ordered:
+            for position, cell in task.ordered:
                 future = executor.submit(_run_chunk, task.run_cell, cell)
                 futures[future] = (position, cell)
             for future in as_completed(futures):

@@ -74,9 +74,10 @@ class HydraTracker(Tracker):
         self._group_counts: Dict[int, int] = {}
         self._hot_groups: Set[int] = set()
         # Row counters for rows in hot groups live in DRAM; the RCC caches
-        # them. `_row_counts` is the DRAM-resident truth.
+        # them. `_row_counts` is the DRAM-resident truth; the RCC is an
+        # LRU of the rows whose counters it holds.
         self._row_counts: Dict[int, int] = {}
-        self._rcc: "OrderedDict[int, int]" = OrderedDict()
+        self._rcc: "OrderedDict[int, None]" = OrderedDict()
 
     def _group_of(self, row: int) -> int:
         return row // self.config.rows_per_group
@@ -88,10 +89,9 @@ class HydraTracker(Tracker):
             return 0
         extra = 1  # read the counter from DRAM
         if len(self._rcc) >= self.config.rcc_entries:
-            evicted_row, _ = self._rcc.popitem(last=False)
+            self._rcc.popitem(last=False)
             extra += 1  # write back the dirty evicted counter
-            del evicted_row
-        self._rcc[row] = self._row_counts.get(row, 0)
+        self._rcc[row] = None
         return extra
 
     def observe(self, row: int) -> TrackerObservation:
@@ -110,11 +110,9 @@ class HydraTracker(Tracker):
         extra = self._rcc_access(row)
         count = self._row_counts.get(row, self.group_threshold) + 1
         self._row_counts[row] = count
-        self._rcc[row] = count
         triggered = count >= self.threshold
         if triggered:
             self._row_counts[row] = 0
-            self._rcc[row] = 0
         return self._note(
             TrackerObservation(
                 triggered=triggered,
@@ -132,8 +130,6 @@ class HydraTracker(Tracker):
     def reset_row(self, row: int) -> None:
         if self._group_of(row) in self._hot_groups:
             self._row_counts[row] = 0
-            if row in self._rcc:
-                self._rcc[row] = 0
 
     def end_window(self) -> None:
         self._group_counts.clear()

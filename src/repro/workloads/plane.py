@@ -1,61 +1,53 @@
-"""The workload plane: workload bytes as a shared, cached resource.
+"""The workload plane: one workload per process, reused across cells.
 
-Every grid cell used to pay a private fixed cost before its first
-simulated access: resolve the workload, regenerate (or re-read and
-re-decode) the per-core columnar traces, and re-``tolist`` the columns
-into the engines' Python lists. A
-``mitigations x trackers x trh`` grid shares one workload across all
-of those cells, so the work is pure redundancy. This module makes the
-workload bytes a plane-wide resource instead, in three layers:
+The paper's evaluation replays each workload under every design at
+several thresholds, so a grid is a few workloads, each replayed many
+times. Every cell would otherwise pay a private fixed cost before its
+first simulated access: resolve the workload, regenerate (or re-read)
+the per-core columnar traces, and ``tolist`` the columns into the
+engines' Python lists. The plane pays it once per workload instead:
 
-1. **Per-worker memoization** — :func:`traces_for` resolves a
-   workload's per-core :class:`~repro.workloads.columnar.ColumnarTrace`
-   arrays through a process-wide LRU keyed by the same fingerprint-free
-   ingredients the result store digests (workload identity +
-   generation-relevant parameters + DRAM organization), plus the PR-5
-   ``store_fingerprint()`` for file-backed workloads so re-recording a
-   trace invalidates the cache. :func:`cached_decode` gives both
-   engines the same treatment for their decoded-list product. Trace
-   files are parsed only when a materialization misses this LRU, and a
-   rate-mode directory's one file is parsed once for all of its cores,
-   not once per core; nothing below the plane caches a parse.
+1. **One slot** — each process keeps the last workload it
+   materialized: its key, its per-core
+   :class:`~repro.workloads.columnar.ColumnarTrace` arrays and their
+   decoded lists. :func:`traces_for` serves the slot when the key
+   matches and otherwise materializes the workload and replaces the
+   slot. The key holds the same fingerprint-free ingredients the
+   result store digests (workload identity + generation-relevant
+   parameters + DRAM organization), plus ``store_fingerprint()`` for
+   file-backed workloads, so re-recording a trace is a new key.
+   :func:`decoded` keeps the engines' decoded lists in the same slot.
+   A trace file is parsed only when a materialization misses the slot,
+   and a rate-mode directory's one file is parsed once for all of its
+   cores; nothing below the plane caches a parse.
 
-2. **Worker-side materialization** — a
-   :class:`~repro.sim.pool.ProcessPool` worker starts with cold caches
-   and builds each workload it replays itself, once; later cells over
-   the same workload in that worker hit its LRU. Generation costs a few
-   milliseconds per workload (4–13 ms for the benchmark grid's
-   workloads at 4 cores x 12 000 requests), so nothing is shipped
+2. **Grouped replay** — every backend runs a grid's pending cells
+   grouped by workload key (:func:`workload_groups`), so the slot
+   serves each repeat of a workload: :class:`~repro.sim.pool.SerialPool`
+   in plan order within each group, and
+   :class:`~repro.sim.pool.ProcessPool` submitting each group longest
+   cell first (:func:`affinity_order`). A pool worker starts with an
+   empty slot and builds each workload it replays itself; generation
+   costs a few milliseconds per workload, so nothing is shipped
    between processes but cells and results.
-
-3. **Cache-affine scheduling** — :func:`affinity_order` groups a run's
-   pending cells by workload key (largest
-   :func:`~repro.sim.pool.cell_cost` first within a group) so
-   per-worker caches actually hit; see
-   :class:`~repro.sim.pool.ProcessPool`.
 
 Accounting flows through :class:`PlaneStats` (surfaced as the greppable
 ``workloads: generated N, decode hits K`` line); each pool worker
 returns its counters' delta with every cell it ran, and the
 coordinator sums them.
 Results are identical to generating every cell from scratch (the plane
-caches exactly what generation would have produced), pinned by
+keeps exactly what generation would have produced), pinned by
 ``tests/test_plane.py`` against the direct ``arrays_for_core`` loop.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.workloads.columnar import ColumnarTrace
 from repro.workloads.sources import resolve_workload
 from repro.workloads.suites import WorkloadSpec
-
-#: LRU capacities (entries, not bytes).
-_TRACE_CAPACITY = 8
-_DECODED_CAPACITY = 6
 
 _STAT_FIELDS = ("generated", "trace_hits", "decode_hits")
 
@@ -67,9 +59,9 @@ class PlaneStats:
     Attributes:
         generated: Workload materializations computed from scratch
             (synthetic generation or trace parse+decode).
-        trace_hits: Materializations served by the in-process trace LRU.
-        decode_hits: Decoded-list products (either engine) served
-            from the in-process decode LRU instead of re-``tolist``-ing.
+        trace_hits: Materializations served by the process's slot.
+        decode_hits: Per-core decoded lists (either engine) served
+            from the slot instead of re-``tolist``-ing.
     """
 
     generated: int = 0
@@ -110,18 +102,23 @@ class PlaneStats:
 # ----------------------------------------------------------------------
 # process-wide state
 #
-# One plane per process: the caches below are module-level by design —
-# a ProcessPool worker's cache must survive across the cells it runs.
-# `reset()` (tests, worker initialization) clears everything.
+# One plane per process: the slot is module-level by design — a
+# ProcessPool worker's slot must survive across the cells it runs.
+# `reset()` (tests, worker initialization) empties it.
 
-_trace_cache: "OrderedDict[str, List[ColumnarTrace]]" = OrderedDict()
-_decoded_cache: "OrderedDict[Tuple, Any]" = OrderedDict()
+#: The empty slot. A slot is the last workload this process
+#: materialized: its key, its per-core traces, and their decoded lists
+#: by (stream, geometry) (see :func:`decoded`).
+_EMPTY: Tuple[Optional[str], List[ColumnarTrace], Dict[Tuple, Any]] = (
+    None, [], {},
+)
+_slot = _EMPTY
 _local_stats: Dict[str, int] = {name: 0 for name in _STAT_FIELDS}
 
 
-def _bump(name: str, count: int = 1) -> None:
+def _bump(name: str) -> None:
     """Increment one of this process's plane counters."""
-    _local_stats[name] += count
+    _local_stats[name] += 1
 
 
 def local_stats() -> PlaneStats:
@@ -130,27 +127,21 @@ def local_stats() -> PlaneStats:
 
 
 def reset() -> None:
-    """Drop every cache and counter (tests, pool-worker initializer).
+    """Empty the slot and zero the counters (tests, pool-worker
+    initializer).
 
     As a :class:`~repro.sim.pool.ProcessPool` initializer it makes a
     worker's accounting independent of the multiprocessing start
-    method: a forked worker drops the caches it inherited from the
+    method: a forked worker drops the slot it inherited from the
     coordinator and builds what it replays, as a spawned one would.
     """
-    global _local_stats
-    for cache in (_trace_cache, _decoded_cache):
-        cache.clear()
+    global _slot, _local_stats
+    _slot = _EMPTY
     _local_stats = {name: 0 for name in _STAT_FIELDS}
 
 
-def _evict(cache: OrderedDict, capacity: int) -> None:
-    """Shrink a cache to ``capacity`` entries, oldest first."""
-    while len(cache) > capacity:
-        cache.popitem(last=False)
-
-
 # ----------------------------------------------------------------------
-# cache keys
+# slot keys
 
 
 def _organization_token(organization: Any) -> Tuple:
@@ -237,50 +228,30 @@ def cell_workload_key(cell: Any) -> Optional[str]:
 
 def _materialize(
     workload: Any, params: Any, organization: Any
-) -> Tuple[List[ColumnarTrace], List[int]]:
-    """Generate per-core traces plus their stream identities.
+) -> List[ColumnarTrace]:
+    """Generate the per-core traces.
 
-    The stream identity maps each core to the distinct trace content it
-    replays: synthetic cores are all distinct streams, while a
-    trace-directory workload assigns file ``core_id % len(files)`` — a
-    single-file (rate-mode) recording is decoded *once* and shared
-    across every core, bit-identically to decoding it per core.
+    Synthetic cores are all distinct streams, while a trace-directory
+    workload assigns file ``core_id % len(files)``: a single-file
+    (rate-mode) recording is parsed *once*, and every core holds the
+    same trace object, which :func:`decoded` then decodes once.
     """
     cores = params.num_cores
     core_files = getattr(workload, "core_files", None)
     if callable(core_files) and callable(
         getattr(workload, "store_fingerprint", None)
     ):
-        files = core_files()
-        by_file: Dict[int, ColumnarTrace] = {}
-        traces = []
-        stream_ids = []
-        for core_id in range(cores):
-            index = core_id % len(files)
-            if index not in by_file:
-                by_file[index] = workload.arrays_for_core(
-                    core_id, params, organization
-                )
-            traces.append(by_file[index])
-            stream_ids.append(index)
-        return traces, stream_ids
-    traces = [
+        count = len(core_files())
+        # Core ``index`` is the first core that replays file ``index``.
+        parsed = [
+            workload.arrays_for_core(index, params, organization)
+            for index in range(min(count, cores))
+        ]
+        return [parsed[core_id % count] for core_id in range(cores)]
+    return [
         workload.arrays_for_core(core_id, params, organization)
         for core_id in range(cores)
     ]
-    return traces, list(range(cores))
-
-
-def _seal(
-    traces: Sequence[ColumnarTrace], key: str, stream_ids: Sequence[int]
-) -> None:
-    """Stamp each trace with its content identity for the decode cache
-    and mark its columns read-only (cached traces are shared by every
-    later cell of the process)."""
-    for trace, stream in zip(traces, stream_ids):
-        trace.plane_token = (key, stream)
-        for name in trace._FIELDS:
-            getattr(trace, name).flags.writeable = False
 
 
 def traces_for(workload: Any, params: Any, organization: Any) -> List[ColumnarTrace]:
@@ -288,110 +259,92 @@ def traces_for(workload: Any, params: Any, organization: Any) -> List[ColumnarTr
 
     The single materialization path of the simulator: an uncacheable
     workload runs the plain per-core ``arrays_for_core`` loop; any
-    other is served from the in-process LRU, else generated once and
-    cached. Cached traces are shared across cells, so their columns are
-    read-only (writing raises :class:`ValueError`).
+    other is served from the slot when its key matches, else
+    materialized and put in the slot in place of the previous
+    workload. Slot traces are shared across cells, so their columns
+    are read-only (writing raises :class:`ValueError`).
     """
+    global _slot
     key = workload_key(workload, params, organization)
     if key is None:
         return [
             workload.arrays_for_core(core_id, params, organization)
             for core_id in range(params.num_cores)
         ]
-    traces = _trace_cache.get(key)
-    if traces is not None:
-        _trace_cache.move_to_end(key)
+    if key == _slot[0]:
         _bump("trace_hits")
-        return traces
-    traces, stream_ids = _materialize(workload, params, organization)
-    _seal(traces, key, stream_ids)
-    _trace_cache[key] = traces
-    _evict(_trace_cache, _TRACE_CAPACITY)
+        return _slot[1]
+    _slot = _EMPTY  # free the previous workload before building this one
+    traces = _materialize(workload, params, organization)
+    for trace in traces:
+        for name in trace._FIELDS:
+            getattr(trace, name).flags.writeable = False
+    _slot = (key, traces, {})
     _bump("generated")
     return traces
 
 
-# ----------------------------------------------------------------------
-# decoded-list product (both engines)
+def decoded(trace: Any, geometry: Tuple, build: Callable[[], Any]) -> Any:
+    """The slot's decoded list of ``trace`` under ``geometry``, else
+    ``build()``.
 
-
-def decode_token(trace: Any, core: Any, memory: Any) -> Optional[Tuple]:
-    """Cache identity of one decoded trace, or ``None`` (don't cache).
-
-    Only plane-materialized traces carry a content token; the decoded
-    product additionally depends on the core's gap arithmetic
-    (``fetch_width``, cycle time) and the organization's bank geometry
-    — everything :class:`~repro.sim.engine.base._DecodedTrace`
-    reads. Deliberately *not* per-core: rate-mode cores sharing one
-    stream share one decode.
+    ``geometry`` is everything besides the trace that the decode reads.
+    A trace the slot holds is decoded once per geometry and kept there
+    until the slot is replaced, so cores holding one trace object
+    (rate mode) share one decode. Any other trace (an uncacheable
+    workload's) is built on every call. Decoded lists are immutable by
+    engine contract: both engines only read them.
     """
-    token = getattr(trace, "plane_token", None)
-    if token is None:
-        return None
-    organization = memory.config.organization
-    return (
-        token,
-        core.config.fetch_width,
-        core.cycle_ns,
-        organization.ranks_per_channel,
-        organization.banks_per_rank,
+    _, traces, decodes = _slot
+    stream = next(
+        (index for index, held in enumerate(traces) if held is trace), None
     )
-
-
-def cached_decode(token: Optional[Tuple], build: Any) -> Any:
-    """Return the cached decoded product for ``token``, else build it.
-
-    ``build`` is a zero-argument callable; a ``None`` token (an
-    uncacheable trace) always builds. Decoded products are immutable by
-    engine contract — both engines only read them.
-    """
-    if token is None:
+    if stream is None:
         return build()
-    hit = _decoded_cache.get(token)
-    if hit is not None:
-        _decoded_cache.move_to_end(token)
+    token = (stream, geometry)
+    value = decodes.get(token)
+    if value is None:
+        value = decodes[token] = build()
+    else:
         _bump("decode_hits")
-        return hit
-    value = build()
-    _decoded_cache[token] = value
-    _evict(_decoded_cache, _DECODED_CAPACITY)
     return value
 
 
 # ----------------------------------------------------------------------
-# cache-affine scheduling
+# grouped replay
 
 
-def keyed_pending(
+def workload_groups(
     pending: Sequence[Tuple[int, Any]]
-) -> List[Tuple[int, Any, Optional[str]]]:
-    """Annotate a run's pending cells with their plane keys (once)."""
-    return [
-        (position, cell, cell_workload_key(cell)) for position, cell in pending
-    ]
+) -> List[List[Tuple[int, Any]]]:
+    """A run's pending ``(position, cell)`` pairs grouped by
+    :func:`cell_workload_key`, so each group replays one slot.
+
+    Groups come in first-appearance plan order and keep plan order
+    within. Unkeyed cells (every non-``perf`` kind) form one group.
+    Each cell is keyed once.
+    """
+    groups: Dict[Optional[str], List[Tuple[int, Any]]] = {}
+    for position, cell in pending:
+        groups.setdefault(cell_workload_key(cell), []).append((position, cell))
+    return list(groups.values())
 
 
 def affinity_order(
-    keyed_cells: Sequence[Tuple[int, Any, Optional[str]]],
-    costs: Mapping[int, float],
-) -> List[Tuple[int, Any, Optional[str]]]:
+    pending: Sequence[Tuple[int, Any]], costs: Mapping[int, float]
+) -> List[Tuple[int, Any]]:
     """Submission order for a process pool: grouped, big-first.
 
-    Cells sharing a workload key are submitted consecutively (groups in
-    first-appearance plan order, so early plan cells still start early),
-    largest ``costs[position]`` first within each group — workers pulling
-    from the shared queue stay on one workload while it is in their
-    caches, and a group's longest cell never starts last. Unkeyed cells
-    (every non-``perf`` kind) form one group, so a grid of Monte-Carlo
-    or hammer cells also starts its longest cells first. Ties keep plan
-    order. Plan-order progress reporting is unaffected: results are
-    recorded by plan position regardless of completion order.
+    The :func:`workload_groups` in order, largest ``costs[position]``
+    first within each group: workers pulling from the shared queue stay
+    on one workload while it is in their slots, and a group's longest
+    cell never starts last. The unkeyed group (Monte-Carlo or hammer
+    cells) also starts its longest cells first. Ties keep plan order.
+    Progress reporting is unaffected: results are recorded by plan
+    position regardless of completion order.
     """
-    groups: "OrderedDict[Any, List[Tuple[int, Any, Optional[str]]]]" = OrderedDict()
-    for position, cell, key in keyed_cells:
-        groups.setdefault(key, []).append((position, cell, key))
-    ordered: List[Tuple[int, Any, Optional[str]]] = []
-    for members in groups.values():
-        members.sort(key=lambda item: (-costs[item[0]], item[0]))
-        ordered.extend(members)
-    return ordered
+    return [
+        item
+        for group in workload_groups(pending)
+        for item in sorted(group, key=lambda item: -costs[item[0]])
+    ]

@@ -122,7 +122,7 @@ class TraceWorkload:
 
         Replaying the identical path after re-recording it must be a
         different cell as far as persisted results (see
-        :mod:`repro.sim.store`) and the workload plane's trace cache are
+        :mod:`repro.sim.store`) and the workload plane's slot are
         concerned.
         """
         out = []

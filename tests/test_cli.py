@@ -565,6 +565,27 @@ class TestReportCommand:
         third = capsys.readouterr().out
         assert "report: executed 2, reused 0 of 2 cells" in third
 
+    def test_plain_report_shares_cells_across_figures(self, capsys, tmp_path):
+        """Without --store, figures share the cells they have in common
+        (through a temporary store) and write the artifacts a --store
+        run writes."""
+        argv = ["report", "--figure", "fig15", "fig16", "--requests", "300",
+                "--cores", "1"]
+        plain = str(tmp_path / "plain")
+        assert main(argv + ["--out", plain]) == 0
+        assert "fig16: executed 42, reused 49 of 91" in capsys.readouterr().out
+        stored = str(tmp_path / "stored")
+        assert main(
+            argv + ["--store", str(tmp_path / "store"), "--out", stored]
+        ) == 0
+        assert "fig16: executed 42, reused 49 of 91" in capsys.readouterr().out
+        assert sorted(os.listdir(plain)) == sorted(os.listdir(stored))
+        for name in os.listdir(plain):
+            with open(os.path.join(plain, name), "rb") as one, open(
+                os.path.join(stored, name), "rb"
+            ) as other:
+                assert one.read() == other.read(), name
+
     def test_shard_runs_skip_artifacts(self, capsys, tmp_path):
         store = str(tmp_path / "store")
         out_dir = str(tmp_path / "report")

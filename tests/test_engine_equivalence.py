@@ -278,9 +278,9 @@ class TestSpanCuts:
             engine.counters["scoped_accesses"]
         )
 
-    def test_engine_grid_axis_dedups_baseline(self):
-        # Engines are bit-identical, so an engine sweep must not
-        # re-simulate its baselines per engine value.
+    def test_engine_grid_axis_is_rejected(self):
+        # Engines are bit-identical and a cell's identity drops the
+        # engine, so an engine axis would plan one cell twice.
         from repro.sim.experiment import ExperimentSpec, plan_cells
 
         spec = ExperimentSpec(
@@ -289,13 +289,8 @@ class TestSpanCuts:
             base_params=BASE,
             grid={"engine": ["scalar", "auto"]},
         )
-        cells = plan_cells(spec)
-        baselines = [c for c in cells if c.mitigation == "baseline"]
-        assert len(baselines) == 1
-        assert len([c for c in cells if c.mitigation == "rrs"]) == 2
-        # The deduplicated baseline still runs under a *requested*
-        # engine (the first grid value), not the environment default.
-        assert baselines[0].params.engine == "scalar"
+        with pytest.raises(ValueError, match="base_params.engine"):
+            plan_cells(spec)
 
     def test_baseline_cells_keep_requested_engine(self):
         from repro.sim.experiment import ExperimentSpec, plan_cells

@@ -20,6 +20,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.cpu.core import TraceCore
 from repro.sim.experiment import (
     ExperimentSpec,
     resolve_workload,
@@ -171,6 +172,15 @@ class TestTracesFor:
         assert stats.generated == 1
         assert stats.trace_hits == 1
 
+    def test_plane_holds_one_workload(self):
+        """A new workload replaces the slot: A, B, then A again
+        materializes three times."""
+        org = PARAMS.make_organization()
+        for name in ("povray", "gcc", "povray"):
+            plane.traces_for(resolve_workload(name), PARAMS, org)
+        stats = plane.local_stats()
+        assert (stats.generated, stats.trace_hits) == (3, 0)
+
     def test_rate_mode_decodes_once(self, tmp_path, monkeypatch):
         """A single-file recording is parsed and decoded once for all
         cores, and the per-core traces share one array set."""
@@ -266,6 +276,44 @@ class TestBitIdentity:
         stats = plane.local_stats()
         assert stats.decode_hits >= 1
         assert stats.generated == 1
+
+
+class TestDecodeSlot:
+    def test_rate_mode_cores_share_one_decode(self, tmp_path):
+        """Cores holding one trace object share one decoded list, kept
+        in the slot for the next cell."""
+        from repro.sim.engine.base import decode_traces
+
+        params = dataclasses.replace(PARAMS, num_cores=4)
+        workload = resolve_workload(f"trace:{record_rate_trace(tmp_path)}")
+        simulation = PerformanceSimulation(workload, "baseline", params)
+        cores = [
+            TraceCore(core_id, simulation.config) for core_id in range(4)
+        ]
+        traces = plane.traces_for(
+            workload, params, simulation.config.organization
+        )
+        first = decode_traces(cores, traces, simulation.memory)
+        assert all(d is first[0] for d in first)
+        assert plane.local_stats().decode_hits == 3
+        second = decode_traces(cores, traces, simulation.memory)
+        assert second[0] is first[0]
+        assert plane.local_stats().decode_hits == 7
+
+    def test_uncacheable_traces_decode_per_call(self):
+        from repro.sim.engine.base import decode_traces
+
+        simulation = PerformanceSimulation(
+            resolve_workload("povray"), "baseline", PARAMS
+        )
+        cores = [TraceCore(0, simulation.config)]
+        trace = resolve_workload("povray").arrays_for_core(
+            0, PARAMS, simulation.config.organization
+        )
+        first = decode_traces(cores, [trace], simulation.memory)
+        second = decode_traces(cores, [trace], simulation.memory)
+        assert first[0] is not second[0]
+        assert not plane.local_stats()
 
 
 class TestFuzzUnderPlane:

@@ -306,7 +306,8 @@ class TestDefaultDispatch:
     ):
         """Sizing and dispatch share one pricing and one workload keying
         per run; on one CPU the default dispatch is serial without
-        pricing or keying anything, and a serial run keys nothing."""
+        pricing anything, and every backend keys each cell once (the
+        serial run groups by workload too)."""
         calls = []
         keyed = []
         real = pool_module.cell_cost
@@ -328,8 +329,7 @@ class TestDefaultDispatch:
         cells = plan_cells(SPEC)
         assert len(calls) == priced * len(cells)
         assert len({id(cell) for cell in calls}) == len(calls)
-        pooled = results.run_stats.workers > 1
-        assert len(keyed) == (len(cells) if pooled else 0)
+        assert len(keyed) == len(cells)
         assert len({id(cell) for cell in keyed}) == len(keyed)
 
     def test_grid_swap_affinity_order_is_pinned(self):
@@ -337,7 +337,7 @@ class TestDefaultDispatch:
         benchmark grid's submission order: per workload, the six swap
         cells in plan order, then the baseline."""
         pending = list(enumerate(plan_cells(GRID_SWAP)))
-        assert [position for position, _, _ in dispatch_order(pending)] == [
+        assert [position for position, _ in dispatch_order(pending)] == [
             3, 4, 5, 6, 7, 8, 0,
             9, 10, 11, 12, 13, 14, 1,
             15, 16, 17, 18, 19, 20, 2,
@@ -350,7 +350,7 @@ class TestDefaultDispatch:
 
         _, figure = build_figure("fig06")
         pending = list(enumerate(plan_cells(figure.specs[1])))
-        rounds = [cell.params.rounds for _, cell, _ in dispatch_order(pending)]
+        rounds = [cell.params.rounds for _, cell in dispatch_order(pending)]
         assert rounds == [1200, 1300, 1100]
 
 
@@ -488,8 +488,8 @@ class TestWorkloadPlane:
     )
     def test_every_perf_cell_is_one_generation_or_hit(self, make_pool):
         """A swap-design x TRH grid: each executed cell materializes its
-        workload once — generated or served by its process's trace LRU —
-        and pooled workers report their counts back with each cell."""
+        workload once — generated or served by its process's slot — and
+        pooled workers report their counts back with each cell."""
         before = shm_names()
         spec = dataclasses.replace(
             self.SPEC,
@@ -504,8 +504,8 @@ class TestWorkloadPlane:
         assert shm_names() == before
 
     def test_serial_run_hits_caches(self):
-        """Serial cells over one workload hit the trace (and, under the
-        batched engine, decode) caches; the accounting lands in
+        """Serial cells over one workload hit the slot's traces (and,
+        under the batched engine, its decodes); the accounting lands in
         RunStats."""
         spec = dataclasses.replace(
             self.SPEC,
@@ -519,6 +519,29 @@ class TestWorkloadPlane:
         assert stats.generated == 1
         assert stats.trace_hits >= 1
         assert stats.decode_hits >= 1
+
+    NINE = ExperimentSpec(
+        workloads=[
+            "gcc", "hmmer", "povray", "lbm", "mcf", "soplex", "bzip2",
+            "sphinx3", "astar",
+        ],
+        mitigations=["rrs"],
+        base_params=SimulationParams(
+            trh=1200, num_cores=1, requests_per_core=500
+        ),
+    )
+
+    def test_serial_grid_of_nine_workloads_generates_each_once(self):
+        """Serial runs group cells by workload, so a grid naming more
+        workloads than any cache would hold still builds each once."""
+        stats = run_grid(self.NINE, pool=SerialPool()).run_stats.workloads
+        assert (stats.generated, stats.trace_hits) == (9, 9)
+
+    def test_pooled_grid_of_nine_workloads(self):
+        run_stats = run_grid(self.NINE, pool=ProcessPool(2)).run_stats
+        stats = run_stats.workloads
+        assert stats.generated + stats.trace_hits == run_stats.executed
+        assert stats.generated <= 18
 
     def test_no_shm_leak_after_cell_failure(self, tmp_path):
         """A failing cell leaves no shared-memory segment behind."""
