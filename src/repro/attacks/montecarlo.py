@@ -17,6 +17,13 @@ approach of the artifact:
 Stage 1 is exact event-driven simulation of one window; stage 2 replaces
 an (identically distributed) sequence of independent window replays with
 a geometric draw, which is what makes 100,000 iterations tractable.
+
+Stage 1 probes in batches of up to 1M windows, and each batch draws in
+:data:`PROBE_CHUNK`-window chunks. With a scalar ``n`` and ``p``,
+numpy's ``Generator.binomial`` fills its output one element at a time
+from one bit generator, so chunks whose sizes add up to a batch return
+exactly the values of one whole-batch draw: the chunking bounds the
+probe's memory and leaves every flag and result unchanged.
 """
 
 from __future__ import annotations
@@ -39,6 +46,10 @@ from repro.attacks.analytical import (
 MAX_EXPECTED_ITERATIONS = 2e6
 #: The probe's ceiling, in windows.
 MAX_PROBE_WINDOWS = 5e7
+#: Windows drawn and evaluated at a time within one probe batch. Splitting
+#: a binomial draw into chunks leaves its values unchanged, so this sets
+#: only the probe's transient memory: 512 KiB per int64 draw.
+PROBE_CHUNK = 1 << 16
 
 
 def derive_seed(params: AttackParameters, salt: str = "") -> int:
@@ -130,30 +141,48 @@ class MonteCarloJuggernaut:
 
         Two binomial draws per window are the whole cost: the latent
         draw (only when the per-round latent count has a fractional
-        part) and the correct-guess draw, in that order. Eq. 1 then
-        accumulates in place into the drawn int64 arrays — exact integer
-        arithmetic, so the order of the additions cannot change a flag.
+        part) and the correct-guess draw. Both go :data:`PROBE_CHUNK`
+        windows at a time, and every latent draw precedes the first hits
+        draw, so the values match one whole-call draw of each. The
+        latents land in one buffer of the smallest signed type that
+        holds ``rounds``; Eq. 1 then turns each chunk of hits, in place
+        and in exact integer arithmetic, into its slice of the flags. A
+        1M-window call holds about 4 MiB: the flags, the latent buffer
+        and one chunk's draw.
         """
         p = self.params
         ts = self._ts
-        # Latent activations per round: RRS draws 1 or 2 per unswap-swap
-        # (mean 1.5); SRS contributes none. Sum of `rounds` independent
-        # (low + Bernoulli(frac)) draws: one binomial per window.
-        extra = None
-        low = 0
+        # Eq. 1's fixed part: 2 * TS plus the whole latent activations
+        # of every round. RRS draws 1 or 2 latents per unswap-swap (mean
+        # 1.5); SRS contributes none.
+        base = 2 * ts
+        latent = None
         if p.latent_per_round > 0 and rounds > 0:
             low = int(np.floor(p.latent_per_round))
+            base += low * rounds
             frac = p.latent_per_round - low
             if frac > 0:
-                extra = self.rng.binomial(rounds, frac, size=num_windows)
+                # Sum of `rounds` Bernoulli(frac) draws: one binomial per
+                # window. A signed buffer adds to int64 without promotion.
+                latent = np.empty(num_windows, dtype=np.min_scalar_type(-rounds))
+                for start in range(0, num_windows, PROBE_CHUNK):
+                    size = min(PROBE_CHUNK, num_windows - start)
+                    latent[start:start + size] = self.rng.binomial(
+                        rounds, frac, size=size
+                    )
         whole_guesses = int(self.model.guesses(rounds))
-        hits = self.rng.binomial(whole_guesses, 1.0 / p.rows_per_bank, size=num_windows)
-        # Eq. 1 with stochastic L, plus the correct guesses' activations.
-        hits *= ts
-        hits += low * rounds + 2 * ts
-        if extra is not None:
-            hits += extra
-        return hits >= p.trh
+        odds = 1.0 / p.rows_per_bank
+        flags = np.empty(num_windows, dtype=bool)
+        for start in range(0, num_windows, PROBE_CHUNK):
+            size = min(PROBE_CHUNK, num_windows - start)
+            # Eq. 1 with stochastic L, plus the correct guesses' activations.
+            hits = self.rng.binomial(whole_guesses, odds, size=size)
+            hits *= ts
+            hits += base
+            if latent is not None:
+                hits += latent[start:start + size]
+            np.greater_equal(hits, p.trh, out=flags[start:start + size])
+        return flags
 
     def run(
         self,
@@ -177,6 +206,8 @@ class MonteCarloJuggernaut:
                 an impractically large probe — e.g. the k >= 3 regimes,
                 whose per-window success odds are below ~1e-7).
         """
+        if iterations < 1:
+            raise ValueError(f"iterations must be at least 1, got {iterations!r}")
         analytic = self.model.evaluate(rounds)
         needed = probe_size(analytic, probe_windows, max_expected_iterations)
         p_hat: float

@@ -195,7 +195,7 @@ class MemorySystem:
         return self._service(channel, index, mitigation, start, row)
 
     def read(
-        self, time: float, channel: int, rank: int, bank: int, row: int, column: int = 0
+        self, time: float, channel: int, rank: int, bank: int, row: int
     ) -> MemoryRequestOutcome:
         """Service a demand read; returns its completion time."""
         index = (channel * self._ranks_per_channel + rank) * self._banks_per_rank + bank
@@ -208,7 +208,7 @@ class MemorySystem:
             completion=completion, row_hit=result.row_hit, served_by_llc=False
         )
 
-    def _write(self, time: float, channel: int, index: int, row: int, column: int) -> None:
+    def _write(self, time: float, channel: int, index: int, row: int) -> None:
         """Post a write of ``row`` in flat bank ``index``."""
         if time >= self._next_window_end:
             self._roll_windows(time)
@@ -219,21 +219,19 @@ class MemorySystem:
         queue = self.write_queues[channel]
         if len(queue._queue) >= queue.capacity:
             self._drain_writes(channel, time)
-        queue.enqueue(PendingWrite(time, index, row, column))
+        queue.enqueue(PendingWrite(time, index, row))
 
-    def write(
-        self, time: float, channel: int, rank: int, bank: int, row: int, column: int = 0
-    ) -> None:
+    def write(self, time: float, channel: int, rank: int, bank: int, row: int) -> None:
         """Post a write into the channel's write queue."""
         index = (channel * self._ranks_per_channel + rank) * self._banks_per_rank + bank
-        self._write(time, channel, index, row, column)
+        self._write(time, channel, index, row)
 
     def _drain_writes(self, channel: int, time: float, to_empty: bool = False) -> None:
         service = self._service
         mitigations = self.mitigations
 
         def issue(write: PendingWrite) -> None:
-            arrival, index, row, _ = write
+            arrival, index, row = write
             service(
                 channel, index, mitigations[index],
                 arrival if arrival > time else time, row, True,

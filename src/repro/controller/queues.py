@@ -13,7 +13,7 @@ from typing import Callable, List, NamedTuple
 
 
 class PendingWrite(NamedTuple):
-    """A buffered write: target coordinates plus arrival time.
+    """A buffered write: its flat bank, row and arrival time.
 
     A ``NamedTuple`` rather than a dataclass: one is built per posted
     write on the simulation hot path, and tuple construction skips the
@@ -23,7 +23,6 @@ class PendingWrite(NamedTuple):
     arrival: float
     bank_index: int
     row: int
-    column: int
 
 
 class WriteQueue:

@@ -48,8 +48,8 @@ class _DecodedTrace:
     """
 
     __slots__ = (
-        "length", "gaps", "is_write", "channel", "row", "column",
-        "bank_index", "deltas",
+        "length", "gaps", "is_write", "channel", "row", "bank_index",
+        "deltas",
     )
 
     def __init__(self, trace: ColumnarTrace, core: TraceCore, memory: MemorySystem):
@@ -59,7 +59,6 @@ class _DecodedTrace:
         self.is_write = trace.is_write.tolist()
         self.channel = trace.channel.tolist()
         self.row = trace.row.tolist()
-        self.column = trace.column.tolist()
         bank_index = (
             trace.channel.astype(np.int64) * org.ranks_per_channel
             + trace.rank
@@ -129,10 +128,7 @@ def scalar_stretch(
         core = cores[core_id]
         issue = core.advance(dec.gaps[pos], dec.deltas[pos])
         if dec.is_write[pos]:
-            write(
-                issue, dec.channel[pos], dec.bank_index[pos], dec.row[pos],
-                dec.column[pos],
-            )
+            write(issue, dec.channel[pos], dec.bank_index[pos], dec.row[pos])
             core.issue_write()
         else:
             core.issue_read(

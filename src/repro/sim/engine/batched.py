@@ -518,7 +518,6 @@ class BatchedEngine(Engine):
             channels = dec.channel
             bank_indices = dec.bank_index
             rows_l = dec.row
-            cols_l = dec.column
             clock = clocks[core_id]
             instr = instrs[core_id]
             pending = pends[core_id]
@@ -547,10 +546,7 @@ class BatchedEngine(Engine):
                     counters["window_rolls"] += 1
                     core = cores[core_id]
                     if write:
-                        memory._write(
-                            clock, ch, bank_indices[pos], rows_l[pos],
-                            cols_l[pos],
-                        )
+                        memory._write(clock, ch, bank_indices[pos], rows_l[pos])
                         core.issue_write()
                     else:
                         core.issue_read(
@@ -598,10 +594,7 @@ class BatchedEngine(Engine):
                         # WriteQueue.enqueue, inlined (the queue cannot
                         # be full here: the drain above just emptied it).
                         qlists[ch].append(
-                            PendingWrite(
-                                arrival=clock, bank_index=b,
-                                row=row, column=cols_l[pos],
-                            )
+                            PendingWrite(arrival=clock, bank_index=b, row=row)
                         )
                         qlen[ch] += 1
                         mwrites[core_id] += 1

@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo, outlier, multi-bank and open-page models."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -69,6 +70,26 @@ class TestMonteCarlo:
         sigma = math.sqrt(expected * (1.0 - expected) / windows)
         assert 0.1 < expected < 0.5
         assert abs(flags.mean() - expected) < 4 * sigma
+
+    def test_probe_batch_memory_is_bounded(self):
+        """A 1M-window batch holds the flags (1 MiB), a compact latent
+        buffer and one chunk's draw; whole-batch int64 draws would peak
+        at 16 MiB."""
+        mc = MonteCarloJuggernaut(AttackParameters(trh=4800, ts=800), seed=6)
+        tracemalloc.start()
+        try:
+            flags = mc._simulate_windows(1200, 1_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(flags) == 1_000_000
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_rejects_fewer_than_one_iteration(self, iterations):
+        mc = MonteCarloJuggernaut(AttackParameters(trh=4800, ts=800), seed=7)
+        with pytest.raises(ValueError, match="iterations"):
+            mc.run(rounds=1100, iterations=iterations)
 
 
 class TestOutlierModel:

@@ -25,7 +25,7 @@ class TestWriteQueue:
     def test_watermark_semantics(self):
         queue = WriteQueue(capacity=8, high_watermark=4, low_watermark=2)
         for i in range(4):
-            queue.enqueue(PendingWrite(0.0, 0, i, 0))
+            queue.enqueue(PendingWrite(0.0, 0, i))
         issued = []
         queue.drain(issued.append)
         assert len(issued) == 2  # down to low watermark
@@ -33,24 +33,24 @@ class TestWriteQueue:
 
     def test_drain_to_empty(self):
         queue = WriteQueue(capacity=8, high_watermark=4, low_watermark=2)
-        queue.enqueue(PendingWrite(0.0, 0, 1, 0))
+        queue.enqueue(PendingWrite(0.0, 0, 1))
         queue.drain(lambda w: None, to_empty=True)
         assert len(queue) == 0
 
     def test_drain_oldest_first(self):
         queue = WriteQueue(capacity=8, high_watermark=4, low_watermark=1)
         for i in range(4):
-            queue.enqueue(PendingWrite(float(i), 0, i, 0))
+            queue.enqueue(PendingWrite(float(i), 0, i))
         issued = []
         queue.drain(issued.append)
         assert [w.row for w in issued] == [0, 1, 2]
 
     def test_overflow_raises(self):
         queue = WriteQueue(capacity=2, high_watermark=2, low_watermark=1)
-        queue.enqueue(PendingWrite(0.0, 0, 1, 0))
-        queue.enqueue(PendingWrite(0.0, 0, 2, 0))
+        queue.enqueue(PendingWrite(0.0, 0, 1))
+        queue.enqueue(PendingWrite(0.0, 0, 2))
         with pytest.raises(OverflowError):
-            queue.enqueue(PendingWrite(0.0, 0, 3, 0))
+            queue.enqueue(PendingWrite(0.0, 0, 3))
 
     def test_invalid_watermarks(self):
         with pytest.raises(ValueError):
@@ -168,10 +168,7 @@ class TestMemorySystem:
     def test_request_address_roundtrip(self):
         memory = MemorySystem(small_config())
         decoded = memory.mapper.decode(memory.mapper.address_of_row(1, 0, 3, 17))
-        memory.read(
-            0.0, decoded.channel, decoded.rank, decoded.bank, decoded.row,
-            decoded.column,
-        )
+        memory.read(0.0, decoded.channel, decoded.rank, decoded.bank, decoded.row)
         assert memory.bank(1, 0, 3).stats.count(17) == 1
 
     def test_finalize_drains_writes(self):

@@ -44,7 +44,11 @@ from repro.attacks.analytical import (
 )
 from repro.attacks.harness import HammerOutcome, hammer_pattern
 from repro.attacks.patterns import double_sided, half_double, many_sided
-from repro.attacks.montecarlo import MonteCarloJuggernaut, MonteCarloResult
+from repro.attacks.montecarlo import (
+    PROBE_CHUNK,
+    MonteCarloJuggernaut,
+    MonteCarloResult,
+)
 from repro.core import blockhammer
 from repro.core.blockhammer import (
     BlockHammerThrottle,
@@ -183,14 +187,18 @@ def test_rrs_probe_spans_three_batches(monkeypatch):
         (srs_parameters(AttackParameters(trh=1200, ts=300)), 0),
         # Whole latent count: no latent draw either.
         (AttackParameters(trh=1200, ts=200, latent_per_round=2.0), 200),
+        # More rounds than int16 and uint16 hold: a wider latent buffer,
+        # with TRH at the mean total so that flags go both ways.
+        (AttackParameters(trh=106_000, ts=500), 70_000),
     ],
-    ids=["rrs", "rrs-k0", "srs", "whole-latent"],
+    ids=["rrs", "rrs-k0", "srs", "whole-latent", "rrs-wide-latent"],
 )
 def test_simulate_windows_matches_reference(params, rounds, seed):
     mc = MonteCarloJuggernaut(params, seed=seed)
     rng = np.random.default_rng(seed)
-    # Two calls in a row: the second continues both streams.
-    for size in (50_000, 7_001):
+    # Calls in a row continue both streams: two inside one chunk, one
+    # over three chunks and a remainder, one ending on a chunk boundary.
+    for size in (50_000, 7_001, 3 * PROBE_CHUNK + 1_234, 2 * PROBE_CHUNK):
         flags = mc._simulate_windows(rounds, size)
         expected = reference_flags(params, rng, rounds, size)
         assert flags.dtype == bool
