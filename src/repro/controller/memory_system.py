@@ -97,9 +97,6 @@ class MemorySystem:
     def bank(self, channel: int, rank: int, bank: int) -> Bank:
         return self._banks[self.bank_index(channel, rank, bank)]
 
-    def mitigation(self, channel: int, rank: int, bank: int) -> Mitigation:
-        return self.mitigations[self.bank_index(channel, rank, bank)]
-
     # ------------------------------------------------------------------
     # window management
 

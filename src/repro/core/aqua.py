@@ -79,9 +79,6 @@ class AquaQuarantine(Mitigation):
     def quarantine_base(self) -> int:
         return self._quarantine_base
 
-    def resolve(self, row: int) -> int:
-        return self._forward.get(row, row)
-
     def resolve_map(self) -> Dict[int, int]:
         return self._forward
 
@@ -91,9 +88,8 @@ class AquaQuarantine(Mitigation):
     def on_activation(self, time: float, row: int) -> float:
         observation = self.tracker.observe(row)
         if observation.extra_dram_accesses:
-            timing = self.bank.timing
-            time = self.bank.occupy(
-                time, observation.extra_dram_accesses * (timing.t_cas + timing.t_bl)
+            time = self._charge_tracker_accesses(
+                time, observation.extra_dram_accesses
             )
         if not observation.triggered:
             return time

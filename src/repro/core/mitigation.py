@@ -1,11 +1,12 @@
 """Common interface for Row Hammer mitigations attached to a bank.
 
-A mitigation instance covers one DRAM bank. The memory controller calls
-:meth:`Mitigation.resolve` to translate a logical row to the physical
-location holding its data, :meth:`Mitigation.on_activation` after every
-demand activation (so the tracker sees it and may trigger a swap), and
-:meth:`Mitigation.tick` periodically so lazy background work (SRS
-place-backs) can proceed.
+A mitigation instance covers one DRAM bank. The memory controller
+translates a logical row to the physical location holding its data
+through the live :meth:`Mitigation.resolve_map` view (which
+:meth:`Mitigation.resolve` reads too), calls
+:meth:`Mitigation.on_activation` after every demand activation (so the
+tracker sees it and may trigger a swap), and :meth:`Mitigation.tick`
+periodically so lazy background work (SRS place-backs) can proceed.
 """
 
 from __future__ import annotations
@@ -82,6 +83,18 @@ class MitigationStats:
 class Mitigation(abc.ABC):
     """Base class for per-bank Row Hammer mitigations.
 
+    This class defines the design-independent half of the contract
+    once: :meth:`resolve` and :meth:`is_pinned` read the live
+    :meth:`resolve_map` / :meth:`batch_pinned_view` views, the batching
+    budgets (:meth:`batch_horizon`, :meth:`row_headroom`,
+    :meth:`batch_slack`) delegate to the tracker when a design declares
+    :attr:`TRACKER_TRIGGERED`, and :meth:`_charge_tracker_accesses`
+    charges a tracker's counter traffic. A design supplies
+    :meth:`on_activation` and, as needed, the views, :meth:`tick`,
+    :meth:`batch_quiet_until` and :meth:`end_window`. A new design
+    starts at a horizon of 0, so every access takes the scalar path
+    until it opts in.
+
     Args:
         bank: The bank this mitigation protects; used to record latent
             activations and to occupy the bank during data movement.
@@ -90,6 +103,13 @@ class Mitigation(abc.ABC):
         keep_events: Whether to retain a full :class:`MitigationEvent`
             log (tests) or only aggregate counters (long simulations).
     """
+
+    #: True when every mitigative action between window rolls comes
+    #: from a tracker trigger (timed work, if any, runs in :meth:`tick`
+    #: and is announced by :meth:`batch_quiet_until`): the tracker's
+    #: no-trigger guarantees are then the design's no-mitigation ones,
+    #: and the batching budgets delegate to it.
+    TRACKER_TRIGGERED = False
 
     def __init__(self, bank: Bank, tracker: Optional[Tracker], keep_events: bool = False):
         self.bank = bank
@@ -104,18 +124,18 @@ class Mitigation(abc.ABC):
     def resolve(self, row: int) -> int:
         """Physical location currently holding ``row``'s data.
 
-        A design that overrides this must also override
-        :meth:`resolve_map`: the memory system's request path, the
-        batched engine and the hammer harness read indirection only
-        through that view."""
-        return row
+        Defined once, from the live :meth:`resolve_map` view that the
+        memory system, the batched engine and the hammer harness read,
+        so a design states its indirection only there."""
+        view = self.resolve_map()
+        return row if view is None else view.get(row, row)
 
     def is_pinned(self, row: int) -> bool:
         """True if accesses to ``row`` are served from the LLC (Scale-SRS).
 
-        Overriding designs must also override :meth:`batch_pinned_view`,
-        for the same reason as :meth:`resolve`."""
-        return False
+        Defined once, from the live :meth:`batch_pinned_view`."""
+        view = self.batch_pinned_view()
+        return view is not None and row in view
 
     @abc.abstractmethod
     def on_activation(self, time: float, row: int) -> float:
@@ -145,10 +165,13 @@ class Mitigation(abc.ABC):
         row indirection via :meth:`resolve_map` (live view — swaps only
         happen through full-path calls, so it is frozen within a span),
         LLC pinning via :meth:`batch_pinned_view`, and background work
-        via :meth:`batch_quiet_until`. The base implementation returns 0
-        (every access takes the scalar path); swap designs delegate to
-        the tracker, whose triggers are the only swap source.
+        via :meth:`batch_quiet_until`. Defined here for every design:
+        the tracker's horizon when the design declares
+        :attr:`TRACKER_TRIGGERED` and has a tracker, else 0 (every
+        access takes the scalar path).
         """
+        if self.TRACKER_TRIGGERED and self.tracker is not None:
+            return self.tracker.batch_horizon()
         return 0
 
     def row_headroom(self, row: int) -> int:
@@ -156,16 +179,19 @@ class Mitigation(abc.ABC):
 
         Per-row companion to :meth:`batch_horizon`, valid while the
         total number of ACTs deferred since the mitigation was last
-        consulted stays within :meth:`batch_slack`. Strictly tracker
-        delegation on every design (0 without a tracker): tracker
-        triggers are the only source of swaps, so a row that cannot
-        trigger cannot swap.
+        consulted stays within :meth:`batch_slack`. Delegated to the
+        tracker exactly when :meth:`batch_horizon` is: a row that cannot
+        trigger cannot be mitigated.
         """
+        if self.TRACKER_TRIGGERED and self.tracker is not None:
+            return self.tracker.row_headroom(row)
         return 0
 
     def batch_slack(self) -> int:
         """Total deferred ACTs before :meth:`row_headroom` values held
         by a caller degrade (see ``Tracker.batch_slack``)."""
+        if self.TRACKER_TRIGGERED and self.tracker is not None:
+            return self.tracker.batch_slack()
         return 0
 
     def observe_batch(self, rows) -> None:
@@ -213,6 +239,24 @@ class Mitigation(abc.ABC):
         if self.tracker is not None:
             self.tracker.end_window()
 
+    def _charge_tracker_accesses(self, time: float, accesses: int) -> float:
+        """Occupy the bank for a tracker's counter traffic and log it.
+
+        Hydra's counter rows are few and effectively always open, so an
+        RCC miss costs a column access, not a full row cycle."""
+        timing = self.bank.timing
+        duration = accesses * (timing.t_cas + timing.t_bl)
+        done = self.bank.occupy(time, duration)
+        self._log(
+            MitigationEvent(
+                kind=MitigationKind.COUNTER_ACCESS,
+                time=time,
+                row=-1,
+                duration=duration,
+            )
+        )
+        return done
+
     def _log(self, event: MitigationEvent) -> None:
         self.stats.record(event, self.keep_events)
 
@@ -227,6 +271,8 @@ class Mitigation(abc.ABC):
 class BaselineMitigation(Mitigation):
     """The not-secure baseline: observes activations, never mitigates."""
 
+    TRACKER_TRIGGERED = True
+
     #: Horizon reported when there is no tracker to bound (effectively
     #: unlimited; the engine re-checks at every span boundary anyway).
     UNBOUNDED_HORIZON = 1 << 62
@@ -240,18 +286,8 @@ class BaselineMitigation(Mitigation):
         return time
 
     def batch_horizon(self) -> int:
-        """Never mitigates, never pins, never remaps: the horizon is the
-        tracker's (unlimited without one)."""
+        """Never mitigates, never pins, never remaps: the tracker's
+        horizon (unlimited without one)."""
         if self.tracker is None:
             return self.UNBOUNDED_HORIZON
-        return self.tracker.batch_horizon()
-
-    def row_headroom(self, row: int) -> int:
-        if self.tracker is None:
-            return 0
-        return self.tracker.row_headroom(row)
-
-    def batch_slack(self) -> int:
-        if self.tracker is None:
-            return 0
-        return self.tracker.batch_slack()
+        return super().batch_horizon()

@@ -62,6 +62,8 @@ class RandomizedRowSwap(Mitigation):
             optimisation); integers 1 or 2 force a deterministic count.
     """
 
+    TRACKER_TRIGGERED = True
+
     def __init__(
         self,
         bank: Bank,
@@ -92,34 +94,12 @@ class RandomizedRowSwap(Mitigation):
     # ------------------------------------------------------------------
     # address translation
 
-    def resolve(self, row: int) -> int:
-        return self._rit.resolve(row)
-
     def resolve_map(self):
         return self._rit.resolve_view()
 
     @property
     def rit(self):
         return self._rit
-
-    # ------------------------------------------------------------------
-    # batching contract
-    #
-    # Tracker triggers are the *only* entry into the mitigation paths
-    # above (`on_activation` returns before any swap logic when the
-    # observation did not trigger), RRS schedules no timed background
-    # work (`tick` is the base no-op) and pins nothing — so the
-    # tracker's no-trigger guarantees are exactly this design's
-    # no-mitigative-work guarantees.
-
-    def batch_horizon(self) -> int:
-        return self.tracker.batch_horizon()
-
-    def row_headroom(self, row: int) -> int:
-        return self.tracker.row_headroom(row)
-
-    def batch_slack(self) -> int:
-        return self.tracker.batch_slack()
 
     # ------------------------------------------------------------------
     # mitigation trigger path
@@ -133,22 +113,6 @@ class RandomizedRowSwap(Mitigation):
         if self.immediate_unswap:
             return self._mitigate_with_unswap(time, row)
         return self._mitigate_chained(time, row)
-
-    def _charge_tracker_accesses(self, time: float, accesses: int) -> float:
-        # Hydra's counter rows are few and effectively always open, so an
-        # RCC miss costs a column access, not a full row cycle.
-        timing = self.bank.timing
-        duration = accesses * (timing.t_cas + timing.t_bl)
-        done = self.bank.occupy(time, duration)
-        self._log(
-            MitigationEvent(
-                kind=MitigationKind.COUNTER_ACCESS,
-                time=time,
-                row=-1,
-                duration=duration,
-            )
-        )
-        return done
 
     def _pick_partner(self, exclude: int) -> int:
         """A uniformly random currently-unswapped row other than ``exclude``."""

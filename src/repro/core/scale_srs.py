@@ -89,10 +89,6 @@ class ScaleSecureRowSwap(SecureRowSwap):
     # ------------------------------------------------------------------
     # LLC interaction
 
-    def is_pinned(self, row: int) -> bool:
-        """True when demand accesses to ``row`` must be served by the LLC."""
-        return row in self._pinned_rows
-
     @property
     def pinned_locations(self) -> Set[int]:
         """Physical locations protected from further activations."""

@@ -54,6 +54,8 @@ class SecureRowSwap(Mitigation):
             potential attack (recorded in :attr:`attack_flags`).
     """
 
+    TRACKER_TRIGGERED = True
+
     def __init__(
         self,
         bank: Bank,
@@ -84,9 +86,6 @@ class SecureRowSwap(Mitigation):
     # ------------------------------------------------------------------
     # address translation
 
-    def resolve(self, row: int) -> int:
-        return self._rit.resolve(row)
-
     def resolve_map(self):
         return self._rit.resolve_view()
 
@@ -97,23 +96,11 @@ class SecureRowSwap(Mitigation):
     # ------------------------------------------------------------------
     # batching contract
     #
-    # Like RRS, tracker triggers are the only entry into the swap path,
-    # so the trigger-freedom guarantees delegate to the tracker. SRS
-    # additionally runs timed background work (lazy place-backs), which
-    # `batch_quiet_until` exposes: `tick` is a strict no-op for any
-    # instant before the next scheduled place-back, so a batched engine
-    # keeps accesses before that instant fused and routes later ones
-    # through the scalar path, where the place-back runs exactly as the
-    # scalar engine would run it.
-
-    def batch_horizon(self) -> int:
-        return self.tracker.batch_horizon()
-
-    def row_headroom(self, row: int) -> int:
-        return self.tracker.row_headroom(row)
-
-    def batch_slack(self) -> int:
-        return self.tracker.batch_slack()
+    # SRS's timed background work (lazy place-backs) is exposed here:
+    # `tick` is a strict no-op for any instant before the next
+    # scheduled place-back, so a batched engine keeps accesses before
+    # that instant fused and routes later ones through the scalar path,
+    # where the place-back runs exactly as the scalar engine would run it.
 
     def batch_quiet_until(self) -> float:
         if self._placeback_interval is None:
@@ -131,22 +118,6 @@ class SecureRowSwap(Mitigation):
         if not obs.triggered:
             return time
         return self._swap(time, row)
-
-    def _charge_tracker_accesses(self, time: float, accesses: int) -> float:
-        # Hydra's counter rows are few and effectively always open, so an
-        # RCC miss costs a column access, not a full row cycle.
-        timing = self.bank.timing
-        duration = accesses * (timing.t_cas + timing.t_bl)
-        done = self.bank.occupy(time, duration)
-        self._log(
-            MitigationEvent(
-                kind=MitigationKind.COUNTER_ACCESS,
-                time=time,
-                row=-1,
-                duration=duration,
-            )
-        )
-        return done
 
     def _update_swap_counter(self, time: float, location: int, latent: int) -> int:
         """Read-update the counter of the *location* being swapped out of.

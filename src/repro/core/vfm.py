@@ -63,31 +63,6 @@ class VictimRefreshMitigation(Mitigation):
         self.protected_radius = protected_radius
         self.victim_refreshes = 0
 
-    # ------------------------------------------------------------------
-    # batching contract
-    #
-    # Tracker triggers are the only entry into `_refresh_neighbours`
-    # for the tracked variant (TRR), which schedules no timed
-    # background work and pins or remaps nothing — so the tracker's
-    # no-trigger guarantees are exactly its no-refresh guarantees.
-    # Without a tracker (PARA) nothing is guaranteed: any activation
-    # may draw a refresh.
-
-    def batch_horizon(self) -> int:
-        if self.tracker is None:
-            return 0
-        return self.tracker.batch_horizon()
-
-    def row_headroom(self, row: int) -> int:
-        if self.tracker is None:
-            return 0
-        return self.tracker.row_headroom(row)
-
-    def batch_slack(self) -> int:
-        if self.tracker is None:
-            return 0
-        return self.tracker.batch_slack()
-
     def _refresh_neighbours(self, time: float, row: int) -> float:
         """Refresh ``row``'s neighbours out to the protected radius."""
         t_rc = self.bank.timing.t_rc
@@ -148,8 +123,12 @@ class TargetedRowRefresh(VictimRefreshMitigation):
 
     The tracker threshold should be well below ``TRH`` (half is
     customary) so victims are refreshed before the aggressor can deliver
-    threshold-many disturbances between refreshes.
+    threshold-many disturbances between refreshes. Tracker triggers are
+    its only refreshes; PARA, which may refresh on any ACT, keeps the
+    base horizon of 0.
     """
+
+    TRACKER_TRIGGERED = True
 
     def __init__(
         self,

@@ -26,7 +26,7 @@ Resolution composes with everything the engine already does:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.registry import FIGURES, FigureInfo
 from repro.report.render import Artifact
@@ -57,7 +57,6 @@ def resolve_figure(
     jobs: Optional[int] = None,
     reuse: bool = True,
     shard: Optional[Tuple[int, int]] = None,
-    progress: Optional[Callable[[int, int, object], None]] = None,
 ) -> FigureData:
     """Execute (only) the missing cells of a figure and collect its data.
 
@@ -81,7 +80,6 @@ def resolve_figure(
         results = run_grid(
             experiment,
             max_workers=jobs,
-            progress=progress,
             store=store,
             reuse=reuse,
             shard=shard,

@@ -97,7 +97,9 @@ def _perf_cell_cost(cell: ExperimentCell) -> float:
     result_cls=SimulationResult,
     subjects=None,  # validated against the mitigation registry
     scenario="-",
-    schema_version=1,
+    # v2: AQUA logs Hydra's counter traffic, which moves its
+    # `mitigation_busy_ns` under `--tracker hydra`.
+    schema_version=2,
     params_to_dict=_params_to_dict,
     params_from_dict=_params_from_dict,
     # Identity ignores the engine: engines are bit-identical by contract

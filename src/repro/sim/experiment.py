@@ -637,31 +637,21 @@ class ResultSet:
 
     def filter(
         self,
-        workload: Optional[str] = None,
         mitigation: Optional[str] = None,
-        suite: Optional[str] = None,
         trh: Optional[int] = None,
         tracker: Optional[str] = None,
-        where: Optional[Callable[[Any], bool]] = None,
     ) -> "ResultSet":
         """Subset by exact field values (``perf`` baselines are always
         retained so normalization keeps working on the filtered set).
-        Fields a kind does not carry (``suite``/``tracker``) only match
-        the ``None`` filter."""
+        Kinds that carry no ``tracker`` only match the ``None`` filter."""
 
         def keep(result: Any) -> bool:
             if _kind_of(result) == PERF and result.mitigation == BASELINE:
-                return workload in (None, result.workload) and suite in (
-                    None,
-                    result.suite,
-                )
+                return True
             return (
-                workload in (None, result.workload)
-                and mitigation in (None, result.mitigation)
-                and suite in (None, getattr(result, "suite", None))
+                mitigation in (None, result.mitigation)
                 and trh in (None, result.trh)
                 and tracker in (None, getattr(result, "tracker", None))
-                and (where is None or where(result))
             )
 
         return ResultSet([r for r in self.results if keep(r)])

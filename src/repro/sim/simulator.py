@@ -63,7 +63,7 @@ class SimulationParams:
     rows_per_bank: Optional[int] = None
     engine: str = "scalar"
 
-    def scaled_timing(self, base: Optional[DRAMTiming] = None) -> DRAMTiming:
+    def scaled_timing(self) -> DRAMTiming:
         """Timing with the window *and* the mitigation latencies divided by
         ``time_scale``.
 
@@ -73,7 +73,7 @@ class SimulationParams:
         (both scale). Demand-access timing (tRC, tRCD, ...) is left at
         real values so baseline IPC is undistorted.
         """
-        timing = base or DRAMTiming()
+        timing = DRAMTiming()
         if self.time_scale <= 0:
             raise ValueError("time_scale must be positive")
         if self.time_scale == 1:
