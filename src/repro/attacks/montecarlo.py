@@ -30,9 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.attacks.analytical import (
     AttackParameters,
@@ -40,6 +38,9 @@ from repro.attacks.analytical import (
     NS_PER_DAY,
     RoundOutcome,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Beyond this many expected windows per break, :meth:`MonteCarloJuggernaut.run`
 #: uses the analytical probability instead of probing for it.
@@ -125,6 +126,8 @@ class MonteCarloJuggernaut:
         ``params.ts`` must be a whole number of activations (an integral
         float such as ``800.0`` is accepted): the probe evaluates Eq. 1
         in exact integer arithmetic."""
+        import numpy as np
+
         self.params = params or AttackParameters()
         ts = self.params.ts
         if ts != int(ts):
@@ -150,6 +153,8 @@ class MonteCarloJuggernaut:
         1M-window call holds about 4 MiB: the flags, the latent buffer
         and one chunk's draw.
         """
+        import numpy as np
+
         p = self.params
         ts = self._ts
         # Eq. 1's fixed part: 2 * TS plus the whole latent activations
@@ -206,6 +211,8 @@ class MonteCarloJuggernaut:
                 an impractically large probe — e.g. the k >= 3 regimes,
                 whose per-window success odds are below ~1e-7).
         """
+        import numpy as np
+
         if iterations < 1:
             raise ValueError(f"iterations must be at least 1, got {iterations!r}")
         analytic = self.model.evaluate(rounds)

@@ -68,9 +68,8 @@ class AquaQuarantine(Mitigation):
             raise ValueError("quarantine cannot cover the whole bank")
         self._quarantine_base = bank.num_rows - self.quarantine_rows
         self._next_slot = 0
-        # forward: logical row -> quarantine slot row; reverse for lookups.
+        # logical row -> quarantine slot row (the live resolve_map view).
         self._forward: Dict[int, int] = {}
-        self._reverse: Dict[int, int] = {}
         self.migrations = 0
         # Migration moves one row: half the row-swap traffic.
         self.t_migrate = bank.timing.t_swap / 2.0
@@ -110,10 +109,7 @@ class AquaQuarantine(Mitigation):
         # quarantine destination (write).
         self.bank.stats.record(source, time)
         self.bank.stats.record(target, time)
-        if row in self._forward:
-            del self._reverse[self._forward[row]]
         self._forward[row] = target
-        self._reverse[target] = row
         self.migrations += 1
         self._log(
             MitigationEvent(
@@ -136,8 +132,7 @@ class AquaQuarantine(Mitigation):
         super().end_window(time)
         cursor = time
         for row in list(self._forward):
-            target = self._forward.pop(row)
-            del self._reverse[target]
+            del self._forward[row]
             self.bank.stats.record(row, cursor)
             cursor = self.bank.occupy(cursor, self.t_migrate)
             self._log(

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Deque, Optional, Tuple
 
 from repro.dram.config import SystemConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -110,6 +111,8 @@ class TraceCore:
         them through :meth:`advance` instead of redoing the division per
         access.
         """
+        import numpy as np
+
         return (
             np.asarray(gaps, dtype=np.float64) / self.config.fetch_width + 1.0
         ) * self.cycle_ns

@@ -8,13 +8,14 @@ and the row address occupies the high bits.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.dram.config import DRAMOrganization
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _bits_for(n: int) -> int:
@@ -119,6 +120,8 @@ class AddressMapper:
         ``ValueError`` (the row range :meth:`encode_arrays` enforces)
         instead of aliasing onto a low row.
         """
+        import numpy as np
+
         addresses = np.asarray(addresses, dtype=np.int64)
         if addresses.size and int(addresses.min()) < 0:
             raise ValueError("addresses must be non-negative")
@@ -154,6 +157,8 @@ class AddressMapper:
         encoder does) so a trace recorded under one organization cannot
         silently alias rows under another.
         """
+        import numpy as np
+
         org = self.organization
         arrays = {
             "channel": (np.asarray(channel, dtype=np.int64), org.channels),

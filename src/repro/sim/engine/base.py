@@ -29,8 +29,6 @@ import abc
 import heapq
 from typing import List
 
-import numpy as np
-
 from repro.controller.memory_system import MemorySystem
 from repro.cpu.core import TraceCore
 from repro.workloads.columnar import ColumnarTrace
@@ -53,6 +51,8 @@ class _DecodedTrace:
     )
 
     def __init__(self, trace: ColumnarTrace, core: TraceCore, memory: MemorySystem):
+        import numpy as np
+
         org = memory.config.organization
         self.length = len(trace)
         self.gaps = trace.gaps.tolist()

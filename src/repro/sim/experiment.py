@@ -111,6 +111,14 @@ _PARAM_FIELDS = tuple(f.name for f in fields(SimulationParams))
 # engine (bit-identical by contract — see repro.sim.engine).
 _MITIGATION_ONLY_FIELDS = ("trh", "swap_rate", "tracker", "engine")
 
+# What baseline_view resets those fields to, and the fields it keeps.
+_BASELINE_DEFAULTS = {
+    name: getattr(SimulationParams(), name) for name in _MITIGATION_ONLY_FIELDS
+}
+_BASELINE_IDENTITY_FIELDS = tuple(
+    name for name in _PARAM_FIELDS if name not in _MITIGATION_ONLY_FIELDS
+)
+
 BASELINE = "baseline"
 
 #: The evaluation kind the engine defaults to (the performance simulator).
@@ -128,10 +136,15 @@ def baseline_view(params: SimulationParams) -> SimulationParams:
     Two parameter sets with equal baseline views produce bit-identical
     baseline simulations; the grid engine keys its deduplication on this.
     """
-    defaults = SimulationParams()
-    return replace(
-        params,
-        **{name: getattr(defaults, name) for name in _MITIGATION_ONLY_FIELDS},
+    return replace(params, **_BASELINE_DEFAULTS)
+
+
+def _baseline_identity(params: SimulationParams) -> tuple:
+    """A key equal for two parameter sets exactly when their
+    :func:`baseline_view` values are equal, built without a new
+    dataclass."""
+    return (type(params),) + tuple(
+        getattr(params, name) for name in _BASELINE_IDENTITY_FIELDS
     )
 
 
@@ -710,7 +723,7 @@ class ResultSet:
 
     def baseline_for(self, result: SimulationResult) -> SimulationResult:
         """The baseline run matching ``result``'s workload and parameters."""
-        want = baseline_view(result.params) if result.params else None
+        want = _baseline_identity(result.params) if result.params else None
         fallback = None
         for candidate in self.results:
             if _kind_of(candidate) != PERF or candidate.mitigation != BASELINE:
@@ -719,7 +732,7 @@ class ResultSet:
                 continue
             if want is None or candidate.params is None:
                 fallback = fallback or candidate
-            elif baseline_view(candidate.params) == want:
+            elif _baseline_identity(candidate.params) == want:
                 return candidate
         if fallback is not None:
             return fallback

@@ -27,8 +27,8 @@ own store or a shared one; the cluster's own launcher starts the runs.
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -340,9 +340,15 @@ class ProcessPool(Pool):
         cell returns its worker's plane delta, and
         :attr:`Pool.plane_stats` sums those of every cell the
         coordinator files, on the interrupt drain path too.
+
+        The executor and numpy load here, not at import, so a run that
+        computes nothing loads neither. numpy loads before the workers
+        fork, so every worker inherits it instead of importing it.
         """
+        import numpy  # noqa: F401  (inherited by the forked workers)
+
         self.plane_stats = plane.PlaneStats()
-        executor = ProcessPoolExecutor(
+        executor = concurrent.futures.ProcessPoolExecutor(
             max_workers=self.max_workers, initializer=plane.reset
         )
         # Submitted cells not yet filed: future -> (position, cell).
@@ -352,7 +358,7 @@ class ProcessPool(Pool):
             for position, cell in task.ordered:
                 future = executor.submit(_run_chunk, task.run_cell, cell)
                 futures[future] = (position, cell)
-            for future in as_completed(futures):
+            for future in concurrent.futures.as_completed(futures):
                 position, cell = futures.pop(future)
                 try:
                     outcome = future.result()

@@ -7,8 +7,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict
 
-import numpy as np
-
 from repro.registry import register_tracker
 
 
@@ -192,6 +190,8 @@ class ExactTracker(Tracker):
         counts = self._counts
         threshold = self.threshold
         if len(rows) >= 64:
+            import numpy as np
+
             uniques, reps = np.unique(
                 np.asarray(rows, dtype=np.int64), return_counts=True
             )

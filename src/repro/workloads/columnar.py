@@ -16,10 +16,12 @@ Conversions to and from byte addresses are vectorized through
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.dram.address import AddressMapper
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -71,6 +73,8 @@ class ColumnarTrace:
 
     def row_footprint(self) -> int:
         """Distinct (channel, rank, bank, row) tuples touched."""
+        import numpy as np
+
         if len(self) == 0:
             return 0
         stacked = np.stack(
@@ -112,6 +116,8 @@ class ColumnarTrace:
         coordinates (vectorized), so the same file can replay under any
         geometry whose mapper covers the addresses.
         """
+        import numpy as np
+
         channel, rank, bank, row, column = mapper.decode_arrays(addresses)
         return cls(
             gaps=np.asarray(gaps, dtype=np.int64),
@@ -126,6 +132,8 @@ class ColumnarTrace:
     @classmethod
     def empty(cls) -> "ColumnarTrace":
         """A zero-record trace with correctly typed columns."""
+        import numpy as np
+
         return cls(
             gaps=np.empty(0, dtype=np.int64),
             is_write=np.empty(0, dtype=bool),
@@ -138,6 +146,8 @@ class ColumnarTrace:
 
     def equals(self, other: "ColumnarTrace") -> bool:
         """Exact per-column equality (the record→replay determinism check)."""
+        import numpy as np
+
         return len(self) == len(other) and all(
             np.array_equal(getattr(self, name), getattr(other, name))
             for name in self._FIELDS

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.dram.config import DRAMOrganization
 from repro.workloads.columnar import ColumnarTrace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,8 @@ class SyntheticTraceGenerator:
         seed: int = 1234,
         core_id: int = 0,
     ):
+        import numpy as np
+
         self.profile = profile
         self.organization = organization or DRAMOrganization()
         self.core_id = core_id
@@ -126,6 +129,8 @@ class SyntheticTraceGenerator:
         a string is randomized per process, which would make traces
         recorded in one process replay differently in the next.
         """
+        import numpy as np
+
         digest = hashlib.sha256(
             f"{self.profile.name}:{self.core_id}".encode()
         ).digest()
@@ -136,6 +141,8 @@ class SyntheticTraceGenerator:
 
     def _place_hot_rows(self) -> np.ndarray:
         """Hot-row global slots, concentrated in ``spread_banks`` banks."""
+        import numpy as np
+
         profile = self.profile
         if profile.hot_row_count == 0:
             return np.empty(0, dtype=np.int64)
@@ -153,6 +160,8 @@ class SyntheticTraceGenerator:
 
     def _zipf_choice(self, count: int) -> np.ndarray:
         """Hot-set indices with Zipf(`hot_zipf_exponent`) popularity."""
+        import numpy as np
+
         n = self.profile.hot_row_count
         ranks = np.arange(1, n + 1, dtype=np.float64)
         weights = ranks ** (-self.profile.hot_zipf_exponent)
@@ -161,6 +170,8 @@ class SyntheticTraceGenerator:
 
     def generate_arrays(self, num_records: int) -> ColumnarTrace:
         """A ``num_records``-access :class:`ColumnarTrace`."""
+        import numpy as np
+
         if num_records <= 0:
             raise ValueError("num_records must be positive")
         profile = self.profile

@@ -18,12 +18,15 @@ from __future__ import annotations
 
 import gzip
 import io
-from typing import IO, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    IO, TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Largest gap or address a trace may hold: the columns are int64.
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MAX = (1 << 63) - 1
 
 
 class TraceParseError(ValueError):
@@ -68,6 +71,8 @@ def parse_trace_columns(
     Empty (or comment-only) traces yield zero-length, correctly-typed
     arrays.
     """
+    import numpy as np
+
     gaps: List[int] = []
     writes: List[bool] = []
     addresses: List[int] = []

@@ -1,6 +1,7 @@
 """Tests for the declarative Experiment API and the parallel grid engine."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -163,6 +164,34 @@ class TestBaselineDedup:
         assert view.num_cores == params.num_cores
         assert view.requests_per_core == params.requests_per_core
         assert view.time_scale == params.time_scale
+
+    def test_baseline_for_matches_on_baseline_view(self):
+        """The first baseline with an equal baseline view wins; a
+        baseline without params is the fallback, used only when no
+        baseline matches."""
+        def record(mitigation, params, workload="gcc"):
+            return SimpleNamespace(
+                kind="perf", workload=workload, mitigation=mitigation,
+                params=params,
+            )
+
+        seed_11 = dataclasses.replace(FAST, seed=11)
+        seed_12 = dataclasses.replace(FAST, seed=12)
+        loose = record("baseline", None)
+        other_workload = record("baseline", seed_12, workload="lbm")
+        first = record("baseline", dataclasses.replace(seed_12, trh=4800))
+        second = record("baseline", dataclasses.replace(seed_12, engine="auto"))
+        results = ResultSet(
+            [loose, other_workload, record("baseline", seed_11), first, second]
+        )
+        swap = dataclasses.replace(seed_12, trh=1200, tracker="hydra")
+        assert results.baseline_for(record("rrs", swap)) is first
+        assert results.baseline_for(
+            record("rrs", dataclasses.replace(FAST, seed=13))
+        ) is loose
+        assert ResultSet([loose, second]).baseline_for(
+            record("rrs", seed_12)
+        ) is second
 
     def test_trh_sweep_plans_one_baseline_per_workload(self):
         spec = ExperimentSpec(

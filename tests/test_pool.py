@@ -1,5 +1,6 @@
 """Tests for the execution backends (:mod:`repro.sim.pool`)."""
 
+import concurrent.futures
 import dataclasses
 import os
 import time
@@ -72,7 +73,9 @@ def assert_one_cell_per_future(pool, pending, monkeypatch):
         def shutdown(self, wait=True, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(pool_module, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", RecordingExecutor
+    )
     pool.run(PoolTask(pending, None, recorded.extend))
     assert [fn for fn, _ in submitted] == [pool_module._run_chunk] * len(
         pending
