@@ -20,11 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.mitigation import (
-    Mitigation,
-    MitigationEvent,
-    MitigationKind,
-)
+from repro.core.mitigation import Mitigation, MitigationKind
 from repro.dram.bank import Bank
 from repro.registry import register_mitigation
 from repro.trackers.base import Tracker
@@ -104,22 +100,14 @@ class AquaQuarantine(Mitigation):
         source = self.resolve(row)
         target = self._quarantine_base + self._next_slot
         self._next_slot += 1
-        end = self.bank.occupy(time, self.t_migrate)
         # One activation at the source (read+restore) and one at the
         # quarantine destination (write).
-        self.bank.stats.record(source, time)
-        self.bank.stats.record(target, time)
+        end = self._move(
+            MitigationKind.SWAP, time, self.t_migrate, (source, target),
+            row=row, partner=target,
+        )
         self._forward[row] = target
         self.migrations += 1
-        self._log(
-            MitigationEvent(
-                kind=MitigationKind.SWAP,
-                time=time,
-                row=row,
-                partner=target,
-                duration=self.t_migrate,
-            )
-        )
         return end
 
     def end_window(self, time: float) -> None:
@@ -133,15 +121,9 @@ class AquaQuarantine(Mitigation):
         cursor = time
         for row in list(self._forward):
             del self._forward[row]
-            self.bank.stats.record(row, cursor)
-            cursor = self.bank.occupy(cursor, self.t_migrate)
-            self._log(
-                MitigationEvent(
-                    kind=MitigationKind.PLACE_BACK,
-                    time=cursor,
-                    row=row,
-                    duration=self.t_migrate,
-                )
+            cursor = self._move(
+                MitigationKind.PLACE_BACK, cursor, self.t_migrate, (row,),
+                row=row,
             )
         self._next_slot = 0
 

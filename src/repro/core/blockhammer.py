@@ -23,11 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.core.mitigation import (
-    Mitigation,
-    MitigationEvent,
-    MitigationKind,
-)
+from repro.core.mitigation import Mitigation, MitigationKind
 from repro.dram.bank import Bank
 from repro.registry import register_mitigation
 
@@ -192,16 +188,7 @@ class BlockHammerThrottle(Mitigation):
         delay = self.throttle_delay_ns()
         self.throttled_activations += 1
         self.total_delay_ns += delay
-        end = self.bank.occupy(time, delay)
-        self._log(
-            MitigationEvent(
-                kind=MitigationKind.COUNTER_ACCESS,
-                time=time,
-                row=row,
-                duration=delay,
-            )
-        )
-        return end
+        return self._move(MitigationKind.COUNTER_ACCESS, time, delay, row=row)
 
     def end_window(self, time: float) -> None:
         super().end_window(time)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.dram.bank import Bank
 from repro.registry import register_mitigation
@@ -88,16 +88,19 @@ class Mitigation(abc.ABC):
     :meth:`resolve_map` / :meth:`batch_pinned_view` views, the batching
     budgets (:meth:`batch_horizon`, :meth:`row_headroom`,
     :meth:`batch_slack`) delegate to the tracker when a design declares
-    :attr:`TRACKER_TRIGGERED`, and :meth:`_charge_tracker_accesses`
-    charges a tracker's counter traffic. A design supplies
+    :attr:`TRACKER_TRIGGERED`, :meth:`_move` charges every mitigative
+    move's bank time, activations and log entry, and
+    :meth:`_charge_tracker_accesses` charges a tracker's counter traffic
+    through it. A design supplies
     :meth:`on_activation` and, as needed, the views, :meth:`tick`,
     :meth:`batch_quiet_until` and :meth:`end_window`. A new design
     starts at a horizon of 0, so every access takes the scalar path
     until it opts in.
 
     Args:
-        bank: The bank this mitigation protects; used to record latent
-            activations and to occupy the bank during data movement.
+        bank: The bank this mitigation protects; :meth:`_move` occupies
+            it and counts each move's activations (latent ones included)
+            in its :class:`~repro.dram.bank.ActivationStats`.
         tracker: Aggressor-row tracker configured with the swap threshold
             ``TS``.
         keep_events: Whether to retain a full :class:`MitigationEvent`
@@ -245,17 +248,37 @@ class Mitigation(abc.ABC):
         Hydra's counter rows are few and effectively always open, so an
         RCC miss costs a column access, not a full row cycle."""
         timing = self.bank.timing
-        duration = accesses * (timing.t_cas + timing.t_bl)
-        done = self.bank.occupy(time, duration)
-        self._log(
-            MitigationEvent(
-                kind=MitigationKind.COUNTER_ACCESS,
-                time=time,
-                row=-1,
-                duration=duration,
-            )
+        return self._move(
+            MitigationKind.COUNTER_ACCESS,
+            time,
+            accesses * (timing.t_cas + timing.t_bl),
         )
-        return done
+
+    def _move(
+        self,
+        kind: MitigationKind,
+        time: float,
+        duration: float,
+        activates: Sequence[int] = (),
+        row: int = -1,
+        partner: Optional[int] = None,
+    ) -> float:
+        """Perform one mitigative move requested at ``time``; return its end.
+
+        The move occupies the bank for ``duration`` from ``time`` (or
+        from the bank's next free instant), counts one ACT at ``time``
+        on each location in ``activates``, in order (a location listed
+        twice is activated twice: the reswap's latent ACTs), and logs
+        one ``kind`` event at ``time``. Every move of every design goes
+        through here; only the markers that occupy nothing and activate
+        nothing (``EPOCH_UNRAVEL``, ``PIN``, ``UNPIN``) call :meth:`_log`
+        directly.
+        """
+        end = self.bank.occupy(time, duration)
+        for location in activates:
+            self.bank.stats.record(location, time)
+        self._log(MitigationEvent(kind, time, row, partner, duration))
+        return end
 
     def _log(self, event: MitigationEvent) -> None:
         self.stats.record(event, self.keep_events)

@@ -142,19 +142,10 @@ class RandomizedRowSwap(Mitigation):
                 )
             a, b = pair
             self._rit.record_unswap(a)
-            end = self.bank.occupy(time, self.bank.timing.t_swap)
-            self.bank.stats.record(a, time)
-            self.bank.stats.record(b, time)
-            self._log(
-                MitigationEvent(
-                    kind=MitigationKind.UNSWAP,
-                    time=time,
-                    row=a,
-                    partner=b,
-                    duration=self.bank.timing.t_swap,
-                )
+            time = self._move(
+                MitigationKind.UNSWAP, time, self.bank.timing.t_swap,
+                (a, b), row=a, partner=b,
             )
-            time = end
         return time
 
     def _mitigate_with_unswap(self, time: float, row: int) -> float:
@@ -166,43 +157,28 @@ class RandomizedRowSwap(Mitigation):
             old_partner = self._rit.record_unswap(row)
             time = self._make_room(time)
             new_partner = self._pick_partner(row)
-            end = self.bank.occupy(time, t.t_reswap)
-            # Unswap touches both home locations once...
-            self.bank.stats.record(old_partner, time)
-            for _ in range(self._latent_count()):
-                self.bank.stats.record(row, time)
-            # ...and the new swap activates the new partner's home.
-            self.bank.stats.record(new_partner, time)
-            self._rit.record_swap(row, new_partner)
-            self._log(
-                MitigationEvent(
-                    kind=MitigationKind.RESWAP,
-                    time=time,
-                    row=row,
-                    partner=new_partner,
-                    duration=t.t_reswap,
-                )
+            # The unswap activates the old partner's home once and the
+            # home of `row` once or twice (its latent ACTs); the new swap
+            # activates the new partner's home.
+            latent = (row,) * self._latent_count()
+            end = self._move(
+                MitigationKind.RESWAP, time, t.t_reswap,
+                (old_partner, *latent, new_partner),
+                row=row, partner=new_partner,
             )
+            self._rit.record_swap(row, new_partner)
             return end
 
         time = self._make_room(time)
         partner = self._pick_partner(row)
-        end = self.bank.occupy(time, t.t_swap)
         # Figure 2: the swap's final step re-activates the aggressor's
         # original location (latent activation), plus one ACT at the
         # partner's location.
-        self.bank.stats.record(row, time)
-        self.bank.stats.record(partner, time)
-        self._rit.record_swap(row, partner)
-        self._log(
-            MitigationEvent(
-                kind=MitigationKind.SWAP,
-                time=time,
-                row=row,
-                partner=partner,
-                duration=t.t_swap,
-            )
+        end = self._move(
+            MitigationKind.SWAP, time, t.t_swap, (row, partner),
+            row=row, partner=partner,
         )
+        self._rit.record_swap(row, partner)
         return end
 
     def _mitigate_chained(self, time: float, row: int) -> float:
@@ -212,22 +188,14 @@ class RandomizedRowSwap(Mitigation):
         target = self._pick_partner(row)
         while target == source:
             target = self._pick_partner(row)
-        end = self.bank.occupy(time, t.t_swap)
         # The chain swap activates the current location of `row`'s data
         # (not its home!) and the target location: no accumulation at the
         # home location, but the chains must be unravelled later.
-        self.bank.stats.record(source, time)
-        self.bank.stats.record(target, time)
-        self._rit.record_swap(row, target)
-        self._log(
-            MitigationEvent(
-                kind=MitigationKind.SWAP,
-                time=time,
-                row=row,
-                partner=target,
-                duration=t.t_swap,
-            )
+        end = self._move(
+            MitigationKind.SWAP, time, t.t_swap, (source, target),
+            row=row, partner=target,
         )
+        self._rit.record_swap(row, target)
         return end
 
     # ------------------------------------------------------------------
@@ -250,18 +218,11 @@ class RandomizedRowSwap(Mitigation):
             chain_row: Optional[int] = row
             while chain_row is not None:
                 location = self._rit.resolve(chain_row)
-                self.bank.stats.record(location, cursor)
-                self.bank.stats.record(chain_row, cursor)
-                cursor = self.bank.occupy(cursor, t_swap)
-                total += t_swap
-                self._log(
-                    MitigationEvent(
-                        kind=MitigationKind.PLACE_BACK,
-                        time=cursor,
-                        row=chain_row,
-                        duration=t_swap,
-                    )
+                cursor = self._move(
+                    MitigationKind.PLACE_BACK, cursor, t_swap,
+                    (location, chain_row), row=chain_row,
                 )
+                total += t_swap
                 chain_row = self._rit.place_back(chain_row)
         if total:
             self._log(

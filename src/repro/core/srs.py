@@ -21,11 +21,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from repro.core.mitigation import (
-    Mitigation,
-    MitigationEvent,
-    MitigationKind,
-)
+from repro.core.mitigation import Mitigation, MitigationKind
 from repro.core.rit import SRSIndirectionTable
 from repro.core.rrs import rit_capacity
 from repro.core.swap_counters import SwapTrackingCounters
@@ -128,14 +124,9 @@ class SecureRowSwap(Mitigation):
         result = self.counters.read_and_update(
             location, self.tracker.threshold + latent
         )
-        self.bank.occupy(time, self.bank.timing.t_counter)
-        self._log(
-            MitigationEvent(
-                kind=MitigationKind.COUNTER_ACCESS,
-                time=time,
-                row=location,
-                duration=self.bank.timing.t_counter,
-            )
+        self._move(
+            MitigationKind.COUNTER_ACCESS, time, self.bank.timing.t_counter,
+            row=location,
         )
         return result.cumulative_activations
 
@@ -172,22 +163,14 @@ class SecureRowSwap(Mitigation):
             time = self._force_placeback(time)
 
         target = self._pick_target_location(source)
-        end = self.bank.occupy(time, t.t_swap)
         # Swap-only remapping: one activation at the row's *current*
         # location and one at the target. The row's home location is not
         # touched (unless this is the initial swap, where source == home).
-        self.bank.stats.record(source, time)
-        self.bank.stats.record(target, time)
-        self._rit.record_swap(row, target)
-        self._log(
-            MitigationEvent(
-                kind=MitigationKind.SWAP,
-                time=time,
-                row=row,
-                partner=target,
-                duration=t.t_swap,
-            )
+        end = self._move(
+            MitigationKind.SWAP, time, t.t_swap, (source, target),
+            row=row, partner=target,
         )
+        self._rit.record_swap(row, target)
         return end
 
     # ------------------------------------------------------------------
@@ -225,20 +208,12 @@ class SecureRowSwap(Mitigation):
                 break
 
     def _do_placeback(self, time: float, row: int) -> float:
-        t = self.bank.timing
         location = self._rit.resolve(row)
-        end = self.bank.occupy(time, t.t_swap)
-        self.bank.stats.record(location, time)
-        self.bank.stats.record(row, time)
-        self._rit.place_back(row)
-        self._log(
-            MitigationEvent(
-                kind=MitigationKind.PLACE_BACK,
-                time=time,
-                row=row,
-                duration=t.t_swap,
-            )
+        end = self._move(
+            MitigationKind.PLACE_BACK, time, self.bank.timing.t_swap,
+            (location, row), row=row,
         )
+        self._rit.place_back(row)
         return end
 
     def _force_placeback(self, time: float) -> float:

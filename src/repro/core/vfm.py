@@ -24,11 +24,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from repro.core.mitigation import (
-    Mitigation,
-    MitigationEvent,
-    MitigationKind,
-)
+from repro.core.mitigation import Mitigation, MitigationKind
 from repro.dram.bank import Bank
 from repro.dram.disturbance import DisturbanceModel
 from repro.trackers.base import Tracker
@@ -71,17 +67,11 @@ class VictimRefreshMitigation(Mitigation):
                 if not 0 <= victim < self.bank.num_rows:
                     continue
                 self.disturbance.on_refresh(victim, time)
-                self.bank.stats.record(victim, time)
-                time = self.bank.occupy(time, t_rc)
-                self.victim_refreshes += 1
-                self._log(
-                    MitigationEvent(
-                        kind=MitigationKind.VICTIM_REFRESH,
-                        time=time,
-                        row=victim,
-                        duration=t_rc,
-                    )
+                time = self._move(
+                    MitigationKind.VICTIM_REFRESH, time, t_rc, (victim,),
+                    row=victim,
                 )
+                self.victim_refreshes += 1
         return time
 
 

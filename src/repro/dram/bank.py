@@ -178,40 +178,6 @@ class Bank:
         self.total_accesses = 0
         self.row_hits = 0
 
-    def _check_row(self, row: int) -> None:
-        if not 0 <= row < self.num_rows:
-            raise ValueError(f"row {row} out of range [0, {self.num_rows})")
-
-    def _earliest_act(self, time: float) -> float:
-        """Earliest instant a new ACT may be issued at or after ``time``."""
-        return max(time, self.busy_until, self.last_act_time + self.timing.t_rc)
-
-    def activate(self, time: float, row: int) -> float:
-        """Issue a raw ACT to ``row``; returns the ACT issue time.
-
-        Used both by normal accesses and by the swap engines to model the
-        latent activations of swap/unswap operations.
-        """
-        self._check_row(row)
-        t = self.timing
-        start = self._earliest_act(time)
-        if self.open_row is not None:
-            start += t.t_rp
-        self.open_row = row
-        self.last_act_time = start
-        self.busy_until = max(self.busy_until, start + t.t_rcd)
-        self.stats.record(row, start)
-        return start
-
-    def precharge(self, time: float) -> float:
-        """Close the open row; returns the time the bank becomes idle."""
-        start = max(time, self.busy_until)
-        if self.open_row is None:
-            return start
-        self.open_row = None
-        self.busy_until = start + self.timing.t_rp
-        return self.busy_until
-
     def access(self, time: float, row: int, is_write: bool = False) -> AccessResult:
         """Service one column access to ``row`` arriving at ``time``.
 

@@ -294,13 +294,7 @@ class ExperimentSpec:
     def cells(self) -> List[ExperimentCell]:
         """Mitigation cells of the grid (``perf`` baselines are planned
         by the engine, which deduplicates them — see :func:`plan_cells`)."""
-        self.validate()
-        return [
-            ExperimentCell(workload, mitigation, params, kind=self.kind)
-            for workload in self._workload_names()
-            for mitigation in self.mitigation_names()
-            for params in self.param_grid()
-        ]
+        return self._plan(baselines=False)
 
     def baseline_cells(self) -> List[ExperimentCell]:
         """One baseline cell per (workload, baseline-relevant params).
@@ -312,20 +306,42 @@ class ExperimentSpec:
         engine so ``--engine auto`` speeds the baselines up too.
         ``perf`` only — the analytical kinds have no baseline concept.
         """
-        self.validate()
         if self.kind != PERF:
+            self.validate()
             raise ValueError(f"kind {self.kind!r} has no baselines")
-        baselines: Dict[Tuple[str, SimulationParams], ExperimentCell] = {}
-        for workload in self._workload_names():
-            for params in self.param_grid():
-                key = (workload, baseline_view(params))
-                if key not in baselines:
-                    baselines[key] = ExperimentCell(
-                        workload,
-                        BASELINE,
-                        replace(key[1], engine=params.engine),
-                    )
-        return list(baselines.values())
+        return self._plan(cells=False)
+
+    def _plan(
+        self, baselines: bool = True, cells: bool = True
+    ) -> List[ExperimentCell]:
+        """Validate once, expand the grid once, and list the baseline
+        cells (``perf`` only) followed by the mitigation cells."""
+        self.validate()
+        workloads = self._workload_names()
+        grid = self.param_grid()
+        planned: List[ExperimentCell] = []
+        if baselines and self.kind == PERF:
+            # First-seen baseline view per grid point, keeping that
+            # point's engine; the same for every workload.
+            views: Dict[SimulationParams, SimulationParams] = {}
+            for params in grid:
+                view = baseline_view(params)
+                if view not in views:
+                    views[view] = replace(view, engine=params.engine)
+            planned += [
+                ExperimentCell(workload, BASELINE, params)
+                for workload in workloads
+                for params in views.values()
+            ]
+        if cells:
+            mitigations = self.mitigation_names()
+            planned += [
+                ExperimentCell(workload, mitigation, params, kind=self.kind)
+                for workload in workloads
+                for mitigation in mitigations
+                for params in grid
+            ]
+        return planned
 
 
 def plan_cells(spec: ExperimentSpec) -> List[ExperimentCell]:
@@ -334,11 +350,9 @@ def plan_cells(spec: ExperimentSpec) -> List[ExperimentCell]:
     ``perf`` baselines are keyed on ``(workload, baseline_view(params))``
     so a TRH (or swap-rate, or tracker) sweep runs its baseline exactly
     once per workload. Non-``perf`` kinds plan their subject cells only.
+    The spec is validated and its grid expanded once.
     """
-    cells = spec.cells()
-    if spec.kind != PERF:
-        return cells
-    return spec.baseline_cells() + cells
+    return spec._plan()
 
 
 def _run_cell(cell: ExperimentCell) -> Any:

@@ -27,7 +27,6 @@ own store or a shared one; the cluster's own launcher starts the runs.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -341,10 +340,13 @@ class ProcessPool(Pool):
         :attr:`Pool.plane_stats` sums those of every cell the
         coordinator files, on the interrupt drain path too.
 
-        The executor and numpy load here, not at import, so a run that
-        computes nothing loads neither. numpy loads before the workers
-        fork, so every worker inherits it instead of importing it.
+        The executor (with the ``logging`` and ``threading`` it pulls
+        in) and numpy load here, not at import, so a run that computes
+        nothing loads neither. numpy loads before the workers fork, so
+        every worker inherits it instead of importing it.
         """
+        import concurrent.futures
+
         import numpy  # noqa: F401  (inherited by the forked workers)
 
         self.plane_stats = plane.PlaneStats()

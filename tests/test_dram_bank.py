@@ -164,14 +164,6 @@ class TestBankOccupyAndActivate:
         with pytest.raises(ValueError):
             small_bank.occupy(0.0, -1.0)
 
-    def test_raw_activate_records(self, small_bank):
-        small_bank.activate(0.0, 9)
-        assert small_bank.stats.count(9) == 1
-
-    def test_precharge_idempotent_when_closed(self, small_bank):
-        t = small_bank.precharge(100.0)
-        assert t == 100.0
-
 
 class TestBankActivationAccounting:
     """``Bank.access`` counts a same-window ACT in-line and calls

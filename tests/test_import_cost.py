@@ -18,7 +18,13 @@ from repro.sim import ExperimentSpec, SimulationParams, run_grid
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Modules only computing code may load.
-HEAVY = ("numpy", "multiprocessing", "concurrent.futures.process")
+HEAVY = (
+    "numpy",
+    "multiprocessing",
+    "concurrent.futures",
+    "concurrent.futures.process",
+    "logging",
+)
 
 # Prints, as the script's last line, which HEAVY modules it loaded.
 _REPORT = f"""

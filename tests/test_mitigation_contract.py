@@ -11,10 +11,13 @@ import pytest
 
 from repro.core.aqua import AquaQuarantine
 from repro.core.mitigation import BaselineMitigation, MitigationKind
+from repro.core.vfm import TargetedRowRefresh
 from repro.dram.bank import Bank
 from repro.dram.config import DRAMTiming
+from repro.dram.disturbance import DisturbanceModel
 from repro.registry import MITIGATIONS
 from repro.sim.factory import make_mitigation_factory
+from repro.trackers.base import ExactTracker
 from repro.trackers.hydra import HydraTracker
 
 TRH = 240
@@ -142,3 +145,90 @@ def test_aqua_logs_hydra_counter_traffic():
     assert aqua.stats.busy_time == pytest.approx(
         migrations + expected_accesses * per_access
     )
+
+
+def _spy_on_occupy(bank):
+    """Record the end of every bank occupation from now on."""
+    ends = []
+    occupy = bank.occupy
+
+    def spy(time, duration):
+        end = occupy(time, duration)
+        ends.append(end)
+        return end
+
+    bank.occupy = spy
+    return ends
+
+
+def _drive(mitigation, rows, rounds):
+    bank = mitigation.bank
+    time = bank.busy_until
+    for _ in range(rounds):
+        for row in rows:
+            result = bank.access(time, mitigation.resolve(row))
+            time = max(result.finish, mitigation.on_activation(result.finish, row))
+
+
+def _assert_logged_when_requested(moves, start, ends):
+    """A burst of back-to-back moves: the first is requested at the
+    burst's ``start``, every later one at the previous move's end, and
+    each is logged at the instant it was requested."""
+    assert len(moves) >= 2, "the burst should hold several moves"
+    assert len(ends) == len(moves)
+    assert [event.time for event in moves] == [start] + ends[:-1]
+
+
+@pytest.mark.parametrize("name", ["rrs-no-unswap", "aqua"])
+def test_window_end_moves_are_logged_when_requested(name):
+    """The no-unswap unravel and the AQUA drain start at the window
+    boundary and run back to back."""
+    mitigation = _build(name, "misra-gries")
+    _drive(mitigation, (HOT, HOT + 1, HOT + 2), 400)
+    logged = len(mitigation.stats.events)
+    boundary = mitigation.bank.timing.refresh_window
+    assert mitigation.bank.busy_until < boundary
+    ends = _spy_on_occupy(mitigation.bank)
+
+    mitigation.end_window(boundary)
+
+    moves = [
+        event for event in mitigation.stats.events[logged:]
+        if event.kind is MitigationKind.PLACE_BACK
+    ]
+    _assert_logged_when_requested(moves, boundary, ends)
+    assert mitigation.bank.busy_until == ends[-1]
+    if name == "rrs-no-unswap":
+        assert mitigation.epoch_blocking_until == ends[-1]
+
+
+def test_victim_refresh_moves_are_logged_when_requested():
+    """A radius-2 TRR refresh starts at the triggering ACT's finish and
+    refreshes its four victims back to back."""
+    timing = DRAMTiming(refresh_window=1_000_000.0)
+    bank = Bank(NUM_ROWS, timing)
+    trr = TargetedRowRefresh(
+        bank,
+        DisturbanceModel(NUM_ROWS, TRH, refresh_window=1_000_000.0),
+        ExactTracker(50),
+        protected_radius=2,
+        keep_events=True,
+    )
+    ends = _spy_on_occupy(bank)
+    time = 0.0
+    bursts = 0
+    for _ in range(200):
+        result = bank.access(time, HOT)
+        logged = len(trr.stats.events)
+        ends.clear()
+        done = trr.on_activation(result.finish, HOT)
+        moves = trr.stats.events[logged:]
+        if moves:
+            bursts += 1
+            assert [event.row for event in moves] == [
+                HOT - 1, HOT + 1, HOT - 2, HOT + 2
+            ]
+            _assert_logged_when_requested(moves, result.finish, ends)
+            assert done == ends[-1]
+        time = max(result.finish, done)
+    assert bursts >= 3
