@@ -66,10 +66,6 @@ class StorageBreakdown:
     def total_kb(self) -> float:
         return self.total_bytes / 1024.0
 
-    @property
-    def rit_kb(self) -> float:
-        return self.rit_bytes / 1024.0
-
 
 class StorageModel:
     """Sizes the SRAM structures of RRS and Scale-SRS.

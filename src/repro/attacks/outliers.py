@@ -101,7 +101,3 @@ class OutlierModel:
             k_eff = k if k is not None else max(1, int(round(rate)))
             out.append(model.time_to_appear_days(num_rows, k_eff))
         return out
-
-    def llc_rows_needed(self, num_banks_attacked: int = 1, outliers_per_bank: int = 3) -> int:
-        """Worst-case rows to pin (Section V-C provisioning)."""
-        return outliers_per_bank * num_banks_attacked

@@ -18,7 +18,7 @@ model.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 
 def double_sided(victim: int, count: int) -> Iterator[int]:
@@ -65,8 +65,3 @@ def half_double(
             yield far_aggressor + 1
         else:
             yield far_aggressor
-
-
-def pattern_rows(pattern: Iterable[int]) -> List[int]:
-    """Materialise a pattern (testing helper)."""
-    return list(pattern)

@@ -552,7 +552,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         for info in FIGURES:
             print(f"{info.name:<22s}{info.artifact:<8s}{info.description}")
         return 0
-    names = list(figure_names()) if args.all else list(args.figures)
+    # A repeated --figure name would render (and write) that figure twice
+    # and count its cells twice; keep the first of each.
+    names = list(figure_names() if args.all else dict.fromkeys(args.figures))
     if not names:
         raise SystemExit(
             "repro report: pick figures (--figure NAME...), --all, or --list"
@@ -568,6 +570,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise SystemExit("--resume needs --store")
     if args.shard and not args.store:
         raise SystemExit("--shard needs --store (shard runs write no artifacts)")
+    if args.shard and args.out:
+        raise SystemExit(
+            "--shard takes no --out (shard runs write no artifacts; render "
+            "with a final unsharded pass)"
+        )
     config = _report_config(args)
     # Reuse is the point of a store: rerunning a finished report executes
     # nothing, and without --store the figures still share the cells they

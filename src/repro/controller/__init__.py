@@ -2,7 +2,7 @@
 
 from repro.controller.queues import WriteQueue, PendingWrite
 from repro.controller.scheduler import FRFCFSArbiter, QueuedRequest
-from repro.controller.memory_system import MemorySystem, MemoryRequestOutcome
+from repro.controller.memory_system import MemorySystem
 
 __all__ = [
     "WriteQueue",
@@ -10,5 +10,4 @@ __all__ = [
     "FRFCFSArbiter",
     "QueuedRequest",
     "MemorySystem",
-    "MemoryRequestOutcome",
 ]

@@ -10,14 +10,12 @@ by watermark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 from typing import Callable, List, Optional
 
 from repro.controller.queues import PendingWrite, WriteQueue
 from repro.core.mitigation import BaselineMitigation, Mitigation
-from repro.dram.address import AddressMapper
 from repro.dram.bank import Bank
-from repro.dram.channel import Channel
 from repro.dram.commands import PagePolicy
 from repro.dram.config import SystemConfig
 
@@ -25,21 +23,18 @@ from repro.dram.config import SystemConfig
 MitigationFactory = Callable[[Bank, tuple], Mitigation]
 
 
-@dataclass(slots=True)
-class MemoryRequestOutcome:
-    """Timing of one serviced read."""
-
-    completion: float
-    row_hit: bool
-    served_by_llc: bool
-
-
 def _baseline_factory(bank: Bank, bank_key: tuple) -> Mitigation:
     return BaselineMitigation(bank)
 
 
 class MemorySystem:
-    """All channels of the machine plus per-bank mitigation engines.
+    """All banks of the machine plus per-bank mitigation engines.
+
+    Banks are addressed by their flat index
+    (:meth:`~repro.dram.config.DRAMOrganization.bank_index`): ``banks``
+    and ``mitigations`` list them channel by channel, rank by rank, and
+    each mitigation is built with its bank's ``(channel, rank, bank)``
+    key.
 
     Args:
         config: System configuration (Table III by default).
@@ -57,22 +52,20 @@ class MemorySystem:
         self.config = config or SystemConfig()
         org = self.config.organization
         timing = self.config.timing
-        self.mapper = AddressMapper(org)
         self.policy = policy
         factory = mitigation_factory or _baseline_factory
-        self.channels: List[Channel] = [
-            Channel(org, timing, policy) for _ in range(org.channels)
+        keys = list(itertools.product(
+            range(org.channels),
+            range(org.ranks_per_channel),
+            range(org.banks_per_rank),
+        ))
+        self.banks: List[Bank] = [
+            Bank(org.rows_per_bank, timing, policy) for _ in keys
         ]
-        self._banks: List[Bank] = []
-        self.mitigations: List[Mitigation] = []
-        self._ranks_per_channel = org.ranks_per_channel
-        self._banks_per_rank = org.banks_per_rank
-        for ch_index, channel in enumerate(self.channels):
-            for rk_index, rank in enumerate(channel.ranks):
-                for bk_index, bank in enumerate(rank.banks):
-                    self._banks.append(bank)
-                    key = (ch_index, rk_index, bk_index)
-                    self.mitigations.append(factory(bank, key))
+        self.mitigations: List[Mitigation] = [
+            factory(bank, key) for bank, key in zip(self.banks, keys)
+        ]
+        self._banks_per_channel = org.banks_per_channel
         # Live per-bank views behind `Mitigation.resolve` and
         # `Mitigation.is_pinned` (see `Mitigation.resolve_map` and
         # `Mitigation.batch_pinned_view`); the request path reads row
@@ -89,19 +82,10 @@ class MemorySystem:
         self.llc_hits_from_pins = 0
 
     # ------------------------------------------------------------------
-    # indexing helpers
-
-    def bank_index(self, channel: int, rank: int, bank: int) -> int:
-        return (channel * self._ranks_per_channel + rank) * self._banks_per_rank + bank
-
-    def bank(self, channel: int, rank: int, bank: int) -> Bank:
-        return self._banks[self.bank_index(channel, rank, bank)]
-
-    # ------------------------------------------------------------------
     # window management
 
     def _roll_windows(self, time: float) -> None:
-        banks_per_channel = self._ranks_per_channel * self._banks_per_rank
+        banks_per_channel = self._banks_per_channel
         while time >= self._next_window_end:
             boundary = self._next_window_end
             for mitigation in self.mitigations:
@@ -126,8 +110,8 @@ class MemorySystem:
     # Every demand request flows through the same staged pipeline:
     #
     #   route    -- window roll, the mitigation's tick and the pin
-    #               filter (inline at the top of `_read`/`_write`)
-    #   service  -- refresh alignment (inline in `_read`) + row
+    #               filter (inline at the top of `read`/`write`)
+    #   service  -- refresh alignment (inline in `read`) + row
     #               indirection + the bank state machine (`_service`)
     #   transfer -- channel data-bus serialization (inline in `_service`)
     #   observe  -- tracker notification, which may trigger swaps
@@ -136,11 +120,10 @@ class MemorySystem:
     # Reads run all four stages inline; writes stop after `route` (they
     # post into the channel write queue) and replay service/transfer/
     # observe later when the queue drains by watermark. The simulation
-    # engines (`repro.sim.engine`) drive these stages through `_read`
-    # and `_write`, which take the flat bank index the decoded trace
-    # already carries; `read`/`write` are the coordinate-addressed
-    # wrappers. The batched engine additionally fuses the stages for
-    # spans the mitigation declares quiescent via
+    # engines (`repro.sim.engine`) drive these stages through `read`
+    # and `write`, which take the flat bank index the decoded trace
+    # already carries. The batched engine additionally fuses the stages
+    # for spans the mitigation declares quiescent via
     # `Mitigation.batch_horizon`.
 
     def _service(
@@ -154,7 +137,7 @@ class MemorySystem:
     ):
         """Service/transfer/observe stages for one access to one bank."""
         remap = self._resolve_maps[index]
-        result = self._banks[index].access(
+        result = self.banks[index].access(
             start, row if remap is None else remap.get(row, row), is_write
         )
         finish = result.finish
@@ -165,7 +148,7 @@ class MemorySystem:
             mitigation.on_activation(finish, row)
         return result, completion
 
-    def _read(self, time: float, channel: int, index: int, row: int):
+    def read(self, time: float, channel: int, index: int, row: int):
         """Demand read of ``row`` in flat bank ``index``.
 
         Returns ``(result, completion)``: the bank's
@@ -183,7 +166,7 @@ class MemorySystem:
         queue = self.write_queues[channel]
         if len(queue._queue) >= queue.high_watermark:
             self._drain_writes(channel, time)
-        # Rank refresh alignment: every rank refreshes for tRFC at each
+        # Per-rank refresh alignment: every rank refreshes for tRFC at each
         # multiple of tREFI, so an access issued inside a refresh starts
         # when it ends.
         start = time
@@ -191,21 +174,7 @@ class MemorySystem:
             start = int(time // self._t_refi) * self._t_refi + self._t_rfc
         return self._service(channel, index, mitigation, start, row)
 
-    def read(
-        self, time: float, channel: int, rank: int, bank: int, row: int
-    ) -> MemoryRequestOutcome:
-        """Service a demand read; returns its completion time."""
-        index = (channel * self._ranks_per_channel + rank) * self._banks_per_rank + bank
-        result, completion = self._read(time, channel, index, row)
-        if result is None:
-            return MemoryRequestOutcome(
-                completion=completion, row_hit=False, served_by_llc=True
-            )
-        return MemoryRequestOutcome(
-            completion=completion, row_hit=result.row_hit, served_by_llc=False
-        )
-
-    def _write(self, time: float, channel: int, index: int, row: int) -> None:
+    def write(self, time: float, channel: int, index: int, row: int) -> None:
         """Post a write of ``row`` in flat bank ``index``."""
         if time >= self._next_window_end:
             self._roll_windows(time)
@@ -217,11 +186,6 @@ class MemorySystem:
         if len(queue._queue) >= queue.capacity:
             self._drain_writes(channel, time)
         queue.enqueue(PendingWrite(time, index, row))
-
-    def write(self, time: float, channel: int, rank: int, bank: int, row: int) -> None:
-        """Post a write into the channel's write queue."""
-        index = (channel * self._ranks_per_channel + rank) * self._banks_per_rank + bank
-        self._write(time, channel, index, row)
 
     def _drain_writes(self, channel: int, time: float, to_empty: bool = False) -> None:
         service = self._service
@@ -244,17 +208,17 @@ class MemorySystem:
         time is returned so the driver can charge it to the cores (the
         machine would be frozen for it before any further work).
         """
-        for channel in range(len(self.channels)):
+        channels = len(self.write_queues)
+        for channel in range(channels):
             self._drain_writes(channel, time, to_empty=True)
-        banks_per_channel = self._ranks_per_channel * self._banks_per_rank
-        channel_block = [0.0] * len(self.channels)
+        channel_block = [0.0] * channels
         for index, mitigation in enumerate(self.mitigations):
             mitigation.end_window(time)
             burst = mitigation.epoch_blocking_until - time
             if burst > 0:
-                channel_block[index // banks_per_channel] += burst
+                channel_block[index // self._banks_per_channel] += burst
             mitigation.epoch_blocking_until = 0.0
-        for bank in self._banks:
+        for bank in self.banks:
             bank.stats.finalize(time)
         return max(channel_block) if channel_block else 0.0
 
@@ -262,14 +226,16 @@ class MemorySystem:
     # aggregate statistics
 
     def total_swaps(self) -> int:
+        """Swaps plus reswaps over every bank's mitigation."""
         return sum(m.stats.swaps + m.stats.reswaps for m in self.mitigations)
 
     def total_mitigation_busy_ns(self) -> float:
+        """Bank time spent on mitigative moves, summed over every bank."""
         return sum(m.stats.busy_time for m in self.mitigations)
 
     def max_row_activations(self) -> int:
         """Highest per-location activation count seen in any window."""
         peak = 0
-        for bank in self._banks:
+        for bank in self.banks:
             peak = max(peak, bank.stats.peak_row_activations())
         return peak

@@ -46,6 +46,7 @@ class WriteQueue:
         return len(self._queue)
 
     def enqueue(self, write: PendingWrite) -> None:
+        """Buffer ``write``; raises :class:`OverflowError` when full."""
         if len(self._queue) >= self.capacity:
             raise OverflowError("write queue full; caller must drain first")
         self._queue.append(write)

@@ -46,9 +46,11 @@ class FRFCFSArbiter:
 
     @property
     def is_full(self) -> bool:
+        """Whether the queue holds ``max_queue`` requests."""
         return len(self._queue) >= self.max_queue
 
     def enqueue(self, arrival: float, row: int, is_write: bool, payload: object = None) -> QueuedRequest:
+        """Queue a request arriving at ``arrival``; returns it."""
         if self.is_full:
             raise OverflowError("bank queue full")
         request = QueuedRequest(

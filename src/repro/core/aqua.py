@@ -70,15 +70,8 @@ class AquaQuarantine(Mitigation):
         # Migration moves one row: half the row-swap traffic.
         self.t_migrate = bank.timing.t_swap / 2.0
 
-    @property
-    def quarantine_base(self) -> int:
-        return self._quarantine_base
-
     def resolve_map(self) -> Dict[int, int]:
         return self._forward
-
-    def is_quarantined(self, row: int) -> bool:
-        return row in self._forward
 
     def on_activation(self, time: float, row: int) -> float:
         observation = self.tracker.observe(row)

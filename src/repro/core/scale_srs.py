@@ -89,11 +89,6 @@ class ScaleSecureRowSwap(SecureRowSwap):
     # ------------------------------------------------------------------
     # LLC interaction
 
-    @property
-    def pinned_locations(self) -> Set[int]:
-        """Physical locations protected from further activations."""
-        return set(self._pinned_locations)
-
     def batch_pinned_view(self):
         """Live pinned-row set behind :meth:`is_pinned`. Pins happen only
         inside full-path swap handling and unpins only at window ends,

@@ -108,13 +108,6 @@ class SwapTrackingCounters:
             dram_accesses=1,
         )
 
-    def peek(self, row: int) -> int:
-        """Current-epoch cumulative count for ``row`` (0 if stale/absent)."""
-        stored = self._counters.get(row)
-        if stored is None or stored[0] != self.epoch_register.value:
-            return 0
-        return stored[1]
-
     def advance_epoch(self) -> bool:
         """Advance the epoch register; bulk-reset counters on wrap."""
         wrapped = self.epoch_register.advance()
@@ -127,7 +120,3 @@ class SwapTrackingCounters:
     def storage_bytes_per_bank(self) -> int:
         """DRAM reserved for counters: one 32-bit counter per row."""
         return self.rows_per_bank * COUNTER_BITS // 8
-
-    def counter_rows(self, row_size_bytes: int = 8 * 1024) -> int:
-        """Number of reserved DRAM rows holding the counters."""
-        return -(-self.storage_bytes_per_bank // row_size_bytes)

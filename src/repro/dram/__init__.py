@@ -17,7 +17,6 @@ from repro.dram.commands import PagePolicy
 from repro.dram.address import AddressMapper, DecodedAddress
 from repro.dram.bank import Bank, ActivationStats
 from repro.dram.disturbance import DisturbanceModel, FlipEvent
-from repro.dram.channel import Rank, Channel
 
 __all__ = [
     "DRAMTiming",
@@ -32,6 +31,4 @@ __all__ = [
     "ActivationStats",
     "DisturbanceModel",
     "FlipEvent",
-    "Rank",
-    "Channel",
 ]

@@ -176,9 +176,3 @@ class AddressMapper:
         bits = (bits << self._bank_bits) | arrays["bank"][0]
         bits = (bits << self._channel_bits) | arrays["channel"][0]
         return bits << self._offset_bits
-
-    def address_of_row(self, channel: int, rank: int, bank: int, row: int) -> int:
-        """Byte address of column 0 of the given row."""
-        return self.encode(
-            DecodedAddress(channel=channel, rank=rank, bank=bank, row=row, column=0)
-        )

@@ -66,6 +66,7 @@ class ActivationStats:
 
     @property
     def window_index(self) -> int:
+        """Index of the refresh window the counts belong to."""
         return self._window_index
 
     def _roll_to(self, window_index: int) -> None:
@@ -128,10 +129,6 @@ class ActivationStats:
     def peak_row_activations(self) -> int:
         """Highest per-row count in any window so far (closed or current)."""
         return max(self.closed_max_row_activations, self.max_count())
-
-    def ever_exceeded(self, threshold: int) -> bool:
-        """True if any row crossed ``threshold`` in any window so far."""
-        return self.peak_row_activations() >= threshold
 
 
 @dataclass(slots=True)

@@ -82,19 +82,25 @@ class DRAMOrganization:
 
     @property
     def total_banks(self) -> int:
+        """Banks in the whole memory system."""
         return self.channels * self.ranks_per_channel * self.banks_per_rank
 
     @property
-    def total_rows(self) -> int:
-        return self.total_banks * self.rows_per_bank
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.total_rows * self.row_size_bytes
+    def banks_per_channel(self) -> int:
+        """Banks behind one channel: flat bank ``i`` is on channel
+        ``i // banks_per_channel``."""
+        return self.ranks_per_channel * self.banks_per_rank
 
     @property
     def lines_per_row(self) -> int:
+        """Cache lines in one DRAM row."""
         return self.row_size_bytes // self.line_size_bytes
+
+    def bank_index(self, channel, rank, bank):
+        """Flat index of bank ``(channel, rank, bank)``: banks are numbered
+        channel by channel, then rank by rank. Plain arithmetic, so it
+        takes integers or numpy integer arrays alike."""
+        return (channel * self.ranks_per_channel + rank) * self.banks_per_rank + bank
 
 
 @dataclass(frozen=True)

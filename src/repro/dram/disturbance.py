@@ -146,12 +146,15 @@ class DisturbanceModel:
         self._disturbance[row] = 0.0
 
     def disturbance(self, row: int) -> float:
+        """Disturbance ``row`` has accumulated since its last refresh."""
         return self._disturbance.get(row, 0.0)
 
     def flipped_rows(self) -> List[int]:
+        """Rows that have flipped at least once, ascending."""
         return sorted({flip.row for flip in self.flips})
 
     def any_flip(self) -> bool:
+        """Whether any row has flipped."""
         return bool(self.flips)
 
     def hottest(self) -> Tuple[int, float]:

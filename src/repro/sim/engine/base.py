@@ -59,11 +59,9 @@ class _DecodedTrace:
         self.is_write = trace.is_write.tolist()
         self.channel = trace.channel.tolist()
         self.row = trace.row.tolist()
-        bank_index = (
-            trace.channel.astype(np.int64) * org.ranks_per_channel
-            + trace.rank
-        ) * org.banks_per_rank + trace.bank
-        self.bank_index = bank_index.tolist()
+        self.bank_index = org.bank_index(
+            trace.channel.astype(np.int64), trace.rank, trace.bank
+        ).tolist()
         self.deltas = core.gap_deltas(trace.gaps).tolist()
 
 
@@ -114,8 +112,8 @@ def scalar_stretch(
     where to resume.
     """
     boundary = memory._next_window_end
-    read = memory._read
-    write = memory._write
+    read = memory.read
+    write = memory.write
     heappop = heapq.heappop
     heappush = heapq.heappush
     serviced = 0

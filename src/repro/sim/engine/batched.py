@@ -3,7 +3,7 @@
 Both engines run over the same pre-decoded traces
 (:func:`~repro.sim.engine.base.decode_traces`), but the scalar step
 still pays about ten Python-level calls per activating read: the core
-advance, ``MemorySystem._read`` (and the mitigation's ``tick``),
+advance, ``MemorySystem.read`` (and the mitigation's ``tick``),
 ``_service``, ``Bank.access`` and its result, ``on_activation`` and
 the tracker's ``observe`` and its result, the core's read bookkeeping,
 plus the heap pop and push (the row indirection and the pin filter are
@@ -68,7 +68,7 @@ the scalar path's defensive checks are the ones that would catch
 malformed input.
 
 Maintenance rule: any change to the scalar access path
-(``MemorySystem._read``/``_write``/``_service``/``_drain_writes``,
+(``MemorySystem.read``/``write``/``_service``/``_drain_writes``,
 ``Bank.access`` — including its in-line ACT count, which bumps
 ``ActivationStats._counts`` and ``lifetime_activations`` directly and
 calls ``ActivationStats.record`` only on a window change —
@@ -204,7 +204,7 @@ class BatchedEngine(Engine):
         open_policy = memory.policy is PagePolicy.OPEN
         llc_latency = memory.config.llc_latency_ns
 
-        banks = memory._banks
+        banks = memory.banks
         mitigations = memory.mitigations
         num_banks = len(banks)
         queues = memory.write_queues
@@ -546,11 +546,11 @@ class BatchedEngine(Engine):
                     counters["window_rolls"] += 1
                     core = cores[core_id]
                     if write:
-                        memory._write(clock, ch, bank_indices[pos], rows_l[pos])
+                        memory.write(clock, ch, bank_indices[pos], rows_l[pos])
                         core.issue_write()
                     else:
                         core.issue_read(
-                            memory._read(
+                            memory.read(
                                 clock, ch, bank_indices[pos], rows_l[pos]
                             )[1]
                         )
@@ -620,8 +620,8 @@ class BatchedEngine(Engine):
                         else:
                             if qlen[ch] >= high_wm[ch]:
                                 fused_drain(ch, clock)
-                            # Rank refresh alignment, as in
-                            # MemorySystem._read.
+                            # Per-rank refresh alignment, as in
+                            # MemorySystem.read.
                             start = clock
                             if start % t_refi < t_rfc:
                                 start = int(start // t_refi) * t_refi + t_rfc
@@ -709,12 +709,12 @@ class BatchedEngine(Engine):
                         # (rare: a drain coinciding with a span cut).
                         if qlen[ch] >= high_wm[ch]:
                             sync_banks()
-                            completion = memory._read(clock, ch, b, row)[1]
+                            completion = memory.read(clock, ch, b, row)[1]
                             hoist()
                         else:
                             sync_bank(b)
                             memory._bus_free[ch] = bus[ch]
-                            completion = memory._read(clock, ch, b, row)[1]
+                            completion = memory.read(clock, ch, b, row)[1]
                             bus[ch] = memory._bus_free[ch]
                             qlen[ch] = len(qlists[ch])
                             rehoist_bank(b)

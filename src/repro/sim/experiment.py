@@ -296,24 +296,7 @@ class ExperimentSpec:
         by the engine, which deduplicates them — see :func:`plan_cells`)."""
         return self._plan(baselines=False)
 
-    def baseline_cells(self) -> List[ExperimentCell]:
-        """One baseline cell per (workload, baseline-relevant params).
-
-        Derived from the workloads and grid directly — not from the
-        mitigation cells — so a baseline-only experiment still runs.
-        The dedup key ignores the simulation engine (engines are
-        bit-identical), but the planned cell keeps the requested
-        engine so ``--engine auto`` speeds the baselines up too.
-        ``perf`` only — the analytical kinds have no baseline concept.
-        """
-        if self.kind != PERF:
-            self.validate()
-            raise ValueError(f"kind {self.kind!r} has no baselines")
-        return self._plan(cells=False)
-
-    def _plan(
-        self, baselines: bool = True, cells: bool = True
-    ) -> List[ExperimentCell]:
+    def _plan(self, baselines: bool = True) -> List[ExperimentCell]:
         """Validate once, expand the grid once, and list the baseline
         cells (``perf`` only) followed by the mitigation cells."""
         self.validate()
@@ -333,14 +316,13 @@ class ExperimentSpec:
                 for workload in workloads
                 for params in views.values()
             ]
-        if cells:
-            mitigations = self.mitigation_names()
-            planned += [
-                ExperimentCell(workload, mitigation, params, kind=self.kind)
-                for workload in workloads
-                for mitigation in mitigations
-                for params in grid
-            ]
+        mitigations = self.mitigation_names()
+        planned += [
+            ExperimentCell(workload, mitigation, params, kind=self.kind)
+            for workload in workloads
+            for mitigation in mitigations
+            for params in grid
+        ]
         return planned
 
 

@@ -102,7 +102,7 @@ class SyntheticTraceGenerator:
 
     def _total_slots(self) -> int:
         org = self.organization
-        return org.channels * org.ranks_per_channel * org.banks_per_rank * org.rows_per_bank
+        return org.total_banks * org.rows_per_bank
 
     def _slot_to_coords(self, slots: np.ndarray) -> Tuple[np.ndarray, ...]:
         """Global row slots -> (channel, rank, bank, row) arrays.
@@ -147,7 +147,7 @@ class SyntheticTraceGenerator:
         if profile.hot_row_count == 0:
             return np.empty(0, dtype=np.int64)
         org = self.organization
-        banks = org.channels * org.ranks_per_channel * org.banks_per_rank
+        banks = org.total_banks
         base = self._core_base_slot()
         spread = max(1, min(profile.spread_banks, banks))
         # Row i of the hot set sits in bank (i % spread), at increasing

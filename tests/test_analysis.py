@@ -11,11 +11,11 @@ from repro.analysis.thresholds import TRH_HISTORY, scaling_factor
 class TestStorageModel:
     def test_rrs_rit_35kb_at_4800(self):
         model = StorageModel()
-        assert model.breakdown(4800, "rrs").rit_kb == pytest.approx(35.0, rel=0.03)
+        assert model.breakdown(4800, "rrs").rit_bytes / 1024 == pytest.approx(35.0, rel=0.03)
 
     def test_scale_rit_9kb_at_4800(self):
         model = StorageModel()
-        assert model.breakdown(4800, "scale-srs").rit_kb == pytest.approx(9.4, rel=0.1)
+        assert model.breakdown(4800, "scale-srs").rit_bytes / 1024 == pytest.approx(9.4, rel=0.1)
 
     def test_total_at_4800_matches_paper(self):
         model = StorageModel()

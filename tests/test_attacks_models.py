@@ -130,10 +130,11 @@ class TestOutlierModel:
         assert model.expected_rows_with_swaps(3) > model.expected_rows_with_swaps(4)
 
     def test_llc_rows_needed_section_5c(self):
-        model = OutlierModel()
-        assert model.llc_rows_needed(num_banks_attacked=1) == 3
-        # Multi-bank worst case: 3 outliers x 11 banks x 2 channels = 66.
-        assert model.llc_rows_needed(num_banks_attacked=22) == 66
+        from repro.core.pin_buffer import PinBuffer
+
+        # The default pin buffer provisions the multi-bank worst case:
+        # 3 outliers x 11 banks x 2 channels = 66 pinned rows.
+        assert PinBuffer().num_entries == 3 * 11 * 2 == 66
 
 
 class TestMultiBank:

@@ -537,6 +537,27 @@ class TestReportCommand:
             main(["report", "--figure", "table1", "--shard", "0/2"])
         assert "executed" not in capsys.readouterr().out
 
+    def test_shard_rejects_out(self, capsys, tmp_path):
+        out_dir = tmp_path / "report"
+        with pytest.raises(SystemExit, match="--shard takes no --out"):
+            main(["report", "--figure", "table4", "--shard", "0/2",
+                  "--store", str(tmp_path / "store"), "--out", str(out_dir)])
+        assert "executed" not in capsys.readouterr().out
+        assert not out_dir.exists()
+
+    def test_repeated_figure_renders_once(self, capsys, tmp_path):
+        out_dir = str(tmp_path / "report")
+        assert main(["report", "--figure", "table4", "table5", "table4",
+                     "--out", out_dir]) == 0
+        out = capsys.readouterr().out
+        assert out.count("table4: executed") == 1
+        assert out.index("table4: executed") < out.index("table5: executed")
+        assert out.count("table4.md") == 1
+        assert "report: executed 2, reused 0 of 2 cells" in out
+        assert sorted(os.listdir(out_dir)) == [
+            "table4.csv", "table4.md", "table5.csv", "table5.md",
+        ]
+
     def test_model_figure_prints_markdown(self, capsys):
         assert main(["report", "--figure", "table1"]) == 0
         out = capsys.readouterr().out
@@ -589,15 +610,14 @@ class TestReportCommand:
     def test_shard_runs_skip_artifacts(self, capsys, tmp_path):
         store = str(tmp_path / "store")
         out_dir = str(tmp_path / "report")
-        argv = ["report", "--figure", "table4", "--store", store,
-                "--out", out_dir]
+        argv = ["report", "--figure", "table4", "--store", store]
         for index in range(2):
             assert main(argv + ["--shard", f"{index}/2"]) == 0
             out = capsys.readouterr().out
             assert f"shard {index}/2" in out
-            assert not os.path.exists(os.path.join(out_dir, "table4.md"))
+            assert "## Table IV" not in out  # nothing rendered
         # Final unsharded pass: everything reused, artifact written.
-        assert main(argv) == 0
+        assert main(argv + ["--out", out_dir]) == 0
         final = capsys.readouterr().out
         assert "report: executed 0, reused 1 of 1 cells" in final
         assert os.path.exists(os.path.join(out_dir, "table4.md"))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.mitigation import MitigationKind
 from repro.core.pin_buffer import PinBuffer
 from repro.core.scale_srs import ScaleSecureRowSwap
 from repro.trackers.base import ExactTracker
@@ -41,7 +42,8 @@ class TestOutlierPinning:
         hammer(engine, 7, 50)
         assert engine.stats.pins == 1
         assert engine.is_pinned(7)
-        assert 7 in engine.pinned_locations
+        pins = [e for e in engine.stats.events if e.kind is MitigationKind.PIN]
+        assert [(e.row, e.partner) for e in pins] == [(7, 7)]  # (row, location)
 
     def test_pinned_row_receives_no_more_demand_activations(self, engine, small_bank):
         self._force_outlier(engine, 7, 2)

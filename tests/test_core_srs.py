@@ -46,7 +46,7 @@ class TestSwapOnlyProperty:
         the row every time, no location accumulates multiple charges."""
         hammer(engine, 7, 50 * 5)
         peak = max(
-            engine.counters.peek(location)
+            engine.counters.read_and_update(location, 0).cumulative_activations
             for location in range(engine.bank.num_rows)
         )
         assert peak <= 50 + 2  # TS + latent margin
@@ -64,7 +64,7 @@ class TestDetection:
         # forcing the counter directly (the RIT would normally move it).
         for _ in range(3):
             engine.counters.read_and_update(123, 50)
-        assert engine.counters.peek(123) >= 2 * 50
+        assert engine.counters.read_and_update(123, 0).cumulative_activations >= 2 * 50
 
     def test_invalid_multiplier_rejected(self, small_bank, rng):
         with pytest.raises(ValueError):
@@ -122,7 +122,8 @@ class TestWindowBoundary:
     def test_counter_stale_across_epochs(self, engine):
         engine.counters.read_and_update(5, 50)
         engine.end_window(1_000_000.0)
-        assert engine.counters.peek(5) == 0
+        result = engine.counters.read_and_update(5, 0)
+        assert result.was_stale and result.cumulative_activations == 0
 
 
 class TestBatchingContract:

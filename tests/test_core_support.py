@@ -62,7 +62,8 @@ class TestSwapTrackingCounters:
         counters = SwapTrackingCounters(1024)
         counters.read_and_update(5, 100)
         counters.advance_epoch()
-        assert counters.peek(5) == 0
+        result = counters.read_and_update(5, 0)
+        assert result.was_stale and result.cumulative_activations == 0
 
     def test_saturates_at_13_bits(self):
         counters = SwapTrackingCounters(1024)
@@ -75,7 +76,7 @@ class TestSwapTrackingCounters:
         counters.advance_epoch()
         assert counters.advance_epoch()  # wrap
         assert counters.bulk_resets == 1
-        assert counters.peek(5) == 0
+        assert counters.read_and_update(5, 0).cumulative_activations == 0
 
     def test_storage_is_0_05_percent(self):
         counters = SwapTrackingCounters(128 * 1024)
@@ -86,7 +87,8 @@ class TestSwapTrackingCounters:
 
     def test_counter_rows(self):
         counters = SwapTrackingCounters(128 * 1024)
-        assert counters.counter_rows() == 64  # sixty-four 8 KB rows
+        # Sixty-four 8 KB rows of counters.
+        assert counters.storage_bytes_per_bank == 64 * 8 * 1024
 
     def test_validation(self):
         counters = SwapTrackingCounters(16)

@@ -34,7 +34,9 @@ class TestRoundTrip:
 
     def test_address_bits_cover_capacity(self, mapper):
         org = DRAMOrganization()
-        assert 2**mapper.address_bits == org.capacity_bytes
+        assert 2**mapper.address_bits == (
+            org.total_banks * org.rows_per_bank * org.row_size_bytes
+        )
 
 
 class TestValidation:
@@ -60,11 +62,13 @@ class TestValidation:
 
 class TestRowAddress:
     def test_address_of_row_decodes_back(self, mapper):
-        addr = mapper.address_of_row(channel=1, rank=0, bank=3, row=999)
+        addr = mapper.encode(
+            DecodedAddress(channel=1, rank=0, bank=3, row=999, column=0)
+        )
         decoded = mapper.decode(addr)
         assert (decoded.channel, decoded.rank, decoded.bank, decoded.row) == (1, 0, 3, 999)
         assert decoded.column == 0
 
     def test_bank_key(self, mapper):
-        decoded = mapper.decode(mapper.address_of_row(1, 0, 5, 7))
-        assert decoded.bank_key == (1, 0, 5)
+        address = mapper.encode(DecodedAddress(1, 0, 5, row=7, column=0))
+        assert mapper.decode(address).bank_key == (1, 0, 5)

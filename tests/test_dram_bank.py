@@ -65,8 +65,6 @@ class TestActivationStats:
         assert stats.closed_total_activations == 4
         assert stats.closed_max_row_activations == 3
         assert stats.peak_row_activations() == 3
-        assert stats.ever_exceeded(3)
-        assert not stats.ever_exceeded(4)
 
     def test_time_travel_rejected(self):
         stats = ActivationStats(1000.0)
@@ -78,10 +76,9 @@ class TestActivationStats:
         stats = ActivationStats(1000.0)
         for _ in range(5):
             stats.record(3, 0.0)
-        assert stats.ever_exceeded(5)
-        assert not stats.ever_exceeded(6)
+        assert stats.peak_row_activations() == 5
         stats.finalize(0.0)
-        assert stats.ever_exceeded(5)  # survives window roll
+        assert stats.peak_row_activations() == 5  # survives window roll
 
     def test_rows_at_or_above(self):
         stats = ActivationStats(1000.0)
@@ -89,8 +86,7 @@ class TestActivationStats:
             stats.record(1, 0.0)
         stats.record(2, 0.0)
         assert stats.current_counts() == {1: 4, 2: 1}
-        assert stats.ever_exceeded(4)
-        assert not stats.ever_exceeded(5)
+        assert stats.peak_row_activations() == 4
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):

@@ -44,7 +44,7 @@ class TestDRAMTiming:
 class TestDRAMOrganization:
     def test_default_is_32gb(self):
         org = DRAMOrganization()
-        assert org.capacity_bytes == 32 * 1024**3
+        assert org.total_banks * org.rows_per_bank * org.row_size_bytes == 32 * 1024**3
 
     def test_total_banks(self):
         assert DRAMOrganization().total_banks == 2 * 1 * 16
@@ -54,7 +54,7 @@ class TestDRAMOrganization:
 
     def test_total_rows(self):
         org = DRAMOrganization()
-        assert org.total_rows == 32 * 128 * 1024
+        assert org.total_banks * org.rows_per_bank == 32 * 128 * 1024
 
 
 class TestSystemConfig:

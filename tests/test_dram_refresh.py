@@ -18,8 +18,8 @@ def act_start(time):
     memory = MemorySystem(
         SystemConfig(organization=DRAMOrganization(rows_per_bank=4096))
     )
-    memory.read(time, 0, 0, 0, row=5)
-    return memory.bank(0, 0, 0).last_act_time
+    memory.read(time, 0, 0, row=5)
+    return memory.banks[0].last_act_time
 
 
 class TestRefreshWindows:

@@ -140,7 +140,7 @@ class TestWindowAccounting:
         sim = PerformanceSimulation(resolve_workload("gcc"), "baseline", PARAMS)
         result = sim.run()
         recorded = sum(
-            bank.stats.lifetime_activations for bank in sim.memory._banks
+            bank.stats.lifetime_activations for bank in sim.memory.banks
         )
         reads = sum(c.memory_reads for c in result.cores)
         writes = sum(c.memory_writes for c in result.cores)

@@ -5,7 +5,8 @@ Four checks, all fast:
 
 1. **Docstring coverage** (interrogate-style, via ``ast``): every public
    module, class, function, and method under the enforced packages
-   (``repro.workloads``, ``repro.sim``, ``repro.cpu``) must carry a
+   (``repro.workloads``, ``repro.sim``, ``repro.cpu``, ``repro.report``,
+   ``repro.controller``, ``repro.dram``) must carry a
    docstring. "Public" means not underscore-prefixed; dunders other than
    module-level ``__init__`` are exempt, as are trivial overrides of the
    collection protocol (``__len__``-style dunders).
@@ -50,6 +51,8 @@ ENFORCED_PACKAGES = (
     "src/repro/sim",
     "src/repro/cpu",
     "src/repro/report",
+    "src/repro/controller",
+    "src/repro/dram",
 )
 
 #: Documents whose ``python`` code blocks must import cleanly.
