@@ -39,11 +39,13 @@ digest-stable slice of the grid — ``n`` such runs cover the grid
 exactly once, against a shared store or against one store each whose
 ``*.json`` files are then copied into one (see :mod:`repro.sim.store`).
 
-``report`` sits on top of the same engine: every registered figure
-(:mod:`repro.report`) resolves its grids against ``--store`` and only
-missing cells execute, so ``repro report --all --store DIR`` run twice
-prints ``report: executed 0`` the second time, and ``--shard i/n``
-splits a full-paper reproduction across hosts.
+``report`` sits on top of the same engine: the grids of every chosen
+figure (:mod:`repro.report`) resolve as one plan through one
+``run_grid`` call, so a cell several figures share runs once, with or
+without ``--store``. Against ``--store`` only missing cells execute, so
+``repro report --all --store DIR`` run twice prints ``report: executed
+0`` the second time, and ``--shard i/n`` splits a full-paper
+reproduction across hosts.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.power import PowerModel
@@ -543,7 +544,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         build_figure,
         figure_names,
         render_figure,
-        resolve_figure,
+        resolve_report,
         write_artifact,
     )
 
@@ -577,44 +578,36 @@ def _cmd_report(args: argparse.Namespace) -> int:
         )
     config = _report_config(args)
     # Reuse is the point of a store: rerunning a finished report executes
-    # nothing, and without --store the figures still share the cells they
-    # have in common through a temporary store removed on exit.
-    # --no-resume forces recompute.
-    reuse = args.resume is not False
-    planned = executed = reused = 0
-    with tempfile.TemporaryDirectory(prefix="repro-report-") as scratch:
-        store = _open_store(args.store or scratch)
-        for name in names:
-            info, spec = build_figure(name, config)
-            data = resolve_figure(
-                spec,
-                store=store,
-                jobs=args.jobs,
-                reuse=reuse,
-                shard=args.shard,
-            )
-            planned += data.stats.planned
-            executed += data.stats.executed
-            reused += data.stats.reused
-            print(
-                f"{name}: executed {data.stats.executed}, reused "
-                f"{data.stats.reused} of {data.stats.planned} cells"
-            )
-            if args.shard:
-                # A shard holds an arbitrary slice of every grid; artifacts
-                # come from a final unsharded pass over the shared store.
-                continue
-            artifact = render_figure(info, spec, data)
-            if args.out:
-                for path in write_artifact(artifact, args.out):
-                    print(f"wrote {path}")
-            else:
-                print()
-                print(artifact.to_markdown())
+    # nothing. --no-resume recomputes every cell, each one once.
+    built = [build_figure(name, config) for name in names]
+    figures = resolve_report(
+        [spec for _, spec in built],
+        store=_open_store(args.store) if args.store else None,
+        jobs=args.jobs,
+        reuse=args.resume is not False,
+        shard=args.shard,
+    )
+    for (info, spec), data in zip(built, figures):
+        print(
+            f"{info.name}: executed {data.stats.executed}, reused "
+            f"{data.stats.reused} of {data.stats.planned} cells"
+        )
+        if args.shard:
+            # A shard holds an arbitrary slice of every grid; artifacts
+            # come from a final unsharded pass over the shared store.
+            continue
+        artifact = render_figure(info, spec, data)
+        if args.out:
+            for path in write_artifact(artifact, args.out):
+                print(f"wrote {path}")
+        else:
+            print()
+            print(artifact.to_markdown())
     shard = f", shard {args.shard[0]}/{args.shard[1]}" if args.shard else ""
     print(
-        f"report: executed {executed}, reused {reused} of "
-        f"{planned} cells{shard}"
+        f"report: executed {sum(d.stats.executed for d in figures)}, reused "
+        f"{sum(d.stats.reused for d in figures)} of "
+        f"{sum(d.stats.planned for d in figures)} cells{shard}"
     )
     return 0
 

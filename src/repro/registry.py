@@ -208,10 +208,11 @@ class EvaluationInfo:
             microseconds of single-CPU work (one unit is roughly one
             simulated memory request). The dispatcher
             (:mod:`repro.sim.pool`) orders cells longest first, sizes
-            the pool from the cell costs and stays serial when no cell
-            reaches the pool's break-even, so microsecond analytical
-            cells report tens of units while heavy simulation cells
-            report thousands to millions.
+            the pool from the cells that reach the pool's break-even
+            (cheaper cells ride along in the same pool) and stays serial
+            when at most one does, so microsecond analytical cells
+            report tens of units while heavy simulation cells report
+            thousands to millions.
             ``None`` means one unit.
     """
 

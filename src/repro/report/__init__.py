@@ -26,6 +26,7 @@ from repro.report.planner import (
     render_figure,
     reproduce_figure,
     resolve_figure,
+    resolve_report,
 )
 from repro.report.render import (
     Artifact,
@@ -49,6 +50,7 @@ __all__ = [
     "render_figure",
     "reproduce_figure",
     "resolve_figure",
+    "resolve_report",
     "Artifact",
     "Table",
     "format_value",

@@ -99,9 +99,10 @@ def fig01a(config: ReportConfig) -> FigureSpec:
 def motiv_half_double(config: ReportConfig) -> FigureSpec:
     """Double-sided and half-double patterns against TRR/PARA/Scale-SRS.
 
-    The four 300k-activation half-double cells form two two-cell grids
-    (TRR at radius 1 and 2, then PARA and Scale-SRS), so on two CPUs
-    each pair runs in parallel.
+    The four 300k-activation half-double cells take two grids, since
+    only TRR sweeps the radius (TRR at radius 1 and 2, then PARA and
+    Scale-SRS). The figure resolves as one plan, whose pool gives each
+    of those four long cells a worker.
     """
     half_double = HammerParams(
         pattern="half-double", hammers=HALF_DOUBLE_HAMMERS

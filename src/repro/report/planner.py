@@ -2,36 +2,36 @@
 
 The planner is the thin layer between the figure registry and the
 experiment engine: :func:`build_figure` asks a registered builder for
-its :class:`~repro.report.spec.FigureSpec`, :func:`resolve_figure`
-runs every contained :class:`~repro.sim.experiment.ExperimentSpec`
-through :func:`~repro.sim.experiment.run_grid` — with the shared
-:class:`~repro.sim.store.ResultStore`, so only cells the store does
-not already hold are executed — and :func:`render_figure` hands the
-merged results to the spec's render hook.
+its :class:`~repro.report.spec.FigureSpec`, :func:`resolve_report`
+runs every grid of every figure it is given through one
+:func:`~repro.sim.experiment.run_grid` call — one deduplicated plan,
+one store scan and one pool, so a cell several figures share runs
+once and only cells the :class:`~repro.sim.store.ResultStore` does not
+already hold are executed — and :func:`render_figure` hands each
+figure's results to the spec's render hook.
 
 Resolution composes with everything the engine already does:
 
 - ``store``/``reuse`` make a repeated report incremental (the second
   run of ``repro report --all`` executes zero cells);
 - ``shard=(i, n)`` restricts execution to one digest-stable slice of
-  every figure's grid, so N hosts split a full-paper reproduction with
+  the report's plan, so N hosts split a full-paper reproduction with
   no coordination — every figure's data are cells, so the shards cover
   all of it. The hosts share a store, or each fills its own and the
   ``*.json`` files are copied into one. Rendering needs the full grid,
   so shard runs skip artifacts — a final unsharded pass reads
   everything back and emits them;
-- ``jobs`` fans cells out over the engine's process pool
-  (:mod:`repro.sim.pool`).
+- ``jobs`` caps the engine's process pool (:mod:`repro.sim.pool`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.registry import FIGURES, FigureInfo
 from repro.report.render import Artifact
 from repro.report.spec import FigureData, FigureSpec, ReportConfig
-from repro.sim.experiment import ResultSet, RunStats, run_grid
+from repro.sim.experiment import ResultSet, RunStats, plan_cells, run_grid
 from repro.sim.store import ResultStore
 
 
@@ -51,6 +51,65 @@ def build_figure(
     return info, spec
 
 
+def resolve_report(
+    specs: Sequence[FigureSpec],
+    store: Optional[Union[str, ResultStore]] = None,
+    jobs: Optional[int] = None,
+    reuse: bool = True,
+    shard: Optional[Tuple[int, int]] = None,
+) -> List[FigureData]:
+    """Execute (only) the missing cells of several figures, as one plan.
+
+    Every grid of every figure goes to one
+    :func:`~repro.sim.experiment.run_grid` call, so a cell the figures
+    share is looked up and computed once; cells already in ``store``
+    are reused bit-identically, new ones persisted as they complete.
+
+    Returns one :class:`FigureData` per spec, in order, holding that
+    figure's results in its own plan order and its own
+    :class:`~repro.sim.experiment.RunStats`: a cell counts as executed
+    by the first figure that plans it, if this run computed it, and as
+    reused everywhere else. ``stats.workloads`` and ``stats.workers``
+    describe the one run behind every figure. With ``shard`` each
+    figure covers its cells in that slice.
+    """
+    results = run_grid(
+        *(grid for spec in specs for grid in spec.specs),
+        max_workers=jobs,
+        store=store,
+        reuse=reuse,
+        shard=shard,
+    )
+    run = results.run_stats
+    result_of = dict(zip(run.cells, results))
+    seen = set()
+    figures = []
+    for spec in specs:
+        cells = tuple(dict.fromkeys(
+            cell
+            for grid in spec.specs
+            for cell in plan_cells(grid)
+            if cell in result_of
+        ))
+        fresh = run.fresh.intersection(cells).difference(seen)
+        seen.update(cells)
+        figures.append(FigureData(
+            results=ResultSet([result_of[cell] for cell in cells]),
+            config=spec.config or ReportConfig(),
+            stats=RunStats(
+                planned=len(cells),
+                executed=len(fresh),
+                reused=len(cells) - len(fresh),
+                shard=shard,
+                workloads=run.workloads,
+                workers=run.workers,
+                cells=cells,
+                fresh=fresh,
+            ),
+        ))
+    return figures
+
+
 def resolve_figure(
     spec: FigureSpec,
     store: Optional[Union[str, ResultStore]] = None,
@@ -58,53 +117,10 @@ def resolve_figure(
     reuse: bool = True,
     shard: Optional[Tuple[int, int]] = None,
 ) -> FigureData:
-    """Execute (only) the missing cells of a figure and collect its data.
-
-    Every experiment spec runs through the engine with the shared
-    ``store``: cells already present are reused bit-identically, newly
-    computed ones are persisted the moment they complete. The returned
-    :class:`FigureData` carries the merged result set and a summed
-    :class:`~repro.sim.experiment.RunStats` (``stats.executed == 0``
-    means the store served everything; ``stats.workers`` is the widest
-    grid's pool).
-
-    With ``shard`` the run covers one slice of each grid.
-    """
-    if isinstance(store, str):
-        store = ResultStore(store)
-    sets: List[ResultSet] = []
-    planned = executed = reused = 0
-    workloads = None
-    workers = None
-    for experiment in spec.specs:
-        results = run_grid(
-            experiment,
-            max_workers=jobs,
-            store=store,
-            reuse=reuse,
-            shard=shard,
-        )
-        stats = results.run_stats
-        planned += stats.planned
-        executed += stats.executed
-        reused += stats.reused
-        if stats.workloads is not None:
-            workloads = (
-                stats.workloads if workloads is None
-                else workloads + stats.workloads
-            )
-        if stats.workers is not None:
-            workers = max(workers or 0, stats.workers)
-        sets.append(results)
-    merged = sets[0].merge(*sets[1:]) if sets else ResultSet([])
-    return FigureData(
-        results=merged,
-        config=spec.config or ReportConfig(),
-        stats=RunStats(
-            planned=planned, executed=executed, reused=reused, shard=shard,
-            workloads=workloads, workers=workers,
-        ),
-    )
+    """:func:`resolve_report` for one figure."""
+    return resolve_report(
+        [spec], store=store, jobs=jobs, reuse=reuse, shard=shard
+    )[0]
 
 
 def render_figure(

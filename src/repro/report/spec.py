@@ -16,11 +16,11 @@ core count, full-suite switch) shared by the whole report, so one
 definition serves both CI-sized smoke runs and full reproductions.
 
 The key property: a spec never *runs* anything by itself. Resolution
-(:func:`repro.report.planner.resolve_figure`) queries a
-:class:`~repro.sim.store.ResultStore` through
-:func:`~repro.sim.experiment.run_grid` and executes only the missing
-cells, which is what makes full-paper reproduction incremental,
-resumable, and shardable.
+(:func:`repro.report.planner.resolve_report`) plans the cells of every
+figure it is given as one :func:`~repro.sim.experiment.run_grid` call,
+queries a :class:`~repro.sim.store.ResultStore` and executes only the
+missing cells, each once, which is what makes full-paper reproduction
+incremental, resumable, and shardable.
 """
 
 from __future__ import annotations
@@ -114,12 +114,14 @@ class FigureData:
     assertions) consume: the store-resolved results of its cells.
 
     Attributes:
-        results: Results of every cell behind the figure, all specs
-            merged (duplicates across specs deduplicated).
+        results: Results of every cell behind the figure, in the
+            figure's plan order (a cell two of its specs share appears
+            once).
         config: The :class:`ReportConfig` the spec was built under.
-        stats: Execution accounting summed over the spec's grids —
-            ``executed`` is the number of cells actually computed (0
-            when the store already held everything).
+        stats: The figure's execution accounting —
+            ``executed`` is the number of its cells actually computed
+            for it (0 when the store or an earlier figure of the same
+            report already held everything).
     """
 
     results: ResultSet

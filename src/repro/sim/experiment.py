@@ -75,6 +75,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     Iterator,
     List,
     Mapping,
@@ -360,6 +361,10 @@ class RunStats:
         workers: The pool width the run used — ``1`` for serial, the
             process count for a process pool (see
             :func:`~repro.sim.pool.pool_width`).
+        cells: The planned cells in plan order, which is the order of
+            the returned results.
+        fresh: The cells among ``cells`` this run executed; the store
+            served the rest.
     """
 
     planned: int
@@ -368,10 +373,12 @@ class RunStats:
     shard: Optional[Tuple[int, int]] = None
     workloads: Optional[PlaneStats] = None
     workers: Optional[int] = None
+    cells: Tuple[ExperimentCell, ...] = ()
+    fresh: FrozenSet[ExperimentCell] = frozenset()
 
 
 def run_grid(
-    spec: ExperimentSpec,
+    *specs: ExperimentSpec,
     max_workers: Optional[int] = None,
     progress: Optional[Callable[[int, int, Any], None]] = None,
     store: Optional[Union[str, ResultStore]] = None,
@@ -379,19 +386,22 @@ def run_grid(
     shard: Optional[Tuple[int, int]] = None,
     pool: Optional[Pool] = None,
 ) -> "ResultSet":
-    """Execute an experiment grid, in parallel when it pays.
+    """Execute experiment grids as one plan, in parallel when it pays.
 
     Args:
-        spec: The experiment to run.
+        specs: The experiments to run. Their cells form one plan: each
+            spec's :func:`plan_cells` in turn, a cell planned by an
+            earlier spec dropped, so a cell shared by several grids
+            runs (and is stored) once.
         max_workers: Cap on the worker count; ``1`` forces serial
             in-process execution. The pool is sized from the pending
             cells' costs (:func:`~repro.sim.pool.sized_pool`): serial
-            when no cell reaches the pool's break-even, else one worker
-            per cell up to the CPUs actually available — and up to
-            twice that, above the CPU count, only when every cell is
-            long (:func:`~repro.sim.pool.pool_width`). Each pooled cell
-            is its own future. Values below 1 raise
-            :class:`ValueError`.
+            when at most one cell reaches the pool's break-even, else
+            one worker per such cell up to the CPUs actually available
+            — and up to twice that, above the CPU count, only when each
+            of them is long (:func:`~repro.sim.pool.pool_width`; cheaper
+            cells ride along in the same pool). Each pooled cell is its
+            own future. Values below 1 raise :class:`ValueError`.
         progress: Optional ``(done, total, result)`` callback, invoked
             in plan order as results arrive (including reused ones).
         store: A :class:`~repro.sim.store.ResultStore` (or its
@@ -427,7 +437,9 @@ def run_grid(
         raise ValueError(
             f"max_workers must be a positive integer, got {max_workers}"
         )
-    jobs = plan_cells(spec)
+    jobs = list(dict.fromkeys(
+        cell for spec in specs for cell in plan_cells(spec)
+    ))
     if shard is not None:
         index, count = shard
         if not 0 <= index < count:
@@ -501,6 +513,8 @@ def run_grid(
         shard=shard,
         workloads=getattr(pool, "plane_stats", None),
         workers=getattr(pool, "max_workers", None),
+        cells=tuple(jobs),
+        fresh=frozenset(cell for _, cell in pending),
     )
     return result_set
 

@@ -67,28 +67,31 @@ def cell_cost(cell: Any) -> float:
 
 
 def pool_width(cell_costs: Sequence[float], cpus: int) -> int:
-    """Worker count for a grid's pending cells; ``1`` means serial.
+    """Worker count for a run's pending cells; ``1`` means serial.
 
-    The rule behind :func:`sized_pool`, with ``n`` cells on ``cpus``
-    CPUs:
+    The rule behind :func:`sized_pool` counts only the ``n`` cells that
+    reach :data:`SERIAL_BREAK_EVEN`, on ``cpus`` CPUs:
 
-    - serial on one CPU, for at most one cell, or when no cell reaches
-      :data:`SERIAL_BREAK_EVEN`;
+    - serial on one CPU or when at most one cell reaches the floor;
     - ``n`` workers when ``n <= cpus``;
-    - ``n`` workers when ``cpus < n <= 2 * cpus`` and every cell costs
+    - ``n`` workers when ``cpus < n <= 2 * cpus`` and each of them costs
       at least :data:`LONG_CELL` — the OS then shares the CPUs across
-      all cells, where ``cpus`` workers would leave CPUs idle behind
-      the last cells (three 3 s cells on two CPUs run as 2 + 1);
+      all of them, where ``cpus`` workers would leave CPUs idle behind
+      the last ones (three 3 s cells on two CPUs run as 2 + 1);
     - otherwise ``cpus`` workers.
 
-    So the width exceeds the CPU count only in the many-long-cells case.
+    Cheaper cells run in the same pool but never widen it, so a plan
+    mixing a few long cells with many cheap ones is sized by its long
+    cells. The width exceeds the CPU count only in the many-long-cells
+    case.
     """
-    cells = len(cell_costs)
-    if cpus <= 1 or cells <= 1 or max(cell_costs) < SERIAL_BREAK_EVEN:
+    heavy = [cost for cost in cell_costs if cost >= SERIAL_BREAK_EVEN]
+    cells = len(heavy)
+    if cpus <= 1 or cells <= 1:
         return 1
     if cells <= cpus:
         return cells
-    if cells <= 2 * cpus and min(cell_costs) >= LONG_CELL:
+    if cells <= 2 * cpus and min(heavy) >= LONG_CELL:
         return cells
     return cpus
 
@@ -120,9 +123,10 @@ def sized_pool(
     Serial without pricing anything on one CPU, for at most one pending
     cell, or when ``max_workers`` is ``1``. Otherwise the pending cells
     are priced once (``task.costs``) and :func:`pool_width` sizes the
-    pool, capped at ``max_workers`` when one is given: a grid with no
-    cell above :data:`SERIAL_BREAK_EVEN` stays in-process, and a pooled
-    grid sends every cell to the workers as its own future.
+    pool from the cells at or above :data:`SERIAL_BREAK_EVEN`, capped at
+    ``max_workers`` when one is given: a run with at most one such cell
+    stays in-process, and a pooled run sends every cell, cheap ones
+    included, to the workers as its own future.
     """
     cpus = available_cpu_count()
     if cpus <= 1 or max_workers == 1 or len(task.pending) <= 1:

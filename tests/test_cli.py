@@ -607,6 +607,46 @@ class TestReportCommand:
             ) as other:
                 assert one.read() == other.read(), name
 
+    def test_no_resume_computes_shared_cells_once(self, capsys, tmp_path):
+        """--no-resume recomputes every cell, but the figures still
+        plan together: the 49 cells fig16 shares with fig15 run once."""
+        assert main([
+            "report", "--figure", "fig15", "fig16", "--requests", "300",
+            "--cores", "1", "--store", str(tmp_path / "store"), "--no-resume",
+        ]) == 0
+        assert "fig16: executed 42, reused 49 of 91" in capsys.readouterr().out
+
+    @pytest.mark.slow
+    def test_plain_report_is_one_plan_and_no_store(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """A plain report --all sizes one pool for the whole report and
+        writes no store entry, yet computes each shared cell once."""
+        from repro.sim import experiment
+        from repro.sim.store import ResultStore
+
+        puts, sized = [], []
+        real_put, real_sized = ResultStore.put, experiment.sized_pool
+
+        def put(self, *args, **kwargs):
+            puts.append(args)
+            return real_put(self, *args, **kwargs)
+
+        def sized_pool(*args, **kwargs):
+            sized.append(args)
+            return real_sized(*args, **kwargs)
+
+        monkeypatch.setattr(ResultStore, "put", put)
+        monkeypatch.setattr(experiment, "sized_pool", sized_pool)
+        assert main([
+            "report", "--all", "--requests", "300", "--cores", "1",
+            "--out", str(tmp_path / "out"),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "report: executed 319, reused 196 of 515 cells" in out
+        assert puts == []
+        assert len(sized) == 1
+
     def test_shard_runs_skip_artifacts(self, capsys, tmp_path):
         store = str(tmp_path / "store")
         out_dir = str(tmp_path / "report")

@@ -1,15 +1,12 @@
-"""Tests for the write queue, FR-FCFS arbiter, and memory system."""
+"""Tests for the write queue and memory system."""
 
 import pytest
 
 from repro.controller.memory_system import MemorySystem
 from repro.controller.queues import PendingWrite, WriteQueue
-from repro.controller.scheduler import FRFCFSArbiter
 from repro.core.pin_buffer import PinBuffer
 from repro.core.scale_srs import ScaleSecureRowSwap
 from repro.dram.address import AddressMapper, DecodedAddress
-from repro.dram.bank import Bank
-from repro.dram.commands import PagePolicy
 from repro.dram.config import DRAMOrganization, DRAMTiming, SystemConfig
 from repro.sim.factory import make_mitigation_factory
 from repro.trackers.base import ExactTracker
@@ -56,42 +53,6 @@ class TestWriteQueue:
     def test_invalid_watermarks(self):
         with pytest.raises(ValueError):
             WriteQueue(capacity=4, high_watermark=5, low_watermark=1)
-
-
-class TestFRFCFS:
-    def test_row_hits_first(self):
-        arbiter = FRFCFSArbiter()
-        arbiter.enqueue(0.0, row=1, is_write=False)
-        arbiter.enqueue(1.0, row=2, is_write=False)
-        chosen = arbiter.select(open_row=2, now=10.0)
-        assert chosen.row == 2  # younger, but a row hit
-        assert arbiter.row_hit_grants == 1
-
-    def test_fcfs_without_open_row(self):
-        arbiter = FRFCFSArbiter()
-        arbiter.enqueue(5.0, row=1, is_write=False)
-        arbiter.enqueue(1.0, row=2, is_write=False)
-        chosen = arbiter.select(open_row=None, now=10.0)
-        assert chosen.row == 2  # older
-
-    def test_future_arrivals_ineligible(self):
-        arbiter = FRFCFSArbiter()
-        arbiter.enqueue(100.0, row=1, is_write=False)
-        assert arbiter.select(open_row=None, now=10.0) is None
-
-    def test_drain_through_bank_open_page(self):
-        bank = Bank(64, DRAMTiming(refresh_window=1e6), PagePolicy.OPEN)
-        arbiter = FRFCFSArbiter()
-        for i in range(6):
-            arbiter.enqueue(0.0, row=i % 2, is_write=False)
-        arbiter.drain_through_bank(bank, 0.0)
-        assert bank.row_hits > 0  # FR-FCFS batched same-row requests
-
-    def test_full_queue(self):
-        arbiter = FRFCFSArbiter(max_queue=1)
-        arbiter.enqueue(0.0, row=1, is_write=False)
-        with pytest.raises(OverflowError):
-            arbiter.enqueue(0.0, row=2, is_write=False)
 
 
 class TestMemorySystem:

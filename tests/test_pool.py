@@ -208,30 +208,33 @@ class TestDefaultDispatch:
             ([50.0] * 45, 2, 1),
             ([3e6] * 3, 1, 1),
             ([3e6], 2, 1),
+            ([50.0] * 45 + [3e6] * 3, 2, 3),
+            ([2_400.0] * 3 + [3e5] * 4, 2, 4),
+            ([50.0] * 45 + [3e6], 2, 1),
+            ([50.0] * 45 + [48_000.0] * 5, 2, 2),
         ],
         ids=[
             "grid-swap-shape", "few-long-chunks", "fewer-chunks-than-cpus",
             "past-twice-the-cpus", "one-short-chunk", "cheap-grid",
-            "one-cpu", "one-chunk",
+            "one-cpu", "one-chunk", "fig06-plan", "half-double-plan",
+            "one-long-among-cheap", "cheap-cells-do-not-widen",
         ],
     )
     def test_pool_width(self, costs, cpus, width):
         assert pool_width(costs, cpus) == width
 
     def test_fig06_montecarlo_gets_one_worker_per_cell(self, monkeypatch):
-        """On 2 CPUs, fig06's three multi-second cells get 3 workers
-        (not 2 + 1); its 45 analytical curve cells stay in-process."""
-        from repro.report.planner import build_figure
+        """On 2 CPUs, fig06's plan runs one 3-worker pool: its three
+        multi-second cells get a worker each (not 2 + 1), and its 45
+        analytical curve cells neither widen the pool nor run apart."""
+        from repro.report.spec import ReportConfig
 
         monkeypatch.setattr(pool_module, "available_cpu_count", lambda: 2)
-        _, figure = build_figure("fig06")
-        curves, montecarlo = (
-            sized_pool(PoolTask(list(enumerate(plan_cells(spec))), None, None))
-            for spec in figure.specs
-        )
-        assert isinstance(curves, SerialPool)
-        assert isinstance(montecarlo, ProcessPool)
-        assert montecarlo.max_workers == 3
+        pending = list(enumerate(report_plan(["fig06"], ReportConfig())))
+        assert len(pending) == 48
+        pool = sized_pool(PoolTask(pending, None, None))
+        assert isinstance(pool, ProcessPool)
+        assert pool.max_workers == 3
 
     def test_default_width_matches_serial_and_pooled_bits(
         self, monkeypatch, tmp_path
@@ -673,57 +676,80 @@ class TestChunking:
         assert resumed.run_stats.executed == 1
 
 
-#: The dispatch census on 2 CPUs: each ``perf`` figure's one grid runs
-#: 2 workers, the other figures' grids run at these widths (fig06's
-#: curves then its Monte-Carlo grid; half-double's double-sided rig
-#: then its two half-double grids), and every other grid is serial.
+#: The dispatch census on 2 CPUs: each ``perf`` figure's plan runs 2
+#: workers, these figures run at these widths (fig06's three Monte-Carlo
+#: cells and half-double's four 300k-activation cells each get one
+#: worker; their cheap cells ride along), and every other figure is
+#: serial.
 PERF_FIGURES = {"fig01b", "fig04", "fig12", "fig14", "fig15", "fig16"}
-POOLED_GRIDS = {"fig06": [1, 3], "motiv-half-double": [1, 2, 2]}
+POOLED_FIGURES = {"fig06": 3, "motiv-half-double": 4}
+
+
+def report_plan(names, config):
+    """The deduplicated cells ``resolve_report`` plans for ``names``."""
+    from repro.report.planner import build_figure
+
+    return list(dict.fromkeys(
+        cell
+        for name in names
+        for spec in build_figure(name, config)[1].specs
+        for cell in plan_cells(spec)
+    ))
 
 
 class TestDispatchCensus:
-    """Every registered report grid, priced on 2 CPUs at the proxy
-    (3000 x 2) and default (25000 x 4) report scales: each one's
-    serial-or-pooled choice and width, one cell per future, and no grid
-    straddling the floor."""
-
-    @staticmethod
-    def grids(requests, cores):
-        """``(figure, kind, pending cells)`` of every report grid."""
-        from repro.report.planner import build_figure
-        from repro.report.spec import ReportConfig
-
-        config = ReportConfig(requests=requests, cores=cores)
-        for name in FIGURES.names():
-            _, figure = build_figure(name, config)
-            for spec in figure.specs:
-                yield name, spec.kind, list(enumerate(plan_cells(spec)))
+    """Every registered figure's plan, and the whole report's, priced
+    on 2 CPUs at the proxy (3000 x 2) and default (25000 x 4) report
+    scales: each one's serial-or-pooled choice and width, and one cell
+    per future."""
 
     @pytest.mark.parametrize(
         "requests, cores", [(3000, 2), (25_000, 4)], ids=["proxy", "default"]
     )
     def test_report_grids(self, monkeypatch, requests, cores):
+        from repro.report.spec import ReportConfig
+
+        config = ReportConfig(requests=requests, cores=cores)
         monkeypatch.setattr(pool_module, "available_cpu_count", lambda: 2)
         widths, perf = {}, set()
-        for name, kind, pending in self.grids(requests, cores):
-            costs = list(price(pending).values())
-            # No grid mixes cells below and above the floor.
-            above = [cost >= SERIAL_BREAK_EVEN for cost in costs]
-            assert all(above) or not any(above), (name, sorted(set(costs)))
-            if kind == "perf":
+        for name in FIGURES.names():
+            pending = list(enumerate(report_plan([name], config)))
+            if any(cell.kind == "perf" for _, cell in pending):
                 perf.add(name)
                 # Proxy-scale perf cells cost 18 000 units: a cost-hint
                 # retune that drops them below the floor must fail here
                 # rather than silently serialize every perf figure.
+                costs = price(pending).values()
                 assert min(costs) >= SERIAL_BREAK_EVEN, (name, min(costs))
             pool = sized_pool(PoolTask(pending, None, None))
             if isinstance(pool, ProcessPool):
                 assert_one_cell_per_future(pool, pending, monkeypatch)
             else:
                 assert isinstance(pool, SerialPool)
-            widths.setdefault(name, []).append(pool.max_workers)
+            widths[name] = pool.max_workers
         assert perf == PERF_FIGURES
-        expected = {name: [1] * len(got) for name, got in widths.items()}
-        expected.update(POOLED_GRIDS)
-        expected.update({name: [2] for name in PERF_FIGURES})
+        expected = {name: 1 for name in widths}
+        expected.update(POOLED_FIGURES)
+        expected.update({name: 2 for name in PERF_FIGURES})
         assert widths == expected
+
+    @pytest.mark.parametrize(
+        "requests, cores", [(3000, 2), (25_000, 4)], ids=["proxy", "default"]
+    )
+    def test_whole_report_is_one_pool(self, monkeypatch, requests, cores):
+        """The report's 319 distinct cells run on one 2-worker pool,
+        fig06's three Monte-Carlo cells submitted first."""
+        from repro.report.spec import ReportConfig
+
+        config = ReportConfig(requests=requests, cores=cores)
+        monkeypatch.setattr(pool_module, "available_cpu_count", lambda: 2)
+        pending = list(enumerate(report_plan(FIGURES.names(), config)))
+        assert len(pending) == 319
+        task = PoolTask(pending, None, None)
+        pool = sized_pool(task)
+        assert isinstance(pool, ProcessPool)
+        assert pool.max_workers == 2
+        first = [cell for _, cell in task.ordered[:3]]
+        assert {cell.kind for cell in first} == {"security"}
+        assert all(cell.params.iterations > 0 for cell in first)
+        assert_one_cell_per_future(pool, pending, monkeypatch)
